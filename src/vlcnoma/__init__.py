@@ -39,7 +39,6 @@ from .mobility import (
     pmf_nonzero_count,
     pmf_nonzero_count_truncated,
     prob_incidence_within,
-    sample_user,
     sample_users,
 )
 from .quadrature import (
@@ -63,8 +62,6 @@ from .rates import (
     outage_gain_thresholds,
     outage_pair_analytic,
     required_sinr,
-    sinr_cross,
-    sinr_own,
     sum_rate_noma,
     sum_rate_oma,
 )
@@ -72,14 +69,10 @@ from .simulate import (
     CDF_SAMPLE_FAMILIES,
     EstimateResult,
     NoiseConfig,
-    TrialOutcome,
-    apply_noise,
     collect_scheduled_gains,
     estimate,
     nonzero_count_histogram,
     rate_stats,
-    run_group_trial,
-    run_individual_trial,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateConditionError, InvalidParameterError, NumericFailureError
+from .errors import DegenerateConditionError, InvalidParameterError
 from .gain_cdf import (
     FeedbackThresholds,
     cdf_gain_ranked,
@@ -124,6 +124,14 @@ def _parse_bool(conf: dict, key: str) -> bool:
     if text in ("false", "0", "no", "off"):
         return False
     raise InvalidParameterError(f"config key {key}: not a boolean: {conf[key]!r}")
+
+
+def _snr_linear(snr_db: float) -> float:
+    """Linear SNR of a dB value; one too large for a float is an invalid parameter."""
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise InvalidParameterError(f"SNR of {snr_db} dB overflows a float") from None
 
 
 def parse_grid(text: str, key: str) -> tuple[float, ...]:
@@ -255,7 +263,7 @@ def build_noma(conf: dict, thresholds: FeedbackThresholds) -> NomaConfig:
         beta_strong=_parse_float(conf, "beta_strong"),
         rate_weak=_parse_float(conf, "rate_weak"),
         rate_strong=_parse_float(conf, "rate_strong"),
-        snr=10.0 ** (_parse_float(conf, "snr_db") / 10.0),
+        snr=_snr_linear(_parse_float(conf, "snr_db")),
         weak_rank=_parse_int(conf, "weak_rank"),
         strong_rank=_parse_int(conf, "strong_rank"),
         thresholds=thresholds,
@@ -299,6 +307,8 @@ class ExperimentConfig:
             raise InvalidParameterError("sweep grid must be non-empty and increasing")
         if self.trials < 1000:
             raise InvalidParameterError("estimate subcommands need at least 1000 trials")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be nonnegative")
         if self.oma_mode not in OMA_MODES:
             raise InvalidParameterError(f"oma_mode must be one of {OMA_MODES}")
         if self.grid_points < 2 or self.ks_grid_points < 2:
@@ -493,7 +503,7 @@ def cmd_sweep_snr(xc: ExperimentConfig, out: str | None, manifest: str):
     )
     rows = []
     for snr_db in xc.grid:
-        cfg = dataclasses.replace(xc.noma, snr=10.0 ** (snr_db / 10.0))
+        cfg = dataclasses.replace(xc.noma, snr=_snr_linear(snr_db))
         analytic, mc, oma = _sum_rate_columns(xc, cfg, gains)
         rows.append((snr_db, analytic, mc.value, mc.stderr, oma, mc.sched_prob))
     header = [
@@ -586,7 +596,7 @@ def cmd_noisy_compare(xc: ExperimentConfig, out: str | None, manifest: str):
     noisy = collect_scheduled_gains(xc.trials, xc.noma, xc.model, xc.led, noise=noise_on, **shared)
     rows = []
     for snr_db in xc.grid:
-        cfg = dataclasses.replace(xc.noma, snr=10.0 ** (snr_db / 10.0))
+        cfg = dataclasses.replace(xc.noma, snr=_snr_linear(snr_db))
         stat_c = rate_stats(*clean, cfg)
         stat_n = rate_stats(*noisy, cfg)
         rows.append(
@@ -663,7 +673,9 @@ def main(argv=None) -> int:
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericFailureError, DegenerateConditionError) as exc:
+    except ArithmeticError as exc:
+        # NumericFailureError, DegenerateConditionError, and float overflow or
+        # division by zero on extreme but finite parameters.
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0

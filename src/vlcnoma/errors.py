@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check that raises one."""
+
+import math
 
 
 class InvalidParameterError(ValueError):
@@ -20,3 +22,10 @@ class NumericFailureError(ArithmeticError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
+
+
+def require_finite(obj, *names: str):
+    """Raise ``InvalidParameterError`` naming each attribute of ``obj`` that is NaN or infinite."""
+    bad = [name for name in names if not math.isfinite(getattr(obj, name))]
+    if bad:
+        raise InvalidParameterError(f"{', '.join(bad)} must be finite")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .errors import DegenerateConditionError, InvalidParameterError
+from .errors import DegenerateConditionError, InvalidParameterError, require_finite
 from .geometry import LedGeometry, channel_constant
 from .mobility import (
     MobilityModel,
@@ -61,6 +61,7 @@ class FeedbackThresholds:
     angle_threshold: float
 
     def __post_init__(self):
+        require_finite(self, "dist_threshold", "angle_threshold")
         if self.dist_threshold <= 0:
             raise InvalidParameterError("distance threshold must be positive")
         if self.angle_threshold <= 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_finite
 
 __all__ = [
     "LedGeometry",
@@ -51,13 +51,15 @@ class LedGeometry:
     lambertian_m: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        require_finite(self, "ell", "phi_hpbw", "area_r", "theta_fov")
         if self.ell <= 0 or self.area_r <= 0:
             raise InvalidParameterError("LED height and detector area must be positive")
         if not 0.0 < self.theta_fov <= np.pi / 2:
             raise InvalidParameterError("field-of-view half-angle must lie in (0, pi/2]")
         if self.lambertian_m is None:
             object.__setattr__(self, "lambertian_m", lambertian_order(self.phi_hpbw))
-        elif self.lambertian_m <= 0:
+        require_finite(self, "lambertian_m")
+        if self.lambertian_m <= 0:
             raise InvalidParameterError("Lambertian order must be positive")
 
 
@@ -104,17 +106,10 @@ def dc_gain(user: UserState, led: LedGeometry):
 def mean_dc_gain(d, mean_angle, led: LedGeometry):
     """DC gain evaluated at the mean vertical angle instead of the instantaneous one.
 
-    The cosine of the incidence angle is taken in absolute value so the
-    result is nonnegative; the field-of-view gate applies to the mean
-    incidence angle.
+    This is the mean-angle feedback metric: :func:`dc_gain` of the same
+    receiver with its mean angle in place of the instantaneous one.
     """
-    d = np.asarray(d, dtype=float)
-    theta = incidence_angle(d, mean_angle, led.ell)
-    m = led.lambertian_m
-    cos_irr = led.ell / np.sqrt(led.ell**2 + d * d)
-    base = (m + 1) * led.area_r / (2 * np.pi * (led.ell**2 + d * d))
-    gain = base * cos_irr**m * np.abs(np.cos(theta))
-    return np.where(np.abs(theta) <= led.theta_fov, gain, 0.0)
+    return dc_gain(UserState(d, mean_angle, mean_angle), led)
 
 
 def channel_constant(led: LedGeometry):

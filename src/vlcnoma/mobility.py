@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import DegenerateConditionError, InvalidParameterError
-from .geometry import LedGeometry, UserState
+from .errors import DegenerateConditionError, InvalidParameterError, require_finite
+from .geometry import LedGeometry
 from .quadrature import QuadratureSpec, integrate_1d
 
 __all__ = [
     "MobilityModel",
     "NonzeroCount",
-    "sample_user",
     "sample_users",
     "cdf_vertical_angle",
     "prob_incidence_within",
@@ -47,6 +46,9 @@ class MobilityModel:
     max_deviation: float
 
     def __post_init__(self):
+        require_finite(
+            self, "d_min", "d_max", "mean_angle_min", "mean_angle_max", "max_deviation"
+        )
         if not 0 <= self.d_min < self.d_max:
             raise InvalidParameterError("need 0 <= d_min < d_max")
         if self.mean_angle_min > self.mean_angle_max:
@@ -92,12 +94,6 @@ def sample_users(model: MobilityModel, rng: np.random.Generator, size):
     mean = rng.uniform(model.mean_angle_min, model.mean_angle_max, size)
     inst = mean + rng.uniform(-model.max_deviation, model.max_deviation, size)
     return d, mean, inst
-
-
-def sample_user(model: MobilityModel, rng: np.random.Generator) -> UserState:
-    """Draw one receiver state."""
-    d, mean, inst = sample_users(model, rng, ())
-    return UserState(dist=float(d), mean_angle=float(mean), inst_angle=float(inst))
 
 
 def cdf_vertical_angle(x, model: MobilityModel):

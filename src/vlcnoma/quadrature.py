@@ -84,7 +84,8 @@ def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = 
     ``max(abs_tol, rel_tol * |integral|)``.
 
     Raises ``NumericFailureError`` (carrying the best estimate and bound)
-    if the panel budget is exhausted first.
+    if the panel budget is exhausted first, or as soon as a panel value or
+    error estimate is not finite, since no refinement can cure that.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -100,6 +101,12 @@ def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = 
         total = vals.sum()
         err = errs.sum()
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        if not (np.isfinite(total) and np.isfinite(err)):
+            raise NumericFailureError(
+                f"quadrature hit a non-finite value with {len(lo)} panels",
+                estimate=float(total),
+                error_bound=float(err),
+            )
         if err <= tol:
             return float(total)
         if len(lo) >= spec.max_subdivisions:

@@ -1,4 +1,4 @@
-"""NOMA power-domain pairing: SINR models, outage thresholds, and sum rates.
+"""NOMA power-domain pairing: SINR outage thresholds and sum rates.
 
 Two scheduled users share one transmission: the weak user gets the larger
 power fraction and treats the strong user's signal as interference; the
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_finite
 from .gain_cdf import (
     FeedbackThresholds,
     cdf_gain_ranked,
@@ -39,8 +39,6 @@ __all__ = [
     "NomaConfig",
     "achievable_rate",
     "required_sinr",
-    "sinr_cross",
-    "sinr_own",
     "outage_gain_thresholds",
     "oma_gain_thresholds",
     "outage_pair_analytic",
@@ -95,6 +93,7 @@ class NomaConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "feedback_mode", canonical_feedback_mode(self.feedback_mode))
+        require_finite(self, "beta_weak", "beta_strong", "rate_weak", "rate_strong", "snr")
         if not self.beta_weak > self.beta_strong > 0:
             raise InvalidParameterError("need beta_weak > beta_strong > 0")
         if self.rate_weak <= 0 or self.rate_strong <= 0:
@@ -124,30 +123,6 @@ def achievable_rate(sinr):
 def required_sinr(target_rate):
     """SINR at which :func:`achievable_rate` meets the target rate exactly."""
     return (np.exp2(2.0 * np.asarray(target_rate, dtype=float)) - 1.0) * 2.0 * np.pi / np.e
-
-
-def _sinr(h, betas, numerator_index, interferer_set, snr):
-    betas = np.asarray(betas, dtype=float)
-    h_sq = np.square(np.asarray(h, dtype=float))
-    interference = h_sq * sum(betas[k] ** 2 for k in interferer_set)
-    return h_sq * betas[numerator_index] ** 2 / (interference + 1.0 / snr)
-
-
-def sinr_cross(h, betas, target_index, stronger_set, snr):
-    """SINR when decoding a weaker user's message at a receiver with gain ``h``.
-
-    The numerator carries the weaker user's power fraction; every user in
-    ``stronger_set`` (those decoded later) contributes interference.
-    """
-    return _sinr(h, betas, target_index, stronger_set, snr)
-
-
-def sinr_own(h, betas, index, stronger_set, snr):
-    """SINR when a user decodes its own message after removing weaker ones.
-
-    With an empty ``stronger_set`` this reduces to ``h^2 beta^2 snr``.
-    """
-    return _sinr(h, betas, index, stronger_set, snr)
 
 
 def outage_gain_thresholds(cfg: NomaConfig):

@@ -3,8 +3,7 @@
 Trials run in vectorized chunks of fixed size.  Each chunk owns a generator
 derived from the root seed and the chunk index, and chunk results are
 combined in chunk order, so aggregates are bit-identical for a given
-(seed, configuration) regardless of the worker count.  The per-trial
-operations wrap the same chunk kernels with a chunk of size one.
+(seed, configuration) regardless of the worker count.
 
 Observables can be perturbed by measurement noise; scheduling and ranking
 then use the noisy values while outage is always judged on the true gains.
@@ -16,24 +15,19 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateConditionError, InvalidParameterError
+from .errors import DegenerateConditionError, InvalidParameterError, require_finite
 from .geometry import LedGeometry, UserState, dc_gain, incidence_angle, mean_dc_gain
 from .mobility import MobilityModel, sample_users
-from .rates import GROUP_MODES, INDIVIDUAL_MODES, NomaConfig, outage_gain_thresholds
+from .rates import GROUP_MODES, NomaConfig, outage_gain_thresholds
 
 __all__ = [
     "CHUNK_TRIALS",
     "CDF_SAMPLE_FAMILIES",
-    "TrialOutcome",
     "NoiseConfig",
     "EstimateResult",
-    "apply_noise",
-    "run_individual_trial",
-    "run_group_trial",
     "collect_scheduled_gains",
     "rate_stats",
     "estimate",
@@ -61,26 +55,9 @@ class NoiseConfig:
     enabled: bool = False
 
     def __post_init__(self):
+        require_finite(self, "sigma_d", "sigma_phi")
         if self.sigma_d < 0 or self.sigma_phi < 0:
             raise InvalidParameterError("noise standard deviations must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Result of one transmission period.
-
-    Outage flags and user states are None when the trial was not scheduled.
-    Gains are the true channel gains of the picked users (0 when a pick does
-    not exist).
-    """
-
-    scheduled: bool
-    weak_user: UserState | None
-    strong_user: UserState | None
-    outage_weak: bool | None
-    outage_strong: bool | None
-    gain_weak: float
-    gain_strong: float
 
 
 @dataclass(frozen=True)
@@ -92,17 +69,6 @@ class EstimateResult:
     sched_prob: float
     trials: int
     scheduled_trials: int
-
-
-class _Batch(NamedTuple):
-    scheduled: np.ndarray
-    gain_sq_weak: np.ndarray
-    gain_sq_strong: np.ndarray
-    weak_idx: np.ndarray
-    strong_idx: np.ndarray
-    dist: np.ndarray
-    mean: np.ndarray
-    inst: np.ndarray
 
 
 def _observe(dist, mean, inst, noise: NoiseConfig | None, rng):
@@ -117,16 +83,8 @@ def _observe(dist, mean, inst, noise: NoiseConfig | None, rng):
     return dist_obs, mean_obs, inst_obs
 
 
-def apply_noise(user: UserState, noise: NoiseConfig, rng) -> UserState:
-    """Observed state of one user under measurement noise; identity when disabled."""
-    d, mean, inst = _observe(
-        np.asarray([user.dist]), np.asarray([user.mean_angle]), np.asarray([user.inst_angle]),
-        noise, rng,
-    )
-    return UserState(dist=float(d[0]), mean_angle=float(mean[0]), inst_angle=float(inst[0]))
-
-
-def _individual_batch(rng, n, total_users, cfg, model, led, noise) -> _Batch:
+def _individual_batch(rng, n, total_users, cfg, model, led, noise):
+    """(scheduled, gain_sq_weak, gain_sq_strong) of one chunk of rank-based scheduling."""
     d, mean, inst = sample_users(model, rng, (n, total_users))
     gain_sq = np.square(dc_gain(UserState(d, mean, inst), led))
     nonzero = np.count_nonzero(gain_sq > 0.0, axis=1)
@@ -141,7 +99,10 @@ def _individual_batch(rng, n, total_users, cfg, model, led, noise) -> _Batch:
         have_pick = scheduled
     else:
         if cfg.feedback_mode == "FullCSI":
-            metric = np.square(dc_gain(UserState(d_obs, mean_obs, inst_obs), led))
+            # Noise-free feedback is the true gain itself.
+            metric = gain_sq if d_obs is d else np.square(
+                dc_gain(UserState(d_obs, mean_obs, inst_obs), led)
+            )
         else:
             metric = np.square(mean_dc_gain(d_obs, mean_obs, led))
         order = np.argsort(metric, axis=1, kind="stable")
@@ -157,7 +118,7 @@ def _individual_batch(rng, n, total_users, cfg, model, led, noise) -> _Batch:
         have_pick = apparent > 0
     gain_sq_weak = np.where(have_pick, gain_sq[rows, weak_idx], 0.0)
     gain_sq_strong = np.where(have_pick, gain_sq[rows, strong_idx], 0.0)
-    return _Batch(scheduled, gain_sq_weak, gain_sq_strong, weak_idx, strong_idx, d, mean, inst)
+    return scheduled, gain_sq_weak, gain_sq_strong
 
 
 def _uniform_pick(mask, u):
@@ -181,7 +142,8 @@ def _group_masks(cfg, led, d_obs, mean_obs, inst_obs):
     return weak_mask, strong_mask
 
 
-def _group_batch(rng, n, total_users, cfg, model, led, noise) -> _Batch:
+def _group_batch(rng, n, total_users, cfg, model, led, noise):
+    """(scheduled, gain_sq_weak, gain_sq_strong) of one chunk of threshold-feedback scheduling."""
     d, mean, inst = sample_users(model, rng, (n, total_users))
     gain_sq = np.square(dc_gain(UserState(d, mean, inst), led))
     d_obs, mean_obs, inst_obs = _observe(d, mean, inst, noise, rng)
@@ -193,66 +155,7 @@ def _group_batch(rng, n, total_users, cfg, model, led, noise) -> _Batch:
     rows = np.arange(n)
     gain_sq_weak = np.where(weak_ok, gain_sq[rows, weak_idx], 0.0)
     gain_sq_strong = np.where(strong_ok, gain_sq[rows, strong_idx], 0.0)
-    return _Batch(scheduled, gain_sq_weak, gain_sq_strong, weak_idx, strong_idx, d, mean, inst)
-
-
-def _batch_fn(mode: str):
-    if mode in INDIVIDUAL_MODES:
-        return _individual_batch
-    if mode in GROUP_MODES:
-        return _group_batch
-    raise InvalidParameterError(f"unknown feedback mode {mode!r}")
-
-
-def _validate_trial_args(total_users: int, cfg: NomaConfig):
-    if total_users < 1:
-        raise InvalidParameterError("need at least one user")
-    if cfg.strong_rank > total_users:
-        raise InvalidParameterError("strong_rank exceeds total_users")
-    if cfg.feedback_mode in GROUP_MODES and cfg.thresholds is None:
-        raise InvalidParameterError("group modes need feedback thresholds")
-
-
-def _outcome_from_batch(batch: _Batch, cfg: NomaConfig) -> TrialOutcome:
-    threshold_weak, threshold_strong, _ = outage_gain_thresholds(cfg)
-    scheduled = bool(batch.scheduled[0])
-    wi, si = int(batch.weak_idx[0]), int(batch.strong_idx[0])
-    gw_sq, gs_sq = float(batch.gain_sq_weak[0]), float(batch.gain_sq_strong[0])
-
-    def state(k: int) -> UserState:
-        return UserState(
-            dist=float(batch.dist[0, k]),
-            mean_angle=float(batch.mean[0, k]),
-            inst_angle=float(batch.inst[0, k]),
-        )
-
-    return TrialOutcome(
-        scheduled=scheduled,
-        weak_user=state(wi) if scheduled else None,
-        strong_user=state(si) if scheduled else None,
-        outage_weak=(not gw_sq > threshold_weak) if scheduled else None,
-        outage_strong=(not gs_sq > threshold_strong) if scheduled else None,
-        gain_weak=math.sqrt(gw_sq),
-        gain_strong=math.sqrt(gs_sq),
-    )
-
-
-def run_individual_trial(total_users, cfg, model, led, noise, rng) -> TrialOutcome:
-    """One trial of rank-based scheduling; consumes draws from ``rng``."""
-    if cfg.feedback_mode not in INDIVIDUAL_MODES:
-        raise InvalidParameterError(f"not an individual mode: {cfg.feedback_mode!r}")
-    _validate_trial_args(total_users, cfg)
-    return _outcome_from_batch(
-        _individual_batch(rng, 1, total_users, cfg, model, led, noise), cfg
-    )
-
-
-def run_group_trial(total_users, cfg, model, led, noise, rng) -> TrialOutcome:
-    """One trial of threshold-feedback group scheduling."""
-    if cfg.feedback_mode not in GROUP_MODES:
-        raise InvalidParameterError(f"not a group mode: {cfg.feedback_mode!r}")
-    _validate_trial_args(total_users, cfg)
-    return _outcome_from_batch(_group_batch(rng, 1, total_users, cfg, model, led, noise), cfg)
+    return scheduled, gain_sq_weak, gain_sq_strong
 
 
 def _chunk_sizes(trials: int):
@@ -293,13 +196,18 @@ def collect_scheduled_gains(
     """
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
-    _validate_trial_args(total_users, cfg)
-    batch = _batch_fn(cfg.feedback_mode)
+    # strong_rank >= 2, so this also rejects an empty population
+    if cfg.strong_rank > total_users:
+        raise InvalidParameterError("strong_rank exceeds total_users")
+    if cfg.feedback_mode in GROUP_MODES and cfg.thresholds is None:
+        raise InvalidParameterError("group modes need feedback thresholds")
+    batch = _group_batch if cfg.feedback_mode in GROUP_MODES else _individual_batch
 
     def chunk(c: int, size: int):
-        b = batch(_chunk_rng(seed, c), size, total_users, cfg, model, led, noise)
-        keep = b.scheduled
-        return b.gain_sq_weak[keep], b.gain_sq_strong[keep]
+        scheduled, gain_sq_weak, gain_sq_strong = batch(
+            _chunk_rng(seed, c), size, total_users, cfg, model, led, noise
+        )
+        return gain_sq_weak[scheduled], gain_sq_strong[scheduled]
 
     parts = _map_chunks(chunk, trials, workers)
     gain_sq_weak = np.concatenate([p[0] for p in parts])

@@ -1,11 +1,16 @@
 """CLI contract: config resolution, CSV layout, determinism, exit codes."""
 
+import contextlib
+import io
 import re
 import subprocess
 import sys
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlcnoma.cli import (
     DEFAULTS,
@@ -18,6 +23,7 @@ from vlcnoma.cli import (
     resolve_config,
 )
 from vlcnoma.errors import InvalidParameterError
+from vlcnoma.rates import FEEDBACK_MODES
 
 MANIFEST_RE = re.compile(r"^# manifest config_sha256=[0-9a-f]{16} seed=\d+ version=\S+$")
 
@@ -532,3 +538,85 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("# manifest config_sha256=")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["ell=nan"],
+            ["area_r=nan"],
+            ["d_max=inf"],
+            ["max_deviation_deg=nan"],
+            ["sigma_d=nan", "noise_enabled=true"],
+            ["sigma_phi_deg=inf", "noise_enabled=true"],
+            ["rate_weak=nan"],
+            ["snr_db=inf"],
+            ["snr_db=1e6"],
+            ["dist_threshold=nan", "angle_threshold_deg=5"],
+        ],
+    )
+    def test_non_finite_parameter_rejected(self, capsys, overrides):
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["sweep-snr", "--trials", "2000", *sets]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_finite_quadrature_is_numeric_failure(self, capsys):
+        # a 0.001-degree beam is finite but overflows the gain normalization,
+        # which the two-bit quadrature must report instead of looping on
+        argv = ["sweep-snr", "--trials", "2000", "--mode", "TwoBitInstantaneous"]
+        argv += ["--set", "phi_hpbw_deg=0.001", "--set", "snr_grid_db=200"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 3
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["sweep-snr", "--trials", "2000", "--seed", "-1"]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
+
+# Keys of the physical model and the seed; workers, trials, total_users and
+# the grids stay fixed so one example stays small.
+FUZZ_KEYS = (
+    "ell",
+    "phi_hpbw_deg",
+    "area_r",
+    "theta_fov_deg",
+    "d_min",
+    "d_max",
+    "mean_angle_min_deg",
+    "mean_angle_max_deg",
+    "max_deviation_deg",
+    "beta_weak",
+    "beta_strong",
+    "rate_weak",
+    "rate_strong",
+    "snr_db",
+    "sigma_d",
+    "sigma_phi_deg",
+    "noise_enabled",
+    "dist_threshold_frac",
+    "angle_threshold_frac",
+    "dist_threshold",
+    "angle_threshold_deg",
+    "seed",
+)
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e300", "-1e300", "1e30", "true"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-(2**70), 2**70).map(str),
+)
+
+
+class TestFuzzMain:
+    @given(
+        overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES, max_size=4),
+        mode=st.sampled_from(FEEDBACK_MODES),
+    )
+    @settings(max_examples=200, deadline=timedelta(seconds=20))
+    def test_main_returns_documented_exit_code(self, overrides, mode):
+        argv = ["sweep-snr", "--trials", "2000", "--mode", mode]
+        for item in ("workers=1", "snr_grid_db=200", *(f"{k}={v}" for k, v in overrides.items())):
+            argv += ["--set", item]
+        quiet = contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())
+        with quiet[0], quiet[1], np.errstate(all="ignore"):
+            code = main(argv)
+        assert code in (0, 2, 3)

@@ -111,8 +111,8 @@ class TestMeanDcGain:
         assert mean_dc_gain(d, phi, led_fov50) == pytest.approx(inst, rel=1e-12)
 
     def test_folds_negative_cosine(self, led_fov90):
-        # an incidence angle just past 90 degrees would give a negative cosine;
-        # the mean gain uses its magnitude
+        # at the edge of a 90-degree field of view the incidence cosine is
+        # still nonnegative, so the mean gain needs no absolute value
         d = 0.1
         phi = np.pi - np.arctan2(led_fov90.ell, d) + led_fov90.theta_fov - 1e-3
         assert mean_dc_gain(d, phi, led_fov90) >= 0.0

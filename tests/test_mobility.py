@@ -16,7 +16,6 @@ from vlcnoma import (
     pmf_nonzero_count,
     pmf_nonzero_count_truncated,
     prob_incidence_within,
-    sample_user,
     sample_users,
 )
 
@@ -136,11 +135,6 @@ class TestSampling:
         b = sample_users(model_dev25, np.random.default_rng(9), (4, 3))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
-
-    def test_single_user_state(self, model_dev25):
-        user = sample_user(model_dev25, np.random.default_rng(11))
-        assert model_dev25.d_min <= user.dist <= model_dev25.d_max
-        assert abs(user.inst_angle - user.mean_angle) <= model_dev25.max_deviation
 
 
 class TestInFovProbability:

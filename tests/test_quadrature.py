@@ -1,5 +1,7 @@
 """Adaptive quadrature, empirical distributions, and KS machinery."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,25 @@ class TestIntegrate1d:
             integrate_1d(lambda x: np.abs(np.sin(50 / (x + 0.01))), 0.0, 1.0, spec)
         assert np.isfinite(info.value.estimate)
         assert info.value.error_bound > 0
+
+    def test_non_finite_integrand_fails_fast(self):
+        # NaN compares False against every tolerance, so without a finiteness
+        # check no panel would ever split and the loop would never end
+        failures = []
+
+        def run():
+            for bad in (np.nan, np.inf):
+                try:
+                    with np.errstate(invalid="ignore"):
+                        integrate_1d(lambda x: np.where(x > 0.5, bad, x), 0.0, 1.0, None)
+                except NumericFailureError as exc:
+                    failures.append(exc)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=1.0)
+        assert not worker.is_alive()
+        assert len(failures) == 2
 
     def test_breakpoints_outside_interval_ignored(self):
         spec = QuadratureSpec(breakpoints=(-5.0, 0.5, 7.0))

@@ -16,8 +16,6 @@ from vlcnoma import (
     outage_gain_thresholds,
     outage_pair_analytic,
     required_sinr,
-    sinr_cross,
-    sinr_own,
     sum_rate_noma,
     sum_rate_oma,
 )
@@ -41,21 +39,51 @@ class TestRateInversion:
 
 
 class TestSinr:
+    """The SINR model behind ``outage_gain_thresholds``, written out from beta and SNR.
+
+    The weak user decodes its own message with the strong user's signal as
+    interference; the strong user first decodes and cancels the weak
+    message, then decodes its own with no interference left.
+    """
+
+    @staticmethod
+    def sinr_weak_message(gain_sq, cfg):
+        return gain_sq * cfg.beta_weak**2 / (gain_sq * cfg.beta_strong**2 + 1.0 / cfg.snr)
+
+    @staticmethod
+    def sinr_strong_message(gain_sq, cfg):
+        return gain_sq * cfg.beta_strong**2 * cfg.snr
+
     def test_own_without_interferers_scales_with_snr(self):
-        betas = (0.9, 0.1)
-        got = sinr_own(2e-6, betas, 1, (), 1e12)
-        assert got == pytest.approx((2e-6) ** 2 * 0.1**2 * 1e12, rel=1e-12)
+        for snr_db in (140.0, 200.0, 250.0):
+            cfg = make_noma(snr_db=snr_db)
+            _, threshold_strong, _ = outage_gain_thresholds(cfg)
+            assert self.sinr_strong_message(threshold_strong, cfg) == pytest.approx(
+                float(required_sinr(cfg.rate_strong)), rel=1e-12
+            )
 
     def test_cross_interference_saturates(self):
-        # at infinite SNR the cross SINR tends to beta_w^2 / beta_s^2
-        betas = (63 / 64, 1 / 64)
-        got = sinr_cross(1e-6, betas, 0, (1,), 1e30)
-        assert got == pytest.approx(betas[0] ** 2 / betas[1] ** 2, rel=1e-6)
+        for snr_db in (140.0, 200.0, 250.0):
+            cfg = make_noma(snr_db=snr_db)
+            threshold_weak, _, feasible = outage_gain_thresholds(cfg)
+            assert feasible
+            assert self.sinr_weak_message(threshold_weak, cfg) == pytest.approx(
+                float(required_sinr(cfg.rate_weak)), rel=1e-12
+            )
+        # the weak message's SINR saturates at the power ratio, so a target
+        # beyond it is infeasible at any gain
+        cfg = make_noma()
+        ratio_rate = float(achievable_rate(cfg.beta_weak**2 / cfg.beta_strong**2))
+        assert not outage_gain_thresholds(make_noma(rate_weak=ratio_rate * 1.01))[2]
 
     def test_cross_below_own_power_ratio(self):
-        betas = (0.8, 0.6)
-        h, snr = 3e-7, 1e15
-        assert sinr_cross(h, betas, 0, (1,), snr) < sinr_own(h, betas, 0, (), snr)
+        # at the strong threshold the strong user also clears the weak
+        # message, whose SINR stays below the power ratio
+        cfg = make_noma()
+        _, threshold_strong, _ = outage_gain_thresholds(cfg)
+        sinr = self.sinr_weak_message(threshold_strong, cfg)
+        assert float(required_sinr(cfg.rate_weak)) <= sinr
+        assert sinr < cfg.beta_weak**2 / cfg.beta_strong**2
 
 
 class TestNomaConfig:

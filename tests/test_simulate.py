@@ -12,56 +12,58 @@ from vlcnoma import (
     MobilityModel,
     NoiseConfig,
     NonzeroCount,
-    UserState,
-    apply_noise,
     collect_scheduled_gains,
-    dc_gain,
     estimate,
     incidence_angle,
     ks_distance,
     nonzero_count_histogram,
     nonzero_gain_probability,
+    outage_gain_thresholds,
     outage_pair_analytic,
     pmf_nonzero_count,
     prob_incidence_within,
     rate_stats,
-    run_group_trial,
-    run_individual_trial,
+    sample_users,
     sum_rate_noma,
 )
 from vlcnoma.quadrature import QuadratureSpec, integrate_1d
+from vlcnoma.simulate import _group_masks, _observe, _uniform_pick
 from vlcnoma.gain_cdf import cdf_gain_ranked
 from tests.conftest import make_noma
 
 
 class TestApplyNoise:
+    """Observation noise of ``_observe``, the one noise path of the engine."""
+
     def test_disabled_is_identity(self):
-        user = UserState(3.0, 1.2, 1.4)
-        out = apply_noise(user, NoiseConfig(0.05, 2.5, enabled=False), np.random.default_rng(0))
-        assert out == user
+        d, mean, inst = np.array([3.0]), np.array([1.2]), np.array([1.4])
+        rng = np.random.default_rng(0)
+        for noise in (None, NoiseConfig(0.05, 2.5, enabled=False)):
+            out = _observe(d, mean, inst, noise, rng)
+            assert out[0] is d and out[1] is mean and out[2] is inst
+        # nothing was drawn from the stream
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_zero_sigma_is_identity(self):
-        user = UserState(3.0, 1.2, 1.4)
-        out = apply_noise(user, NoiseConfig(0.0, 0.0, enabled=True), np.random.default_rng(0))
-        assert out.dist == user.dist
-        assert out.mean_angle == user.mean_angle
-        assert out.inst_angle == user.inst_angle
+        d, mean, inst = np.array([3.0]), np.array([1.2]), np.array([1.4])
+        out = _observe(d, mean, inst, NoiseConfig(0.0, 0.0, enabled=True), np.random.default_rng(0))
+        np.testing.assert_array_equal(out[0], d)
+        np.testing.assert_array_equal(out[1], mean)
+        np.testing.assert_array_equal(out[2], inst)
 
     def test_sample_std_matches_sigma(self):
         noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=True)
-        rng = np.random.default_rng(1)
-        user = UserState(5.0, 1.3, 1.3)
-        draws = np.array([apply_noise(user, noise, rng).dist for _ in range(200_000)])
-        assert np.std(draws - 5.0) == pytest.approx(0.05, rel=0.01)
+        angle = np.full(200_000, 1.3)
+        d_obs, _, _ = _observe(np.full(200_000, 5.0), angle, angle, noise, np.random.default_rng(1))
+        assert np.std(d_obs - 5.0) == pytest.approx(0.05, rel=0.01)
 
     def test_angle_sigma_in_degrees(self):
         noise = NoiseConfig(sigma_d=0.0, sigma_phi=2.5, enabled=True)
-        rng = np.random.default_rng(2)
-        user = UserState(5.0, 1.3, 1.3)
-        draws = np.array(
-            [apply_noise(user, noise, rng).inst_angle for _ in range(100_000)]
+        angle = np.full(100_000, 1.3)
+        _, _, inst_obs = _observe(
+            np.full(100_000, 5.0), angle, angle, noise, np.random.default_rng(2)
         )
-        assert np.std(draws - 1.3) == pytest.approx(np.radians(2.5), rel=0.02)
+        assert np.std(inst_obs - 1.3) == pytest.approx(np.radians(2.5), rel=0.02)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -70,14 +72,12 @@ class TestApplyNoise:
 
 class TestIndividualTrial:
     def test_outcome_structure(self, model_dev25, led_fov50):
-        cfg = make_noma()
-        out = run_individual_trial(20, cfg, model_dev25, led_fov50, None, np.random.default_rng(3))
-        if out.scheduled:
-            assert out.outage_weak is not None and out.outage_strong is not None
-            assert out.gain_strong >= out.gain_weak >= 0.0
-            assert isinstance(out.weak_user, UserState)
-        else:
-            assert out.outage_weak is None and out.outage_strong is None
+        gain_w, gain_s, trials = collect_scheduled_gains(
+            2_000, make_noma(), model_dev25, led_fov50, total_users=20, seed=3
+        )
+        assert trials == 2_000
+        assert 0 < gain_w.size == gain_s.size < trials
+        assert np.all(gain_s >= gain_w) and np.all(gain_w >= 0.0)
 
     def test_two_users_huge_snr_no_outage(self):
         # wide-open field of view, feasible split, enormous SNR: whenever both
@@ -85,101 +85,89 @@ class TestIndividualTrial:
         led = LedGeometry(2.0, np.radians(60), 1e-4, np.radians(90))
         model = MobilityModel(0.0, 10.0, np.radians(25), np.radians(155), np.radians(25))
         cfg = make_noma(snr_db=320.0, weak_rank=1, strong_rank=2)
-        rng = np.random.default_rng(4)
-        seen = 0
-        for _ in range(300):
-            out = run_individual_trial(2, cfg, model, led, None, rng)
-            if out.scheduled and out.gain_weak > 0.0:
-                assert out.outage_weak is False
-                assert out.outage_strong is False
-                seen += 1
-        assert seen > 50
+        gain_w, gain_s, _ = collect_scheduled_gains(300, cfg, model, led, total_users=2, seed=4)
+        threshold_weak, threshold_strong, _ = outage_gain_thresholds(cfg)
+        lit = gain_w > 0.0
+        assert np.all(gain_w[lit] > threshold_weak)
+        assert np.all(gain_s[lit] > threshold_strong)
+        assert lit.sum() > 50
 
     def test_mean_angle_equals_full_csi_at_zero_deviation(self, led_fov50):
         model = MobilityModel(0.0, 10.0, np.radians(25), np.radians(155), 0.0)
-        for seed in range(6):
-            a = run_individual_trial(
-                20, make_noma(mode="FullCSI"), model, led_fov50, None,
-                np.random.default_rng(seed),
-            )
-            b = run_individual_trial(
-                20, make_noma(mode="MeanAngle"), model, led_fov50, None,
-                np.random.default_rng(seed),
-            )
-            assert a.scheduled == b.scheduled
-            assert a.gain_weak == b.gain_weak
-            assert a.gain_strong == b.gain_strong
-
-    def test_group_mode_rejected(self, model_dev25, led_fov50):
-        cfg = make_noma(mode="TwoBitInstantaneous", thresholds=FeedbackThresholds(1.0, 0.1))
-        with pytest.raises(InvalidParameterError):
-            run_individual_trial(20, cfg, model_dev25, led_fov50, None, np.random.default_rng(0))
+        a = collect_scheduled_gains(
+            5_000, make_noma(mode="FullCSI"), model, led_fov50, total_users=20, seed=6
+        )
+        b = collect_scheduled_gains(
+            5_000, make_noma(mode="MeanAngle"), model, led_fov50, total_users=20, seed=6
+        )
+        assert a[0].size > 0
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_population_must_cover_rank(self, model_dev25, led_fov50):
         with pytest.raises(InvalidParameterError):
-            run_individual_trial(
-                5, make_noma(), model_dev25, led_fov50, None, np.random.default_rng(0)
+            collect_scheduled_gains(
+                1_000, make_noma(), model_dev25, led_fov50, total_users=5, seed=0
             )
 
 
 class TestGroupTrial:
     def test_outcome_structure(self, model_dev30, led_fov60, thresholds_validation):
         cfg = make_noma(mode="TwoBitInstantaneous", thresholds=thresholds_validation)
-        out = run_group_trial(20, cfg, model_dev30, led_fov60, None, np.random.default_rng(5))
-        if out.scheduled:
-            assert out.outage_weak is not None
-        else:
-            assert out.outage_weak is None
+        gain_w, gain_s, trials = collect_scheduled_gains(
+            2_000, cfg, model_dev30, led_fov60, total_users=20, seed=5
+        )
+        assert 0 < gain_w.size == gain_s.size <= trials
+        assert np.all(gain_w >= 0.0) and np.all(gain_s >= 0.0)
 
     def test_strong_pick_always_in_fov_for_inst_mode(self, model_dev30, led_fov60):
         # instantaneous-angle membership guarantees nonzero true gain when
         # the angle threshold sits inside the field of view
         th = FeedbackThresholds(1.0, np.radians(6.0))
         cfg = make_noma(mode="TwoBitInstantaneous", thresholds=th)
-        rng = np.random.default_rng(6)
-        seen = 0
-        for _ in range(400):
-            out = run_group_trial(20, cfg, model_dev30, led_fov60, None, rng)
-            if out.scheduled:
-                assert out.gain_strong > 0.0
-                seen += 1
-        assert seen > 20
+        _, gain_s, _ = collect_scheduled_gains(
+            400, cfg, model_dev30, led_fov60, total_users=20, seed=6
+        )
+        assert np.all(gain_s > 0.0)
+        assert gain_s.size > 20
 
     def test_mean_mode_strong_pick_can_be_zero(self, model_dev30, led_fov60):
         # mean-angle membership tolerates instantaneous angles outside the
         # FOV, so zero-gain picks must appear and count as outage
         th = FeedbackThresholds(dist_threshold=9.5, angle_threshold=np.radians(55.0))
         cfg = make_noma(mode="TwoBitMean", thresholds=th)
-        rng = np.random.default_rng(7)
-        zero_picked = outaged = 0
-        for _ in range(600):
-            out = run_group_trial(20, cfg, model_dev30, led_fov60, None, rng)
-            if out.scheduled and out.gain_strong == 0.0:
-                zero_picked += 1
-                outaged += bool(out.outage_strong)
-        assert zero_picked > 0
-        assert outaged == zero_picked
+        gain_w, gain_s, trials = collect_scheduled_gains(
+            600, cfg, model_dev30, led_fov60, total_users=20, seed=7
+        )
+        zero = gain_s == 0.0
+        assert zero.sum() > 0
+        # the strong user earns nothing on those trials: only the weak rate is left
+        threshold_weak, _, _ = outage_gain_thresholds(cfg)
+        served = rate_stats(gain_w[zero], gain_s[zero], trials, cfg).value
+        assert served == pytest.approx(cfg.rate_weak * np.mean(gain_w[zero] > threshold_weak))
 
     def test_one_bit_distance_membership(self, model_dev25, led_fov50):
         th = FeedbackThresholds(dist_threshold=5.0, angle_threshold=np.radians(5.0))
         cfg = make_noma(mode="OneBitDistance", thresholds=th)
         rng = np.random.default_rng(8)
-        for _ in range(200):
-            out = run_group_trial(20, cfg, model_dev25, led_fov50, None, rng)
-            if out.scheduled:
-                assert out.weak_user.dist > th.dist_threshold
-                assert out.strong_user.dist <= th.dist_threshold
+        d, mean, inst = sample_users(model_dev25, rng, (200, 20))
+        weak_mask, strong_mask = _group_masks(cfg, led_fov50, d, mean, inst)
+        u = rng.random((200, 2))
+        weak_idx, weak_ok = _uniform_pick(weak_mask, u[:, 0])
+        strong_idx, strong_ok = _uniform_pick(strong_mask, u[:, 1])
+        scheduled = weak_ok & strong_ok
+        rows = np.arange(200)
+        assert scheduled.sum() > 150
+        assert np.all(d[rows, weak_idx][scheduled] > th.dist_threshold)
+        assert np.all(d[rows, strong_idx][scheduled] <= th.dist_threshold)
 
     def test_weak_set_empty_when_threshold_at_dmax(self, model_dev25, led_fov50):
         th = FeedbackThresholds(dist_threshold=10.0, angle_threshold=np.radians(5.0))
         cfg = make_noma(mode="OneBitDistance", thresholds=th)
-        rng = np.random.default_rng(9)
-        outs = [run_group_trial(20, cfg, model_dev25, led_fov50, None, rng) for _ in range(200)]
-        assert not any(o.scheduled for o in outs)
-
-    def test_individual_mode_rejected(self, model_dev25, led_fov50):
-        with pytest.raises(InvalidParameterError):
-            run_group_trial(20, make_noma(), model_dev25, led_fov50, None, np.random.default_rng(0))
+        gain_w, _, _ = collect_scheduled_gains(
+            200, cfg, model_dev25, led_fov50, total_users=20, seed=9
+        )
+        assert gain_w.size == 0
 
 
 class TestEstimate:
@@ -349,6 +337,7 @@ class TestNoisyScheduling:
             noise=noise,
         )
         assert noisy.sched_prob == clean.sched_prob  # scheduling uses true gains
+        assert noisy.value != clean.value  # ranking uses the noisy gains
         assert abs(noisy.value - clean.value) < 0.5
 
     def test_rate_stats_empty_rejected(self):
