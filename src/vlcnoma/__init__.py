@@ -7,6 +7,8 @@ cross-validated against simulation under identical conditioning.
 
 from .errors import DegenerateConditionError, InvalidParameterError, NumericFailureError
 from .gain_cdf import (
+    CDF_FAMILIES,
+    CDF_SAMPLE_FAMILIES,
     FeedbackThresholds,
     cdf_gain_ranked,
     cdf_gain_unordered,
@@ -66,7 +68,6 @@ from .rates import (
     sum_rate_oma,
 )
 from .simulate import (
-    CDF_SAMPLE_FAMILIES,
     EstimateResult,
     NoiseConfig,
     collect_scheduled_gains,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import math
 import sys
@@ -19,15 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateConditionError, InvalidParameterError
-from .gain_cdf import (
-    FeedbackThresholds,
-    cdf_gain_ranked,
-    cdf_gain_unordered,
-    cdf_strong_twobit_inst,
-    cdf_strong_twobit_mean,
-    cdf_weak_twobit_inst,
-    cdf_weak_twobit_mean,
-)
+from .gain_cdf import CDF_FAMILIES, CDF_SAMPLE_FAMILIES, FeedbackThresholds
 from .geometry import LedGeometry
 from .mobility import (
     MobilityModel,
@@ -35,7 +28,6 @@ from .mobility import (
     cdf_vertical_angle,
     nonzero_gain_probability,
     pmf_nonzero_count_truncated,
-    sample_users,
 )
 from .quadrature import EmpiricalDistribution, ks_distance, ks_distance_bound
 from .rates import (
@@ -49,12 +41,12 @@ from .rates import (
     sum_rate_oma,
 )
 from .simulate import (
-    CDF_SAMPLE_FAMILIES,
     NoiseConfig,
     collect_scheduled_gains,
     estimate,
     nonzero_count_histogram,
     rate_stats,
+    sample_vertical_angles,
 )
 
 CDF_SUBCOMMANDS = ("validate-angle-cdf", "validate-knz", "validate-channel-cdf")
@@ -329,9 +321,6 @@ def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> Expe
         grid = parse_grid(conf["snr_grid_db"], "snr_grid_db")
     else:
         grid = tuple(np.linspace(0.0, 1.0, grid_points))
-    family = conf["family"]
-    if command == "validate-channel-cdf" and family not in CDF_SAMPLE_FAMILIES:
-        raise InvalidParameterError(f"family must be one of {CDF_SAMPLE_FAMILIES}, got {family!r}")
     return ExperimentConfig(
         command=command,
         led=led,
@@ -346,7 +335,7 @@ def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> Expe
         grid_points=grid_points,
         ks_grid_points=_parse_int(conf, "ks_grid_points"),
         oma_mode=conf["oma_mode"],
-        family=family,
+        family=conf["family"],
         rank=_parse_int(conf, "rank") if conf["rank"] else None,
         explicit_mean_band=explicit_mean_band,
         raw=conf,
@@ -376,41 +365,8 @@ def emit_csv(out: str | None, manifest: str, header: list, rows: list, summary: 
         raise InvalidParameterError(f"cannot write output {out}: {exc}") from exc
 
 
-def _analytic_channel_cdf(xc: ExperimentConfig):
-    """Per-family analytic CDF (scalar callable) and its left limit at the zero atom."""
-    model, led, th = xc.model, xc.led, xc.noma.thresholds
-    if xc.family == "unordered":
-        fn = lambda x: cdf_gain_unordered(x, model, led)
-    elif xc.family == "ordered":
-        count = NonzeroCount(
-            xc.total_users, nonzero_gain_probability(model, led), xc.noma.strong_rank
-        )
-        rank = xc.noma.strong_rank if xc.rank is None else xc.rank
-        fn = lambda x: cdf_gain_ranked(x, rank, model, led, count)
-    else:
-        table = {
-            "twobit_inst_weak": cdf_weak_twobit_inst,
-            "twobit_inst_strong": cdf_strong_twobit_inst,
-            "twobit_mean_weak": cdf_weak_twobit_mean,
-            "twobit_mean_strong": cdf_strong_twobit_mean,
-        }
-        base = table[xc.family]
-        fn = lambda x: base(x, model, led, th)
-
-    def cdf_array(values):
-        return np.array([float(fn(float(v))) for v in np.atleast_1d(values)])
-
-    def cdf_left(values):
-        vals = np.atleast_1d(values)
-        return np.where(vals <= 0.0, 0.0, cdf_array(vals))
-
-    has_atom = xc.family in ("twobit_mean_weak", "twobit_mean_strong")
-    return cdf_array, (cdf_left if has_atom else None)
-
-
 def cmd_validate_angle_cdf(xc: ExperimentConfig, out: str | None, manifest: str):
-    rng = np.random.default_rng(xc.seed)
-    _, _, inst = sample_users(xc.model, rng, (xc.trials,))
+    inst = sample_vertical_angles(xc.trials, xc.model, seed=xc.seed, workers=xc.workers)
     lo = xc.model.mean_angle_min - xc.model.max_deviation
     hi = xc.model.mean_angle_max + xc.model.max_deviation
     xs = lo + np.asarray(xc.grid) * (hi - lo)
@@ -460,10 +416,18 @@ def cmd_validate_channel_cdf(xc: ExperimentConfig, out: str | None, manifest: st
         rank=xc.rank,
     )
     emp = EmpiricalDistribution(res.value)
-    cdf_array, cdf_left = _analytic_channel_cdf(xc)
+    cdf = functools.partial(
+        CDF_FAMILIES[xc.family],
+        model=xc.model,
+        led=xc.led,
+        thresholds=xc.noma.thresholds,
+        total_users=xc.total_users,
+        k_min=xc.noma.strong_rank,
+        rank=xc.rank,
+    )
     xs = np.unique(emp.quantile(np.asarray(xc.grid)))
-    analytic = cdf_array(xs)
-    ks_bound = ks_distance_bound(emp, cdf_array, cdf_left, grid_size=xc.ks_grid_points)
+    analytic = cdf(xs)
+    ks_bound = ks_distance_bound(emp, cdf, grid_size=xc.ks_grid_points)
     rows = list(zip(xs, analytic, emp.cdf(xs)))
     summary = [
         "# summary"

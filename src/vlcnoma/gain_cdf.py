@@ -1,20 +1,20 @@
 """Analytic CDFs of the squared channel gain under the mobility model.
 
-Every distribution here reduces to one or two quadratures of the
-vertical-angle CDF over distance.  The common building blocks are the
-half-angle within which the squared gain exceeds a level ``x`` at a given
-distance, and the distance beyond which no orientation can reach that level.
-Both give the exact kink locations, which are fed to the adaptive rule as
-breakpoints so the integrals converge at tight tolerances.
+The building blocks are the half-angle within which the squared gain exceeds
+a level ``x`` at a given distance, and the distance beyond which no
+orientation reaches that level.  Both give exact kink locations, fed to the
+adaptive rule as breakpoints so the integrals converge at tight tolerances.
 
-Six families are covered: the gain of an unordered user conditioned on being
-nonzero, the gain at a given ascending rank among the nonzero users, and the
-weak/strong selection sets of the two-bit feedback schemes based on either
-the instantaneous or the mean orientation.  The mean-angle pair needs a
-double integral (over distance and mean angle) because set membership is
-decided by the mean orientation while the gain depends on the instantaneous
-one; its distance profile of the membership bands has a closed antiderivative
-exposed as :func:`ramp_cdf_integral`.
+Six families are covered, each dispatched by name through ``CDF_FAMILIES``:
+the gain of an unordered user conditioned on being nonzero, the gain at a
+given ascending rank among the nonzero users, and the weak/strong selection
+sets of two-bit feedback based on the instantaneous or the mean orientation.
+The unordered family (which the ranked one mixes) and the instantaneous sets
+are one band integral over distance of P(a(r) < |theta| <= b(r)), with the
+clipped gain half-angle as a band edge.  The mean-angle pair needs a double
+integral (over distance and mean angle) because set membership follows the
+mean orientation while the gain follows the instantaneous one; the distance
+profile of its membership bands has the closed form :func:`ramp_cdf_integral`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .mobility import (
 from .quadrature import QuadratureSpec, integrate_1d, integrate_2d_nested
 
 __all__ = [
+    "CDF_FAMILIES",
+    "CDF_SAMPLE_FAMILIES",
     "FeedbackThresholds",
     "gain_halfangle",
     "edge_gain_distance",
@@ -116,6 +118,54 @@ def _per_level(x, fn):
     return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
+def _band_integral(model, led, r_lo, r_hi, floor: float, cap: float, spec, *, clears=True):
+    """The one band integral behind the one-dimensional families, as ``integral(x)``.
+
+    ``integral(x)`` is the integral over ``r`` in [r_lo, r_hi] of
+    P(a(r) < |theta| <= b(r)); ``integral()`` takes the whole band (floor, cap].
+    At a level ``x`` the gain half-angle, clipped to [floor, cap], is the upper
+    edge ``b`` when ``clears`` (the part where the squared gain clears ``x``)
+    and the lower edge ``a`` otherwise (the part where it stays below ``x``).
+    A zero floor is the empty window: it adds no breakpoints and is not evaluated.
+    """
+    if spec is None:
+        spec = QuadratureSpec()
+    static = fov_window_breakpoints(cap, model, led)
+    if floor > 0.0:
+        static += fov_window_breakpoints(floor, model, led)
+
+    def integral(x: float | None = None) -> float:
+        start, bps = r_lo, static
+        if x is not None:
+            # Radii where the gain at the cap, at the floor and on axis crosses x.
+            edges = tuple(
+                edge_gain_distance(x, led, cos_sq=np.cos(a) ** 2, lo=r_lo, hi=r_hi)
+                for a in (cap, floor, 0.0)
+            )
+            # Short of the cap's radius a below-level band is empty.
+            start, bps = (r_lo if clears else edges[0]), static + edges
+        zero_floor = clears and floor == 0.0
+
+        def band(r):
+            lower, upper = floor, cap
+            if x is not None:
+                psi = np.clip(gain_halfangle(x, r, led), floor, cap)
+                lower, upper = (floor, psi) if clears else (psi, cap)
+            inside = prob_incidence_within(r, upper, model, led)
+            return inside if zero_floor else inside - prob_incidence_within(r, lower, model, led)
+
+        return integrate_1d(band, start, r_hi, replace(spec, breakpoints=bps))
+
+    return integral
+
+
+def _survival_cdf(x, survive, den: float):
+    """``1 - survive(x) / den`` per level; no positive gain lies at or below a nonpositive level."""
+    return _per_level(
+        x, lambda xi: 0.0 if xi <= 0.0 else float(np.clip(1.0 - survive(xi) / den, 0.0, 1.0))
+    )
+
+
 def cdf_gain_unordered(
     x,
     model: MobilityModel,
@@ -125,33 +175,11 @@ def cdf_gain_unordered(
     nonzero_prob: float | None = None,
 ):
     """CDF of one user's squared gain conditioned on it being nonzero."""
-    if spec is None:
-        spec = QuadratureSpec()
     p = nonzero_gain_probability(model, led) if nonzero_prob is None else nonzero_prob
     if p <= 0.0:
         raise DegenerateConditionError("gain is zero with probability one")
-    static = fov_window_breakpoints(led.theta_fov, model, led)
-    cos_fov_sq = np.cos(led.theta_fov) ** 2
-    norm = p * model.delta_d
-
-    def one(xi: float) -> float:
-        if xi <= 0.0:
-            return 0.0
-        bps = static + (
-            edge_gain_distance(xi, led, cos_sq=cos_fov_sq, lo=model.d_min, hi=model.d_max),
-            edge_gain_distance(xi, led, cos_sq=1.0, lo=model.d_min, hi=model.d_max),
-        )
-        survive = integrate_1d(
-            lambda r: prob_incidence_within(
-                r, np.minimum(gain_halfangle(xi, r, led), led.theta_fov), model, led
-            ),
-            model.d_min,
-            model.d_max,
-            replace(spec, breakpoints=bps),
-        )
-        return float(np.clip(1.0 - survive / norm, 0.0, 1.0))
-
-    return _per_level(x, one)
+    survive = _band_integral(model, led, model.d_min, model.d_max, 0.0, led.theta_fov, spec)
+    return _survival_cdf(x, survive, p * model.delta_d)
 
 
 def cdf_gain_ranked(
@@ -183,21 +211,6 @@ def cdf_gain_ranked(
     return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
-def _weak_inst_denominator(
-    model: MobilityModel, led: LedGeometry, th: FeedbackThresholds, spec: QuadratureSpec
-) -> float:
-    static = fov_window_breakpoints(led.theta_fov, model, led) + fov_window_breakpoints(
-        th.angle_threshold, model, led
-    )
-    return integrate_1d(
-        lambda r: prob_incidence_within(r, led.theta_fov, model, led)
-        - prob_incidence_within(r, th.angle_threshold, model, led),
-        th.dist_threshold,
-        model.d_max,
-        replace(spec, breakpoints=static),
-    )
-
-
 def cdf_weak_twobit_inst(
     x,
     model: MobilityModel,
@@ -212,39 +225,14 @@ def cdf_weak_twobit_inst(
     between the angle threshold and the field-of-view edge, so members always
     have nonzero gain.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    den = _weak_inst_denominator(model, led, th, spec)
+    below = _band_integral(
+        model, led, th.dist_threshold, model.d_max, th.angle_threshold, led.theta_fov, spec,
+        clears=False,
+    )
+    den = below()
     if den <= 0.0:
         raise DegenerateConditionError("weak selection set has zero probability")
-    static = fov_window_breakpoints(led.theta_fov, model, led) + fov_window_breakpoints(
-        th.angle_threshold, model, led
-    )
-    cos_fov_sq = np.cos(led.theta_fov) ** 2
-    cos_th_sq = np.cos(th.angle_threshold) ** 2
-
-    def one(xi: float) -> float:
-        start = edge_gain_distance(
-            xi, led, cos_sq=cos_fov_sq, lo=th.dist_threshold, hi=model.d_max
-        )
-        if start >= model.d_max:
-            return 0.0
-        bps = static + (
-            edge_gain_distance(xi, led, cos_sq=cos_th_sq, lo=th.dist_threshold, hi=model.d_max),
-            edge_gain_distance(xi, led, cos_sq=1.0, lo=th.dist_threshold, hi=model.d_max),
-        )
-
-        def below_level(r):
-            # Band from the gain half-angle (floored at the threshold) out to the view edge.
-            floored = np.maximum(gain_halfangle(xi, r, led), th.angle_threshold)
-            return prob_incidence_within(r, led.theta_fov, model, led) - prob_incidence_within(
-                r, floored, model, led
-            )
-
-        num = integrate_1d(below_level, start, model.d_max, replace(spec, breakpoints=bps))
-        return float(np.clip(num / den, 0.0, 1.0))
-
-    return _per_level(x, one)
+    return _per_level(x, lambda xi: float(np.clip(below(xi) / den, 0.0, 1.0)))
 
 
 def cdf_strong_twobit_inst(
@@ -260,37 +248,13 @@ def cdf_strong_twobit_inst(
     Membership: distance at most the threshold and incidence-angle magnitude
     at most the angle threshold.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    static = fov_window_breakpoints(th.angle_threshold, model, led)
-    den = integrate_1d(
-        lambda r: prob_incidence_within(r, th.angle_threshold, model, led),
-        model.d_min,
-        th.dist_threshold,
-        replace(spec, breakpoints=static),
+    survive = _band_integral(
+        model, led, model.d_min, th.dist_threshold, 0.0, th.angle_threshold, spec
     )
+    den = survive()
     if den <= 0.0:
         raise DegenerateConditionError("strong selection set has zero probability")
-    cos_th_sq = np.cos(th.angle_threshold) ** 2
-
-    def one(xi: float) -> float:
-        if xi <= 0.0:
-            return 0.0
-        bps = static + (
-            edge_gain_distance(xi, led, cos_sq=cos_th_sq, lo=model.d_min, hi=th.dist_threshold),
-            edge_gain_distance(xi, led, cos_sq=1.0, lo=model.d_min, hi=th.dist_threshold),
-        )
-        survive = integrate_1d(
-            lambda r: prob_incidence_within(
-                r, np.minimum(gain_halfangle(xi, r, led), th.angle_threshold), model, led
-            ),
-            model.d_min,
-            th.dist_threshold,
-            replace(spec, breakpoints=bps),
-        )
-        return float(np.clip(1.0 - survive / den, 0.0, 1.0))
-
-    return _per_level(x, one)
+    return _survival_cdf(x, survive, den)
 
 
 def _bound_crossing_radius(offset: float, bound: float, ell: float) -> float:
@@ -500,3 +464,38 @@ def cdf_strong_twobit_mean(
 ):
     """Gain CDF in the strong set of mean-orientation two-bit feedback."""
     return _cdf_twobit_mean(x, model, led, th, spec, "strong")
+
+
+def _ranked_family(x, model, led, *, total_users=None, k_min=None, rank=None, spec=None, **_):
+    if total_users is None or k_min is None:
+        raise InvalidParameterError("the ordered family needs total_users and k_min")
+    count = NonzeroCount(total_users, nonzero_gain_probability(model, led), k_min)
+    return cdf_gain_ranked(x, k_min if rank is None else rank, model, led, count, spec=spec)
+
+
+def _set_family(name: str):
+    def cdf(x, model, led, *, thresholds=None, spec=None, **_):
+        if thresholds is None:
+            raise InvalidParameterError("set-conditioned families need feedback thresholds")
+        return globals()[name](x, model, led, thresholds, spec=spec)
+
+    return cdf
+
+
+# The six families as level-vectorized CDFs called alike,
+# ``cdf(x, model, led, *, thresholds, total_users, k_min, rank, spec)``; each
+# reads the conditioning it needs and ignores the rest.  The ordered family
+# ranks among ``total_users`` users of which at least ``k_min`` are lit, at
+# ``rank`` (default ``k_min``).  Entries look the public ``cdf_*`` functions up
+# at call time, so rebinding one of those module names reaches every dispatch.
+CDF_FAMILIES = {
+    "unordered": lambda x, model, led, *, spec=None, **_: cdf_gain_unordered(
+        x, model, led, spec=spec
+    ),
+    "ordered": _ranked_family,
+    "twobit_inst_weak": _set_family("cdf_weak_twobit_inst"),
+    "twobit_inst_strong": _set_family("cdf_strong_twobit_inst"),
+    "twobit_mean_weak": _set_family("cdf_weak_twobit_mean"),
+    "twobit_mean_strong": _set_family("cdf_strong_twobit_mean"),
+}
+CDF_SAMPLE_FAMILIES = tuple(CDF_FAMILIES)

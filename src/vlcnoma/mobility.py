@@ -10,6 +10,7 @@ and the distribution of the number of nonzero-gain users.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,14 +142,15 @@ def prob_incidence_within(r, half_width, model: MobilityModel, led: LedGeometry)
     )
 
 
+@functools.lru_cache(maxsize=64)
 def nonzero_gain_probability(
     model: MobilityModel, led: LedGeometry, spec: QuadratureSpec | None = None
 ) -> float:
-    """Probability that a single user's channel gain is nonzero.
+    """Probability that a single user's channel gain is nonzero, memoized per geometry.
 
-    Averages the in-field-of-view probability over the distance range by
-    quadrature, splitting at the radii where the field-of-view window edges
-    cross the vertical-angle CDF breakpoints.
+    Averages the in-field-of-view probability over distance by quadrature, split
+    at the radii where the field-of-view window edges cross the vertical-angle
+    CDF breakpoints.  Each ranked-family call needs it; arguments must be hashable.
     """
     if spec is None:
         spec = QuadratureSpec(breakpoints=fov_window_breakpoints(led.theta_fov, model, led))

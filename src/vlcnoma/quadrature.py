@@ -187,25 +187,23 @@ class EmpiricalDistribution:
         return np.quantile(self.samples, q)
 
 
-def ks_distance(samples, cdf: Callable, cdf_left: Callable | None = None) -> float:
+def ks_distance(samples, cdf: Callable) -> float:
     """Two-sided Kolmogorov-Smirnov distance between samples and a reference CDF.
 
-    ``cdf_left`` supplies the left limit of the reference CDF; it defaults to
-    ``cdf`` itself, which is exact for continuous distributions.  When the
-    reference has an atom, passing the true left limit avoids reporting the
-    atom mass as spurious distance.
+    The reference must be the CDF of a nonnegative variable with at most one
+    atom, at zero, as are squared gains and vertical angles in [0, pi].  Its
+    left limit is then 0 at or below zero and the CDF itself above, so the
+    atom mass is not reported as spurious distance.
     """
     emp = samples if isinstance(samples, EmpiricalDistribution) else EmpiricalDistribution(samples)
     s, n = emp.samples, emp.n
     f_right = np.asarray(cdf(s), dtype=float)
-    f_left = f_right if cdf_left is None else np.asarray(cdf_left(s), dtype=float)
+    f_left = np.where(s <= 0.0, 0.0, f_right)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - f_right), np.max(f_left - (i - 1) / n)))
 
 
-def ks_distance_bound(
-    samples, cdf: Callable, cdf_left: Callable | None = None, grid_size: int = 512
-) -> float:
+def ks_distance_bound(samples, cdf: Callable, grid_size: int = 512) -> float:
     """Upper bound on the KS distance from ``grid_size`` reference-CDF evaluations.
 
     The exact distance needs the reference CDF at every sample, which is
@@ -217,8 +215,8 @@ def ks_distance_bound(
     exceeds the true distance by at most the largest empirical mass between
     consecutive grid points, about 1/grid_size.
 
-    ``cdf_left`` supplies the reference left limit, as in :func:`ks_distance`;
-    omit it for continuous references.
+    The reference must meet the precondition of :func:`ks_distance`; its left
+    limit comes from the values already held, one evaluation per grid point.
     """
     emp = samples if isinstance(samples, EmpiricalDistribution) else EmpiricalDistribution(samples)
     s, n = emp.samples, emp.n
@@ -227,7 +225,7 @@ def ks_distance_bound(
     idx = np.unique(np.linspace(0, n - 1, min(grid_size, n)).round().astype(int))
     y = np.unique(s[idx])
     f = np.asarray(cdf(y), dtype=float)
-    f_left = f if cdf_left is None else np.asarray(cdf_left(y), dtype=float)
+    f_left = np.where(y <= 0.0, 0.0, f)
     emp_right = np.searchsorted(s, y, side="right") / n
     emp_left = np.searchsorted(s, y, side="left") / n
     prev_f = np.concatenate(([0.0], f[:-1]))

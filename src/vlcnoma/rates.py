@@ -17,16 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, require_finite
-from .gain_cdf import (
-    FeedbackThresholds,
-    cdf_gain_ranked,
-    cdf_strong_twobit_inst,
-    cdf_strong_twobit_mean,
-    cdf_weak_twobit_inst,
-    cdf_weak_twobit_mean,
-)
+from .gain_cdf import CDF_FAMILIES, FeedbackThresholds
 from .geometry import LedGeometry
-from .mobility import MobilityModel, NonzeroCount, nonzero_gain_probability
+from .mobility import MobilityModel
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -34,6 +27,7 @@ __all__ = [
     "GROUP_MODES",
     "FEEDBACK_MODES",
     "ANALYTIC_MODES",
+    "MODE_FAMILIES",
     "OMA_MODES",
     "canonical_feedback_mode",
     "NomaConfig",
@@ -49,8 +43,14 @@ __all__ = [
 INDIVIDUAL_MODES = ("FullCSI", "MeanAngle", "DistanceOnly")
 GROUP_MODES = ("TwoBitInstantaneous", "TwoBitMean", "OneBitDistance")
 FEEDBACK_MODES = INDIVIDUAL_MODES + GROUP_MODES
-# Modes whose outage probabilities have a closed-form path.
-ANALYTIC_MODES = ("FullCSI", "TwoBitInstantaneous", "TwoBitMean")
+# Modes whose outage probabilities have a closed-form path, with the gain-CDF
+# families of their (weak, strong) picks.
+MODE_FAMILIES = {
+    "FullCSI": ("ordered", "ordered"),
+    "TwoBitInstantaneous": ("twobit_inst_weak", "twobit_inst_strong"),
+    "TwoBitMean": ("twobit_mean_weak", "twobit_mean_strong"),
+}
+ANALYTIC_MODES = tuple(MODE_FAMILIES)
 OMA_MODES = ("time_shared", "paper_literal")
 
 # Time-sharing splits the period between the two served users.
@@ -107,7 +107,10 @@ class NomaConfig:
             scale = 1.0 / np.sqrt(power)
             object.__setattr__(self, "beta_weak", self.beta_weak * scale)
             object.__setattr__(self, "beta_strong", self.beta_strong * scale)
-        elif abs(power - 1.0) > 1e-6:
+        # The strong user's outage threshold divides by this product.
+        if self.snr * self.beta_strong**2 == 0.0:
+            raise InvalidParameterError("snr * beta_strong**2 underflows to zero")
+        if not self.normalize_power and abs(power - 1.0) > 1e-6:
             warnings.warn(
                 f"power fractions have squared sum {power:.6f}, not 1; "
                 "pass normalize_power=True to rescale",
@@ -171,31 +174,15 @@ def _cdf_pair(
     spec: QuadratureSpec | None,
 ):
     """Evaluate the scheduling mode's per-user gain CDFs at two levels."""
-    mode = cfg.feedback_mode
-    if mode == "FullCSI":
-        if total_users is None:
-            raise InvalidParameterError("individual analytic path needs total_users")
-        if cfg.strong_rank > total_users:
-            raise InvalidParameterError("strong_rank exceeds total_users")
-        p = nonzero_gain_probability(model, led)
-        count = NonzeroCount(total_users, p, k_min=cfg.strong_rank)
-        return (
-            float(cdf_gain_ranked(x_weak, cfg.weak_rank, model, led, count, spec=spec)),
-            float(cdf_gain_ranked(x_strong, cfg.strong_rank, model, led, count, spec=spec)),
+    if cfg.feedback_mode not in MODE_FAMILIES:
+        raise InvalidParameterError(
+            f"no analytic outage path for mode {cfg.feedback_mode!r}; use the Monte Carlo engine"
         )
-    if mode in ("TwoBitInstantaneous", "TwoBitMean"):
-        if cfg.thresholds is None:
-            raise InvalidParameterError("group modes need feedback thresholds")
-        if mode == "TwoBitInstantaneous":
-            weak_cdf, strong_cdf = cdf_weak_twobit_inst, cdf_strong_twobit_inst
-        else:
-            weak_cdf, strong_cdf = cdf_weak_twobit_mean, cdf_strong_twobit_mean
-        return (
-            float(weak_cdf(x_weak, model, led, cfg.thresholds, spec=spec)),
-            float(strong_cdf(x_strong, model, led, cfg.thresholds, spec=spec)),
-        )
-    raise InvalidParameterError(
-        f"no analytic outage path for mode {mode!r}; use the Monte Carlo engine"
+    weak, strong = MODE_FAMILIES[cfg.feedback_mode]
+    cond = dict(thresholds=cfg.thresholds, total_users=total_users, k_min=cfg.strong_rank)
+    return (
+        float(CDF_FAMILIES[weak](x_weak, model, led, rank=cfg.weak_rank, spec=spec, **cond)),
+        float(CDF_FAMILIES[strong](x_strong, model, led, rank=cfg.strong_rank, spec=spec, **cond)),
     )
 
 

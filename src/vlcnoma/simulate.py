@@ -19,31 +19,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConditionError, InvalidParameterError, require_finite
+from .gain_cdf import CDF_SAMPLE_FAMILIES
 from .geometry import LedGeometry, UserState, dc_gain, incidence_angle, mean_dc_gain
 from .mobility import MobilityModel, sample_users
-from .rates import GROUP_MODES, NomaConfig, outage_gain_thresholds
+from .rates import GROUP_MODES, MODE_FAMILIES, NomaConfig, outage_gain_thresholds
 
 __all__ = [
     "CHUNK_TRIALS",
-    "CDF_SAMPLE_FAMILIES",
     "NoiseConfig",
     "EstimateResult",
     "collect_scheduled_gains",
     "rate_stats",
     "estimate",
     "nonzero_count_histogram",
+    "sample_vertical_angles",
 ]
 
 CHUNK_TRIALS = 1 << 16
-
-CDF_SAMPLE_FAMILIES = (
-    "unordered",
-    "ordered",
-    "twobit_inst_weak",
-    "twobit_inst_strong",
-    "twobit_mean_weak",
-    "twobit_mean_strong",
-)
 
 
 @dataclass(frozen=True)
@@ -129,12 +121,12 @@ def _uniform_pick(mask, u):
     return idx, count > 0
 
 
-def _group_masks(cfg, led, d_obs, mean_obs, inst_obs):
-    th = cfg.thresholds
-    if cfg.feedback_mode == "OneBitDistance":
+def _group_masks(mode, th, led, d_obs, mean_obs, inst_obs):
+    """Weak and strong selection sets of a group feedback mode, from observed values."""
+    if mode == "OneBitDistance":
         weak_mask = d_obs > th.dist_threshold
         return weak_mask, ~weak_mask
-    angle_src = inst_obs if cfg.feedback_mode == "TwoBitInstantaneous" else mean_obs
+    angle_src = inst_obs if mode == "TwoBitInstantaneous" else mean_obs
     theta_obs = np.abs(incidence_angle(d_obs, angle_src, led.ell))
     far = d_obs > th.dist_threshold
     weak_mask = far & (theta_obs > th.angle_threshold) & (theta_obs <= led.theta_fov)
@@ -147,7 +139,9 @@ def _group_batch(rng, n, total_users, cfg, model, led, noise):
     d, mean, inst = sample_users(model, rng, (n, total_users))
     gain_sq = np.square(dc_gain(UserState(d, mean, inst), led))
     d_obs, mean_obs, inst_obs = _observe(d, mean, inst, noise, rng)
-    weak_mask, strong_mask = _group_masks(cfg, led, d_obs, mean_obs, inst_obs)
+    weak_mask, strong_mask = _group_masks(
+        cfg.feedback_mode, cfg.thresholds, led, d_obs, mean_obs, inst_obs
+    )
     u = rng.random((n, 2))
     weak_idx, weak_ok = _uniform_pick(weak_mask, u[:, 0])
     strong_idx, strong_ok = _uniform_pick(strong_mask, u[:, 1])
@@ -243,24 +237,16 @@ def _outage_stats(gain_sq_weak, gain_sq_strong, trials: int, cfg: NomaConfig) ->
     return EstimateResult((p_weak, p_strong), (se(p_weak), se(p_strong)), n / trials, trials, n)
 
 
-def _single_user_condition(family: str, cfg, model, led):
+def _single_user_condition(family: str, cfg, led):
     """Membership test on true observables for single-user conditional sampling."""
-
-    def membership(d, mean, inst, gain_sq):
-        if family == "unordered":
-            return gain_sq > 0.0
-        th = cfg.thresholds
-        if th is None:
-            raise InvalidParameterError("set-conditioned families need feedback thresholds")
-        angle_src = inst if family.startswith("twobit_inst") else mean
-        theta = np.abs(incidence_angle(d, angle_src, led.ell))
-        if family.endswith("weak"):
-            return (d > th.dist_threshold) & (theta > th.angle_threshold) & (
-                theta <= led.theta_fov
-            )
-        return (d <= th.dist_threshold) & (theta <= th.angle_threshold)
-
-    return membership
+    if family == "unordered":
+        return lambda d, mean, inst, gain_sq: gain_sq > 0.0
+    th = cfg.thresholds
+    if th is None:
+        raise InvalidParameterError("set-conditioned families need feedback thresholds")
+    # A two-bit family is the weak or strong set of the group mode pairing it.
+    mode, side = next((m, p.index(family)) for m, p in MODE_FAMILIES.items() if family in p)
+    return lambda d, mean, inst, gain_sq: _group_masks(mode, th, led, d, mean, inst)[side]
 
 
 def _cdf_sample_chunks(family, trials, cfg, model, led, rank, seed, workers, total_users):
@@ -281,7 +267,7 @@ def _cdf_sample_chunks(family, trials, cfg, model, led, rank, seed, workers, tot
             return np.take_along_axis(ordered, pos[:, None], 1)[:, 0]
 
     else:
-        membership = _single_user_condition(family, cfg, model, led)
+        membership = _single_user_condition(family, cfg, led)
 
         def chunk(c: int, size: int):
             rng = _chunk_rng(seed, c)
@@ -360,3 +346,16 @@ def nonzero_count_histogram(
 
     counts = _map_chunks(chunk, trials, workers)
     return np.sum(counts, axis=0)
+
+
+def sample_vertical_angles(
+    trials: int, model: MobilityModel, *, seed: int = 0, workers: int | None = None
+):
+    """Instantaneous vertical angles of ``trials`` single users, drawn chunk by chunk."""
+    if trials < 1:
+        raise InvalidParameterError("need at least one trial")
+
+    def chunk(c: int, size: int):
+        return sample_users(model, _chunk_rng(seed, c), (size,))[2]
+
+    return np.concatenate(_map_chunks(chunk, trials, workers))

@@ -7,6 +7,7 @@ with eleven explicit verdicts.  Monte Carlo collections are cached per
 seeded, so verdicts are reproducible bit for bit.
 """
 
+import functools
 import os
 import time
 from collections import Counter
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from vlcnoma import (
-    CDF_SAMPLE_FAMILIES,
+    CDF_FAMILIES,
     EmpiricalDistribution,
     FeedbackThresholds,
     LedGeometry,
@@ -23,13 +24,9 @@ from vlcnoma import (
     NoiseConfig,
     NonzeroCount,
     QuadratureSpec,
-    cdf_gain_ranked,
     cdf_gain_unordered,
     cdf_strong_twobit_inst,
-    cdf_strong_twobit_mean,
     cdf_vertical_angle,
-    cdf_weak_twobit_inst,
-    cdf_weak_twobit_mean,
     channel_constant,
     collect_scheduled_gains,
     estimate,
@@ -46,6 +43,7 @@ from vlcnoma import (
     sample_users,
     sum_rate_noma,
 )
+from vlcnoma.rates import _cdf_pair
 from tests.conftest import make_noma, record_acceptance
 
 SEED = 77
@@ -83,6 +81,10 @@ MODEL_FIG = MobilityModel(
     max_deviation=np.radians(30.0),
 )
 TH_FIG = FeedbackThresholds(dist_threshold=1.0, angle_threshold=np.radians(6.0))
+# Conditioning of the analytic families in this setup: ranks among 20 users, 10 lit.
+FIG_CONDITION = dict(
+    model=MODEL_FIG, led=LED_FIG, thresholds=TH_FIG, total_users=TOTAL_USERS, k_min=10
+)
 
 GRID_DB = np.arange(140.0, 251.0, 5.0)
 GRID_GROUP_DB = np.arange(150.0, 226.0, 5.0)
@@ -130,32 +132,6 @@ def analytic_steady_rate(mode: str, model, led, thresholds) -> float:
     cfg = make_noma(snr_db=STEADY_DB, mode=mode, thresholds=thresholds)
     total = TOTAL_USERS if mode == "FullCSI" else None
     return sum_rate_noma(*outage_pair_analytic(cfg, model, led, total_users=total), cfg)
-
-
-def family_cdf(family: str):
-    """Scalar-callable analytic CDF for one sampled family, plus its left limit."""
-    count = NonzeroCount(TOTAL_USERS, nonzero_gain_probability(MODEL_FIG, LED_FIG), 10)
-    table = {
-        "unordered": lambda x: cdf_gain_unordered(x, MODEL_FIG, LED_FIG),
-        "ordered": lambda x: cdf_gain_ranked(x, 10, MODEL_FIG, LED_FIG, count),
-        "twobit_inst_weak": lambda x: cdf_weak_twobit_inst(x, MODEL_FIG, LED_FIG, TH_FIG),
-        "twobit_inst_strong": lambda x: cdf_strong_twobit_inst(x, MODEL_FIG, LED_FIG, TH_FIG),
-        "twobit_mean_weak": lambda x: cdf_weak_twobit_mean(x, MODEL_FIG, LED_FIG, TH_FIG),
-        "twobit_mean_strong": lambda x: cdf_strong_twobit_mean(x, MODEL_FIG, LED_FIG, TH_FIG),
-    }
-    fn = table[family]
-
-    def cdf_array(values):
-        return np.array([float(fn(float(v))) for v in np.atleast_1d(values)])
-
-    if not family.startswith("twobit_mean"):
-        return cdf_array, None
-
-    def cdf_left(values):
-        vals = np.atleast_1d(values)
-        return np.where(vals <= 0.0, 0.0, cdf_array(vals))
-
-    return cdf_array, cdf_left
 
 
 def test_criterion_01_vertical_angle_cdf():
@@ -221,8 +197,8 @@ def test_criterion_03_channel_gain_cdf_families():
             workers=WORKERS,
             family=family,
         )
-        cdf_array, cdf_left = family_cdf(family)
-        bound = ks_distance_bound(res.value, cdf_array, cdf_left, grid_size=grid)
+        cdf = functools.partial(CDF_FAMILIES[family], **FIG_CONDITION)
+        bound = ks_distance_bound(res.value, cdf, grid_size=grid)
         n = res.value.size
         ok = ok and bound < tol and 1_000_000 <= n <= 10_000_000
         parts.append(f"{family}={bound:.1e}/{tol:g} (n={n})")
@@ -367,23 +343,6 @@ def test_criterion_08_threshold_feedback_robustness(mc):
     )
 
 
-def _oma_outage_pair(cfg, model, led, mode: str, count: NonzeroCount | None):
-    t_weak, t_strong = oma_gain_thresholds(cfg, mode)
-    if cfg.feedback_mode == "FullCSI":
-        return (
-            float(cdf_gain_ranked(t_weak, cfg.weak_rank, model, led, count)),
-            float(cdf_gain_ranked(t_strong, cfg.strong_rank, model, led, count)),
-        )
-    if cfg.feedback_mode == "TwoBitInstantaneous":
-        weak_cdf, strong_cdf = cdf_weak_twobit_inst, cdf_strong_twobit_inst
-    else:
-        weak_cdf, strong_cdf = cdf_weak_twobit_mean, cdf_strong_twobit_mean
-    return (
-        float(weak_cdf(t_weak, model, led, cfg.thresholds)),
-        float(strong_cdf(t_strong, model, led, cfg.thresholds)),
-    )
-
-
 def test_criterion_09_noma_dominates_oma_past_knee():
     curves = (
         ("FullCSI", 50, GRID_DB),
@@ -394,7 +353,6 @@ def test_criterion_09_noma_dominates_oma_past_knee():
     ok = True
     parts = []
     for mode, fov, grid in curves:
-        count = NonzeroCount(TOTAL_USERS, nonzero_gain_probability(MODEL_V, LED_V[fov]), 10)
         total = TOTAL_USERS if mode == "FullCSI" else None
         rates = []
         margins = {"time_shared": [], "paper_literal": []}
@@ -403,7 +361,8 @@ def test_criterion_09_noma_dominates_oma_past_knee():
             p_noma = outage_pair_analytic(cfg, MODEL_V, LED_V[fov], total_users=total)
             rates.append(sum_rate_noma(*p_noma, cfg))
             for oma_mode in margins:
-                p_oma = _oma_outage_pair(cfg, MODEL_V, LED_V[fov], oma_mode, count)
+                t_weak, t_strong = oma_gain_thresholds(cfg, oma_mode)
+                p_oma = _cdf_pair(cfg, MODEL_V, LED_V[fov], t_weak, t_strong, total, None)
                 # compare at the outage level: forming the two sum rates first
                 # would round away the gap once both saturate
                 margins[oma_mode].append(
@@ -438,9 +397,8 @@ def test_criterion_11_property_invariants():
     _, upsilon = channel_constant(LED_FIG)
     xs = np.linspace(0.0, 1.2 / upsilon(MODEL_FIG.d_min), 60)
     mono_ok = True
-    for family in CDF_SAMPLE_FAMILIES:
-        cdf_array, _ = family_cdf(family)
-        vals = cdf_array(xs)
+    for cdf in CDF_FAMILIES.values():
+        vals = cdf(xs, **FIG_CONDITION)
         mono_ok = mono_ok and bool(np.all(np.diff(vals) >= -1e-12))
         mono_ok = mono_ok and bool(np.all((vals >= -1e-12) & (vals <= 1.0 + 1e-12)))
 

@@ -495,6 +495,17 @@ class TestDeterminism:
         rows_b = out_b.read_text().splitlines()[1:]
         assert rows_a == rows_b
 
+    def test_angle_cdf_rows_do_not_depend_on_workers(self, tmp_path):
+        # 140,000 trials span three chunks
+        base = ["validate-angle-cdf", "--trials", "140000", "--set", "grid_points=11"]
+        out_a = tmp_path / "w1.csv"
+        out_b = tmp_path / "w2.csv"
+        assert main(base + ["--set", "workers=1", "--out", str(out_a)]) == 0
+        assert main(base + ["--set", "workers=2", "--out", str(out_b)]) == 0
+        rows_a = out_a.read_text().splitlines()[1:]
+        rows_b = out_b.read_text().splitlines()[1:]
+        assert rows_a == rows_b
+
 
 class TestExitCodes:
     def test_too_few_trials(self, capsys):
@@ -558,6 +569,19 @@ class TestExitCodes:
         sets = [arg for item in overrides for arg in ("--set", item)]
         assert main(["sweep-snr", "--trials", "2000", *sets]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--mode", "TwoBitMean", "--set", "beta_strong=1e-300"],
+            ["--set", "beta_strong=1e-300"],
+            ["--set", "snr_grid_db=-3210"],
+        ],
+    )
+    def test_strong_power_underflow_rejected(self, capsys, args):
+        # the strong user's outage threshold divides by snr * beta_strong**2
+        assert main(["sweep-snr", "--trials", "2000", *args]) == 2
+        assert "beta_strong" in capsys.readouterr().err
 
     def test_non_finite_quadrature_is_numeric_failure(self, capsys):
         # a 0.001-degree beam is finite but overflows the gain normalization,

@@ -1,11 +1,14 @@
 """Closed-form gain distributions against limits, identities, and a quadrature oracle."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlcnoma import (
+    CDF_FAMILIES,
     DegenerateConditionError,
     FeedbackThresholds,
     InvalidParameterError,
@@ -27,6 +30,7 @@ from vlcnoma import (
     strong_band_measure,
     weak_band_measure,
 )
+from vlcnoma import gain_cdf
 from vlcnoma.mobility import cdf_vertical_angle
 from vlcnoma.quadrature import QuadratureSpec
 
@@ -370,3 +374,55 @@ class TestFeedbackThresholds:
             FeedbackThresholds(dist_threshold=-1.0, angle_threshold=0.1)
         with pytest.raises(InvalidParameterError):
             FeedbackThresholds(dist_threshold=1.0, angle_threshold=-0.1)
+
+
+# The public function each family-table entry must reach.
+PUBLIC_CDF = {
+    "unordered": "cdf_gain_unordered",
+    "ordered": "cdf_gain_ranked",
+    "twobit_inst_weak": "cdf_weak_twobit_inst",
+    "twobit_inst_strong": "cdf_strong_twobit_inst",
+    "twobit_mean_weak": "cdf_weak_twobit_mean",
+    "twobit_mean_strong": "cdf_strong_twobit_mean",
+}
+
+
+class TestFamilyTable:
+    @pytest.fixture(params=["fig", "v"])
+    def condition(
+        self, request, model_dev30, led_fov60, thresholds_validation, model_dev25, led_fov50
+    ):
+        """The distribution-validation (fig) and sweep (v) setups: ranks among 20, 10 lit."""
+        if request.param == "fig":
+            model, led, th = model_dev30, led_fov60, thresholds_validation
+        else:
+            model, led = model_dev25, led_fov50
+            th = FeedbackThresholds.from_fractions(model, led, 0.1, 0.1)
+        return dict(model=model, led=led, thresholds=th, total_users=20, k_min=10)
+
+    @pytest.mark.parametrize("family", list(CDF_FAMILIES))
+    def test_entry_is_vectorized_public_call(self, family, condition, monkeypatch):
+        model, led, th = condition["model"], condition["led"], condition["thresholds"]
+        cdf = functools.partial(CDF_FAMILIES[family], **condition)
+        _, upsilon = channel_constant(led)
+        top = 1.0 / upsilon(model.d_min)
+        xs = np.concatenate(([0.0], np.geomspace(1e-6 * top, 1.05 * top, 63)))
+        vector = cdf(xs)
+        assert vector.tobytes() == np.array([cdf(float(x)) for x in xs]).tobytes()
+        name = PUBLIC_CDF[family]
+        public = getattr(gain_cdf, name)
+        count = NonzeroCount(20, nonzero_gain_probability(model, led), 10)
+        args = {"cdf_gain_unordered": (model, led), "cdf_gain_ranked": (10, model, led, count)}
+        assert public(xs, *args.get(name, (model, led, th))).tobytes() == vector.tobytes()
+        # the entry looks its public function up at call time, as a tracer rebinding it needs
+        calls = []
+        monkeypatch.setattr(gain_cdf, name, lambda *a, **k: calls.append(a) or public(*a, **k))
+        assert cdf(xs[:3]).tobytes() == vector[:3].tobytes()
+        assert len(calls) == 1
+
+    def test_missing_condition_rejected(self, validation_setup):
+        model, led, _ = validation_setup
+        with pytest.raises(InvalidParameterError):
+            CDF_FAMILIES["ordered"](1e-12, model, led)
+        with pytest.raises(InvalidParameterError):
+            CDF_FAMILIES["twobit_inst_weak"](1e-12, model, led)

@@ -160,8 +160,8 @@ class TestKsDistance:
         rng = np.random.default_rng(6)
         s = np.where(rng.random(100_000) < 0.4, 0.0, rng.random(100_000))
         cdf = lambda x: np.where(np.asarray(x) < 0, 0.0, 0.4 + 0.6 * np.clip(x, 0.0, 1.0))
-        cdf_left = lambda x: np.where(np.asarray(x) <= 0, 0.0, cdf(x))
-        assert ks_distance(s, cdf, cdf_left) < 0.01
+        # the left limit at the atom is derived, so its mass is not counted as distance
+        assert ks_distance(s, cdf) < 0.01
 
 
 class TestKsDistanceBound:
@@ -181,10 +181,11 @@ class TestKsDistanceBound:
         cdf = lambda x: np.where(
             np.asarray(x) < 0, 0.0, 0.3 + 0.7 * (1 - np.exp(-np.maximum(np.asarray(x), 0)))
         )
-        cdf_left = lambda x: np.where(np.asarray(x) <= 0, 0.0, cdf(x))
-        exact = ks_distance(s, cdf, cdf_left)
-        bound = ks_distance_bound(s, cdf, cdf_left, grid_size=128)
+        exact = ks_distance(s, cdf)
+        bound = ks_distance_bound(s, cdf, grid_size=128)
         assert exact <= bound <= exact + 0.02
+        # the 0.3 atom at zero is not counted as distance
+        assert bound < 0.02
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
