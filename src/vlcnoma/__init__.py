@@ -29,7 +29,6 @@ from .geometry import (
     channel_constant,
     dc_gain,
     incidence_angle,
-    irradiance_angle,
     lambertian_order,
     mean_dc_gain,
 )
@@ -38,7 +37,6 @@ from .mobility import (
     NonzeroCount,
     cdf_vertical_angle,
     nonzero_gain_probability,
-    pmf_nonzero_count,
     pmf_nonzero_count_truncated,
     prob_incidence_within,
     sample_users,

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -49,8 +50,41 @@ from .simulate import (
     sample_vertical_angles,
 )
 
-CDF_SUBCOMMANDS = ("validate-angle-cdf", "validate-knz", "validate-channel-cdf")
-SWEEP_SUBCOMMANDS = ("sweep-snr", "sweep-deviation", "sweep-thresholds", "noisy-compare")
+# A Monte Carlo chunk holds CHUNK_TRIALS x total_users values per array: 0.5 GB at 1000.
+MAX_TOTAL_USERS = 1000
+# Per sweep subcommand: its grid's config key, leading CSV columns and value
+# columns.  Each "<run>_sum_rate" column asks for one gain collection per point:
+# "mc" under the configured noise, "clean" and "noisy" with noise off and on.
+SWEEPS = {
+    "sweep-snr": (
+        "snr_grid_db",
+        ("snr_db",),
+        ("analytic_sum_rate", "mc_sum_rate", "mc_stderr", "oma_sum_rate", "sched_prob"),
+    ),
+    "sweep-deviation": (
+        "deviation_grid_deg",
+        ("deviation_deg",),
+        ("analytic_sum_rate", "mc_sum_rate", "mc_stderr", "sched_prob"),
+    ),
+    "sweep-thresholds": (
+        "threshold_frac_grid",
+        ("dist_frac", "angle_frac"),
+        ("analytic_sum_rate", "mc_sum_rate", "mc_stderr", "sched_prob"),
+    ),
+    "noisy-compare": (
+        "snr_grid_db",
+        ("snr_db",),
+        (
+            "clean_sum_rate",
+            "clean_stderr",
+            "noisy_sum_rate",
+            "noisy_stderr",
+            "gap",
+            "clean_sched_prob",
+            "noisy_sched_prob",
+        ),
+    ),
+}
 
 # Empty string means "derive at resolve time" (mean-angle band, trials, workers,
 # absolute threshold overrides).
@@ -202,7 +236,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if not conf["mean_angle_max_deg"]:
         conf["mean_angle_max_deg"] = repr(180.0 - dev)
     if not conf["trials"]:
-        conf["trials"] = "10000000" if args.command in CDF_SUBCOMMANDS else "1000000"
+        conf["trials"] = "1000000" if args.command in SWEEPS else "10000000"
     return conf, explicit_band
 
 
@@ -220,14 +254,13 @@ def build_geometry(conf: dict) -> LedGeometry:
     )
 
 
-def build_mobility(conf: dict, deviation_deg: float | None = None) -> MobilityModel:
-    dev = _parse_float(conf, "max_deviation_deg") if deviation_deg is None else deviation_deg
+def build_mobility(conf: dict) -> MobilityModel:
     return MobilityModel(
         d_min=_parse_float(conf, "d_min"),
         d_max=_parse_float(conf, "d_max"),
         mean_angle_min=math.radians(_parse_float(conf, "mean_angle_min_deg")),
         mean_angle_max=math.radians(_parse_float(conf, "mean_angle_max_deg")),
-        max_deviation=math.radians(dev),
+        max_deviation=math.radians(_parse_float(conf, "max_deviation_deg")),
     )
 
 
@@ -292,7 +325,6 @@ class ExperimentConfig:
     family: str
     rank: int | None
     explicit_mean_band: bool
-    raw: dict
 
     def __post_init__(self):
         if len(self.grid) == 0 or np.any(np.diff(self.grid) <= 0):
@@ -305,6 +337,12 @@ class ExperimentConfig:
             raise InvalidParameterError(f"oma_mode must be one of {OMA_MODES}")
         if self.grid_points < 2 or self.ks_grid_points < 2:
             raise InvalidParameterError("grid_points and ks_grid_points must be at least 2")
+        if self.noma.strong_rank > self.total_users:
+            raise InvalidParameterError("strong_rank exceeds total_users")
+        if self.total_users > MAX_TOTAL_USERS:
+            raise InvalidParameterError(f"total_users must be at most {MAX_TOTAL_USERS}")
+        if self.workers is not None and self.workers < 1:
+            raise InvalidParameterError("workers must be at least 1")
 
 
 def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> ExperimentConfig:
@@ -313,12 +351,12 @@ def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> Expe
     thresholds = build_thresholds(conf, model, led)
     noma = build_noma(conf, thresholds)
     grid_points = _parse_int(conf, "grid_points")
-    if command == "sweep-deviation":
-        grid = parse_grid(conf["deviation_grid_deg"], "deviation_grid_deg")
-    elif command == "sweep-thresholds":
-        grid = parse_grid(conf["threshold_frac_grid"], "threshold_frac_grid")
-    elif command in ("sweep-snr", "noisy-compare"):
-        grid = parse_grid(conf["snr_grid_db"], "snr_grid_db")
+    if command in SWEEPS:
+        key = SWEEPS[command][0]
+        grid = parse_grid(conf[key], key)
+    elif grid_points < 2:
+        # np.linspace would raise on a negative count before ExperimentConfig checks it
+        raise InvalidParameterError("grid_points and ks_grid_points must be at least 2")
     else:
         grid = tuple(np.linspace(0.0, 1.0, grid_points))
     return ExperimentConfig(
@@ -338,7 +376,6 @@ def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> Expe
         family=conf["family"],
         rank=_parse_int(conf, "rank") if conf["rank"] else None,
         explicit_mean_band=explicit_mean_band,
-        raw=conf,
     )
 
 
@@ -436,166 +473,84 @@ def cmd_validate_channel_cdf(xc: ExperimentConfig, out: str | None, manifest: st
     emit_csv(out, manifest, ["gain_sq", "analytic_cdf", "empirical_cdf"], rows, summary)
 
 
-def _sum_rate_columns(xc: ExperimentConfig, cfg: NomaConfig, gains):
-    """Analytic NOMA, MC NOMA, and OMA sum rates at one SNR from collected gains."""
-    gain_w, gain_s, trials = gains
-    mc = rate_stats(gain_w, gain_s, trials, cfg)
-    if cfg.feedback_mode in ANALYTIC_MODES:
-        p_weak, p_strong = outage_pair_analytic(cfg, xc.model, xc.led, total_users=xc.total_users)
-        analytic = sum_rate_noma(p_weak, p_strong, cfg)
-        oma = sum_rate_oma(cfg, xc.model, xc.led, xc.oma_mode, total_users=xc.total_users)
+def _sweep_points(xc: ExperimentConfig):
+    """(leading cells, NomaConfig, MobilityModel) at each point of the sweep's grid."""
+    if xc.command == "sweep-deviation":
+        for dev_deg in xc.grid:
+            # The derived mean band tracks the deviation; an explicit one stays put.
+            band = {} if xc.explicit_mean_band else dict(
+                mean_angle_min=math.radians(dev_deg), mean_angle_max=math.radians(180.0 - dev_deg)
+            )
+            model = dataclasses.replace(xc.model, max_deviation=math.radians(dev_deg), **band)
+            # Threshold fractions read only d_min, d_max and the fov: xc.noma holds.
+            yield (dev_deg,), xc.noma, model
+    elif xc.command == "sweep-thresholds":
+        if xc.noma.feedback_mode not in GROUP_MODES:
+            raise InvalidParameterError(
+                f"sweep-thresholds needs a group feedback mode, one of {GROUP_MODES}"
+            )
+        for fracs in itertools.product(xc.grid, repeat=2):
+            thresholds = FeedbackThresholds.from_fractions(xc.model, xc.led, *fracs)
+            yield fracs, dataclasses.replace(xc.noma, thresholds=thresholds), xc.model
     else:
-        analytic = None
+        for snr_db in xc.grid:
+            yield (snr_db,), dataclasses.replace(xc.noma, snr=_snr_linear(snr_db)), xc.model
+
+
+def _sweep_cells(xc: ExperimentConfig, cfg: NomaConfig, model: MobilityModel, gains, values):
+    """Cells of one sweep point by column name; analytic and OMA ones only if asked for."""
+    cells = {"analytic_sum_rate": None}
+    for run, collected in gains.items():
+        mc = rate_stats(*collected, cfg)
+        cells[f"{run}_sum_rate"], cells[f"{run}_stderr"] = mc.value, mc.stderr
+        cells["sched_prob" if run == "mc" else f"{run}_sched_prob"] = mc.sched_prob
+    analytic = cfg.feedback_mode in ANALYTIC_MODES
+    if "analytic_sum_rate" in values and analytic:
+        p_weak, p_strong = outage_pair_analytic(cfg, model, xc.led, total_users=xc.total_users)
+        cells["analytic_sum_rate"] = sum_rate_noma(p_weak, p_strong, cfg)
+    if "oma_sum_rate" in values and analytic:
+        cells["oma_sum_rate"] = sum_rate_oma(
+            cfg, model, xc.led, xc.oma_mode, total_users=xc.total_users
+        )
+    elif "oma_sum_rate" in values:
+        gain_w, gain_s, _ = gains["mc"]
         t_weak, t_strong = oma_gain_thresholds(cfg, xc.oma_mode)
-        oma = float(
+        cells["oma_sum_rate"] = float(
             np.mean(cfg.rate_weak * (gain_w > t_weak) + cfg.rate_strong * (gain_s > t_strong))
         )
-    return analytic, mc, oma
+    if "gap" in values:
+        cells["gap"] = cells["clean_sum_rate"] - cells["noisy_sum_rate"]
+    return cells
 
 
-def cmd_sweep_snr(xc: ExperimentConfig, out: str | None, manifest: str):
-    noise = xc.noise if xc.noise.enabled else None
-    gains = collect_scheduled_gains(
-        xc.trials,
-        xc.noma,
-        xc.model,
-        xc.led,
-        total_users=xc.total_users,
-        noise=noise,
-        seed=xc.seed,
-        workers=xc.workers,
-    )
-    rows = []
-    for snr_db in xc.grid:
-        cfg = dataclasses.replace(xc.noma, snr=_snr_linear(snr_db))
-        analytic, mc, oma = _sum_rate_columns(xc, cfg, gains)
-        rows.append((snr_db, analytic, mc.value, mc.stderr, oma, mc.sched_prob))
-    header = [
-        "snr_db",
-        "analytic_sum_rate",
-        "mc_sum_rate",
-        "mc_stderr",
-        "oma_sum_rate",
-        "sched_prob",
-    ]
-    emit_csv(out, manifest, header, rows, [])
-
-
-def cmd_sweep_deviation(xc: ExperimentConfig, out: str | None, manifest: str):
-    auto_band = not xc.explicit_mean_band
-    rows = []
-    for dev_deg in xc.grid:
-        conf = dict(xc.raw)
-        if auto_band:
-            conf["mean_angle_min_deg"] = repr(dev_deg)
-            conf["mean_angle_max_deg"] = repr(180.0 - dev_deg)
-        model = build_mobility(conf, deviation_deg=dev_deg)
-        thresholds = build_thresholds(conf, model, xc.led)
-        cfg = dataclasses.replace(xc.noma, thresholds=thresholds)
-        gains = collect_scheduled_gains(
-            xc.trials,
-            cfg,
-            model,
-            xc.led,
-            total_users=xc.total_users,
-            noise=xc.noise if xc.noise.enabled else None,
-            seed=xc.seed,
-            workers=xc.workers,
-        )
-        mc = rate_stats(*gains, cfg)
-        if cfg.feedback_mode in ANALYTIC_MODES:
-            p_weak, p_strong = outage_pair_analytic(cfg, model, xc.led, total_users=xc.total_users)
-            analytic = sum_rate_noma(p_weak, p_strong, cfg)
-        else:
-            analytic = None
-        rows.append((dev_deg, analytic, mc.value, mc.stderr, mc.sched_prob))
-    header = ["deviation_deg", "analytic_sum_rate", "mc_sum_rate", "mc_stderr", "sched_prob"]
-    emit_csv(out, manifest, header, rows, [])
-
-
-def cmd_sweep_thresholds(xc: ExperimentConfig, out: str | None, manifest: str):
-    if xc.noma.feedback_mode not in GROUP_MODES:
-        raise InvalidParameterError(
-            f"sweep-thresholds needs a group feedback mode, one of {GROUP_MODES}"
-        )
-    rows = []
-    for dist_frac in xc.grid:
-        for angle_frac in xc.grid:
-            thresholds = FeedbackThresholds.from_fractions(
-                xc.model, xc.led, dist_frac, angle_frac
-            )
-            cfg = dataclasses.replace(xc.noma, thresholds=thresholds)
-            gains = collect_scheduled_gains(
-                xc.trials,
-                cfg,
-                xc.model,
-                xc.led,
-                total_users=xc.total_users,
-                noise=xc.noise if xc.noise.enabled else None,
-                seed=xc.seed,
-                workers=xc.workers,
-            )
-            mc = rate_stats(*gains, cfg)
-            if cfg.feedback_mode in ANALYTIC_MODES:
-                p_weak, p_strong = outage_pair_analytic(cfg, xc.model, xc.led)
-                analytic = sum_rate_noma(p_weak, p_strong, cfg)
-            else:
-                analytic = None
-            rows.append((dist_frac, angle_frac, analytic, mc.value, mc.stderr, mc.sched_prob))
-    header = [
-        "dist_frac",
-        "angle_frac",
-        "analytic_sum_rate",
-        "mc_sum_rate",
-        "mc_stderr",
-        "sched_prob",
-    ]
-    emit_csv(out, manifest, header, rows, [])
-
-
-def cmd_noisy_compare(xc: ExperimentConfig, out: str | None, manifest: str):
-    noise_on = dataclasses.replace(xc.noise, enabled=True)
+def cmd_sweep(xc: ExperimentConfig, out: str | None, manifest: str):
+    _, leading, values = SWEEPS[xc.command]
+    noise = {
+        "mc": xc.noise,
+        "clean": dataclasses.replace(xc.noise, enabled=False),
+        "noisy": dataclasses.replace(xc.noise, enabled=True),
+    }
+    runs = {run: n for run, n in noise.items() if f"{run}_sum_rate" in values}
     shared = dict(total_users=xc.total_users, seed=xc.seed, workers=xc.workers)
-    clean = collect_scheduled_gains(xc.trials, xc.noma, xc.model, xc.led, noise=None, **shared)
-    noisy = collect_scheduled_gains(xc.trials, xc.noma, xc.model, xc.led, noise=noise_on, **shared)
-    rows = []
-    for snr_db in xc.grid:
-        cfg = dataclasses.replace(xc.noma, snr=_snr_linear(snr_db))
-        stat_c = rate_stats(*clean, cfg)
-        stat_n = rate_stats(*noisy, cfg)
-        rows.append(
-            (
-                snr_db,
-                stat_c.value,
-                stat_c.stderr,
-                stat_n.value,
-                stat_n.stderr,
-                stat_c.value - stat_n.value,
-                stat_c.sched_prob,
-                stat_n.sched_prob,
-            )
-        )
-    header = [
-        "snr_db",
-        "clean_sum_rate",
-        "clean_stderr",
-        "noisy_sum_rate",
-        "noisy_stderr",
-        "gap",
-        "clean_sched_prob",
-        "noisy_sched_prob",
-    ]
-    emit_csv(out, manifest, header, rows, [])
+    rows, picked_by = [], None
+    for lead, cfg, model in _sweep_points(xc):
+        # Picks depend on the thresholds and the model, not on SNR, powers or rates.
+        if (cfg.thresholds, model) != picked_by:
+            picked_by = (cfg.thresholds, model)
+            gains = {
+                run: collect_scheduled_gains(xc.trials, cfg, model, xc.led, noise=n, **shared)
+                for run, n in runs.items()
+            }
+        cells = _sweep_cells(xc, cfg, model, gains, values)
+        rows.append((*lead, *(cells[name] for name in values)))
+    emit_csv(out, manifest, [*leading, *values], rows, [])
 
 
 COMMANDS = {
     "validate-angle-cdf": cmd_validate_angle_cdf,
     "validate-knz": cmd_validate_knz,
     "validate-channel-cdf": cmd_validate_channel_cdf,
-    "sweep-snr": cmd_sweep_snr,
-    "sweep-deviation": cmd_sweep_deviation,
-    "sweep-thresholds": cmd_sweep_thresholds,
-    "noisy-compare": cmd_noisy_compare,
+    **dict.fromkeys(SWEEPS, cmd_sweep),
 }
 
 

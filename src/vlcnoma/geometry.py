@@ -20,7 +20,6 @@ __all__ = [
     "UserState",
     "lambertian_order",
     "incidence_angle",
-    "irradiance_angle",
     "dc_gain",
     "mean_dc_gain",
     "channel_constant",
@@ -79,11 +78,6 @@ def incidence_angle(d, phi, ell: float):
     ``d = 0`` is allowed (receiver directly beneath the LED).
     """
     return np.pi - np.arctan2(ell, d) - phi
-
-
-def irradiance_angle(d, ell: float):
-    """Departure angle at the downward-pointing LED, in [0, pi/2)."""
-    return np.arccos(ell / np.sqrt(ell * ell + np.square(d)))
 
 
 def dc_gain(user: UserState, led: LedGeometry):

@@ -27,7 +27,6 @@ __all__ = [
     "cdf_vertical_angle",
     "prob_incidence_within",
     "nonzero_gain_probability",
-    "pmf_nonzero_count",
     "pmf_nonzero_count_truncated",
 ]
 
@@ -182,11 +181,6 @@ def fov_window_breakpoints(half_width: float, model: MobilityModel, led: LedGeom
             if 0.0 < u < np.pi / 2:
                 out.append(led.ell / np.tan(u))
     return tuple(out)
-
-
-def pmf_nonzero_count(k, nz: NonzeroCount):
-    """Binomial probability of exactly ``k`` users with nonzero gain."""
-    return stats.binom.pmf(k, nz.total_users, nz.success_prob)
 
 
 def pmf_nonzero_count_truncated(k, nz: NonzeroCount):

@@ -187,6 +187,10 @@ class EmpiricalDistribution:
         return np.quantile(self.samples, q)
 
 
+# Samples per reference-CDF evaluation in ks_distance.
+_KS_SLICE = 1 << 16
+
+
 def ks_distance(samples, cdf: Callable) -> float:
     """Two-sided Kolmogorov-Smirnov distance between samples and a reference CDF.
 
@@ -197,10 +201,15 @@ def ks_distance(samples, cdf: Callable) -> float:
     """
     emp = samples if isinstance(samples, EmpiricalDistribution) else EmpiricalDistribution(samples)
     s, n = emp.samples, emp.n
-    f_right = np.asarray(cdf(s), dtype=float)
-    f_left = np.where(s <= 0.0, 0.0, f_right)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - f_right), np.max(f_left - (i - 1) / n)))
+    dist = -np.inf
+    # Slices bound the sample-sized temporaries; the running maximum is exact.
+    for start in range(0, n, _KS_SLICE):
+        part = s[start : start + _KS_SLICE]
+        f_right = np.asarray(cdf(part), dtype=float)
+        f_left = np.where(part <= 0.0, 0.0, f_right)
+        i = np.arange(start + 1, start + part.size + 1)
+        dist = max(dist, np.max(i / n - f_right), np.max(f_left - (i - 1) / n))
+    return float(dist)
 
 
 def ks_distance_bound(samples, cdf: Callable, grid_size: int = 512) -> float:

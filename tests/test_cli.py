@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from vlcnoma.cli import (
     DEFAULTS,
+    SWEEPS,
     build_parser,
     config_hash,
     fmt,
@@ -470,6 +471,42 @@ class TestSweeps:
             assert r[6] == r[7]
 
 
+class TestSweepConsistency:
+    """A one-point grid of each sweep reproduces the matching sweep-snr row."""
+
+    def run(self, tmp_path, *argv):
+        out = tmp_path / "sweep.csv"
+        base = ["--trials", "3000", "--seed", "4", "--set", "workers=1", "--out", str(out)]
+        assert main([*argv, *base]) == 0
+        _, header, rows, _ = read_csv(out)
+        assert len(rows) == 1
+        return dict(zip(header, rows[0]))
+
+    def test_deviation_point_matches_snr_row(self, tmp_path):
+        snr = self.run(tmp_path, "sweep-snr", "--set", "snr_grid_db=200")
+        dev = self.run(tmp_path, "sweep-deviation", "--set", "deviation_grid_deg=25")
+        assert snr["analytic_sum_rate"] != ""
+        for col in ("analytic_sum_rate", "mc_sum_rate", "mc_stderr", "sched_prob"):
+            assert dev[col] == snr[col]
+
+    def test_thresholds_point_matches_snr_row(self, tmp_path):
+        mode = ["--mode", "TwoBitMean"]
+        snr = self.run(tmp_path, "sweep-snr", *mode, "--set", "snr_grid_db=200")
+        th = self.run(tmp_path, "sweep-thresholds", *mode, "--set", "threshold_frac_grid=0.1")
+        assert snr["analytic_sum_rate"] != ""
+        for col in ("analytic_sum_rate", "mc_sum_rate", "mc_stderr", "sched_prob"):
+            assert th[col] == snr[col]
+
+    def test_noisy_compare_matches_snr_rows(self, tmp_path):
+        grid = ["--set", "snr_grid_db=200"]
+        noisy = self.run(tmp_path, "noisy-compare", *grid)
+        for run, noise in (("clean", "false"), ("noisy", "true")):
+            snr = self.run(tmp_path, "sweep-snr", *grid, "--set", f"noise_enabled={noise}")
+            assert noisy[f"{run}_sum_rate"] == snr["mc_sum_rate"]
+            assert noisy[f"{run}_stderr"] == snr["mc_stderr"]
+            assert noisy[f"{run}_sched_prob"] == snr["sched_prob"]
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         args = ["validate-angle-cdf", "--trials", "5000", "--seed", "11"]
@@ -596,9 +633,30 @@ class TestExitCodes:
         assert main(["sweep-snr", "--trials", "2000", "--seed", "-1"]) == 2
         assert "seed must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["validate-angle-cdf", "--set", "grid_points=-1"], "grid_points"),
+            (["validate-knz", "--set", "total_users=-1"], "strong_rank exceeds total_users"),
+            (["validate-knz", "--set", "total_users=0"], "strong_rank exceeds total_users"),
+            (["validate-knz", "--set", "strong_rank=30"], "strong_rank exceeds total_users"),
+            (
+                ["validate-channel-cdf", "--family", "ordered", "--set", "total_users=0"],
+                "strong_rank exceeds total_users",
+            ),
+            (["sweep-snr", "--set", "total_users=1001"], "total_users must be at most 1000"),
+            (["sweep-snr", "--set", f"total_users={2**62}"], "total_users must be at most 1000"),
+            (["sweep-snr", "--set", "workers=0"], "workers must be at least 1"),
+            (["sweep-snr", "--set", "workers=-3"], "workers must be at least 1"),
+        ],
+    )
+    def test_invalid_integer_key_rejected(self, capsys, argv, message):
+        assert main([*argv, "--trials", "2000"]) == 2
+        assert message in capsys.readouterr().err
 
-# Keys of the physical model and the seed; workers, trials, total_users and
-# the grids stay fixed so one example stays small.
+
+# Keys of the physical model, the population, the grid sizes and the seed;
+# workers, trials and the sweep grids stay fixed so one example stays small.
 FUZZ_KEYS = (
     "ell",
     "phi_hpbw_deg",
@@ -621,8 +679,13 @@ FUZZ_KEYS = (
     "angle_threshold_frac",
     "dist_threshold",
     "angle_threshold_deg",
+    "total_users",
+    "grid_points",
+    "ks_grid_points",
     "seed",
 )
+# One-point grids: one collection per example in every sweep.
+FUZZ_GRIDS = ("snr_grid_db=200", "deviation_grid_deg=25", "threshold_frac_grid=0.1")
 FUZZ_VALUES = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e300", "-1e300", "1e30", "true"]),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -632,13 +695,14 @@ FUZZ_VALUES = st.one_of(
 
 class TestFuzzMain:
     @given(
+        command=st.sampled_from(list(SWEEPS)),
         overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES, max_size=4),
         mode=st.sampled_from(FEEDBACK_MODES),
     )
     @settings(max_examples=200, deadline=timedelta(seconds=20))
-    def test_main_returns_documented_exit_code(self, overrides, mode):
-        argv = ["sweep-snr", "--trials", "2000", "--mode", mode]
-        for item in ("workers=1", "snr_grid_db=200", *(f"{k}={v}" for k, v in overrides.items())):
+    def test_main_returns_documented_exit_code(self, command, overrides, mode):
+        argv = [command, "--trials", "2000", "--mode", mode]
+        for item in ("workers=1", *FUZZ_GRIDS, *(f"{k}={v}" for k, v in overrides.items())):
             argv += ["--set", item]
         quiet = contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())
         with quiet[0], quiet[1], np.errstate(all="ignore"):

@@ -12,7 +12,6 @@ from vlcnoma import (
     channel_constant,
     dc_gain,
     incidence_angle,
-    irradiance_angle,
     lambertian_order,
     mean_dc_gain,
 )
@@ -56,10 +55,6 @@ class TestAngles:
         delta = 0.3
         assert incidence_angle(3.0, facing + delta, 2.0) == pytest.approx(-delta, rel=1e-12)
         assert incidence_angle(3.0, facing - delta, 2.0) == pytest.approx(delta, rel=1e-12)
-
-    def test_irradiance_angle_geometry(self):
-        assert irradiance_angle(2.0, 2.0) == pytest.approx(np.pi / 4, rel=1e-12)
-        assert irradiance_angle(0.0, 2.0) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestDcGain:

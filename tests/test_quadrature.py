@@ -163,6 +163,23 @@ class TestKsDistance:
         # the left limit at the atom is derived, so its mass is not counted as distance
         assert ks_distance(s, cdf) < 0.01
 
+    @pytest.mark.parametrize(
+        "cdf",
+        [
+            lambda x: np.clip(x, 0.0, 1.0),
+            lambda x: np.clip(x, 0.0, 1.0) ** 3,  # largest gap mid-sample
+            lambda x: np.where(x > 0.999, 0.99, np.clip(x, 0.0, 1.0)),  # in the last slice
+        ],
+    )
+    def test_slices_match_one_pass(self, cdf):
+        # 200,000 samples span four evaluation slices, the last one partial
+        s = np.sort(np.random.default_rng(9).random(200_000))
+        s[:1000] = 0.0
+        f = cdf(s)
+        i = np.arange(1, s.size + 1)
+        one_pass = max(np.max(i / s.size - f), np.max(np.where(s <= 0, 0, f) - (i - 1) / s.size))
+        assert ks_distance(s, cdf) == float(one_pass)
+
 
 class TestKsDistanceBound:
     def test_bound_dominates_exact(self):

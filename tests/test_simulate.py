@@ -20,7 +20,6 @@ from vlcnoma import (
     nonzero_gain_probability,
     outage_gain_thresholds,
     outage_pair_analytic,
-    pmf_nonzero_count,
     prob_incidence_within,
     rate_stats,
     sample_users,
@@ -316,7 +315,7 @@ class TestNonzeroCountHistogram:
         counts = nonzero_count_histogram(trials, 20, model_dev30, led_fov60, seed=29)
         assert counts.sum() == trials
         p = nonzero_gain_probability(model_dev30, led_fov60)
-        pmf = pmf_nonzero_count(np.arange(21), NonzeroCount(20, p, 1))
+        pmf = stats.binom.pmf(np.arange(21), 20, p)
         tv = 0.5 * np.abs(counts / trials - pmf).sum()
         assert tv < 0.01
 
