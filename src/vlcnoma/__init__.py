@@ -35,6 +35,8 @@ from .geometry import (
 from .mobility import (
     MobilityModel,
     NonzeroCount,
+    binom_pmf,
+    binom_tail,
     cdf_vertical_angle,
     nonzero_gain_probability,
     pmf_nonzero_count_truncated,
@@ -46,6 +48,7 @@ from .quadrature import (
     QuadratureSpec,
     integrate_1d,
     integrate_2d_nested,
+    ks_bound_grid,
     ks_distance,
     ks_distance_bound,
 )

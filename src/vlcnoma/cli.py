@@ -24,13 +24,14 @@ from .errors import DegenerateConditionError, InvalidParameterError
 from .gain_cdf import CDF_FAMILIES, CDF_SAMPLE_FAMILIES, FeedbackThresholds
 from .geometry import LedGeometry
 from .mobility import (
+    MAX_TOTAL_USERS,
     MobilityModel,
     NonzeroCount,
     cdf_vertical_angle,
     nonzero_gain_probability,
     pmf_nonzero_count_truncated,
 )
-from .quadrature import EmpiricalDistribution, ks_distance, ks_distance_bound
+from .quadrature import EmpiricalDistribution, ks_bound_grid, ks_distance, ks_distance_bound
 from .rates import (
     ANALYTIC_MODES,
     GROUP_MODES,
@@ -50,8 +51,6 @@ from .simulate import (
     sample_vertical_angles,
 )
 
-# A Monte Carlo chunk holds CHUNK_TRIALS x total_users values per array: 0.5 GB at 1000.
-MAX_TOTAL_USERS = 1000
 # Per sweep subcommand: its grid's config key, leading CSV columns and value
 # columns.  Each "<run>_sum_rate" column asks for one gain collection per point:
 # "mc" under the configured noise, "clean" and "noisy" with noise off and on.
@@ -463,9 +462,15 @@ def cmd_validate_channel_cdf(xc: ExperimentConfig, out: str | None, manifest: st
         rank=xc.rank,
     )
     xs = np.unique(emp.quantile(np.asarray(xc.grid)))
-    analytic = cdf(xs)
-    ks_bound = ks_distance_bound(emp, cdf, grid_size=xc.ks_grid_points)
-    rows = list(zip(xs, analytic, emp.cdf(xs)))
+    # The quantile grid and the KS grid share their end points: integrate each level once.
+    levels = np.union1d(xs, ks_bound_grid(emp, xc.ks_grid_points))
+    values = cdf(levels)
+
+    def known(x):
+        return values[np.searchsorted(levels, x)]
+
+    ks_bound = ks_distance_bound(emp, known, grid_size=xc.ks_grid_points)
+    rows = list(zip(xs, known(xs), emp.cdf(xs)))
     summary = [
         "# summary"
         f" ks_bound={fmt(ks_bound)} samples={emp.n} conditioning_prob={fmt(res.sched_prob)}"

@@ -22,13 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateConditionError, InvalidParameterError, require_finite
 from .geometry import LedGeometry, channel_constant
 from .mobility import (
     MobilityModel,
     NonzeroCount,
+    binom_pmf,
+    binom_tail,
     fov_window_breakpoints,
     nonzero_gain_probability,
     pmf_nonzero_count_truncated,
@@ -198,16 +199,20 @@ def cdf_gain_ranked(
     """
     if not 1 <= rank <= count.k_min:
         raise InvalidParameterError("rank must lie in [1, k_min] so it always exists")
-    base = np.atleast_1d(
+    base = np.ravel(
         cdf_gain_unordered(x, model, led, spec=spec, nonzero_prob=count.success_prob)
     )
     ns = np.arange(count.k_min, count.total_users + 1)
     weights = pmf_nonzero_count_truncated(ns, count)
-    out = np.zeros_like(base)
-    for n, w in zip(ns, weights):
-        out += w * special.betainc(rank, n - rank + 1, base)
+    # The rank-th smallest of n gains is <= x when at least rank of them are, and
+    # P(Bin(n + 1, F) >= rank) = P(Bin(n, F) >= rank) + F P(Bin(n, F) = rank - 1).
+    # One row per level, so a level's value never depends on the others in the call.
+    f = base[:, None]
+    first = binom_tail(rank, count.k_min, f)
+    steps = np.cumsum(f * binom_pmf(rank - 1, ns[:-1], f), axis=1)
+    tails = np.concatenate((first, first + steps), axis=1)
     # truncated-count weights sum to 1 only up to round-off
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip((tails * weights).sum(axis=1), 0.0, 1.0)
     return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 

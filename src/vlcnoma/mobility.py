@@ -5,30 +5,48 @@ distance, a mean vertical angle, and an instantaneous vertical angle
 uniform within a deviation band around the mean.  The derived objects here
 are the unconditional CDF of the instantaneous angle (a piecewise
 quadratic/linear mixture), the probability that one user's gain is nonzero,
-and the distribution of the number of nonzero-gain users.
+and the distribution of the number of nonzero-gain users, a binomial law
+computed in log space by :func:`binom_pmf`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DegenerateConditionError, InvalidParameterError, require_finite
 from .geometry import LedGeometry
 from .quadrature import QuadratureSpec, integrate_1d
 
 __all__ = [
+    "MAX_TOTAL_USERS",
     "MobilityModel",
     "NonzeroCount",
     "sample_users",
     "cdf_vertical_angle",
     "prob_incidence_within",
     "nonzero_gain_probability",
+    "binom_pmf",
+    "binom_tail",
     "pmf_nonzero_count_truncated",
 ]
+
+# Largest user population.  The binomial count law is tabulated up to it, and a
+# Monte Carlo chunk holds CHUNK_TRIALS x total_users values per array: 0.5 GB at 1000.
+MAX_TOTAL_USERS = 1000
+
+# log(k!) for k = 0..MAX_TOTAL_USERS, each from the exact integer factorial.
+_LOG_FACTORIAL = np.array(
+    [
+        math.log(f)
+        for f in itertools.accumulate(range(1, MAX_TOTAL_USERS + 1), operator.mul, initial=1)
+    ]
+)
 
 
 @dataclass(frozen=True)
@@ -183,17 +201,64 @@ def fov_window_breakpoints(half_width: float, model: MobilityModel, led: LedGeom
     return tuple(out)
 
 
+def binom_pmf(k, n, p):
+    """Binomial PMF P(Bin(n, p) = k) for integer sizes ``n`` in [0, MAX_TOTAL_USERS].
+
+    Works in log space from the log-factorial table, so neither the
+    coefficient nor the powers overflow or underflow before the final
+    exponential.  Integer ``k``, integer ``n`` and ``p`` in [0, 1] broadcast
+    together; ``k`` outside [0, n] has probability zero.
+    """
+    n = np.asarray(n)
+    if np.any((n < 0) | (n > MAX_TOTAL_USERS)):
+        raise InvalidParameterError(f"binomial size must lie in [0, {MAX_TOTAL_USERS}]")
+    k = np.asarray(k)
+    p = np.asarray(p, dtype=float)
+    kk = np.clip(k, 0, n)
+    # 0 * log(0) counts as 0, so p = 0 and p = 1 give their point masses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pmf = (
+            _LOG_FACTORIAL[n]
+            - _LOG_FACTORIAL[kk]
+            - _LOG_FACTORIAL[n - kk]
+            + np.where(kk > 0, kk * np.log(p), 0.0)
+            + np.where(kk < n, (n - kk) * np.log1p(-p), 0.0)
+        )
+    out = np.where(k == kk, np.exp(log_pmf), 0.0)
+    return out if out.ndim else float(out)
+
+
+def binom_tail(k_min: int, n: int, p):
+    """P(Bin(n, p) >= k_min) from :func:`binom_pmf`; vectorized over ``p``.
+
+    Sums the smaller of the two tails and takes the other as one minus it,
+    so a probability near one carries only the small tail's round-off.
+    Each value of ``p`` sums its own contiguous row, so a value never
+    depends on the others in the call.  This is the regularized incomplete
+    beta function I_p(k_min, n - k_min + 1).
+    """
+    p = np.asarray(p, dtype=float)
+    pmf = binom_pmf(np.arange(n + 1), n, p[..., None])
+    split = min(max(k_min, 0), n + 1)
+    lower = pmf[..., :split].sum(axis=-1)
+    upper = pmf[..., split:].sum(axis=-1)
+    out = np.where(upper <= lower, upper, 1.0 - lower)
+    return out if out.ndim else float(out)
+
+
 def pmf_nonzero_count_truncated(k, nz: NonzeroCount):
     """PMF of the nonzero-user count conditioned on reaching the start threshold ``k_min``.
 
     The binomial PMF is renormalized by the tail mass at and above ``k_min``;
     values below ``k_min`` have probability zero.  Vectorized over ``k``.
     """
-    tail = float(stats.binom.sf(nz.k_min - 1, nz.total_users, nz.success_prob))
+    n, p = nz.total_users, nz.success_prob
+    # normalize by the sum of the very terms returned, so the weights sum to one
+    tail = float(np.sum(binom_pmf(np.arange(nz.k_min, n + 1), n, p)))
     if tail <= 0.0:
         raise DegenerateConditionError(
             f"no mass at or above k_min={nz.k_min} for p={nz.success_prob}"
         )
     k = np.asarray(k)
-    out = np.where(k >= nz.k_min, stats.binom.pmf(k, nz.total_users, nz.success_prob) / tail, 0.0)
+    out = np.where(k >= nz.k_min, binom_pmf(k, n, p) / tail, 0.0)
     return out if out.ndim else float(out)

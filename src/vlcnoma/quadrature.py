@@ -22,6 +22,8 @@ __all__ = [
     "integrate_2d_nested",
     "EmpiricalDistribution",
     "ks_distance",
+    "ks_distance_bound",
+    "ks_bound_grid",
 ]
 
 # Kronrod-15 abscissae on [-1, 1]; odd-indexed entries are the embedded Gauss-7 nodes.
@@ -212,6 +214,14 @@ def ks_distance(samples, cdf: Callable) -> float:
     return float(dist)
 
 
+def ks_bound_grid(emp: EmpiricalDistribution, grid_size: int = 512) -> np.ndarray:
+    """Distinct rank-spaced samples where :func:`ks_distance_bound` evaluates the reference."""
+    if grid_size < 2:
+        raise InvalidParameterError("grid_size must be at least 2")
+    idx = np.unique(np.linspace(0, emp.n - 1, min(grid_size, emp.n)).round().astype(int))
+    return np.unique(emp.samples[idx])
+
+
 def ks_distance_bound(samples, cdf: Callable, grid_size: int = 512) -> float:
     """Upper bound on the KS distance from ``grid_size`` reference-CDF evaluations.
 
@@ -229,10 +239,7 @@ def ks_distance_bound(samples, cdf: Callable, grid_size: int = 512) -> float:
     """
     emp = samples if isinstance(samples, EmpiricalDistribution) else EmpiricalDistribution(samples)
     s, n = emp.samples, emp.n
-    if grid_size < 2:
-        raise InvalidParameterError("grid_size must be at least 2")
-    idx = np.unique(np.linspace(0, n - 1, min(grid_size, n)).round().astype(int))
-    y = np.unique(s[idx])
+    y = ks_bound_grid(emp, grid_size)
     f = np.asarray(cdf(y), dtype=float)
     f_left = np.where(y <= 0.0, 0.0, f)
     emp_right = np.searchsorted(s, y, side="right") / n

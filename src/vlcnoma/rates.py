@@ -77,7 +77,8 @@ class NomaConfig:
     scheduling modes; ``thresholds`` drives the group modes.  Power
     fractions are taken as given; pass ``normalize_power=True`` to rescale
     them so their squares sum to one, otherwise a deviation beyond 1e-6
-    only warns.
+    only warns.  The rescale happens once: the built config holds the
+    rescaled fractions with ``normalize_power`` cleared.
     """
 
     beta_weak: float
@@ -103,14 +104,18 @@ class NomaConfig:
         if not 1 <= self.weak_rank < self.strong_rank:
             raise InvalidParameterError("need 1 <= weak_rank < strong_rank")
         power = self.beta_weak**2 + self.beta_strong**2
-        if self.normalize_power:
+        rescale = self.normalize_power
+        if rescale:
             scale = 1.0 / np.sqrt(power)
             object.__setattr__(self, "beta_weak", self.beta_weak * scale)
             object.__setattr__(self, "beta_strong", self.beta_strong * scale)
+            # The rescale is not idempotent in floating point, so a copy made by
+            # dataclasses.replace must take the stored fractions as given.
+            object.__setattr__(self, "normalize_power", False)
         # The strong user's outage threshold divides by this product.
         if self.snr * self.beta_strong**2 == 0.0:
             raise InvalidParameterError("snr * beta_strong**2 underflows to zero")
-        if not self.normalize_power and abs(power - 1.0) > 1e-6:
+        if not rescale and abs(power - 1.0) > 1e-6:
             warnings.warn(
                 f"power fractions have squared sum {power:.6f}, not 1; "
                 "pass normalize_power=True to rescale",

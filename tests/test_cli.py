@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vlcnoma import gain_cdf
 from vlcnoma.cli import (
     DEFAULTS,
     SWEEPS,
@@ -313,10 +314,52 @@ class TestValidateChannelCdf:
         m = re.match(r"# summary ks_bound=(\S+) samples=(\d+)", summary[0])
         assert int(m.group(2)) > 500
 
+    def test_each_analytic_level_evaluated_once(self, tmp_path, monkeypatch):
+        public = gain_cdf.cdf_strong_twobit_mean
+        levels = []
+
+        def counted(x, *args, **kwargs):
+            levels.extend(np.atleast_1d(x).tolist())
+            return public(x, *args, **kwargs)
+
+        # the family table looks the public function up at call time
+        monkeypatch.setattr(gain_cdf, "cdf_strong_twobit_mean", counted)
+        out = tmp_path / "cdf.csv"
+        args = ["validate-channel-cdf", "--family", "twobit_mean_strong", "--trials", "20000"]
+        args += ["--seed", "3", "--set", "grid_points=8", "--set", "ks_grid_points=12"]
+        assert main(args + ["--set", "workers=1", "--out", str(out)]) == 0
+        _, _, rows, _ = read_csv(out)
+        # the quantile grid and the KS grid share their end points
+        assert len(levels) == len(set(levels)) > len(rows)
+
     def test_unknown_family_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["validate-channel-cdf", "--family", "bogus"])
         assert exc.value.code == 2
+
+
+class TestNumpyOnlyRuntime:
+    def test_cli_jobs_load_no_scipy(self):
+        """The runtime needs numpy and the standard library only; scipy is a test oracle."""
+        script = """
+import os, sys
+from vlcnoma.cli import main
+jobs = [
+    ["sweep-snr"],
+    ["sweep-snr", "--mode", "TwoBitMean"],
+    ["validate-channel-cdf", "--family", "ordered"],
+    ["validate-knz"],
+]
+small = ["--trials", "3000", "--seed", "1", "--set", "workers=1", "--set", "snr_grid_db=200"]
+for job in jobs:
+    assert main(job + small + ["--set", "grid_points=5", "--out", os.devnull]) == 0, job
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestSweeps:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
 from vlcnoma import (
     CDF_FAMILIES,
@@ -143,6 +144,24 @@ class TestRankedCdf:
             low = cdf_gain_ranked(x, 10, model, led, count)
             high = cdf_gain_ranked(x, 1, model, led, count)
             assert low <= high + 1e-15
+
+    @pytest.mark.parametrize("total_users,k_min", [(20, 10), (1000, 600)])
+    def test_matches_scipy_order_statistic_mixture(self, validation_setup, total_users, k_min):
+        model, led, _ = validation_setup
+        p = nonzero_gain_probability(model, led)
+        count = NonzeroCount(total_users, p, k_min)
+        _, upsilon = channel_constant(led)
+        xs = np.concatenate(([0.0], np.geomspace(1e-16, 1.05 / upsilon(model.d_min), 31)))
+        base = cdf_gain_unordered(xs, model, led)
+        ns = np.arange(k_min, total_users + 1)
+        weights = stats.binom.pmf(ns, total_users, p) / stats.binom.sf(k_min - 1, total_users, p)
+        for rank in (1, k_min // 2, k_min):
+            ref = sum(w * special.betainc(rank, n - rank + 1, base) for n, w in zip(ns, weights))
+            ref = np.clip(ref, 0.0, 1.0)
+            got = cdf_gain_ranked(xs, rank, model, led, count)
+            big = ref >= 1e-250
+            assert np.all(np.abs(got[big] - ref[big]) <= 1e-11 * ref[big])
+            assert np.all(got[~big] < 1e-240)
 
     def test_invalid_rank_rejected(self, validation_setup):
         model, led, _ = validation_setup

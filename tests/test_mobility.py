@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from vlcnoma import (
     DegenerateConditionError,
     InvalidParameterError,
     MobilityModel,
     NonzeroCount,
+    binom_pmf,
+    binom_tail,
     cdf_vertical_angle,
     ks_distance,
     nonzero_gain_probability,
@@ -18,6 +20,7 @@ from vlcnoma import (
     prob_incidence_within,
     sample_users,
 )
+from vlcnoma.mobility import MAX_TOTAL_USERS
 
 
 def model_with(dev_deg, lo_deg=None, hi_deg=None):
@@ -189,3 +192,69 @@ class TestNonzeroCountPmf:
             NonzeroCount(20, 1.5, 10)
         with pytest.raises(InvalidParameterError):
             NonzeroCount(20, 0.5, 25)
+
+
+# scipy is the oracle: success probabilities at and next to both ends, and in the bulk.
+ORACLE_PS = np.array([0.0, 1e-300, 1e-12, 0.3, 0.5, 1.0 - 1e-12, 1.0])
+
+
+def assert_matches_oracle(got, ref):
+    """Within 1e-11 relative wherever the oracle is at least 1e-250, and as tiny elsewhere."""
+    assert np.all(np.isfinite(got))
+    big = ref >= 1e-250
+    assert np.all(np.abs(got[big] - ref[big]) <= 1e-11 * ref[big])
+    assert np.all((got[~big] >= 0.0) & (got[~big] < 1e-240))
+
+
+class TestBinomial:
+    @pytest.mark.parametrize("n", [1, 2, 20, 200, MAX_TOTAL_USERS])
+    def test_pmf_matches_scipy(self, n):
+        k = np.arange(-1, n + 2)[:, None]
+        got = binom_pmf(k, n, ORACLE_PS)
+        assert got.shape == (n + 3, ORACLE_PS.size)
+        assert_matches_oracle(got, stats.binom.pmf(k, n, ORACLE_PS))
+        assert np.all(got[[0, -1]] == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 200, MAX_TOTAL_USERS])
+    def test_tail_matches_scipy(self, n):
+        for k_min in range(1, n + 1):
+            got = binom_tail(k_min, n, ORACLE_PS)
+            assert_matches_oracle(got, stats.binom.sf(k_min - 1, n, ORACLE_PS))
+            # the ranked CDF's order-statistic term, I_x(rank, n - rank + 1)
+            assert_matches_oracle(got, special.betainc(k_min, n - k_min + 1, ORACLE_PS))
+
+    def test_pmf_broadcasts_over_sizes(self):
+        ns = np.arange(0, MAX_TOTAL_USERS + 1, 37)[:, None]
+        for k in (0, 1, 36):
+            assert_matches_oracle(binom_pmf(k, ns, ORACLE_PS), stats.binom.pmf(k, ns, ORACLE_PS))
+
+    def test_scalar_cases(self):
+        assert binom_pmf(0, 0, 0.3) == 1.0
+        assert binom_pmf(3, 5, 0.0) == 0.0 and binom_pmf(5, 5, 1.0) == 1.0
+        assert isinstance(binom_tail(2, 5, 0.4), float)
+        assert binom_tail(6, 5, 0.4) == 0.0 and binom_tail(0, 5, 0.4) == pytest.approx(1.0)
+
+    def test_tail_of_one_level_ignores_the_others(self):
+        ps = np.linspace(0.0, 1.0, 64)
+        vector = binom_tail(10, 20, ps)
+        assert vector.tobytes() == np.array([binom_tail(10, 20, p) for p in ps]).tobytes()
+
+    @pytest.mark.parametrize("n", [-1, MAX_TOTAL_USERS + 1, [5, MAX_TOTAL_USERS + 1]])
+    def test_size_outside_table_rejected(self, n):
+        with pytest.raises(InvalidParameterError):
+            binom_pmf(0, n, 0.5)
+
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 0.5, 1.0])
+    @pytest.mark.parametrize("k_min", [1, 2, 500, MAX_TOTAL_USERS])
+    def test_truncated_pmf_at_the_edges(self, p, k_min):
+        count = NonzeroCount(MAX_TOTAL_USERS, p, k_min)
+        ks = np.arange(MAX_TOTAL_USERS + 1)
+        if p == 0.0 or (p == 1e-300 and k_min > 1):
+            # no representable mass at or above k_min
+            with pytest.raises(DegenerateConditionError):
+                pmf_nonzero_count_truncated(ks, count)
+            return
+        weights = pmf_nonzero_count_truncated(ks, count)
+        assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+        assert np.all(weights[:k_min] == 0.0)
+        assert abs(weights.sum() - 1.0) <= 1e-12
