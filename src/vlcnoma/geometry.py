@@ -86,15 +86,21 @@ def dc_gain(user: UserState, led: LedGeometry):
     Product of the Lambertian emission factor cos^m of the irradiance angle,
     the detector aperture factor, and the cosine of the incidence angle.
     Accepts array-valued ``dist``/``inst_angle`` inside ``user`` and
-    broadcasts.
+    broadcasts.  Only receivers inside the field of view pay for the
+    emission and incidence factors; the rest stay exactly zero.
     """
-    d = np.asarray(user.dist, dtype=float)
-    theta = incidence_angle(d, user.inst_angle, led.ell)
+    d, phi = np.broadcast_arrays(np.asarray(user.dist, dtype=float), user.inst_angle)
+    theta = incidence_angle(d, phi, led.ell)
+    # Flat indices gather and scatter far faster than a boolean mask.
+    lit = np.flatnonzero(np.abs(theta) <= led.theta_fov)
+    d = np.take(d, lit)
     m = led.lambertian_m
-    cos_irr = led.ell / np.sqrt(led.ell**2 + d * d)
-    base = (m + 1) * led.area_r / (2 * np.pi * (led.ell**2 + d * d))
-    gain = base * cos_irr**m * np.cos(theta)
-    return np.where(np.abs(theta) <= led.theta_fov, gain, 0.0)
+    rho_sq = led.ell**2 + d * d
+    cos_irr = led.ell / np.sqrt(rho_sq)
+    base = (m + 1) * led.area_r / (2 * np.pi * rho_sq)
+    gain = np.zeros(theta.size)
+    gain[lit] = base * cos_irr**m * np.cos(np.take(theta, lit))
+    return gain.reshape(theta.shape)
 
 
 def mean_dc_gain(d, mean_angle, led: LedGeometry):

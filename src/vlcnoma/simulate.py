@@ -3,7 +3,10 @@
 Trials run in vectorized chunks of fixed size.  Each chunk owns a generator
 derived from the root seed and the chunk index, and chunk results are
 combined in chunk order, so aggregates are bit-identical for a given
-(seed, configuration) regardless of the worker count.
+(seed, configuration) regardless of the worker count.  A chunk draws all its
+random numbers first, then evaluates gains, ranks and picks in row blocks
+small enough for their temporaries to stay in cache; every step is row-wise,
+so the block size never changes the output.
 
 Observables can be perturbed by measurement noise; scheduling and ranking
 then use the noisy values while outage is always judged on the true gains.
@@ -36,6 +39,8 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 1 << 16
+# User entries per row block of a chunk: 0.5 MB per float temporary, L2-sized.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,41 +80,60 @@ def _observe(dist, mean, inst, noise: NoiseConfig | None, rng):
     return dist_obs, mean_obs, inst_obs
 
 
+def _row_blocks(n: int, total_users: int):
+    """Row slices of a chunk, each about ``_BLOCK_ENTRIES`` user entries."""
+    step = max(1, _BLOCK_ENTRIES // total_users)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _take_ranked(ranked, count, rank):
+    """Per ascending row, the ``rank``-th smallest of its ``count`` largest entries.
+
+    A row with fewer than ``rank`` such entries gives its largest entry.
+    """
+    total = ranked.shape[1]
+    pos = total - count + np.minimum(rank, np.maximum(count, 1)) - 1
+    return np.take_along_axis(ranked, np.clip(pos, 0, total - 1)[:, None], 1)[:, 0]
+
+
 def _individual_batch(rng, n, total_users, cfg, model, led, noise):
     """(scheduled, gain_sq_weak, gain_sq_strong) of one chunk of rank-based scheduling."""
     d, mean, inst = sample_users(model, rng, (n, total_users))
-    gain_sq = np.square(dc_gain(UserState(d, mean, inst), led))
-    nonzero = np.count_nonzero(gain_sq > 0.0, axis=1)
     d_obs, mean_obs, inst_obs = _observe(d, mean, inst, noise, rng)
-    rows = np.arange(n)
-    if cfg.feedback_mode == "DistanceOnly":
-        # Farther observed distance = presumed weaker; every trial is scheduled.
-        order = np.argsort(-d_obs, axis=1, kind="stable")
-        weak_idx = order[:, cfg.weak_rank - 1]
-        strong_idx = order[:, cfg.strong_rank - 1]
-        scheduled = np.ones(n, dtype=bool)
-        have_pick = scheduled
-    else:
-        if cfg.feedback_mode == "FullCSI":
-            # Noise-free feedback is the true gain itself.
-            metric = gain_sq if d_obs is d else np.square(
-                dc_gain(UserState(d_obs, mean_obs, inst_obs), led)
-            )
+    mode = cfg.feedback_mode
+    # Noise-free FullCSI ranks by the true gain itself, so its sorted values
+    # are the picks; every other ranking picks users by index.
+    by_value = mode == "FullCSI" and d_obs is d
+    scheduled = np.ones(n, dtype=bool)
+    gain_sq_weak = np.empty(n)
+    gain_sq_strong = np.empty(n)
+    for blk in _row_blocks(n, total_users):
+        gain_sq = np.square(dc_gain(UserState(d[blk], mean[blk], inst[blk]), led))
+        rows = np.arange(gain_sq.shape[0])
+        if mode == "DistanceOnly":
+            # Farther observed distance = presumed weaker; every trial is scheduled.
+            ranked = np.argsort(-d_obs[blk], axis=1, kind="stable")
+            apparent = np.full(rows.size, total_users)
         else:
-            metric = np.square(mean_dc_gain(d_obs, mean_obs, led))
-        order = np.argsort(metric, axis=1, kind="stable")
-        apparent = np.count_nonzero(metric > 0.0, axis=1)
+            nonzero = np.count_nonzero(gain_sq > 0.0, axis=1)
+            scheduled[blk] = nonzero >= cfg.strong_rank
+            if by_value:
+                ranked, apparent = np.sort(gain_sq, axis=1), nonzero
+            else:
+                if mode == "FullCSI":
+                    metric = np.square(
+                        dc_gain(UserState(d_obs[blk], mean_obs[blk], inst_obs[blk]), led)
+                    )
+                else:
+                    metric = np.square(mean_dc_gain(d_obs[blk], mean_obs[blk], led))
+                ranked = np.argsort(metric, axis=1, kind="stable")
+                apparent = np.count_nonzero(metric > 0.0, axis=1)
         # Rank among the apparent-nonzero pool; when it is shorter than the
         # requested rank, fall back to the strongest available pick.
-        base = total_users - apparent
-        weak_pos = base + np.minimum(cfg.weak_rank, np.maximum(apparent, 1)) - 1
-        strong_pos = base + np.minimum(cfg.strong_rank, np.maximum(apparent, 1)) - 1
-        weak_idx = np.take_along_axis(order, np.clip(weak_pos, 0, total_users - 1)[:, None], 1)[:, 0]
-        strong_idx = np.take_along_axis(order, np.clip(strong_pos, 0, total_users - 1)[:, None], 1)[:, 0]
-        scheduled = nonzero >= cfg.strong_rank
         have_pick = apparent > 0
-    gain_sq_weak = np.where(have_pick, gain_sq[rows, weak_idx], 0.0)
-    gain_sq_strong = np.where(have_pick, gain_sq[rows, strong_idx], 0.0)
+        for out, rank in ((gain_sq_weak, cfg.weak_rank), (gain_sq_strong, cfg.strong_rank)):
+            pick = _take_ranked(ranked, apparent, rank)
+            out[blk] = np.where(have_pick, pick if by_value else gain_sq[rows, pick], 0.0)
     return scheduled, gain_sq_weak, gain_sq_strong
 
 
@@ -137,18 +161,22 @@ def _group_masks(mode, th, led, d_obs, mean_obs, inst_obs):
 def _group_batch(rng, n, total_users, cfg, model, led, noise):
     """(scheduled, gain_sq_weak, gain_sq_strong) of one chunk of threshold-feedback scheduling."""
     d, mean, inst = sample_users(model, rng, (n, total_users))
-    gain_sq = np.square(dc_gain(UserState(d, mean, inst), led))
     d_obs, mean_obs, inst_obs = _observe(d, mean, inst, noise, rng)
-    weak_mask, strong_mask = _group_masks(
-        cfg.feedback_mode, cfg.thresholds, led, d_obs, mean_obs, inst_obs
-    )
     u = rng.random((n, 2))
-    weak_idx, weak_ok = _uniform_pick(weak_mask, u[:, 0])
-    strong_idx, strong_ok = _uniform_pick(strong_mask, u[:, 1])
-    scheduled = weak_ok & strong_ok
-    rows = np.arange(n)
-    gain_sq_weak = np.where(weak_ok, gain_sq[rows, weak_idx], 0.0)
-    gain_sq_strong = np.where(strong_ok, gain_sq[rows, strong_idx], 0.0)
+    scheduled = np.empty(n, dtype=bool)
+    gain_sq_weak = np.empty(n)
+    gain_sq_strong = np.empty(n)
+    for blk in _row_blocks(n, total_users):
+        gain_sq = np.square(dc_gain(UserState(d[blk], mean[blk], inst[blk]), led))
+        rows = np.arange(gain_sq.shape[0])
+        weak_mask, strong_mask = _group_masks(
+            cfg.feedback_mode, cfg.thresholds, led, d_obs[blk], mean_obs[blk], inst_obs[blk]
+        )
+        weak_idx, weak_ok = _uniform_pick(weak_mask, u[blk, 0])
+        strong_idx, strong_ok = _uniform_pick(strong_mask, u[blk, 1])
+        scheduled[blk] = weak_ok & strong_ok
+        gain_sq_weak[blk] = np.where(weak_ok, gain_sq[rows, weak_idx], 0.0)
+        gain_sq_strong[blk] = np.where(strong_ok, gain_sq[rows, strong_idx], 0.0)
     return scheduled, gain_sq_weak, gain_sq_strong
 
 
@@ -262,9 +290,7 @@ def _cdf_sample_chunks(family, trials, cfg, model, led, rank, seed, workers, tot
             gain_sq = np.square(dc_gain(UserState(d, mean, inst), led))
             nonzero = np.count_nonzero(gain_sq > 0.0, axis=1)
             keep = nonzero >= cfg.strong_rank
-            ordered = np.sort(gain_sq[keep], axis=1)
-            pos = total_users - nonzero[keep] + rank - 1
-            return np.take_along_axis(ordered, pos[:, None], 1)[:, 0]
+            return _take_ranked(np.sort(gain_sq[keep], axis=1), nonzero[keep], rank)
 
     else:
         membership = _single_user_condition(family, cfg, led)

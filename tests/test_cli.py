@@ -1,6 +1,7 @@
 """CLI contract: config resolution, CSV layout, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import re
 import subprocess
@@ -585,6 +586,40 @@ class TestDeterminism:
         rows_a = out_a.read_text().splitlines()[1:]
         rows_b = out_b.read_text().splitlines()[1:]
         assert rows_a == rows_b
+
+
+class TestGoldenBytes:
+    """Monte Carlo bytes of two-chunk sweeps (the second partial), pinned by hash.
+
+    A kernel change that is meant to keep results must keep these hashes.  A
+    change that moves results on purpose regenerates them and says so.  Bytes
+    are reproducible within one numpy version only, so another version skips.
+    """
+
+    NUMPY = "2.4.6"
+    SHA256 = {
+        ("FullCSI", "false"): "622cc37777e07087454131ef5c75bc281c2ac3b9d951c6e930e6ed130ef57d4c",
+        ("MeanAngle", "false"): "5832acef5fdcb70c4cfbe5ed930edd2bdb62e0a415f08919bc8886044215b088",
+        ("DistanceOnly", "false"): "4ac3eba231fd6c3c268dc9f59f794b85ba96742371f46cf2df4434c70e7acd3d",
+        ("OneBitDistance", "false"): "5bbef97ee46a4d7aa2829688c6a1847088e25c5b8743c68e7085a1a890c78039",
+        ("TwoBitInstantaneous", "false"): "94e732218603e8c25e94cf9317204c691e5adc6f5bf37d3a39a4ae7d5c266493",
+        ("TwoBitMean", "false"): "2d74fa892834f62e0a9bcf18bf73437f8028ae04d026d842ae3c90fde22947bf",
+        ("FullCSI", "true"): "d60158988ef8fa051bb281bc2fd3c9add333b627fd094a446a80d9671f9a9d6c",
+        ("MeanAngle", "true"): "bffa64e6c652101af931fdc0e91e249796f87c79fc97c36fb866fc86e338ca09",
+        ("TwoBitMean", "true"): "8d23954e9150f874706b5c707bd0b89702ba754e020a9f953257fd4f013d3a7e",
+    }
+
+    @pytest.mark.skipif(np.__version__ != NUMPY, reason=f"hashes made with numpy {NUMPY}")
+    @pytest.mark.parametrize("mode, noise", sorted(SHA256))
+    def test_sweep_snr_stdout_hash(self, mode, noise):
+        argv = [
+            "sweep-snr", "--mode", mode, "--trials", "70000",
+            "--set", "workers=1", "--set", f"noise_enabled={noise}",
+        ]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.SHA256[mode, noise]
 
 
 class TestExitCodes:

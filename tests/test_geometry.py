@@ -57,7 +57,56 @@ class TestAngles:
         assert incidence_angle(3.0, facing - delta, 2.0) == pytest.approx(delta, rel=1e-12)
 
 
+def full_array_gain(user, led):
+    """Reference: the gain formula on every entry, then masked to the field of view."""
+    d = np.asarray(user.dist, dtype=float)
+    theta = incidence_angle(d, user.inst_angle, led.ell)
+    m = led.lambertian_m
+    cos_irr = led.ell / np.sqrt(led.ell**2 + d * d)
+    base = (m + 1) * led.area_r / (2 * np.pi * (led.ell**2 + d * d))
+    gain = base * cos_irr**m * np.cos(theta)
+    return np.where(np.abs(theta) <= led.theta_fov, gain, 0.0)
+
+
+def assert_bit_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestDcGain:
+    @pytest.mark.parametrize("led_name", ["led_fov50", "led_fov60", "led_fov90"])
+    def test_lit_only_matches_full_array_formula(self, led_name, request):
+        led = request.getfixturevalue(led_name)
+        rng = np.random.default_rng(7)
+        d = rng.uniform(0.0, 10.0, 100_000)
+        d[::97] = 0.0
+        phi = rng.uniform(0.0, np.pi, 100_000)
+        user = UserState(d, phi, phi)
+        assert_bit_equal(dc_gain(user, led), full_array_gain(user, led))
+        grid = UserState(d.reshape(400, 250), phi[:250], phi[:250])
+        assert_bit_equal(dc_gain(grid, led), full_array_gain(grid, led))
+
+    def test_all_dark_gives_zeros_of_input_shape(self, led_fov50):
+        user = UserState(np.full((3, 4), 5.0), 0.2, np.full((3, 4), 0.2))
+        gain = dc_gain(user, led_fov50)
+        assert_bit_equal(gain, np.zeros((3, 4)))
+
+    def test_scalar_inputs(self, led_fov50):
+        lit = np.pi - np.arctan2(2.0, 3.0)
+        for d, phi in ((5.0, 0.2), (3.0, lit), (0.0, np.pi / 2), (np.float64(3.0), lit)):
+            user = UserState(d, phi, phi)
+            gain = dc_gain(user, led_fov50)
+            assert_bit_equal(gain, full_array_gain(user, led_fov50))
+            assert (gain == 0.0) != (gain > 0.0)
+
+    def test_scalar_distance_broadcasts_against_angles(self, led_fov50):
+        phi = np.linspace(0.0, np.pi, 1001)
+        user = UserState(3.0, phi, phi)
+        gain = dc_gain(user, led_fov50)
+        assert gain.shape == phi.shape and np.count_nonzero(gain) > 0
+        assert_bit_equal(gain, full_array_gain(user, led_fov50))
+
     def test_gain_zero_outside_fov(self, led_fov50):
         user = UserState(dist=5.0, mean_angle=0.2, inst_angle=0.2)
         assert dc_gain(user, led_fov50) == 0.0

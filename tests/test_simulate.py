@@ -26,6 +26,8 @@ from vlcnoma import (
     sum_rate_noma,
 )
 from vlcnoma.quadrature import QuadratureSpec, integrate_1d
+from vlcnoma import simulate
+from vlcnoma.rates import FEEDBACK_MODES
 from vlcnoma.simulate import _group_masks, _observe, _uniform_pick
 from vlcnoma.gain_cdf import cdf_gain_ranked
 from tests.conftest import make_noma
@@ -239,6 +241,34 @@ class TestDeterminism:
         )
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("mode", FEEDBACK_MODES)
+    def test_block_size_does_not_change_gains(
+        self, mode, noisy, model_dev25, led_fov50, monkeypatch
+    ):
+        total_users = 20
+        cfg = make_noma(mode=mode, thresholds=FeedbackThresholds(1.0, np.radians(5.0)))
+        noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=noisy)
+        # A smaller chunk keeps one-row blocks affordable; the default block
+        # size still splits it (3,276 + 820 rows).  The second chunk is partial.
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS", 4096)
+        trials = simulate.CHUNK_TRIALS + 17
+
+        def collect():
+            return collect_scheduled_gains(
+                trials, cfg, model_dev25, led_fov50,
+                total_users=total_users, noise=noise, seed=23, workers=1,
+            )
+
+        want = collect()
+        assert want[0].size > 0
+        # uneven blocks, one row per block, and the whole chunk in one block
+        for entries in (137, total_users - 1, simulate.CHUNK_TRIALS * total_users):
+            monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", entries)
+            got = collect()
+            for g, w in zip(got[:2], want[:2]):
+                assert g.tobytes() == w.tobytes(), entries
 
     def test_different_seeds_differ(self, model_dev25, led_fov50):
         cfg = make_noma(snr_db=205.0)
