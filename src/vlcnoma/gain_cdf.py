@@ -11,10 +11,13 @@ given ascending rank among the nonzero users, and the weak/strong selection
 sets of two-bit feedback based on the instantaneous or the mean orientation.
 The unordered family (which the ranked one mixes) and the instantaneous sets
 are one band integral over distance of P(a(r) < |theta| <= b(r)), with the
-clipped gain half-angle as a band edge.  The mean-angle pair needs a double
-integral (over distance and mean angle) because set membership follows the
-mean orientation while the gain follows the instantaneous one; the distance
-profile of its membership bands has the closed form :func:`ramp_cdf_integral`.
+clipped gain half-angle as a band edge.  In the mean-angle pair set
+membership follows the mean orientation while the gain follows the
+instantaneous one.  Given the distance, the chance of staying below a level
+is piecewise linear in the mean angle, so its integral over the membership
+bands is closed-form and the pair is again one integral over distance; the
+distance profile of the bands themselves has the closed form
+:func:`ramp_cdf_integral`.
 """
 
 from __future__ import annotations
@@ -30,12 +33,13 @@ from .mobility import (
     NonzeroCount,
     binom_pmf,
     binom_tail,
+    bound_crossing_radius,
     fov_window_breakpoints,
     nonzero_gain_probability,
     pmf_nonzero_count_truncated,
     prob_incidence_within,
 )
-from .quadrature import QuadratureSpec, integrate_1d, integrate_2d_nested
+from .quadrature import QuadratureSpec, integrate_1d
 
 __all__ = [
     "CDF_FAMILIES",
@@ -262,16 +266,6 @@ def cdf_strong_twobit_inst(
     return _survival_cdf(x, survive, den)
 
 
-def _bound_crossing_radius(offset: float, bound: float, ell: float) -> float:
-    """Distance where the aim angle plus ``offset`` crosses a mean-angle bound."""
-    u = np.pi + offset - bound
-    if u <= 0.0:
-        return np.inf
-    if u >= np.pi / 2:
-        return 0.0
-    return ell / np.tan(u)
-
-
 def ramp_cdf_integral(
     offset: float, y: float, z: float, model: MobilityModel, led: LedGeometry
 ) -> float:
@@ -288,8 +282,8 @@ def ramp_cdf_integral(
     if y > z:
         raise InvalidParameterError(f"integration bounds out of order: {y} > {z}")
     ell = led.ell
-    r0 = _bound_crossing_radius(offset, model.mean_angle_min, ell)
-    r1 = _bound_crossing_radius(offset, model.mean_angle_max, ell)
+    r0 = bound_crossing_radius(offset, model.mean_angle_min, ell)
+    r1 = bound_crossing_radius(offset, model.mean_angle_max, ell)
     lo = min(max(r0, y), z)
     hi = min(max(r1, y), z)
 
@@ -305,138 +299,128 @@ def ramp_cdf_integral(
     return (z - hi) + anti(hi) - anti(lo)
 
 
+def _selection_set(model: MobilityModel, led: LedGeometry, th: FeedbackThresholds, subset: str):
+    """Distance range and mean-angle band offsets of a two-bit selection set.
+
+    A user at distance ``r`` in the range belongs to the set when its mean
+    angle lies in [c + lo, c + hi] for one band (lo, hi), where
+    c = pi - arctan(ell / r) is the angle aiming the detector at the LED.
+    """
+    fov, tt = led.theta_fov, th.angle_threshold
+    sets = {
+        "weak": (th.dist_threshold, model.d_max, ((-fov, -tt), (tt, fov))),
+        "strong": (model.d_min, th.dist_threshold, ((-tt, tt),)),
+    }
+    if subset not in sets:
+        raise InvalidParameterError(f"unknown selection subset: {subset!r}")
+    return sets[subset]
+
+
+def _band_measure(y: float, model, led, th, subset: str) -> float:
+    """Integral over [y, range end] of the probability the mean angle is in the set's bands."""
+    _, z, offsets = _selection_set(model, led, th, subset)
+    return sum(
+        ramp_cdf_integral(hi, y, z, model, led) - ramp_cdf_integral(lo, y, z, model, led)
+        for lo, hi in offsets
+    )
+
+
 def weak_band_measure(
     y: float, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds
 ) -> float:
     """Integral over [y, d_max] of the probability the mean incidence angle is in the weak band."""
-    fov = led.theta_fov
-    tt = th.angle_threshold
-    z = model.d_max
-    return (
-        ramp_cdf_integral(fov, y, z, model, led)
-        - ramp_cdf_integral(-fov, y, z, model, led)
-        - ramp_cdf_integral(tt, y, z, model, led)
-        + ramp_cdf_integral(-tt, y, z, model, led)
-    )
+    return _band_measure(y, model, led, th, "weak")
 
 
 def strong_band_measure(
     y: float, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds
 ) -> float:
     """Integral over [y, d_th] of the probability the mean incidence angle is in the strong band."""
-    tt = th.angle_threshold
-    z = th.dist_threshold
-    return ramp_cdf_integral(tt, y, z, model, led) - ramp_cdf_integral(-tt, y, z, model, led)
+    return _band_measure(y, model, led, th, "strong")
 
 
 def mean_angle_bands(
-    r: float, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds, subset: str
+    r, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds, subset: str
 ):
-    """Mean-angle intervals putting a user at distance ``r`` into the given selection set."""
+    """Mean-angle intervals putting a user at distance ``r`` into the given selection set.
+
+    Vectorized over ``r``: one (lo, hi) pair per band, clipped to the mean-angle
+    range, with hi = lo where the band is empty.
+    """
     center = np.pi - np.arctan2(led.ell, r)
-
-    def clip(v):
-        return float(np.clip(v, model.mean_angle_min, model.mean_angle_max))
-
-    if subset == "weak":
-        bands = (
-            (clip(center - led.theta_fov), clip(center - th.angle_threshold)),
-            (clip(center + th.angle_threshold), clip(center + led.theta_fov)),
-        )
-    elif subset == "strong":
-        bands = ((clip(center - th.angle_threshold), clip(center + th.angle_threshold)),)
-    else:
-        raise InvalidParameterError(f"unknown selection subset: {subset!r}")
-    return tuple(b for b in bands if b[1] > b[0])
+    bands = []
+    for lo, hi in _selection_set(model, led, th, subset)[2]:
+        a = np.clip(center + lo, model.mean_angle_min, model.mean_angle_max)
+        b = np.clip(center + hi, model.mean_angle_min, model.mean_angle_max)
+        bands.append((a, np.maximum(a, b)))
+    return tuple(bands)
 
 
-def _split_intervals(intervals, cuts):
-    out = []
-    for lo, hi in intervals:
-        if hi <= lo:
-            continue
-        pts = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
-        out.extend(zip(pts[:-1], pts[1:]))
-    return out
+def _ramp_band_integral(k, a, b, dev: float):
+    """Integral over the mean angle in [a, b] of clip((k - mean) / (2 dev), 0, 1)."""
+    w = 2.0 * dev
+
+    def area(u):
+        # antiderivative of clip(u, 0, 1); squaring the clipped value cannot overflow
+        c = np.clip(u, 0.0, 1.0)
+        return 0.5 * c * c + np.maximum(u - 1.0, 0.0)
+
+    return w * (area((k - a) / w) - area((k - b) / w))
 
 
-def _prob_below_given_mean(xi, r, mean, model: MobilityModel, led: LedGeometry):
-    """Probability the squared gain is at most ``xi`` given distance and mean angle.
+def _below_in_bands(xi: float, r, model, led, th, subset: str):
+    """Integral over the set's mean-angle bands of P(squared gain <= xi | r, mean), per ``r``.
 
-    The instantaneous angle is uniform in a band around the mean, so this is
-    one minus the covered fraction of the window where the gain clears the
-    level, capped at the field of view.  Piecewise linear in the mean angle.
+    The gain clears the level when the incidence angle is within psi of zero,
+    i.e. the instantaneous angle is within psi of the aim angle c.  It is
+    uniform within dev of the mean, so the chance of that is the difference
+    of the ramps clip((k - mean) / (2 dev), 0, 1) at k = c + psi + dev and
+    k = c - psi + dev, and each ramp integrates over a band in closed form.
+    Below a normal deviation the chance is the indicator of [c - psi, c + psi],
+    which integrates to its overlap with the band.
     """
     center = np.pi - np.arctan2(led.ell, r)
     psi = np.minimum(gain_halfangle(xi, r, led), led.theta_fov)
     dev = model.max_deviation
-    if dev == 0.0:
-        inside = (mean >= center - psi) & (mean <= center + psi)
-        return 1.0 - inside.astype(float)
-    lo = mean - dev
-    covered = np.clip((center + psi - lo) / (2 * dev), 0.0, 1.0) - np.clip(
-        (center - psi - lo) / (2 * dev), 0.0, 1.0
-    )
-    return 1.0 - covered
+    total = 0.0
+    for a, b in mean_angle_bands(r, model, led, th, subset):
+        if dev < np.finfo(float).tiny:
+            clears = np.maximum(np.minimum(b, center + psi) - np.maximum(a, center - psi), 0.0)
+        else:
+            clears = _ramp_band_integral(center + psi + dev, a, b, dev) - _ramp_band_integral(
+                center - psi + dev, a, b, dev
+            )
+        total = total + (b - a) - clears
+    return total
 
 
-def _cdf_twobit_mean(
-    x,
-    model: MobilityModel,
-    led: LedGeometry,
-    th: FeedbackThresholds,
-    spec: QuadratureSpec | None,
-    subset: str,
-):
+def _cdf_twobit_mean(x, model, led, th, spec: QuadratureSpec | None, subset: str):
     if spec is None:
         spec = QuadratureSpec()
-    if subset == "weak":
-        r_lo, r_hi = th.dist_threshold, model.d_max
-        measure = lambda y: weak_band_measure(y, model, led, th)
-        offsets = (led.theta_fov, -led.theta_fov, th.angle_threshold, -th.angle_threshold)
-    else:
-        r_lo, r_hi = model.d_min, th.dist_threshold
-        measure = lambda y: strong_band_measure(y, model, led, th)
-        offsets = (th.angle_threshold, -th.angle_threshold)
-    den = measure(r_lo)
+    r_lo, r_hi, offsets = _selection_set(model, led, th, subset)
+    den = _band_measure(r_lo, model, led, th, subset)
     if den <= 0.0:
         raise DegenerateConditionError(f"{subset} selection set has zero probability")
     # Radii where a band edge crosses a mean-angle bound; band clipping kinks there.
+    bounds = (model.mean_angle_min, model.mean_angle_max)
     static = tuple(
-        _bound_crossing_radius(off, bound, led.ell)
-        for off in offsets
-        for bound in (model.mean_angle_min, model.mean_angle_max)
+        bound_crossing_radius(o, b, led.ell) for band in offsets for o in band for b in bounds
     )
     cos_fov_sq = np.cos(led.theta_fov) ** 2
-    dev = model.max_deviation
 
     def one(xi: float) -> float:
         if xi < 0.0:
             return 0.0
+        # Beyond this radius no orientation clears the level: the whole band is below it.
         split = edge_gain_distance(xi, led, cos_sq=1.0, lo=r_lo, hi=r_hi)
-        total = measure(split)
-        if split > r_lo:
-
-            def integrand(r, mean):
-                return _prob_below_given_mean(xi, r, mean, model, led)
-
-            def inner_support(r: float):
-                bands = mean_angle_bands(r, model, led, th, subset)
-                center = np.pi - np.arctan2(led.ell, r)
-                psi = float(np.minimum(gain_halfangle(xi, r, led), led.theta_fov))
-                cuts = (
-                    center - psi - dev,
-                    center - psi + dev,
-                    center + psi - dev,
-                    center + psi + dev,
-                )
-                return _split_intervals(bands, cuts)
-
-            bps = static + (edge_gain_distance(xi, led, cos_sq=cos_fov_sq, lo=r_lo, hi=r_hi),)
-            dbl = integrate_2d_nested(
-                integrand, (r_lo, split), inner_support, replace(spec, breakpoints=bps)
-            )
-            total += dbl / model.delta_mean
+        bps = static + (edge_gain_distance(xi, led, cos_sq=cos_fov_sq, lo=r_lo, hi=r_hi),)
+        below = integrate_1d(
+            lambda r: _below_in_bands(xi, r, model, led, th, subset),
+            r_lo,
+            split,
+            replace(spec, breakpoints=bps),
+        )
+        total = _band_measure(split, model, led, th, subset) + below / model.delta_mean
         return float(np.clip(total / den, 0.0, 1.0))
 
     return _per_level(x, one)

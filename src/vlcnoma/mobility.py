@@ -182,6 +182,20 @@ def nonzero_gain_probability(
     return min(max(total / model.delta_d, 0.0), 1.0)
 
 
+def bound_crossing_radius(offset: float, bound: float, ell: float) -> float:
+    """Distance ``r`` where pi - arctan(ell / r) + offset equals ``bound``.
+
+    Gives 0 when the angle is past the bound at every distance and inf when it
+    never gets there; no integration interval holds either strictly inside.
+    """
+    u = np.pi + offset - bound
+    if u <= 0.0:
+        return np.inf
+    if u >= np.pi / 2:
+        return 0.0
+    return ell / np.tan(u)
+
+
 def fov_window_breakpoints(half_width: float, model: MobilityModel, led: LedGeometry):
     """Radii where the incidence window of the given half-width crosses a CDF branch edge."""
     dev = model.max_deviation
@@ -191,14 +205,11 @@ def fov_window_breakpoints(half_width: float, model: MobilityModel, led: LedGeom
         max(model.mean_angle_min + dev, model.mean_angle_max - dev),
         model.mean_angle_max + dev,
     ]
-    out = []
-    for edge in branch_edges:
-        for sign in (half_width, -half_width):
-            # pi - atan(ell/r) + sign == edge  =>  atan(ell/r) = pi + sign - edge
-            u = np.pi + sign - edge
-            if 0.0 < u < np.pi / 2:
-                out.append(led.ell / np.tan(u))
-    return tuple(out)
+    return tuple(
+        bound_crossing_radius(sign, edge, led.ell)
+        for edge in branch_edges
+        for sign in (half_width, -half_width)
+    )
 
 
 def binom_pmf(k, n, p):

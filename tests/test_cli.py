@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcnoma import gain_cdf
+from vlcnoma import CDF_SAMPLE_FAMILIES, gain_cdf
 from vlcnoma.cli import (
     DEFAULTS,
     SWEEPS,
@@ -781,6 +781,23 @@ class TestFuzzMain:
     def test_main_returns_documented_exit_code(self, command, overrides, mode):
         argv = [command, "--trials", "2000", "--mode", mode]
         for item in ("workers=1", *FUZZ_GRIDS, *(f"{k}={v}" for k, v in overrides.items())):
+            argv += ["--set", item]
+        quiet = contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())
+        with quiet[0], quiet[1], np.errstate(all="ignore"):
+            code = main(argv)
+        assert code in (0, 2, 3)
+
+    @given(
+        family=st.sampled_from(CDF_SAMPLE_FAMILIES),
+        overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES, max_size=4),
+    )
+    # Most examples exit 2 at config time; 1,000 of them take about 8 s on 2 cores.
+    @settings(max_examples=1000, deadline=timedelta(seconds=20))
+    def test_validate_channel_cdf_returns_documented_exit_code(self, family, overrides):
+        argv = ["validate-channel-cdf", "--trials", "2000", "--family", family]
+        # The grid sizes stay fixed after the overrides: a fuzzed count would allocate that many.
+        fixed = ("workers=1", "grid_points=4", "ks_grid_points=4")
+        for item in (*(f"{k}={v}" for k, v in overrides.items()), *fixed):
             argv += ["--set", item]
         quiet = contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())
         with quiet[0], quiet[1], np.errstate(all="ignore"):

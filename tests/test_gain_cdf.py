@@ -1,6 +1,11 @@
 """Closed-form gain distributions against limits, identities, and a quadrature oracle."""
 
+import contextlib
+import dataclasses
 import functools
+import io
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +18,10 @@ from vlcnoma import (
     DegenerateConditionError,
     FeedbackThresholds,
     InvalidParameterError,
+    LedGeometry,
     MobilityModel,
     NonzeroCount,
+    UserState,
     cdf_gain_ranked,
     cdf_gain_unordered,
     cdf_strong_twobit_inst,
@@ -22,17 +29,22 @@ from vlcnoma import (
     cdf_weak_twobit_inst,
     cdf_weak_twobit_mean,
     channel_constant,
+    dc_gain,
     edge_gain_distance,
     gain_halfangle,
+    incidence_angle,
     integrate_1d,
+    integrate_2d_nested,
     mean_angle_bands,
     nonzero_gain_probability,
     ramp_cdf_integral,
+    sample_users,
     strong_band_measure,
     weak_band_measure,
 )
 from vlcnoma import gain_cdf
-from vlcnoma.mobility import cdf_vertical_angle
+from vlcnoma.cli import main
+from vlcnoma.mobility import bound_crossing_radius, cdf_vertical_angle
 from vlcnoma.quadrature import QuadratureSpec
 
 
@@ -316,7 +328,14 @@ class TestBandMeasures:
         assert weak_band_measure(1.0, model_dev30, led_fov60, th) == pytest.approx(
             0.0, abs=1e-12
         )
-        assert mean_angle_bands(5.0, model_dev30, led_fov60, th, "weak") == ()
+        # an empty band has zero width, also when the angle threshold passes the view edge
+        for tt in (led_fov60.theta_fov, led_fov60.theta_fov + 0.1):
+            th = FeedbackThresholds(dist_threshold=1.0, angle_threshold=tt)
+            rs = np.array([0.0, 5.0, 10.0])
+            bands = mean_angle_bands(rs, model_dev30, led_fov60, th, "weak")
+            assert len(bands) == 2
+            for lo, hi in bands:
+                assert np.array_equal(lo, hi)
 
     def test_weak_measure_against_simulation(self, validation_setup):
         model, led, th = validation_setup
@@ -373,6 +392,129 @@ class TestMeanSetCdfs:
         xs_s = np.linspace(0.0, 1.1 / upsilon(model.d_min), 25)
         vals_s = [cdf_strong_twobit_mean(x, model, led, th) for x in xs_s]
         assert np.all(np.diff(vals_s) >= -1e-9)
+
+
+def _mean_set_geometry(fov_deg: float, dev_deg: float):
+    """fov and deviation in degrees, mean band tracking the deviation, thresholds at 0.1."""
+    led = LedGeometry(
+        ell=2.0, phi_hpbw=np.radians(60.0), area_r=1e-4, theta_fov=np.radians(fov_deg)
+    )
+    model = MobilityModel(
+        0.0, 10.0, np.radians(dev_deg), np.radians(180.0 - dev_deg), np.radians(dev_deg)
+    )
+    return model, led, FeedbackThresholds.from_fractions(model, led, 0.1, 0.1)
+
+
+def _mean_set_levels(model, led, th, subset):
+    """Level 0 and the 1-99.9% quantiles of the squared gain of sampled set members."""
+    d, mean, inst = sample_users(model, np.random.default_rng(7), (200_000,))
+    theta = np.abs(incidence_angle(d, mean, led.ell))
+    near = d <= th.dist_threshold
+    if subset == "weak":
+        member = ~near & (theta > th.angle_threshold) & (theta <= led.theta_fov)
+    else:
+        member = near & (theta <= th.angle_threshold)
+    gains = np.square(dc_gain(UserState(d[member], mean[member], inst[member]), led))
+    probs = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999)
+    return np.concatenate(([0.0], np.quantile(gains, probs)))
+
+
+def _nested_mean_set_cdf(xi, model, led, th, subset):
+    """The mean-family CDF as a double integral: the inner mean-angle integral by
+    a Gauss-Legendre rule on the pieces between the kinks of its linear integrand."""
+    dev = model.max_deviation
+    if subset == "weak":
+        r_lo, r_hi, measure = th.dist_threshold, model.d_max, weak_band_measure
+        offsets = (led.theta_fov, -led.theta_fov, th.angle_threshold, -th.angle_threshold)
+    else:
+        r_lo, r_hi, measure = model.d_min, th.dist_threshold, strong_band_measure
+        offsets = (th.angle_threshold, -th.angle_threshold)
+    static = tuple(
+        bound_crossing_radius(off, bound, led.ell)
+        for off in offsets
+        for bound in (model.mean_angle_min, model.mean_angle_max)
+    )
+
+    def psi_of(r):
+        return np.minimum(gain_halfangle(xi, r, led), led.theta_fov)
+
+    def integrand(r, mean):
+        center = np.pi - np.arctan2(led.ell, r)
+        psi = psi_of(r)
+        if dev == 0.0:
+            return 1.0 - ((mean >= center - psi) & (mean <= center + psi)).astype(float)
+        lo = mean - dev
+        covered = np.clip((center + psi - lo) / (2 * dev), 0.0, 1.0) - np.clip(
+            (center - psi - lo) / (2 * dev), 0.0, 1.0
+        )
+        return 1.0 - covered
+
+    def inner_support(r):
+        center = np.pi - np.arctan2(led.ell, r)
+        psi = float(psi_of(r))
+        cuts = (center - psi - dev, center - psi + dev, center + psi - dev, center + psi + dev)
+        pieces = []
+        for a, b in mean_angle_bands(r, model, led, th, subset):
+            a, b = float(a), float(b)
+            if b > a:
+                pts = [a] + sorted(c for c in cuts if a < c < b) + [b]
+                pieces.extend(zip(pts[:-1], pts[1:]))
+        return pieces
+
+    split = edge_gain_distance(xi, led, cos_sq=1.0, lo=r_lo, hi=r_hi)
+    total = measure(split, model, led, th)
+    if split > r_lo:
+        edge = edge_gain_distance(xi, led, cos_sq=np.cos(led.theta_fov) ** 2, lo=r_lo, hi=r_hi)
+        spec = QuadratureSpec(breakpoints=static + (edge,))
+        total += integrate_2d_nested(integrand, (r_lo, split), inner_support, spec) / (
+            model.delta_mean
+        )
+    return float(np.clip(total / measure(r_lo, model, led, th), 0.0, 1.0))
+
+
+MEAN_SET_CDFS = {"weak": cdf_weak_twobit_mean, "strong": cdf_strong_twobit_mean}
+
+
+class TestMeanSetClosedInnerIntegral:
+    """The mean-angle integral in closed form against a double-integral oracle."""
+
+    @pytest.mark.parametrize("subset", ["weak", "strong"])
+    @pytest.mark.parametrize("fov_deg,dev_deg", [(50, 25), (60, 30), (90, 0), (50, 10)])
+    def test_matches_nested_quadrature(self, fov_deg, dev_deg, subset):
+        model, led, th = _mean_set_geometry(fov_deg, dev_deg)
+        xs = _mean_set_levels(model, led, th, subset)
+        got = MEAN_SET_CDFS[subset](xs, model, led, th)
+        oracle = np.array([_nested_mean_set_cdf(x, model, led, th, subset) for x in xs])
+        assert np.all(np.abs(got - oracle) <= 1e-14)
+        assert np.ptp(got) > 0.5
+
+    def test_subnormal_deviation_takes_the_step_limit(self):
+        # The closed form divides by twice the deviation; below the smallest
+        # normal float the zero-deviation overlap is the exact value.
+        base, led, th = _mean_set_geometry(50, 0)
+        xs = np.array([0.0, 1e-14, 1e-13, 4.6e-13, 1e-12, 3e-12, 1e-11, 1e-10])
+        for cdf in MEAN_SET_CDFS.values():
+            ref = cdf(xs, base, led, th)
+            for dev in (5e-324, 1e-310, 1e-300):
+                model = dataclasses.replace(base, max_deviation=dev)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = cdf(xs, model, led, th)
+                assert np.all(np.abs(got - ref) <= 1e-15)
+
+    def test_no_runtime_path_reaches_the_nested_rule(self, monkeypatch, model_dev30, led_fov60):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrate_2d_nested was called")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "vlcnoma" and hasattr(module, "integrate_2d_nested"):
+                monkeypatch.setattr(module, "integrate_2d_nested", forbidden)
+        th = FeedbackThresholds.from_fractions(model_dev30, led_fov60, 0.1, 0.1)
+        for cdf in MEAN_SET_CDFS.values():
+            cdf(np.array([0.0, 1e-13, 1e-12]), model_dev30, led_fov60, th)
+        argv = ["sweep-snr", "--mode", "TwoBitMean", "--trials", "2000", "--set", "workers=1"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
 
 
 class TestFeedbackThresholds:
