@@ -10,6 +10,7 @@ from .gain_cdf import (
     CDF_FAMILIES,
     CDF_SAMPLE_FAMILIES,
     FeedbackThresholds,
+    band_measure,
     cdf_gain_ranked,
     cdf_gain_unordered,
     cdf_strong_twobit_inst,
@@ -20,8 +21,6 @@ from .gain_cdf import (
     gain_halfangle,
     mean_angle_bands,
     ramp_cdf_integral,
-    strong_band_measure,
-    weak_band_measure,
 )
 from .geometry import (
     LedGeometry,

@@ -22,7 +22,7 @@ distance profile of the bands themselves has the closed form
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,8 +52,7 @@ __all__ = [
     "cdf_weak_twobit_inst",
     "cdf_strong_twobit_inst",
     "ramp_cdf_integral",
-    "weak_band_measure",
-    "strong_band_measure",
+    "band_measure",
     "mean_angle_bands",
     "cdf_weak_twobit_mean",
     "cdf_strong_twobit_mean",
@@ -123,7 +122,7 @@ def _per_level(x, fn):
     return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
-def _band_integral(model, led, r_lo, r_hi, floor: float, cap: float, spec, *, clears=True):
+def _band_integral(model, led, r_lo, r_hi, floor: float, cap: float, *, clears=True):
     """The one band integral behind the one-dimensional families, as ``integral(x)``.
 
     ``integral(x)`` is the integral over ``r`` in [r_lo, r_hi] of
@@ -133,8 +132,6 @@ def _band_integral(model, led, r_lo, r_hi, floor: float, cap: float, spec, *, cl
     and the lower edge ``a`` otherwise (the part where it stays below ``x``).
     A zero floor is the empty window: it adds no breakpoints and is not evaluated.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     static = fov_window_breakpoints(cap, model, led)
     if floor > 0.0:
         static += fov_window_breakpoints(floor, model, led)
@@ -159,7 +156,7 @@ def _band_integral(model, led, r_lo, r_hi, floor: float, cap: float, spec, *, cl
             inside = prob_incidence_within(r, upper, model, led)
             return inside if zero_floor else inside - prob_incidence_within(r, lower, model, led)
 
-        return integrate_1d(band, start, r_hi, replace(spec, breakpoints=bps))
+        return integrate_1d(band, start, r_hi, QuadratureSpec(breakpoints=bps))
 
     return integral
 
@@ -171,41 +168,27 @@ def _survival_cdf(x, survive, den: float):
     )
 
 
-def cdf_gain_unordered(
-    x,
-    model: MobilityModel,
-    led: LedGeometry,
-    *,
-    spec: QuadratureSpec | None = None,
-    nonzero_prob: float | None = None,
-):
+def cdf_gain_unordered(x, model: MobilityModel, led: LedGeometry):
     """CDF of one user's squared gain conditioned on it being nonzero."""
-    p = nonzero_gain_probability(model, led) if nonzero_prob is None else nonzero_prob
+    p = nonzero_gain_probability(model, led)
     if p <= 0.0:
         raise DegenerateConditionError("gain is zero with probability one")
-    survive = _band_integral(model, led, model.d_min, model.d_max, 0.0, led.theta_fov, spec)
+    survive = _band_integral(model, led, model.d_min, model.d_max, 0.0, led.theta_fov)
     return _survival_cdf(x, survive, p * model.delta_d)
 
 
 def cdf_gain_ranked(
-    x,
-    rank: int,
-    model: MobilityModel,
-    led: LedGeometry,
-    count: NonzeroCount,
-    *,
-    spec: QuadratureSpec | None = None,
+    x, rank: int, model: MobilityModel, led: LedGeometry, *, total_users: int, k_min: int
 ):
     """CDF of the gain at ascending rank ``rank`` among the nonzero users.
 
-    Conditions on at least ``count.k_min`` users having nonzero gain, mixing
-    the order-statistic CDF over the truncated count distribution.
+    Conditions on at least ``k_min`` of ``total_users`` users having nonzero
+    gain, mixing the order-statistic CDF over the truncated count distribution.
     """
-    if not 1 <= rank <= count.k_min:
+    count = NonzeroCount(total_users, nonzero_gain_probability(model, led), k_min)
+    if not 1 <= rank <= k_min:
         raise InvalidParameterError("rank must lie in [1, k_min] so it always exists")
-    base = np.ravel(
-        cdf_gain_unordered(x, model, led, spec=spec, nonzero_prob=count.success_prob)
-    )
+    base = np.ravel(cdf_gain_unordered(x, model, led))
     ns = np.arange(count.k_min, count.total_users + 1)
     weights = pmf_nonzero_count_truncated(ns, count)
     # The rank-th smallest of n gains is <= x when at least rank of them are, and
@@ -220,14 +203,7 @@ def cdf_gain_ranked(
     return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
-def cdf_weak_twobit_inst(
-    x,
-    model: MobilityModel,
-    led: LedGeometry,
-    th: FeedbackThresholds,
-    *,
-    spec: QuadratureSpec | None = None,
-):
+def cdf_weak_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds):
     """Gain CDF in the weak set of instantaneous two-bit feedback.
 
     Membership: distance above the threshold and incidence-angle magnitude
@@ -235,8 +211,7 @@ def cdf_weak_twobit_inst(
     have nonzero gain.
     """
     below = _band_integral(
-        model, led, th.dist_threshold, model.d_max, th.angle_threshold, led.theta_fov, spec,
-        clears=False,
+        model, led, th.dist_threshold, model.d_max, th.angle_threshold, led.theta_fov, clears=False
     )
     den = below()
     if den <= 0.0:
@@ -244,22 +219,13 @@ def cdf_weak_twobit_inst(
     return _per_level(x, lambda xi: float(np.clip(below(xi) / den, 0.0, 1.0)))
 
 
-def cdf_strong_twobit_inst(
-    x,
-    model: MobilityModel,
-    led: LedGeometry,
-    th: FeedbackThresholds,
-    *,
-    spec: QuadratureSpec | None = None,
-):
+def cdf_strong_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds):
     """Gain CDF in the strong set of instantaneous two-bit feedback.
 
     Membership: distance at most the threshold and incidence-angle magnitude
     at most the angle threshold.
     """
-    survive = _band_integral(
-        model, led, model.d_min, th.dist_threshold, 0.0, th.angle_threshold, spec
-    )
+    survive = _band_integral(model, led, model.d_min, th.dist_threshold, 0.0, th.angle_threshold)
     den = survive()
     if den <= 0.0:
         raise DegenerateConditionError("strong selection set has zero probability")
@@ -316,27 +282,18 @@ def _selection_set(model: MobilityModel, led: LedGeometry, th: FeedbackThreshold
     return sets[subset]
 
 
-def _band_measure(y: float, model, led, th, subset: str) -> float:
-    """Integral over [y, range end] of the probability the mean angle is in the set's bands."""
+def band_measure(
+    y: float, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds, subset: str
+) -> float:
+    """Integral over [y, range end] of the probability the mean angle is in the set's bands.
+
+    ``subset`` is ``"weak"`` (range end d_max) or ``"strong"`` (range end d_th).
+    """
     _, z, offsets = _selection_set(model, led, th, subset)
     return sum(
         ramp_cdf_integral(hi, y, z, model, led) - ramp_cdf_integral(lo, y, z, model, led)
         for lo, hi in offsets
     )
-
-
-def weak_band_measure(
-    y: float, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds
-) -> float:
-    """Integral over [y, d_max] of the probability the mean incidence angle is in the weak band."""
-    return _band_measure(y, model, led, th, "weak")
-
-
-def strong_band_measure(
-    y: float, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds
-) -> float:
-    """Integral over [y, d_th] of the probability the mean incidence angle is in the strong band."""
-    return _band_measure(y, model, led, th, "strong")
 
 
 def mean_angle_bands(
@@ -394,11 +351,9 @@ def _below_in_bands(xi: float, r, model, led, th, subset: str):
     return total
 
 
-def _cdf_twobit_mean(x, model, led, th, spec: QuadratureSpec | None, subset: str):
-    if spec is None:
-        spec = QuadratureSpec()
+def _cdf_twobit_mean(x, model, led, th, subset: str):
     r_lo, r_hi, offsets = _selection_set(model, led, th, subset)
-    den = _band_measure(r_lo, model, led, th, subset)
+    den = band_measure(r_lo, model, led, th, subset)
     if den <= 0.0:
         raise DegenerateConditionError(f"{subset} selection set has zero probability")
     # Radii where a band edge crosses a mean-angle bound; band clipping kinks there.
@@ -418,69 +373,53 @@ def _cdf_twobit_mean(x, model, led, th, spec: QuadratureSpec | None, subset: str
             lambda r: _below_in_bands(xi, r, model, led, th, subset),
             r_lo,
             split,
-            replace(spec, breakpoints=bps),
+            QuadratureSpec(breakpoints=bps),
         )
-        total = _band_measure(split, model, led, th, subset) + below / model.delta_mean
+        total = band_measure(split, model, led, th, subset) + below / model.delta_mean
         return float(np.clip(total / den, 0.0, 1.0))
 
     return _per_level(x, one)
 
 
-def cdf_weak_twobit_mean(
-    x,
-    model: MobilityModel,
-    led: LedGeometry,
-    th: FeedbackThresholds,
-    *,
-    spec: QuadratureSpec | None = None,
-):
+def cdf_weak_twobit_mean(x, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds):
     """Gain CDF in the weak set of mean-orientation two-bit feedback.
 
     Membership uses the mean incidence angle, so the instantaneous angle can
     still fall outside the field of view: the distribution has an atom at
     zero gain.
     """
-    return _cdf_twobit_mean(x, model, led, th, spec, "weak")
+    return _cdf_twobit_mean(x, model, led, th, "weak")
 
 
-def cdf_strong_twobit_mean(
-    x,
-    model: MobilityModel,
-    led: LedGeometry,
-    th: FeedbackThresholds,
-    *,
-    spec: QuadratureSpec | None = None,
-):
+def cdf_strong_twobit_mean(x, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds):
     """Gain CDF in the strong set of mean-orientation two-bit feedback."""
-    return _cdf_twobit_mean(x, model, led, th, spec, "strong")
+    return _cdf_twobit_mean(x, model, led, th, "strong")
 
 
-def _ranked_family(x, model, led, *, total_users=None, k_min=None, rank=None, spec=None, **_):
+def _ranked_family(x, model, led, *, total_users=None, k_min=None, rank=None, **_):
     if total_users is None or k_min is None:
         raise InvalidParameterError("the ordered family needs total_users and k_min")
-    count = NonzeroCount(total_users, nonzero_gain_probability(model, led), k_min)
-    return cdf_gain_ranked(x, k_min if rank is None else rank, model, led, count, spec=spec)
+    rank = k_min if rank is None else rank
+    return cdf_gain_ranked(x, rank, model, led, total_users=total_users, k_min=k_min)
 
 
 def _set_family(name: str):
-    def cdf(x, model, led, *, thresholds=None, spec=None, **_):
+    def cdf(x, model, led, *, thresholds=None, **_):
         if thresholds is None:
             raise InvalidParameterError("set-conditioned families need feedback thresholds")
-        return globals()[name](x, model, led, thresholds, spec=spec)
+        return globals()[name](x, model, led, thresholds)
 
     return cdf
 
 
 # The six families as level-vectorized CDFs called alike,
-# ``cdf(x, model, led, *, thresholds, total_users, k_min, rank, spec)``; each
+# ``cdf(x, model, led, *, thresholds, total_users, k_min, rank)``; each
 # reads the conditioning it needs and ignores the rest.  The ordered family
 # ranks among ``total_users`` users of which at least ``k_min`` are lit, at
 # ``rank`` (default ``k_min``).  Entries look the public ``cdf_*`` functions up
 # at call time, so rebinding one of those module names reaches every dispatch.
 CDF_FAMILIES = {
-    "unordered": lambda x, model, led, *, spec=None, **_: cdf_gain_unordered(
-        x, model, led, spec=spec
-    ),
+    "unordered": lambda x, model, led, **_: cdf_gain_unordered(x, model, led),
     "ordered": _ranked_family,
     "twobit_inst_weak": _set_family("cdf_weak_twobit_inst"),
     "twobit_inst_strong": _set_family("cdf_strong_twobit_inst"),

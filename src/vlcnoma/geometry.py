@@ -9,7 +9,7 @@ normal.  Gain is zero outside the detector's field-of-view half-angle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,15 +39,16 @@ def lambertian_order(phi_hpbw: float) -> float:
 class LedGeometry:
     """Fixed link parameters: LED height, beamwidth, detector area and field of view.
 
-    Angles are radians.  ``lambertian_m`` is derived from ``phi_hpbw`` when
-    not supplied.  ``theta_fov`` may equal pi/2 (a hemisphere of acceptance).
+    Angles are radians.  ``lambertian_m`` is always derived from ``phi_hpbw``,
+    so a copy with a new beamwidth gets its own order.  ``theta_fov`` may equal
+    pi/2 (a hemisphere of acceptance).
     """
 
     ell: float
     phi_hpbw: float
     area_r: float
     theta_fov: float
-    lambertian_m: float = None  # type: ignore[assignment]
+    lambertian_m: float = field(init=False)
 
     def __post_init__(self):
         require_finite(self, "ell", "phi_hpbw", "area_r", "theta_fov")
@@ -55,8 +56,7 @@ class LedGeometry:
             raise InvalidParameterError("LED height and detector area must be positive")
         if not 0.0 < self.theta_fov <= np.pi / 2:
             raise InvalidParameterError("field-of-view half-angle must lie in (0, pi/2]")
-        if self.lambertian_m is None:
-            object.__setattr__(self, "lambertian_m", lambertian_order(self.phi_hpbw))
+        object.__setattr__(self, "lambertian_m", lambertian_order(self.phi_hpbw))
         require_finite(self, "lambertian_m")
         if self.lambertian_m <= 0:
             raise InvalidParameterError("Lambertian order must be positive")

@@ -160,24 +160,18 @@ def prob_incidence_within(r, half_width, model: MobilityModel, led: LedGeometry)
 
 
 @functools.lru_cache(maxsize=64)
-def nonzero_gain_probability(
-    model: MobilityModel, led: LedGeometry, spec: QuadratureSpec | None = None
-) -> float:
+def nonzero_gain_probability(model: MobilityModel, led: LedGeometry) -> float:
     """Probability that a single user's channel gain is nonzero, memoized per geometry.
 
     Averages the in-field-of-view probability over distance by quadrature, split
     at the radii where the field-of-view window edges cross the vertical-angle
     CDF breakpoints.  Each ranked-family call needs it; arguments must be hashable.
     """
-    if spec is None:
-        spec = QuadratureSpec(breakpoints=fov_window_breakpoints(led.theta_fov, model, led))
-    if model.delta_d == 0.0:
-        return float(prob_incidence_within(model.d_min, led.theta_fov, model, led))
     total = integrate_1d(
         lambda r: prob_incidence_within(r, led.theta_fov, model, led),
         model.d_min,
         model.d_max,
-        spec,
+        QuadratureSpec(breakpoints=fov_window_breakpoints(led.theta_fov, model, led)),
     )
     return min(max(total / model.delta_d, 0.0), 1.0)
 

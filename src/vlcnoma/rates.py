@@ -20,7 +20,6 @@ from .errors import InvalidParameterError, require_finite
 from .gain_cdf import CDF_FAMILIES, FeedbackThresholds
 from .geometry import LedGeometry
 from .mobility import MobilityModel
-from .quadrature import QuadratureSpec
 
 __all__ = [
     "INDIVIDUAL_MODES",
@@ -176,7 +175,6 @@ def _cdf_pair(
     x_weak: float,
     x_strong: float,
     total_users: int | None,
-    spec: QuadratureSpec | None,
 ):
     """Evaluate the scheduling mode's per-user gain CDFs at two levels."""
     if cfg.feedback_mode not in MODE_FAMILIES:
@@ -186,24 +184,19 @@ def _cdf_pair(
     weak, strong = MODE_FAMILIES[cfg.feedback_mode]
     cond = dict(thresholds=cfg.thresholds, total_users=total_users, k_min=cfg.strong_rank)
     return (
-        float(CDF_FAMILIES[weak](x_weak, model, led, rank=cfg.weak_rank, spec=spec, **cond)),
-        float(CDF_FAMILIES[strong](x_strong, model, led, rank=cfg.strong_rank, spec=spec, **cond)),
+        float(CDF_FAMILIES[weak](x_weak, model, led, rank=cfg.weak_rank, **cond)),
+        float(CDF_FAMILIES[strong](x_strong, model, led, rank=cfg.strong_rank, **cond)),
     )
 
 
 def outage_pair_analytic(
-    cfg: NomaConfig,
-    model: MobilityModel,
-    led: LedGeometry,
-    *,
-    total_users: int | None = None,
-    spec: QuadratureSpec | None = None,
+    cfg: NomaConfig, model: MobilityModel, led: LedGeometry, *, total_users: int | None = None
 ):
     """Closed-form outage probabilities (weak, strong) for the scheduled pair."""
     threshold_weak, threshold_strong, feasible = outage_gain_thresholds(cfg)
     if not feasible:
         return 1.0, 1.0
-    return _cdf_pair(cfg, model, led, threshold_weak, threshold_strong, total_users, spec)
+    return _cdf_pair(cfg, model, led, threshold_weak, threshold_strong, total_users)
 
 
 def sum_rate_noma(p_out_weak: float, p_out_strong: float, cfg: NomaConfig) -> float:
@@ -220,9 +213,7 @@ def sum_rate_oma(
     mode: str = "time_shared",
     *,
     total_users: int | None = None,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """Sum rate of the orthogonal baseline serving the same selected pair."""
     t_weak, t_strong = oma_gain_thresholds(cfg, mode)
-    p_weak, p_strong = _cdf_pair(cfg, model, led, t_weak, t_strong, total_users, spec)
-    return (1.0 - p_weak) * cfg.rate_weak + (1.0 - p_strong) * cfg.rate_strong
+    return sum_rate_noma(*_cdf_pair(cfg, model, led, t_weak, t_strong, total_users), cfg)

@@ -362,7 +362,7 @@ def test_criterion_09_noma_dominates_oma_past_knee():
             rates.append(sum_rate_noma(*p_noma, cfg))
             for oma_mode in margins:
                 t_weak, t_strong = oma_gain_thresholds(cfg, oma_mode)
-                p_oma = _cdf_pair(cfg, MODEL_V, LED_V[fov], t_weak, t_strong, total, None)
+                p_oma = _cdf_pair(cfg, MODEL_V, LED_V[fov], t_weak, t_strong, total)
                 # compare at the outage level: forming the two sum rates first
                 # would round away the gap once both saturate
                 margins[oma_mode].append(

@@ -589,7 +589,8 @@ class TestDeterminism:
 
 
 class TestGoldenBytes:
-    """Monte Carlo bytes of two-chunk sweeps (the second partial), pinned by hash.
+    """Monte Carlo bytes of two-chunk sweeps (the second partial), and analytic
+    bytes of each gain-CDF family against its samples, pinned by hash.
 
     A kernel change that is meant to keep results must keep these hashes.  A
     change that moves results on purpose regenerates them and says so.  Bytes
@@ -620,6 +621,27 @@ class TestGoldenBytes:
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.SHA256[mode, noise]
+
+    FAMILY_SHA256 = {
+        "unordered": "14d503f58910d7e66a4a69d751fc418572b21e73f549911571c065cd8be99f91",
+        "ordered": "aa72557090eab2e21ed757dbea64c4e8f28fd47eefd00fd8047d60b9d3dd6ef5",
+        "twobit_inst_weak": "92dd980799b6f50eed19ca0b92865ce7aed078952df149db05ff6f67a142579c",
+        "twobit_inst_strong": "3191454b75ebaa2482dffbb45ac370622cac71177ee1d33405df2c36f991c373",
+        "twobit_mean_weak": "d2b336fbfc8fb668738646d4a70ee7cfe771fca929e67134915c232d4450902d",
+        "twobit_mean_strong": "3a9c10a1f2fdbe07d156a365e18563ef31fe9a28d796a8288933402272de65cd",
+    }
+
+    @pytest.mark.skipif(np.__version__ != NUMPY, reason=f"hashes made with numpy {NUMPY}")
+    @pytest.mark.parametrize("family", sorted(FAMILY_SHA256))
+    def test_channel_cdf_stdout_hash(self, family):
+        argv = [
+            "validate-channel-cdf", "--family", family, "--trials", "20000", "--seed", "3",
+            "--set", "workers=1", "--set", "grid_points=6", "--set", "ks_grid_points=8",
+        ]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.FAMILY_SHA256[family]
 
 
 class TestExitCodes:

@@ -20,8 +20,8 @@ from vlcnoma import (
     InvalidParameterError,
     LedGeometry,
     MobilityModel,
-    NonzeroCount,
     UserState,
+    band_measure,
     cdf_gain_ranked,
     cdf_gain_unordered,
     cdf_strong_twobit_inst,
@@ -39,8 +39,6 @@ from vlcnoma import (
     nonzero_gain_probability,
     ramp_cdf_integral,
     sample_users,
-    strong_band_measure,
-    weak_band_measure,
 )
 from vlcnoma import gain_cdf
 from vlcnoma.cli import main
@@ -125,43 +123,41 @@ class TestUnorderedCdf:
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
+# Ranks among 20 users of which at least 10 are lit.
+RANKED = dict(total_users=20, k_min=10)
+
+
 class TestRankedCdf:
     def test_single_user_reduces_to_unordered(self, validation_setup):
         model, led, _ = validation_setup
-        p = nonzero_gain_probability(model, led)
-        count = NonzeroCount(1, p, 1)
         for x in (1e-14, 4.6e-13, 2e-11):
-            assert cdf_gain_ranked(x, 1, model, led, count) == pytest.approx(
+            assert cdf_gain_ranked(x, 1, model, led, total_users=1, k_min=1) == pytest.approx(
                 cdf_gain_unordered(x, model, led), rel=1e-12
             )
 
     def test_saturates_with_base(self, validation_setup):
         model, led, _ = validation_setup
         _, upsilon = channel_constant(led)
-        count = NonzeroCount(20, nonzero_gain_probability(model, led), 10)
         top = 1.0 / upsilon(model.d_min)
-        assert cdf_gain_ranked(top, 10, model, led, count) == pytest.approx(1.0, abs=1e-12)
+        assert cdf_gain_ranked(top, 10, model, led, **RANKED) == pytest.approx(1.0, abs=1e-12)
 
     def test_rank10_regression(self, validation_setup):
         model, led, _ = validation_setup
-        count = NonzeroCount(20, nonzero_gain_probability(model, led), 10)
-        assert cdf_gain_ranked(4.64247e-13, 10, model, led, count) == pytest.approx(
+        assert cdf_gain_ranked(4.64247e-13, 10, model, led, **RANKED) == pytest.approx(
             0.02258143183952437, rel=1e-9
         )
 
     def test_higher_rank_stochastically_larger(self, validation_setup):
         model, led, _ = validation_setup
-        count = NonzeroCount(20, nonzero_gain_probability(model, led), 10)
         for x in (1e-13, 1e-12, 1e-11):
-            low = cdf_gain_ranked(x, 10, model, led, count)
-            high = cdf_gain_ranked(x, 1, model, led, count)
+            low = cdf_gain_ranked(x, 10, model, led, **RANKED)
+            high = cdf_gain_ranked(x, 1, model, led, **RANKED)
             assert low <= high + 1e-15
 
     @pytest.mark.parametrize("total_users,k_min", [(20, 10), (1000, 600)])
     def test_matches_scipy_order_statistic_mixture(self, validation_setup, total_users, k_min):
         model, led, _ = validation_setup
         p = nonzero_gain_probability(model, led)
-        count = NonzeroCount(total_users, p, k_min)
         _, upsilon = channel_constant(led)
         xs = np.concatenate(([0.0], np.geomspace(1e-16, 1.05 / upsilon(model.d_min), 31)))
         base = cdf_gain_unordered(xs, model, led)
@@ -170,18 +166,19 @@ class TestRankedCdf:
         for rank in (1, k_min // 2, k_min):
             ref = sum(w * special.betainc(rank, n - rank + 1, base) for n, w in zip(ns, weights))
             ref = np.clip(ref, 0.0, 1.0)
-            got = cdf_gain_ranked(xs, rank, model, led, count)
+            got = cdf_gain_ranked(xs, rank, model, led, total_users=total_users, k_min=k_min)
             big = ref >= 1e-250
             assert np.all(np.abs(got[big] - ref[big]) <= 1e-11 * ref[big])
             assert np.all(got[~big] < 1e-240)
 
     def test_invalid_rank_rejected(self, validation_setup):
         model, led, _ = validation_setup
-        count = NonzeroCount(20, 0.5, 10)
         with pytest.raises(InvalidParameterError):
-            cdf_gain_ranked(1e-13, 11, model, led, count)
+            cdf_gain_ranked(1e-13, 11, model, led, **RANKED)
         with pytest.raises(InvalidParameterError):
-            cdf_gain_ranked(1e-13, 0, model, led, count)
+            cdf_gain_ranked(1e-13, 0, model, led, **RANKED)
+        with pytest.raises(InvalidParameterError):
+            cdf_gain_ranked(1e-13, 1, model, led, total_users=20, k_min=21)
 
 
 class TestInstantaneousSetCdfs:
@@ -309,23 +306,23 @@ class TestClosedIntegral:
 class TestBandMeasures:
     def test_weak_measure_regression(self, validation_setup):
         model, led, th = validation_setup
-        assert weak_band_measure(th.dist_threshold, model, led, th) == pytest.approx(
+        assert band_measure(th.dist_threshold, model, led, th, "weak") == pytest.approx(
             3.861352060831427, rel=1e-10
         )
 
     def test_strong_measure_regression(self, validation_setup):
         model, led, th = validation_setup
-        assert strong_band_measure(model.d_min, model, led, th) == pytest.approx(
+        assert band_measure(model.d_min, model, led, th, "strong") == pytest.approx(
             0.1, rel=1e-9
         )
 
     def test_weak_measure_vanishes_at_dmax(self, validation_setup):
         model, led, th = validation_setup
-        assert weak_band_measure(model.d_max, model, led, th) == pytest.approx(0.0, abs=1e-12)
+        assert band_measure(model.d_max, model, led, th, "weak") == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_thresholds_empty_weak_band(self, model_dev30, led_fov60):
         th = FeedbackThresholds(dist_threshold=1.0, angle_threshold=led_fov60.theta_fov)
-        assert weak_band_measure(1.0, model_dev30, led_fov60, th) == pytest.approx(
+        assert band_measure(1.0, model_dev30, led_fov60, th, "weak") == pytest.approx(
             0.0, abs=1e-12
         )
         # an empty band has zero width, also when the angle threshold passes the view edge
@@ -347,7 +344,7 @@ class TestBandMeasures:
         member = (d > th.dist_threshold) & (theta > th.angle_threshold) & (
             theta <= led.theta_fov
         )
-        prob = weak_band_measure(th.dist_threshold, model, led, th) / model.delta_d
+        prob = band_measure(th.dist_threshold, model, led, th, "weak") / model.delta_d
         assert prob == pytest.approx(member.mean(), abs=0.003)
 
 
@@ -424,10 +421,10 @@ def _nested_mean_set_cdf(xi, model, led, th, subset):
     a Gauss-Legendre rule on the pieces between the kinks of its linear integrand."""
     dev = model.max_deviation
     if subset == "weak":
-        r_lo, r_hi, measure = th.dist_threshold, model.d_max, weak_band_measure
+        r_lo, r_hi = th.dist_threshold, model.d_max
         offsets = (led.theta_fov, -led.theta_fov, th.angle_threshold, -th.angle_threshold)
     else:
-        r_lo, r_hi, measure = model.d_min, th.dist_threshold, strong_band_measure
+        r_lo, r_hi = model.d_min, th.dist_threshold
         offsets = (th.angle_threshold, -th.angle_threshold)
     static = tuple(
         bound_crossing_radius(off, bound, led.ell)
@@ -462,14 +459,14 @@ def _nested_mean_set_cdf(xi, model, led, th, subset):
         return pieces
 
     split = edge_gain_distance(xi, led, cos_sq=1.0, lo=r_lo, hi=r_hi)
-    total = measure(split, model, led, th)
+    total = band_measure(split, model, led, th, subset)
     if split > r_lo:
         edge = edge_gain_distance(xi, led, cos_sq=np.cos(led.theta_fov) ** 2, lo=r_lo, hi=r_hi)
         spec = QuadratureSpec(breakpoints=static + (edge,))
         total += integrate_2d_nested(integrand, (r_lo, split), inner_support, spec) / (
             model.delta_mean
         )
-    return float(np.clip(total / measure(r_lo, model, led, th), 0.0, 1.0))
+    return float(np.clip(total / band_measure(r_lo, model, led, th, subset), 0.0, 1.0))
 
 
 MEAN_SET_CDFS = {"weak": cdf_weak_twobit_mean, "strong": cdf_strong_twobit_mean}
@@ -572,9 +569,9 @@ class TestFamilyTable:
         assert vector.tobytes() == np.array([cdf(float(x)) for x in xs]).tobytes()
         name = PUBLIC_CDF[family]
         public = getattr(gain_cdf, name)
-        count = NonzeroCount(20, nonzero_gain_probability(model, led), 10)
-        args = {"cdf_gain_unordered": (model, led), "cdf_gain_ranked": (10, model, led, count)}
-        assert public(xs, *args.get(name, (model, led, th))).tobytes() == vector.tobytes()
+        args = {"cdf_gain_unordered": (model, led), "cdf_gain_ranked": (10, model, led)}
+        kwargs = RANKED if name == "cdf_gain_ranked" else {}
+        assert public(xs, *args.get(name, (model, led, th)), **kwargs).tobytes() == vector.tobytes()
         # the entry looks its public function up at call time, as a tracer rebinding it needs
         calls = []
         monkeypatch.setattr(gain_cdf, name, lambda *a, **k: calls.append(a) or public(*a, **k))

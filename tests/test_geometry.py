@@ -1,5 +1,7 @@
 """LED geometry, Lambertian gains, and the channel constant."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,15 @@ class TestLambertianOrder:
 class TestLedGeometry:
     def test_order_derived_automatically(self, led_fov50):
         assert led_fov50.lambertian_m == pytest.approx(1.0, rel=1e-12)
+
+    def test_new_beamwidth_recomputes_order(self, led_fov50):
+        narrow = dataclasses.replace(led_fov50, phi_hpbw=np.radians(30.0))
+        assert narrow.lambertian_m == lambertian_order(np.radians(30.0))
+        assert narrow.lambertian_m == pytest.approx(4.8188, rel=1e-4)
+
+    def test_order_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            LedGeometry(ell=2.0, phi_hpbw=1.0, area_r=1e-4, theta_fov=1.0, lambertian_m=2.0)
 
     def test_negative_dimensions_rejected(self):
         with pytest.raises(InvalidParameterError):

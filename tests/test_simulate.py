@@ -11,7 +11,6 @@ from vlcnoma import (
     LedGeometry,
     MobilityModel,
     NoiseConfig,
-    NonzeroCount,
     collect_scheduled_gains,
     estimate,
     incidence_angle,
@@ -283,11 +282,10 @@ class TestConditionalSamples:
             "conditional_cdf_samples", 150_000, make_noma(), model_dev30, led_fov60,
             total_users=20, seed=19, family="ordered", rank=10,
         )
-        count = NonzeroCount(20, nonzero_gain_probability(model_dev30, led_fov60), 10)
         # the grid bound dominates the exact distance at a fraction of its integrals
         d = ks_distance_bound(
             res.value,
-            lambda x: cdf_gain_ranked(x, 10, model_dev30, led_fov60, count),
+            lambda x: cdf_gain_ranked(x, 10, model_dev30, led_fov60, total_users=20, k_min=10),
             grid_size=2048,
         )
         assert d < 0.012
