@@ -32,7 +32,12 @@ def lambertian_order(phi_hpbw: float) -> float:
         raise InvalidParameterError(
             f"half-power beamwidth must lie in (0, pi/2), got {phi_hpbw}"
         )
-    return -1.0 / np.log2(np.cos(phi_hpbw))
+    cos_hpbw = np.cos(phi_hpbw)
+    if cos_hpbw >= 1.0:
+        raise InvalidParameterError(
+            f"half-power beamwidth {phi_hpbw} rad is too narrow: its cosine rounds to 1"
+        )
+    return -1.0 / np.log2(cos_hpbw)
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,8 @@ def sample_users(model: MobilityModel, rng: np.random.Generator, size):
     """Draw (distance, mean angle, instantaneous angle) arrays of the given shape."""
     d = rng.uniform(model.d_min, model.d_max, size)
     mean = rng.uniform(model.mean_angle_min, model.mean_angle_max, size)
-    inst = mean + rng.uniform(-model.max_deviation, model.max_deviation, size)
+    inst = rng.uniform(-model.max_deviation, model.max_deviation, size)
+    inst += mean
     return d, mean, inst
 
 

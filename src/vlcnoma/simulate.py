@@ -4,9 +4,12 @@ Trials run in vectorized chunks of fixed size.  Each chunk owns a generator
 derived from the root seed and the chunk index, and chunk results are
 combined in chunk order, so aggregates are bit-identical for a given
 (seed, configuration) regardless of the worker count.  A chunk draws all its
-random numbers first, then evaluates gains, ranks and picks in row blocks
-small enough for their temporaries to stay in cache; every step is row-wise,
-so the block size never changes the output.
+random numbers first, then works through row blocks small enough for their
+temporaries to stay in cache.  A block picks, then evaluates the gains of the
+picks: the group modes and ``DistanceOnly`` pick from observed values alone,
+so only the two picked users of a row get a gain, while ``FullCSI`` and
+``MeanAngle`` need every true gain to tell whether enough users are lit.
+Every step is row-wise, so the block size never changes the output.
 
 Observables can be perturbed by measurement noise; scheduling and ranking
 then use the noisy values while outage is always judged on the true gains.
@@ -68,16 +71,25 @@ class EstimateResult:
     scheduled_trials: int
 
 
-def _observe(dist, mean, inst, noise: NoiseConfig | None, rng):
-    """Noisy copies of the observables; draws three normals per user when enabled."""
+def _observe(dist, mean, inst, noise: NoiseConfig | None, rng, draws: int = 3):
+    """Noisy copies of (distance, mean angle, instantaneous angle) when enabled.
+
+    Only the first ``draws`` get noise, one normal per user each; the rest come
+    back unperturbed, for callers that never read them.
+    """
     if noise is None or not noise.enabled:
         return dist, mean, inst
     sigma_phi = math.radians(noise.sigma_phi)
+    true = (dist, mean, inst)
+    observed = []
+    for value, sigma in zip(true[:draws], (noise.sigma_d, sigma_phi, sigma_phi)):
+        obs = rng.standard_normal(value.shape)
+        obs *= sigma
+        obs += value
+        observed.append(obs)
     # Observed distance is clamped at zero so the geometry stays on its branch.
-    dist_obs = np.maximum(dist + noise.sigma_d * rng.standard_normal(dist.shape), 0.0)
-    mean_obs = mean + sigma_phi * rng.standard_normal(mean.shape)
-    inst_obs = inst + sigma_phi * rng.standard_normal(inst.shape)
-    return dist_obs, mean_obs, inst_obs
+    np.maximum(observed[0], 0.0, out=observed[0])
+    return (*observed, *true[draws:])
 
 
 def _row_blocks(n: int, total_users: int):
@@ -96,11 +108,24 @@ def _take_ranked(ranked, count, rank):
     return np.take_along_axis(ranked, np.clip(pos, 0, total - 1)[:, None], 1)[:, 0]
 
 
+def _gain_sq_at(pick, d, mean, inst, led):
+    """Squared true gains of the users at the row-wise indices ``pick``."""
+    d, mean, inst = (np.take_along_axis(a, pick, axis=1) for a in (d, mean, inst))
+    return np.square(dc_gain(UserState(d, mean, inst), led))
+
+
+# Observation noise each individual mode reads: distance, then the mean angle,
+# then the instantaneous angle.  The skipped draws are a chunk's last.
+_INDIVIDUAL_DRAWS = {"DistanceOnly": 1, "MeanAngle": 2}
+
+
 def _individual_batch(rng, n, total_users, cfg, model, led, noise):
     """(scheduled, gain_sq_weak, gain_sq_strong) of one chunk of rank-based scheduling."""
-    d, mean, inst = sample_users(model, rng, (n, total_users))
-    d_obs, mean_obs, inst_obs = _observe(d, mean, inst, noise, rng)
     mode = cfg.feedback_mode
+    d, mean, inst = sample_users(model, rng, (n, total_users))
+    d_obs, mean_obs, inst_obs = _observe(
+        d, mean, inst, noise, rng, _INDIVIDUAL_DRAWS.get(mode, 3)
+    )
     # Noise-free FullCSI ranks by the true gain itself, so its sorted values
     # are the picks; every other ranking picks users by index.
     by_value = mode == "FullCSI" and d_obs is d
@@ -108,13 +133,12 @@ def _individual_batch(rng, n, total_users, cfg, model, led, noise):
     gain_sq_weak = np.empty(n)
     gain_sq_strong = np.empty(n)
     for blk in _row_blocks(n, total_users):
-        gain_sq = np.square(dc_gain(UserState(d[blk], mean[blk], inst[blk]), led))
-        rows = np.arange(gain_sq.shape[0])
         if mode == "DistanceOnly":
             # Farther observed distance = presumed weaker; every trial is scheduled.
             ranked = np.argsort(-d_obs[blk], axis=1, kind="stable")
-            apparent = np.full(rows.size, total_users)
+            apparent = np.full(ranked.shape[0], total_users)
         else:
+            gain_sq = np.square(dc_gain(UserState(d[blk], mean[blk], inst[blk]), led))
             nonzero = np.count_nonzero(gain_sq > 0.0, axis=1)
             scheduled[blk] = nonzero >= cfg.strong_rank
             if by_value:
@@ -130,19 +154,36 @@ def _individual_batch(rng, n, total_users, cfg, model, led, noise):
                 apparent = np.count_nonzero(metric > 0.0, axis=1)
         # Rank among the apparent-nonzero pool; when it is shorter than the
         # requested rank, fall back to the strongest available pick.
-        have_pick = apparent > 0
-        for out, rank in ((gain_sq_weak, cfg.weak_rank), (gain_sq_strong, cfg.strong_rank)):
-            pick = _take_ranked(ranked, apparent, rank)
-            out[blk] = np.where(have_pick, pick if by_value else gain_sq[rows, pick], 0.0)
+        pick = np.stack(
+            [_take_ranked(ranked, apparent, r) for r in (cfg.weak_rank, cfg.strong_rank)], axis=1
+        )
+        if by_value:
+            picked = pick
+        elif mode == "DistanceOnly":
+            picked = _gain_sq_at(pick, d[blk], mean[blk], inst[blk], led)
+        else:
+            picked = np.take_along_axis(gain_sq, pick, axis=1)
+        picked = np.where((apparent > 0)[:, None], picked, 0.0)
+        gain_sq_weak[blk], gain_sq_strong[blk] = picked.T
     return scheduled, gain_sq_weak, gain_sq_strong
 
 
 def _uniform_pick(mask, u):
-    """Index of a uniformly chosen True entry per row, and whether one exists."""
-    count = mask.sum(axis=1)
-    target = (u * np.maximum(count, 1)).astype(np.int64) + 1
-    idx = np.argmax(np.cumsum(mask, axis=1) == target[:, None], axis=1)
-    return idx, count > 0
+    """Index of a uniformly chosen True entry per row, and whether one exists.
+
+    Row ``i`` with ``c`` True entries picks its ``floor(u[i] * c)``-th (from 0);
+    an empty row gives index 0.
+    """
+    rows, width = mask.shape
+    count = np.count_nonzero(mask, axis=1)
+    # Flat positions of the True entries, row by row; the sentinel keeps the
+    # lookup of trailing empty rows in bounds.
+    flat = np.append(np.flatnonzero(mask), 0)
+    start = np.cumsum(count) - count
+    target = (u * np.maximum(count, 1)).astype(np.int64)
+    ok = count > 0
+    idx = np.where(ok, flat[start + target] - np.arange(rows) * width, 0)
+    return idx, ok
 
 
 def _group_masks(mode, th, led, d_obs, mean_obs, inst_obs):
@@ -167,16 +208,16 @@ def _group_batch(rng, n, total_users, cfg, model, led, noise):
     gain_sq_weak = np.empty(n)
     gain_sq_strong = np.empty(n)
     for blk in _row_blocks(n, total_users):
-        gain_sq = np.square(dc_gain(UserState(d[blk], mean[blk], inst[blk]), led))
-        rows = np.arange(gain_sq.shape[0])
         weak_mask, strong_mask = _group_masks(
             cfg.feedback_mode, cfg.thresholds, led, d_obs[blk], mean_obs[blk], inst_obs[blk]
         )
         weak_idx, weak_ok = _uniform_pick(weak_mask, u[blk, 0])
         strong_idx, strong_ok = _uniform_pick(strong_mask, u[blk, 1])
         scheduled[blk] = weak_ok & strong_ok
-        gain_sq_weak[blk] = np.where(weak_ok, gain_sq[rows, weak_idx], 0.0)
-        gain_sq_strong[blk] = np.where(strong_ok, gain_sq[rows, strong_idx], 0.0)
+        pick = np.stack((weak_idx, strong_idx), axis=1)
+        picked = _gain_sq_at(pick, d[blk], mean[blk], inst[blk], led)
+        picked = np.where(np.stack((weak_ok, strong_ok), axis=1), picked, 0.0)
+        gain_sq_weak[blk], gain_sq_strong[blk] = picked.T
     return scheduled, gain_sq_weak, gain_sq_strong
 
 

@@ -608,6 +608,9 @@ class TestGoldenBytes:
         ("FullCSI", "true"): "d60158988ef8fa051bb281bc2fd3c9add333b627fd094a446a80d9671f9a9d6c",
         ("MeanAngle", "true"): "bffa64e6c652101af931fdc0e91e249796f87c79fc97c36fb866fc86e338ca09",
         ("TwoBitMean", "true"): "8d23954e9150f874706b5c707bd0b89702ba754e020a9f953257fd4f013d3a7e",
+        ("DistanceOnly", "true"): "741d61153ee88f9966a1cfb975d4541a66ae53d058bd916ea104ec419377dbe8",
+        ("OneBitDistance", "true"): "71df40f8ef836b1b69fad17ff4b8707e9c88a7da424b3550c71088d9692de30f",
+        ("TwoBitInstantaneous", "true"): "df4f9aaf3daab0829b2ecc68f6b4036563d4ad62cb0a2207a1b1d15768ecf279",
     }
 
     @pytest.mark.skipif(np.__version__ != NUMPY, reason=f"hashes made with numpy {NUMPY}")
@@ -728,6 +731,13 @@ class TestExitCodes:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(argv) == 3
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_beamwidth_with_unit_cosine_rejected(self, capsys):
+        # cos(1e-9 deg) rounds to 1, so the Lambertian order would divide by zero
+        argv = ["sweep-snr", "--trials", "2000", "--set", "phi_hpbw_deg=1e-9"]
+        assert main(argv) == 2
+        assert "beamwidth" in capsys.readouterr().err
 
     def test_negative_seed_rejected(self, capsys):
         assert main(["sweep-snr", "--trials", "2000", "--seed", "-1"]) == 2

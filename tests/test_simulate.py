@@ -69,6 +69,37 @@ class TestApplyNoise:
         with pytest.raises(InvalidParameterError):
             NoiseConfig(sigma_d=-0.1)
 
+    def test_matches_out_of_place_formula_bit_for_bit(self, model_dev25):
+        noise = NoiseConfig(sigma_d=0.8, sigma_phi=2.5, enabled=True)
+        d, mean, inst = sample_users(model_dev25, np.random.default_rng(3), (300, 20))
+        # large distance noise so the clamp at zero is exercised
+        got = _observe(d, mean, inst, noise, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        sigma_phi = np.radians(noise.sigma_phi)
+        want = (
+            np.maximum(d + noise.sigma_d * rng.standard_normal(d.shape), 0.0),
+            mean + sigma_phi * rng.standard_normal(mean.shape),
+            inst + sigma_phi * rng.standard_normal(inst.shape),
+        )
+        assert np.any(want[0] == 0.0)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("draws", [1, 2])
+    def test_fewer_draws_keep_the_leading_ones(self, draws):
+        noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=True)
+        true = tuple(np.full(50, v) for v in (5.0, 1.2, 1.4))
+        full = _observe(*true, noise, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        part = _observe(*true, noise, rng, draws)
+        for k in range(draws):
+            assert part[k].tobytes() == full[k].tobytes()
+        assert all(part[k] is true[k] for k in range(draws, 3))
+        # only the leading draws left the stream
+        after = np.random.default_rng(5)
+        after.standard_normal(50 * draws)
+        assert rng.random() == after.random()
+
 
 class TestIndividualTrial:
     def test_outcome_structure(self, model_dev25, led_fov50):
@@ -168,6 +199,28 @@ class TestGroupTrial:
             200, cfg, model_dev25, led_fov50, total_users=20, seed=9
         )
         assert gain_w.size == 0
+
+
+def _uniform_pick_reference(mask, u):
+    """The cumsum/argmax rule that ``_uniform_pick`` must reproduce."""
+    count = mask.sum(axis=1)
+    target = (u * np.maximum(count, 1)).astype(np.int64) + 1
+    idx = np.argmax(np.cumsum(mask, axis=1) == target[:, None], axis=1)
+    return idx, count > 0
+
+
+class TestUniformPick:
+    @pytest.mark.parametrize("width", [1, 2, 20, 1000])
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.3, 1.0])
+    def test_matches_cumsum_rule(self, p, width):
+        rng = np.random.default_rng(width)
+        mask = rng.random((300, width)) < p
+        for u in (rng.random(300), np.zeros(300), np.full(300, np.nextafter(1.0, 0.0))):
+            idx, ok = _uniform_pick(mask, u)
+            want_idx, want_ok = _uniform_pick_reference(mask, u)
+            np.testing.assert_array_equal(idx, want_idx)
+            np.testing.assert_array_equal(ok, want_ok)
+            assert np.all(mask[ok, idx[ok]])
 
 
 class TestEstimate:
