@@ -20,11 +20,11 @@ from .gain_cdf import (
     edge_gain_distance,
     gain_halfangle,
     mean_angle_bands,
+    nonzero_gain_probability,
     ramp_cdf_integral,
 )
 from .geometry import (
     LedGeometry,
-    UserState,
     channel_constant,
     dc_gain,
     incidence_angle,
@@ -37,7 +37,6 @@ from .mobility import (
     binom_pmf,
     binom_tail,
     cdf_vertical_angle,
-    nonzero_gain_probability,
     pmf_nonzero_count_truncated,
     prob_incidence_within,
     sample_users,

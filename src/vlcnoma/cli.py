@@ -21,14 +21,18 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateConditionError, InvalidParameterError
-from .gain_cdf import CDF_FAMILIES, CDF_SAMPLE_FAMILIES, FeedbackThresholds
+from .gain_cdf import (
+    CDF_FAMILIES,
+    CDF_SAMPLE_FAMILIES,
+    FeedbackThresholds,
+    nonzero_gain_probability,
+)
 from .geometry import LedGeometry
 from .mobility import (
     MAX_TOTAL_USERS,
     MobilityModel,
     NonzeroCount,
     cdf_vertical_angle,
-    nonzero_gain_probability,
     pmf_nonzero_count_truncated,
 )
 from .quadrature import EmpiricalDistribution, ks_bound_grid, ks_distance, ks_distance_bound
@@ -318,7 +322,6 @@ class ExperimentConfig:
     seed: int
     workers: int | None
     grid: tuple[float, ...]
-    grid_points: int
     ks_grid_points: int
     oma_mode: str
     family: str
@@ -326,16 +329,12 @@ class ExperimentConfig:
     explicit_mean_band: bool
 
     def __post_init__(self):
-        if len(self.grid) == 0 or np.any(np.diff(self.grid) <= 0):
-            raise InvalidParameterError("sweep grid must be non-empty and increasing")
         if self.trials < 1000:
             raise InvalidParameterError("estimate subcommands need at least 1000 trials")
         if self.seed < 0:
             raise InvalidParameterError("seed must be nonnegative")
         if self.oma_mode not in OMA_MODES:
             raise InvalidParameterError(f"oma_mode must be one of {OMA_MODES}")
-        if self.grid_points < 2 or self.ks_grid_points < 2:
-            raise InvalidParameterError("grid_points and ks_grid_points must be at least 2")
         if self.noma.strong_rank > self.total_users:
             raise InvalidParameterError("strong_rank exceeds total_users")
         if self.total_users > MAX_TOTAL_USERS:
@@ -350,12 +349,12 @@ def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> Expe
     thresholds = build_thresholds(conf, model, led)
     noma = build_noma(conf, thresholds)
     grid_points = _parse_int(conf, "grid_points")
+    ks_grid_points = _parse_int(conf, "ks_grid_points")
+    if grid_points < 2 or ks_grid_points < 2:
+        raise InvalidParameterError("grid_points and ks_grid_points must be at least 2")
     if command in SWEEPS:
         key = SWEEPS[command][0]
         grid = parse_grid(conf[key], key)
-    elif grid_points < 2:
-        # np.linspace would raise on a negative count before ExperimentConfig checks it
-        raise InvalidParameterError("grid_points and ks_grid_points must be at least 2")
     else:
         grid = tuple(np.linspace(0.0, 1.0, grid_points))
     return ExperimentConfig(
@@ -369,8 +368,7 @@ def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> Expe
         seed=_parse_int(conf, "seed"),
         workers=_parse_int(conf, "workers") if conf["workers"] else None,
         grid=grid,
-        grid_points=grid_points,
-        ks_grid_points=_parse_int(conf, "ks_grid_points"),
+        ks_grid_points=ks_grid_points,
         oma_mode=conf["oma_mode"],
         family=conf["family"],
         rank=_parse_int(conf, "rank") if conf["rank"] else None,
@@ -440,7 +438,7 @@ def cmd_validate_knz(xc: ExperimentConfig, out: str | None, manifest: str):
 
 def cmd_validate_channel_cdf(xc: ExperimentConfig, out: str | None, manifest: str):
     res = estimate(
-        "conditional_cdf_samples",
+        xc.family,
         xc.trials,
         xc.noma,
         xc.model,
@@ -448,7 +446,6 @@ def cmd_validate_channel_cdf(xc: ExperimentConfig, out: str | None, manifest: st
         total_users=xc.total_users,
         seed=xc.seed,
         workers=xc.workers,
-        family=xc.family,
         rank=xc.rank,
     )
     emp = EmpiricalDistribution(res.value)

@@ -22,6 +22,7 @@ distance profile of the bands themselves has the closed form
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,6 @@ from .mobility import (
     binom_tail,
     bound_crossing_radius,
     fov_window_breakpoints,
-    nonzero_gain_probability,
     pmf_nonzero_count_truncated,
     prob_incidence_within,
 )
@@ -47,6 +47,7 @@ __all__ = [
     "FeedbackThresholds",
     "gain_halfangle",
     "edge_gain_distance",
+    "nonzero_gain_probability",
     "cdf_gain_unordered",
     "cdf_gain_ranked",
     "cdf_weak_twobit_inst",
@@ -159,6 +160,17 @@ def _band_integral(model, led, r_lo, r_hi, floor: float, cap: float, *, clears=T
         return integrate_1d(band, start, r_hi, QuadratureSpec(breakpoints=bps))
 
     return integral
+
+
+@functools.lru_cache(maxsize=64)
+def nonzero_gain_probability(model: MobilityModel, led: LedGeometry) -> float:
+    """Probability that a single user's channel gain is nonzero, memoized per geometry.
+
+    The whole field-of-view band of :func:`_band_integral`, averaged over
+    distance.  Each ranked-family call needs it; arguments must be hashable.
+    """
+    total = _band_integral(model, led, model.d_min, model.d_max, 0.0, led.theta_fov)()
+    return min(max(total / model.delta_d, 0.0), 1.0)
 
 
 def _survival_cdf(x, survive, den: float):

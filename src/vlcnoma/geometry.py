@@ -17,7 +17,6 @@ from .errors import InvalidParameterError, require_finite
 
 __all__ = [
     "LedGeometry",
-    "UserState",
     "lambertian_order",
     "incidence_angle",
     "dc_gain",
@@ -67,15 +66,6 @@ class LedGeometry:
             raise InvalidParameterError("Lambertian order must be positive")
 
 
-@dataclass(frozen=True)
-class UserState:
-    """One sampled receiver: horizontal distance, mean vertical angle, instantaneous angle."""
-
-    dist: float
-    mean_angle: float
-    inst_angle: float
-
-
 def incidence_angle(d, phi, ell: float):
     """Angle between the arriving ray and the detector normal, radians.
 
@@ -85,16 +75,16 @@ def incidence_angle(d, phi, ell: float):
     return np.pi - np.arctan2(ell, d) - phi
 
 
-def dc_gain(user: UserState, led: LedGeometry):
-    """Line-of-sight DC channel gain for one receiver; zero outside the field of view.
+def dc_gain(d, phi, led: LedGeometry):
+    """Line-of-sight DC channel gain at distance ``d`` and vertical angle ``phi``.
 
     Product of the Lambertian emission factor cos^m of the irradiance angle,
-    the detector aperture factor, and the cosine of the incidence angle.
-    Accepts array-valued ``dist``/``inst_angle`` inside ``user`` and
-    broadcasts.  Only receivers inside the field of view pay for the
-    emission and incidence factors; the rest stay exactly zero.
+    the detector aperture factor, and the cosine of the incidence angle; zero
+    outside the field of view.  ``d`` and ``phi`` broadcast.  Only receivers
+    inside the field of view pay for the emission and incidence factors; the
+    rest stay exactly zero.
     """
-    d, phi = np.broadcast_arrays(np.asarray(user.dist, dtype=float), user.inst_angle)
+    d, phi = np.broadcast_arrays(np.asarray(d, dtype=float), phi)
     theta = incidence_angle(d, phi, led.ell)
     # Flat indices gather and scatter far faster than a boolean mask.
     lit = np.flatnonzero(np.abs(theta) <= led.theta_fov)
@@ -109,12 +99,8 @@ def dc_gain(user: UserState, led: LedGeometry):
 
 
 def mean_dc_gain(d, mean_angle, led: LedGeometry):
-    """DC gain evaluated at the mean vertical angle instead of the instantaneous one.
-
-    This is the mean-angle feedback metric: :func:`dc_gain` of the same
-    receiver with its mean angle in place of the instantaneous one.
-    """
-    return dc_gain(UserState(d, mean_angle, mean_angle), led)
+    """DC gain at the mean vertical angle: :func:`dc_gain` with the mean angle as ``phi``."""
+    return dc_gain(d, mean_angle, led)
 
 
 def channel_constant(led: LedGeometry):

@@ -4,14 +4,13 @@ Each transmission period draws, independently per user, a horizontal
 distance, a mean vertical angle, and an instantaneous vertical angle
 uniform within a deviation band around the mean.  The derived objects here
 are the unconditional CDF of the instantaneous angle (a piecewise
-quadratic/linear mixture), the probability that one user's gain is nonzero,
-and the distribution of the number of nonzero-gain users, a binomial law
-computed in log space by :func:`binom_pmf`.
+quadratic/linear mixture), the probability that the incidence angle stays
+inside a window at a given distance, and the distribution of the number of
+nonzero-gain users, a binomial law computed in log space by :func:`binom_pmf`.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -21,7 +20,6 @@ import numpy as np
 
 from .errors import DegenerateConditionError, InvalidParameterError, require_finite
 from .geometry import LedGeometry
-from .quadrature import QuadratureSpec, integrate_1d
 
 __all__ = [
     "MAX_TOTAL_USERS",
@@ -30,7 +28,6 @@ __all__ = [
     "sample_users",
     "cdf_vertical_angle",
     "prob_incidence_within",
-    "nonzero_gain_probability",
     "binom_pmf",
     "binom_tail",
     "pmf_nonzero_count_truncated",
@@ -158,23 +155,6 @@ def prob_incidence_within(r, half_width, model: MobilityModel, led: LedGeometry)
     return cdf_vertical_angle(center + half_width, model) - cdf_vertical_angle(
         center - half_width, model
     )
-
-
-@functools.lru_cache(maxsize=64)
-def nonzero_gain_probability(model: MobilityModel, led: LedGeometry) -> float:
-    """Probability that a single user's channel gain is nonzero, memoized per geometry.
-
-    Averages the in-field-of-view probability over distance by quadrature, split
-    at the radii where the field-of-view window edges cross the vertical-angle
-    CDF breakpoints.  Each ranked-family call needs it; arguments must be hashable.
-    """
-    total = integrate_1d(
-        lambda r: prob_incidence_within(r, led.theta_fov, model, led),
-        model.d_min,
-        model.d_max,
-        QuadratureSpec(breakpoints=fov_window_breakpoints(led.theta_fov, model, led)),
-    )
-    return min(max(total / model.delta_d, 0.0), 1.0)
 
 
 def bound_crossing_radius(offset: float, bound: float, ell: float) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateConditionError, InvalidParameterError, require_finite
 from .gain_cdf import CDF_SAMPLE_FAMILIES
-from .geometry import LedGeometry, UserState, dc_gain, incidence_angle, mean_dc_gain
+from .geometry import LedGeometry, dc_gain, incidence_angle
 from .mobility import MobilityModel, sample_users
 from .rates import GROUP_MODES, MODE_FAMILIES, NomaConfig, outage_gain_thresholds
 
@@ -65,7 +65,7 @@ class EstimateResult:
     """Aggregate of a Monte Carlo run plus the observed scheduling probability."""
 
     value: object
-    stderr: object
+    stderr: float
     sched_prob: float
     trials: int
     scheduled_trials: int
@@ -108,10 +108,10 @@ def _take_ranked(ranked, count, rank):
     return np.take_along_axis(ranked, np.clip(pos, 0, total - 1)[:, None], 1)[:, 0]
 
 
-def _gain_sq_at(pick, d, mean, inst, led):
+def _gain_sq_at(pick, d, inst, led):
     """Squared true gains of the users at the row-wise indices ``pick``."""
-    d, mean, inst = (np.take_along_axis(a, pick, axis=1) for a in (d, mean, inst))
-    return np.square(dc_gain(UserState(d, mean, inst), led))
+    d, inst = (np.take_along_axis(a, pick, axis=1) for a in (d, inst))
+    return np.square(dc_gain(d, inst, led))
 
 
 # Observation noise each individual mode reads: distance, then the mean angle,
@@ -138,18 +138,15 @@ def _individual_batch(rng, n, total_users, cfg, model, led, noise):
             ranked = np.argsort(-d_obs[blk], axis=1, kind="stable")
             apparent = np.full(ranked.shape[0], total_users)
         else:
-            gain_sq = np.square(dc_gain(UserState(d[blk], mean[blk], inst[blk]), led))
+            gain_sq = np.square(dc_gain(d[blk], inst[blk], led))
             nonzero = np.count_nonzero(gain_sq > 0.0, axis=1)
             scheduled[blk] = nonzero >= cfg.strong_rank
             if by_value:
                 ranked, apparent = np.sort(gain_sq, axis=1), nonzero
             else:
-                if mode == "FullCSI":
-                    metric = np.square(
-                        dc_gain(UserState(d_obs[blk], mean_obs[blk], inst_obs[blk]), led)
-                    )
-                else:
-                    metric = np.square(mean_dc_gain(d_obs[blk], mean_obs[blk], led))
+                # FullCSI ranks by the observed gain, MeanAngle by the gain at the mean angle.
+                angle_obs = inst_obs if mode == "FullCSI" else mean_obs
+                metric = np.square(dc_gain(d_obs[blk], angle_obs[blk], led))
                 ranked = np.argsort(metric, axis=1, kind="stable")
                 apparent = np.count_nonzero(metric > 0.0, axis=1)
         # Rank among the apparent-nonzero pool; when it is shorter than the
@@ -160,7 +157,7 @@ def _individual_batch(rng, n, total_users, cfg, model, led, noise):
         if by_value:
             picked = pick
         elif mode == "DistanceOnly":
-            picked = _gain_sq_at(pick, d[blk], mean[blk], inst[blk], led)
+            picked = _gain_sq_at(pick, d[blk], inst[blk], led)
         else:
             picked = np.take_along_axis(gain_sq, pick, axis=1)
         picked = np.where((apparent > 0)[:, None], picked, 0.0)
@@ -215,7 +212,7 @@ def _group_batch(rng, n, total_users, cfg, model, led, noise):
         strong_idx, strong_ok = _uniform_pick(strong_mask, u[blk, 1])
         scheduled[blk] = weak_ok & strong_ok
         pick = np.stack((weak_idx, strong_idx), axis=1)
-        picked = _gain_sq_at(pick, d[blk], mean[blk], inst[blk], led)
+        picked = _gain_sq_at(pick, d[blk], inst[blk], led)
         picked = np.where(np.stack((weak_ok, strong_ok), axis=1), picked, 0.0)
         gain_sq_weak[blk], gain_sq_strong[blk] = picked.T
     return scheduled, gain_sq_weak, gain_sq_strong
@@ -292,20 +289,6 @@ def rate_stats(gain_sq_weak, gain_sq_strong, trials: int, cfg: NomaConfig) -> Es
     return EstimateResult(mean, stderr, n / trials, trials, n)
 
 
-def _outage_stats(gain_sq_weak, gain_sq_strong, trials: int, cfg: NomaConfig) -> EstimateResult:
-    n = gain_sq_weak.size
-    if n == 0:
-        raise DegenerateConditionError("no scheduled trials")
-    threshold_weak, threshold_strong, _ = outage_gain_thresholds(cfg)
-    p_weak = float(np.mean(gain_sq_weak <= threshold_weak))
-    p_strong = float(np.mean(gain_sq_strong <= threshold_strong))
-
-    def se(p):
-        return math.sqrt(p * (1.0 - p) / (n - 1)) if n > 1 else 0.0
-
-    return EstimateResult((p_weak, p_strong), (se(p_weak), se(p_strong)), n / trials, trials, n)
-
-
 def _single_user_condition(family: str, cfg, led):
     """Membership test on true observables for single-user conditional sampling."""
     if family == "unordered":
@@ -318,7 +301,32 @@ def _single_user_condition(family: str, cfg, led):
     return lambda d, mean, inst, gain_sq: _group_masks(mode, th, led, d, mean, inst)[side]
 
 
-def _cdf_sample_chunks(family, trials, cfg, model, led, rank, seed, workers, total_users):
+def estimate(
+    family: str,
+    trials: int,
+    cfg: NomaConfig,
+    model: MobilityModel,
+    led: LedGeometry,
+    *,
+    total_users: int,
+    seed: int = 0,
+    workers: int | None = None,
+    rank: int | None = None,
+) -> EstimateResult:
+    """Squared true gains drawn under the conditioning of a CDF family.
+
+    ``family`` is one of ``CDF_SAMPLE_FAMILIES``.  ``ordered`` keeps the gain
+    at ascending ``rank`` (default ``cfg.strong_rank``) among the nonzero
+    users of each trial with at least ``cfg.strong_rank`` of them; every other
+    family keeps the single users inside its set.  The samples come back as
+    ``value`` and the fraction of draws that met the condition as ``sched_prob``.
+    """
+    if trials < 1:
+        raise InvalidParameterError("need at least one trial")
+    if family not in CDF_SAMPLE_FAMILIES:
+        raise InvalidParameterError(
+            f"family must be one of {CDF_SAMPLE_FAMILIES}, got {family!r}"
+        )
     if family == "ordered":
         if rank is None:
             rank = cfg.strong_rank
@@ -326,9 +334,8 @@ def _cdf_sample_chunks(family, trials, cfg, model, led, rank, seed, workers, tot
             raise InvalidParameterError("rank must lie in [1, strong_rank]")
 
         def chunk(c: int, size: int):
-            rng = _chunk_rng(seed, c)
-            d, mean, inst = sample_users(model, rng, (size, total_users))
-            gain_sq = np.square(dc_gain(UserState(d, mean, inst), led))
+            d, _, inst = sample_users(model, _chunk_rng(seed, c), (size, total_users))
+            gain_sq = np.square(dc_gain(d, inst, led))
             nonzero = np.count_nonzero(gain_sq > 0.0, axis=1)
             keep = nonzero >= cfg.strong_rank
             return _take_ranked(np.sort(gain_sq[keep], axis=1), nonzero[keep], rank)
@@ -337,57 +344,14 @@ def _cdf_sample_chunks(family, trials, cfg, model, led, rank, seed, workers, tot
         membership = _single_user_condition(family, cfg, led)
 
         def chunk(c: int, size: int):
-            rng = _chunk_rng(seed, c)
-            d, mean, inst = sample_users(model, rng, (size,))
-            gain_sq = np.square(dc_gain(UserState(d, mean, inst), led))
+            d, mean, inst = sample_users(model, _chunk_rng(seed, c), (size,))
+            gain_sq = np.square(dc_gain(d, inst, led))
             return gain_sq[membership(d, mean, inst, gain_sq)]
 
-    return np.concatenate(_map_chunks(chunk, trials, workers))
-
-
-def estimate(
-    metric: str,
-    trials: int,
-    cfg: NomaConfig,
-    model: MobilityModel,
-    led: LedGeometry,
-    *,
-    total_users: int,
-    noise: NoiseConfig | None = None,
-    seed: int = 0,
-    workers: int | None = None,
-    family: str | None = None,
-    rank: int | None = None,
-) -> EstimateResult:
-    """Monte Carlo estimate of a metric with its standard error.
-
-    ``sum_rate`` and ``outage_pair`` average over scheduled trials, matching
-    the conditioning of the analytic path, and report the scheduling
-    probability alongside.  ``conditional_cdf_samples`` returns raw squared
-    gains drawn under the conditioning of the ``family`` (one of
-    ``CDF_SAMPLE_FAMILIES``); ``rank`` applies to the ``ordered`` family.
-    """
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
-    if metric in ("sum_rate", "outage_pair"):
-        collected = collect_scheduled_gains(
-            trials, cfg, model, led,
-            total_users=total_users, noise=noise, seed=seed, workers=workers,
-        )
-        stats = rate_stats if metric == "sum_rate" else _outage_stats
-        return stats(*collected, cfg)
-    if metric == "conditional_cdf_samples":
-        if family not in CDF_SAMPLE_FAMILIES:
-            raise InvalidParameterError(
-                f"family must be one of {CDF_SAMPLE_FAMILIES}, got {family!r}"
-            )
-        samples = _cdf_sample_chunks(
-            family, trials, cfg, model, led, rank, seed, workers, total_users
-        )
-        if samples.size == 0:
-            raise DegenerateConditionError("conditioning event never occurred")
-        return EstimateResult(samples, 0.0, samples.size / trials, trials, samples.size)
-    raise InvalidParameterError(f"unknown metric {metric!r}")
+    samples = np.concatenate(_map_chunks(chunk, trials, workers))
+    if samples.size == 0:
+        raise DegenerateConditionError("conditioning event never occurred")
+    return EstimateResult(samples, 0.0, samples.size / trials, trials, samples.size)
 
 
 def nonzero_count_histogram(

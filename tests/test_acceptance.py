@@ -187,7 +187,7 @@ def test_criterion_03_channel_gain_cdf_families():
     parts = []
     for family, trials, grid, tol in plan:
         res = estimate(
-            "conditional_cdf_samples",
+            family,
             trials,
             cfg,
             MODEL_FIG,
@@ -195,7 +195,6 @@ def test_criterion_03_channel_gain_cdf_families():
             total_users=TOTAL_USERS,
             seed=SEED,
             workers=WORKERS,
-            family=family,
         )
         cdf = functools.partial(CDF_FAMILIES[family], **FIG_CONDITION)
         bound = ks_distance_bound(res.value, cdf, grid_size=grid)
@@ -424,13 +423,15 @@ def test_criterion_11_property_invariants():
     )
 
     cfg = make_cfg("FullCSI", 50, 200.0)
-    one = estimate(
-        "sum_rate", 200_000, cfg, MODEL_V, LED_V[50],
-        total_users=TOTAL_USERS, seed=5, workers=1,
-    )
-    many = estimate(
-        "sum_rate", 200_000, cfg, MODEL_V, LED_V[50],
-        total_users=TOTAL_USERS, seed=5, workers=3,
+    one, many = (
+        rate_stats(
+            *collect_scheduled_gains(
+                200_000, cfg, MODEL_V, LED_V[50],
+                total_users=TOTAL_USERS, seed=5, workers=workers,
+            ),
+            cfg,
+        )
+        for workers in (1, 3)
     )
     det_ok = (
         one.value == many.value

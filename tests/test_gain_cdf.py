@@ -20,7 +20,6 @@ from vlcnoma import (
     InvalidParameterError,
     LedGeometry,
     MobilityModel,
-    UserState,
     band_measure,
     cdf_gain_ranked,
     cdf_gain_unordered,
@@ -411,7 +410,7 @@ def _mean_set_levels(model, led, th, subset):
         member = ~near & (theta > th.angle_threshold) & (theta <= led.theta_fov)
     else:
         member = near & (theta <= th.angle_threshold)
-    gains = np.square(dc_gain(UserState(d[member], mean[member], inst[member]), led))
+    gains = np.square(dc_gain(d[member], inst[member], led))
     probs = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999)
     return np.concatenate(([0.0], np.quantile(gains, probs)))
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from vlcnoma import (
     InvalidParameterError,
     LedGeometry,
-    UserState,
     channel_constant,
     dc_gain,
     incidence_angle,
@@ -68,10 +67,10 @@ class TestAngles:
         assert incidence_angle(3.0, facing - delta, 2.0) == pytest.approx(delta, rel=1e-12)
 
 
-def full_array_gain(user, led):
+def full_array_gain(d, phi, led):
     """Reference: the gain formula on every entry, then masked to the field of view."""
-    d = np.asarray(user.dist, dtype=float)
-    theta = incidence_angle(d, user.inst_angle, led.ell)
+    d = np.asarray(d, dtype=float)
+    theta = incidence_angle(d, phi, led.ell)
     m = led.lambertian_m
     cos_irr = led.ell / np.sqrt(led.ell**2 + d * d)
     base = (m + 1) * led.area_r / (2 * np.pi * (led.ell**2 + d * d))
@@ -93,39 +92,33 @@ class TestDcGain:
         d = rng.uniform(0.0, 10.0, 100_000)
         d[::97] = 0.0
         phi = rng.uniform(0.0, np.pi, 100_000)
-        user = UserState(d, phi, phi)
-        assert_bit_equal(dc_gain(user, led), full_array_gain(user, led))
-        grid = UserState(d.reshape(400, 250), phi[:250], phi[:250])
-        assert_bit_equal(dc_gain(grid, led), full_array_gain(grid, led))
+        assert_bit_equal(dc_gain(d, phi, led), full_array_gain(d, phi, led))
+        grid = (d.reshape(400, 250), phi[:250])
+        assert_bit_equal(dc_gain(*grid, led), full_array_gain(*grid, led))
 
     def test_all_dark_gives_zeros_of_input_shape(self, led_fov50):
-        user = UserState(np.full((3, 4), 5.0), 0.2, np.full((3, 4), 0.2))
-        gain = dc_gain(user, led_fov50)
+        gain = dc_gain(np.full((3, 4), 5.0), np.full((3, 4), 0.2), led_fov50)
         assert_bit_equal(gain, np.zeros((3, 4)))
 
     def test_scalar_inputs(self, led_fov50):
         lit = np.pi - np.arctan2(2.0, 3.0)
         for d, phi in ((5.0, 0.2), (3.0, lit), (0.0, np.pi / 2), (np.float64(3.0), lit)):
-            user = UserState(d, phi, phi)
-            gain = dc_gain(user, led_fov50)
-            assert_bit_equal(gain, full_array_gain(user, led_fov50))
+            gain = dc_gain(d, phi, led_fov50)
+            assert_bit_equal(gain, full_array_gain(d, phi, led_fov50))
             assert (gain == 0.0) != (gain > 0.0)
 
     def test_scalar_distance_broadcasts_against_angles(self, led_fov50):
         phi = np.linspace(0.0, np.pi, 1001)
-        user = UserState(3.0, phi, phi)
-        gain = dc_gain(user, led_fov50)
+        gain = dc_gain(3.0, phi, led_fov50)
         assert gain.shape == phi.shape and np.count_nonzero(gain) > 0
-        assert_bit_equal(gain, full_array_gain(user, led_fov50))
+        assert_bit_equal(gain, full_array_gain(3.0, phi, led_fov50))
 
     def test_gain_zero_outside_fov(self, led_fov50):
-        user = UserState(dist=5.0, mean_angle=0.2, inst_angle=0.2)
-        assert dc_gain(user, led_fov50) == 0.0
+        assert dc_gain(5.0, 0.2, led_fov50) == 0.0
 
     def test_gain_positive_inside_fov(self, led_fov50):
         theta = np.pi - np.arctan2(2.0, 3.0)
-        user = UserState(dist=3.0, mean_angle=theta, inst_angle=theta)
-        assert dc_gain(user, led_fov50) > 0.0
+        assert dc_gain(3.0, theta, led_fov50) > 0.0
 
     def test_gain_identity_with_channel_constant(self, led_fov50):
         h_c, upsilon = channel_constant(led_fov50)
@@ -136,17 +129,15 @@ class TestDcGain:
             theta = incidence_angle(d, phi, led_fov50.ell)
             if abs(theta) > led_fov50.theta_fov:
                 continue
-            h = dc_gain(UserState(d, phi, phi), led_fov50)
+            h = dc_gain(d, phi, led_fov50)
             assert h * h * upsilon(d) == pytest.approx(np.cos(theta) ** 2, rel=1e-12)
 
     def test_vectorized_matches_scalar(self, led_fov50):
         rng = np.random.default_rng(1)
         d = rng.uniform(0, 10, 50)
         phi = rng.uniform(0, np.pi, 50)
-        batch = dc_gain(UserState(d, phi, phi), led_fov50)
-        singles = np.array(
-            [dc_gain(UserState(di, pi_, pi_), led_fov50) for di, pi_ in zip(d, phi)]
-        )
+        batch = dc_gain(d, phi, led_fov50)
+        singles = np.array([dc_gain(di, pi_, led_fov50) for di, pi_ in zip(d, phi)])
         np.testing.assert_allclose(batch, singles, rtol=1e-14)
 
     @given(st.floats(0.0, 10.0), st.floats(0.0, np.pi))
@@ -154,7 +145,7 @@ class TestDcGain:
     def test_gain_nonnegative_and_bounded(self, d, phi):
         led = LedGeometry(ell=2.0, phi_hpbw=np.radians(60), area_r=1e-4, theta_fov=np.radians(90))
         h_c, upsilon = channel_constant(led)
-        h = dc_gain(UserState(d, phi, phi), led)
+        h = dc_gain(d, phi, led)
         assert h >= 0.0
         assert h * h <= 1.0 / upsilon(d) + 1e-25
 
@@ -162,7 +153,7 @@ class TestDcGain:
 class TestMeanDcGain:
     def test_equals_instantaneous_at_mean(self, led_fov50):
         d, phi = 4.0, np.radians(120)
-        inst = dc_gain(UserState(d, phi, phi), led_fov50)
+        inst = dc_gain(d, phi, led_fov50)
         assert mean_dc_gain(d, phi, led_fov50) == pytest.approx(inst, rel=1e-12)
 
     def test_folds_negative_cosine(self, led_fov90):

@@ -9,18 +9,22 @@ from scipy import special, stats
 from vlcnoma import (
     DegenerateConditionError,
     InvalidParameterError,
+    LedGeometry,
     MobilityModel,
     NonzeroCount,
     binom_pmf,
     binom_tail,
     cdf_vertical_angle,
+    dc_gain,
+    integrate_1d,
     ks_distance,
     nonzero_gain_probability,
     pmf_nonzero_count_truncated,
     prob_incidence_within,
     sample_users,
 )
-from vlcnoma.mobility import MAX_TOTAL_USERS
+from vlcnoma.mobility import MAX_TOTAL_USERS, fov_window_breakpoints
+from vlcnoma.quadrature import QuadratureSpec
 
 
 def model_with(dev_deg, lo_deg=None, hi_deg=None):
@@ -145,9 +149,7 @@ class TestInFovProbability:
         p = nonzero_gain_probability(model_dev25, led_fov50)
         rng = np.random.default_rng(17)
         d, mean, inst = sample_users(model_dev25, rng, (400_000,))
-        from vlcnoma import UserState, dc_gain
-
-        frac = np.mean(dc_gain(UserState(d, mean, inst), led_fov50) > 0)
+        frac = np.mean(dc_gain(d, inst, led_fov50) > 0)
         assert p == pytest.approx(frac, abs=0.003)
 
     def test_prob_incidence_within_consistency(self, model_dev25, led_fov50):
@@ -159,6 +161,21 @@ class TestInFovProbability:
         # window probability shrinks with the half width
         narrower = prob_incidence_within(r, half / 4, model_dev25, led_fov50)
         assert narrower <= per_r
+
+    @pytest.mark.parametrize("fov_deg", [30.0, 50.0, 60.0, 90.0])
+    @pytest.mark.parametrize("dev_deg", [0.0, 10.0, 25.0, 30.0])
+    def test_equals_direct_window_integral(self, dev_deg, fov_deg):
+        # The band integral of the CDF families, over the whole field of view,
+        # is the distance average of the in-view probability bit for bit.
+        model = model_with(dev_deg)
+        led = LedGeometry(2.0, np.radians(60.0), 1e-4, np.radians(fov_deg))
+        total = integrate_1d(
+            lambda r: prob_incidence_within(r, led.theta_fov, model, led),
+            model.d_min,
+            model.d_max,
+            QuadratureSpec(breakpoints=fov_window_breakpoints(led.theta_fov, model, led)),
+        )
+        assert nonzero_gain_probability(model, led) == min(max(total / model.delta_d, 0.0), 1.0)
 
     def test_fig_reference_value(self, model_dev30, led_fov60):
         assert nonzero_gain_probability(model_dev30, led_fov60) == pytest.approx(

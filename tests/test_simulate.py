@@ -12,6 +12,7 @@ from vlcnoma import (
     MobilityModel,
     NoiseConfig,
     collect_scheduled_gains,
+    dc_gain,
     estimate,
     incidence_angle,
     ks_distance_bound,
@@ -26,7 +27,7 @@ from vlcnoma import (
 )
 from vlcnoma.quadrature import QuadratureSpec, integrate_1d
 from vlcnoma import simulate
-from vlcnoma.rates import FEEDBACK_MODES
+from vlcnoma.rates import FEEDBACK_MODES, GROUP_MODES
 from vlcnoma.simulate import _group_masks, _observe, _uniform_pick
 from vlcnoma.gain_cdf import cdf_gain_ranked
 from tests.conftest import make_noma
@@ -223,18 +224,23 @@ class TestUniformPick:
             assert np.all(mask[ok, idx[ok]])
 
 
+def sum_rate(trials, cfg, model, led, *, total_users=20, **kw):
+    """Monte Carlo sum rate over scheduled trials, as the sweeps compute it."""
+    return rate_stats(
+        *collect_scheduled_gains(trials, cfg, model, led, total_users=total_users, **kw), cfg
+    )
+
+
 class TestEstimate:
     def test_sum_rate_matches_analytic(self, model_dev25, led_fov50):
         cfg = make_noma(snr_db=200.0)
-        res = estimate("sum_rate", 200_000, cfg, model_dev25, led_fov50, total_users=20, seed=7)
+        res = sum_rate(200_000, cfg, model_dev25, led_fov50, seed=7)
         p = outage_pair_analytic(cfg, model_dev25, led_fov50, total_users=20)
         assert res.value == pytest.approx(sum_rate_noma(*p, cfg), abs=0.05)
 
     def test_scheduling_probability_matches_binomial_tail(self, model_dev25, led_fov50):
         trials = 300_000
-        res = estimate(
-            "sum_rate", trials, make_noma(), model_dev25, led_fov50, total_users=20, seed=11
-        )
+        res = sum_rate(trials, make_noma(), model_dev25, led_fov50, seed=11)
         p = nonzero_gain_probability(model_dev25, led_fov50)
         tail = float(stats.binom.sf(9, 20, p))
         se = np.sqrt(tail * (1 - tail) / trials)
@@ -242,14 +248,17 @@ class TestEstimate:
 
     def test_outage_pair_metric(self, model_dev25, led_fov50):
         cfg = make_noma(snr_db=200.0)
-        res = estimate("outage_pair", 100_000, cfg, model_dev25, led_fov50, total_users=20, seed=3)
+        gain_w, gain_s, _ = collect_scheduled_gains(
+            100_000, cfg, model_dev25, led_fov50, total_users=20, seed=3
+        )
+        threshold_weak, threshold_strong, _ = outage_gain_thresholds(cfg)
         p_weak, p_strong = outage_pair_analytic(cfg, model_dev25, led_fov50, total_users=20)
-        assert res.value[0] == pytest.approx(p_weak, abs=0.01)
-        assert res.value[1] == pytest.approx(p_strong, abs=0.01)
+        assert np.mean(gain_w <= threshold_weak) == pytest.approx(p_weak, abs=0.01)
+        assert np.mean(gain_s <= threshold_strong) == pytest.approx(p_strong, abs=0.01)
 
     def test_all_outage_configuration(self, model_dev25, led_fov50):
         cfg = make_noma(snr_db=60.0)
-        res = estimate("sum_rate", 20_000, cfg, model_dev25, led_fov50, total_users=20, seed=5)
+        res = sum_rate(20_000, cfg, model_dev25, led_fov50, seed=5)
         assert res.value == 0.0
         assert res.stderr == 0.0
 
@@ -257,28 +266,25 @@ class TestEstimate:
         th = FeedbackThresholds(dist_threshold=10.0, angle_threshold=np.radians(5.0))
         cfg = make_noma(mode="OneBitDistance", thresholds=th)
         with pytest.raises(DegenerateConditionError):
-            estimate("sum_rate", 2_000, cfg, model_dev25, led_fov50, total_users=20, seed=0)
+            sum_rate(2_000, cfg, model_dev25, led_fov50, seed=0)
 
-    def test_unknown_metric_and_family(self, model_dev25, led_fov50):
+    def test_unknown_family(self, model_dev25, led_fov50):
         with pytest.raises(InvalidParameterError):
-            estimate("median", 1_000, make_noma(), model_dev25, led_fov50, total_users=20)
-        with pytest.raises(InvalidParameterError):
-            estimate(
-                "conditional_cdf_samples", 1_000, make_noma(), model_dev25, led_fov50,
-                total_users=20, family="not_a_family",
-            )
+            estimate("not_a_family", 1_000, make_noma(), model_dev25, led_fov50, total_users=20)
 
     def test_trial_count_validated(self, model_dev25, led_fov50):
         with pytest.raises(InvalidParameterError):
-            estimate("sum_rate", 0, make_noma(), model_dev25, led_fov50, total_users=20)
+            collect_scheduled_gains(0, make_noma(), model_dev25, led_fov50, total_users=20)
+        with pytest.raises(InvalidParameterError):
+            estimate("unordered", 0, make_noma(), model_dev25, led_fov50, total_users=20)
 
 
 class TestDeterminism:
     def test_worker_count_has_no_effect(self, model_dev25, led_fov50):
         cfg = make_noma(snr_db=210.0)
         kw = dict(total_users=20, seed=13)
-        one = estimate("sum_rate", 150_000, cfg, model_dev25, led_fov50, workers=1, **kw)
-        four = estimate("sum_rate", 150_000, cfg, model_dev25, led_fov50, workers=4, **kw)
+        one = sum_rate(150_000, cfg, model_dev25, led_fov50, workers=1, **kw)
+        four = sum_rate(150_000, cfg, model_dev25, led_fov50, workers=4, **kw)
         assert one.value == four.value
         assert one.stderr == four.stderr
         assert one.sched_prob == four.sched_prob
@@ -324,16 +330,57 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self, model_dev25, led_fov50):
         cfg = make_noma(snr_db=205.0)
-        a = estimate("sum_rate", 50_000, cfg, model_dev25, led_fov50, total_users=20, seed=1)
-        b = estimate("sum_rate", 50_000, cfg, model_dev25, led_fov50, total_users=20, seed=2)
+        a = sum_rate(50_000, cfg, model_dev25, led_fov50, seed=1)
+        b = sum_rate(50_000, cfg, model_dev25, led_fov50, seed=2)
         assert a.value != b.value
+
+
+class TestGainEvaluations:
+    """A row block picks first, then evaluates gains: a fixed count of ``dc_gain`` calls."""
+
+    # FullCSI and MeanAngle need every true gain to tell whether enough users
+    # are lit, plus their ranking metric unless it is that true gain; the others
+    # evaluate only the picked pair.
+    PER_BLOCK = {
+        ("FullCSI", False): 1,
+        ("FullCSI", True): 2,
+        ("MeanAngle", False): 2,
+        ("MeanAngle", True): 2,
+        **{
+            (mode, noisy): 1
+            for mode in ("DistanceOnly", *GROUP_MODES)
+            for noisy in (False, True)
+        },
+    }
+
+    @pytest.mark.parametrize("mode, noisy", sorted(PER_BLOCK))
+    def test_calls_per_row_block(self, mode, noisy, model_dev25, led_fov50, monkeypatch):
+        calls = []
+
+        def counted(d, phi, led):
+            calls.append(np.shape(d))
+            return dc_gain(d, phi, led)
+
+        monkeypatch.setattr(simulate, "dc_gain", counted)
+        cfg = make_noma(mode=mode, thresholds=FeedbackThresholds(1.0, np.radians(5.0)))
+        noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=noisy)
+        trials, total_users = 5_000, 20
+        collect_scheduled_gains(
+            trials, cfg, model_dev25, led_fov50,
+            total_users=total_users, noise=noise, seed=3, workers=1,
+        )
+        blocks = len(simulate._row_blocks(trials, total_users))
+        assert blocks > 1
+        assert len(calls) == self.PER_BLOCK[mode, noisy] * blocks
+        picks_first = mode not in ("FullCSI", "MeanAngle")
+        assert {shape[1] for shape in calls} == {2 if picks_first else total_users}
 
 
 class TestConditionalSamples:
     def test_ordered_rank_gain_matches_analytic(self, model_dev30, led_fov60):
         res = estimate(
-            "conditional_cdf_samples", 150_000, make_noma(), model_dev30, led_fov60,
-            total_users=20, seed=19, family="ordered", rank=10,
+            "ordered", 150_000, make_noma(), model_dev30, led_fov60,
+            total_users=20, seed=19, rank=10,
         )
         # the grid bound dominates the exact distance at a fraction of its integrals
         d = ks_distance_bound(
@@ -345,16 +392,14 @@ class TestConditionalSamples:
 
     def test_unordered_samples_are_nonzero_gains(self, model_dev30, led_fov60):
         res = estimate(
-            "conditional_cdf_samples", 20_000, make_noma(), model_dev30, led_fov60,
-            total_users=20, seed=21, family="unordered",
+            "unordered", 20_000, make_noma(), model_dev30, led_fov60, total_users=20, seed=21
         )
         assert np.all(res.value > 0.0)
 
     def test_mean_weak_family_keeps_atom(self, model_dev30, led_fov60, thresholds_validation):
         cfg = make_noma(mode="TwoBitMean", thresholds=thresholds_validation)
         res = estimate(
-            "conditional_cdf_samples", 50_000, cfg, model_dev30, led_fov60,
-            total_users=20, seed=23, family="twobit_mean_weak",
+            "twobit_mean_weak", 50_000, cfg, model_dev30, led_fov60, total_users=20, seed=23
         )
         zero_frac = np.mean(res.value == 0.0)
         assert zero_frac == pytest.approx(0.1457, abs=0.01)
@@ -362,8 +407,7 @@ class TestConditionalSamples:
     def test_inst_weak_family_matches_membership(self, model_dev30, led_fov60, thresholds_validation):
         cfg = make_noma(thresholds=thresholds_validation)
         res = estimate(
-            "conditional_cdf_samples", 50_000, cfg, model_dev30, led_fov60,
-            total_users=20, seed=25, family="twobit_inst_weak",
+            "twobit_inst_weak", 50_000, cfg, model_dev30, led_fov60, total_users=20, seed=25
         )
         assert np.all(res.value > 0.0)
         # conditioning probability equals the single-user weak-set measure,
@@ -385,8 +429,7 @@ class TestConditionalSamples:
     def test_rank_validated(self, model_dev30, led_fov60):
         with pytest.raises(InvalidParameterError):
             estimate(
-                "conditional_cdf_samples", 5_000, make_noma(), model_dev30, led_fov60,
-                total_users=20, family="ordered", rank=11,
+                "ordered", 5_000, make_noma(), model_dev30, led_fov60, total_users=20, rank=11
             )
 
 
@@ -412,13 +455,8 @@ class TestNoisyScheduling:
         # a true gain realizable by some user
         cfg = make_noma(snr_db=250.0)
         noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=True)
-        clean = estimate(
-            "sum_rate", 150_000, cfg, model_dev25, led_fov50, total_users=20, seed=37
-        )
-        noisy = estimate(
-            "sum_rate", 150_000, cfg, model_dev25, led_fov50, total_users=20, seed=37,
-            noise=noise,
-        )
+        clean = sum_rate(150_000, cfg, model_dev25, led_fov50, seed=37)
+        noisy = sum_rate(150_000, cfg, model_dev25, led_fov50, seed=37, noise=noise)
         assert noisy.sched_prob == clean.sched_prob  # scheduling uses true gains
         assert noisy.value != clean.value  # ranking uses the noisy gains
         assert abs(noisy.value - clean.value) < 0.5
