@@ -8,7 +8,6 @@ cross-validated against simulation under identical conditioning.
 from .errors import DegenerateConditionError, InvalidParameterError, NumericFailureError
 from .gain_cdf import (
     CDF_FAMILIES,
-    CDF_SAMPLE_FAMILIES,
     FeedbackThresholds,
     band_measure,
     cdf_gain_ranked,
@@ -43,7 +42,6 @@ from .mobility import (
 )
 from .quadrature import (
     EmpiricalDistribution,
-    QuadratureSpec,
     integrate_1d,
     integrate_2d_nested,
     ks_bound_grid,
@@ -51,10 +49,10 @@ from .quadrature import (
     ks_distance_bound,
 )
 from .rates import (
-    ANALYTIC_MODES,
     FEEDBACK_MODES,
     GROUP_MODES,
     INDIVIDUAL_MODES,
+    MODE_FAMILIES,
     OMA_MODES,
     NomaConfig,
     achievable_rate,

@@ -21,12 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateConditionError, InvalidParameterError
-from .gain_cdf import (
-    CDF_FAMILIES,
-    CDF_SAMPLE_FAMILIES,
-    FeedbackThresholds,
-    nonzero_gain_probability,
-)
+from .gain_cdf import CDF_FAMILIES, FeedbackThresholds, nonzero_gain_probability
 from .geometry import LedGeometry
 from .mobility import (
     MAX_TOTAL_USERS,
@@ -37,8 +32,8 @@ from .mobility import (
 )
 from .quadrature import EmpiricalDistribution, ks_bound_grid, ks_distance, ks_distance_bound
 from .rates import (
-    ANALYTIC_MODES,
     GROUP_MODES,
+    MODE_FAMILIES,
     OMA_MODES,
     NomaConfig,
     oma_gain_thresholds,
@@ -506,7 +501,7 @@ def _sweep_cells(xc: ExperimentConfig, cfg: NomaConfig, model: MobilityModel, ga
         mc = rate_stats(*collected, cfg)
         cells[f"{run}_sum_rate"], cells[f"{run}_stderr"] = mc.value, mc.stderr
         cells["sched_prob" if run == "mc" else f"{run}_sched_prob"] = mc.sched_prob
-    analytic = cfg.feedback_mode in ANALYTIC_MODES
+    analytic = cfg.feedback_mode in MODE_FAMILIES
     if "analytic_sum_rate" in values and analytic:
         p_weak, p_strong = outage_pair_analytic(cfg, model, xc.led, total_users=xc.total_users)
         cells["analytic_sum_rate"] = sum_rate_noma(p_weak, p_strong, cfg)
@@ -577,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="override any config key (repeatable)",
         )
         if name == "validate-channel-cdf":
-            p.add_argument("--family", choices=CDF_SAMPLE_FAMILIES)
+            p.add_argument("--family", choices=CDF_FAMILIES)
             p.add_argument("--rank", type=int, help="order-statistic rank (ordered family)")
     return parser
 

@@ -39,11 +39,10 @@ from .mobility import (
     pmf_nonzero_count_truncated,
     prob_incidence_within,
 )
-from .quadrature import QuadratureSpec, integrate_1d
+from .quadrature import integrate_1d
 
 __all__ = [
     "CDF_FAMILIES",
-    "CDF_SAMPLE_FAMILIES",
     "FeedbackThresholds",
     "gain_halfangle",
     "edge_gain_distance",
@@ -90,12 +89,14 @@ class FeedbackThresholds:
 def gain_halfangle(x, r, led: LedGeometry):
     """Incidence-angle magnitude below which the squared gain exceeds ``x`` at distance ``r``.
 
-    Solves cos^2(theta) = x * (ell^2 + r^2)^(m+2) / h_c^2 for theta; the clip
+    Solves cos^2(theta) = c with c = x * (ell^2 + r^2)^(m+2) / h_c^2; the clip
     returns pi/2 when every orientation clears the level and 0 when none does.
+    The arctangent form is well conditioned at both ends; ``arccos(2c - 1) / 2``
+    would lose ~1e-11 of theta near pi/2.
     """
     _, upsilon = channel_constant(led)
-    arg = np.clip(2.0 * np.asarray(x) * upsilon(np.asarray(r, dtype=float)) - 1.0, -1.0, 1.0)
-    return 0.5 * np.arccos(arg)
+    c = np.clip(np.asarray(x) * upsilon(np.asarray(r, dtype=float)), 0.0, 1.0)
+    return np.arctan2(np.sqrt(1.0 - c), np.sqrt(c))
 
 
 def edge_gain_distance(x: float, led: LedGeometry, *, cos_sq: float, lo: float, hi: float) -> float:
@@ -157,7 +158,7 @@ def _band_integral(model, led, r_lo, r_hi, floor: float, cap: float, *, clears=T
             inside = prob_incidence_within(r, upper, model, led)
             return inside if zero_floor else inside - prob_incidence_within(r, lower, model, led)
 
-        return integrate_1d(band, start, r_hi, QuadratureSpec(breakpoints=bps))
+        return integrate_1d(band, start, r_hi, bps)
 
     return integral
 
@@ -382,10 +383,7 @@ def _cdf_twobit_mean(x, model, led, th, subset: str):
         split = edge_gain_distance(xi, led, cos_sq=1.0, lo=r_lo, hi=r_hi)
         bps = static + (edge_gain_distance(xi, led, cos_sq=cos_fov_sq, lo=r_lo, hi=r_hi),)
         below = integrate_1d(
-            lambda r: _below_in_bands(xi, r, model, led, th, subset),
-            r_lo,
-            split,
-            QuadratureSpec(breakpoints=bps),
+            lambda r: _below_in_bands(xi, r, model, led, th, subset), r_lo, split, bps
         )
         total = band_measure(split, model, led, th, subset) + below / model.delta_mean
         return float(np.clip(total / den, 0.0, 1.0))
@@ -438,4 +436,3 @@ CDF_FAMILIES = {
     "twobit_mean_weak": _set_family("cdf_weak_twobit_mean"),
     "twobit_mean_strong": _set_family("cdf_strong_twobit_mean"),
 }
-CDF_SAMPLE_FAMILIES = tuple(CDF_FAMILIES)

@@ -9,7 +9,6 @@ around integrand kinks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .errors import InvalidParameterError, NumericFailureError
 
 __all__ = [
-    "QuadratureSpec",
     "integrate_1d",
     "integrate_2d_nested",
     "EmpiricalDistribution",
@@ -51,22 +49,6 @@ _WG = np.array([
 _XGL, _WGL = np.polynomial.legendre.leggauss(15)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances, panel budget and known non-smooth abscissae for one integral."""
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 4096
-    breakpoints: Sequence[float] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise InvalidParameterError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 16:
-            raise InvalidParameterError("max_subdivisions must be at least 16")
-
-
 def _panel_eval(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """Kronrod-15 estimate and |K15 - G7| error for a batch of panels."""
     mid = 0.5 * (lo + hi)
@@ -78,10 +60,19 @@ def _panel_eval(f: Callable, lo: np.ndarray, hi: np.ndarray):
     return k15, np.abs(k15 - g7)
 
 
-def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = None) -> float:
+def integrate_1d(
+    f: Callable,
+    a: float,
+    b: float,
+    breakpoints: Sequence[float] | None = None,
+    *,
+    rel_tol: float = 1e-8,
+    abs_tol: float = 1e-12,
+    max_subdivisions: int = 4096,
+) -> float:
     """Integrate a vectorized scalar function over [a, b] adaptively.
 
-    Splits first at every breakpoint in ``spec``, then bisects the panels
+    Splits first at every breakpoint inside (a, b), then bisects the panels
     with the largest error estimates until the summed error meets
     ``max(abs_tol, rel_tol * |integral|)``.
 
@@ -89,20 +80,18 @@ def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = 
     if the panel budget is exhausted first, or as soon as a panel value or
     error estimate is not finite, since no refinement can cure that.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if a > b:
         raise InvalidParameterError(f"integration bounds out of order: {a} > {b}")
     if a == b:
         return 0.0
-    cuts = sorted({float(c) for c in spec.breakpoints if a < c < b})
+    cuts = sorted({float(c) for c in breakpoints or () if a < c < b})
     edges = np.array([a, *cuts, b])
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _panel_eval(f, lo, hi)
     while True:
         total = vals.sum()
         err = errs.sum()
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        tol = max(abs_tol, rel_tol * abs(total))
         if not (np.isfinite(total) and np.isfinite(err)):
             raise NumericFailureError(
                 f"quadrature hit a non-finite value with {len(lo)} panels",
@@ -111,7 +100,7 @@ def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = 
             )
         if err <= tol:
             return float(total)
-        if len(lo) >= spec.max_subdivisions:
+        if len(lo) >= max_subdivisions:
             raise NumericFailureError(
                 f"quadrature did not converge: error {err:.3g} > tol {tol:.3g} "
                 f"with {len(lo)} panels",
@@ -137,7 +126,7 @@ def integrate_2d_nested(
     f: Callable,
     r_interval: tuple[float, float],
     inner_support: Callable[[float], Sequence[tuple[float, float]]],
-    spec: QuadratureSpec | None = None,
+    breakpoints: Sequence[float] | None = None,
 ) -> float:
     """Integrate ``f(r, s)`` over ``r`` in ``r_interval`` and ``s`` in ``inner_support(r)``.
 
@@ -169,7 +158,7 @@ def integrate_2d_nested(
         np.add.at(out, owner, (vals @ _WGL) * half)
         return out
 
-    return integrate_1d(outer, a, b, spec)
+    return integrate_1d(outer, a, b, breakpoints)
 
 
 class EmpiricalDistribution:

@@ -25,7 +25,6 @@ __all__ = [
     "INDIVIDUAL_MODES",
     "GROUP_MODES",
     "FEEDBACK_MODES",
-    "ANALYTIC_MODES",
     "MODE_FAMILIES",
     "OMA_MODES",
     "canonical_feedback_mode",
@@ -49,7 +48,6 @@ MODE_FAMILIES = {
     "TwoBitInstantaneous": ("twobit_inst_weak", "twobit_inst_strong"),
     "TwoBitMean": ("twobit_mean_weak", "twobit_mean_strong"),
 }
-ANALYTIC_MODES = tuple(MODE_FAMILIES)
 OMA_MODES = ("time_shared", "paper_literal")
 
 # Time-sharing splits the period between the two served users.

@@ -17,6 +17,7 @@ then use the noisy values while outage is always judged on the true gains.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConditionError, InvalidParameterError, require_finite
-from .gain_cdf import CDF_SAMPLE_FAMILIES
+from .gain_cdf import CDF_FAMILIES
 from .geometry import LedGeometry, dc_gain, incidence_angle
 from .mobility import MobilityModel, sample_users
 from .rates import GROUP_MODES, MODE_FAMILIES, NomaConfig, outage_gain_thresholds
@@ -315,31 +316,31 @@ def estimate(
 ) -> EstimateResult:
     """Squared true gains drawn under the conditioning of a CDF family.
 
-    ``family`` is one of ``CDF_SAMPLE_FAMILIES``.  ``ordered`` keeps the gain
-    at ascending ``rank`` (default ``cfg.strong_rank``) among the nonzero
-    users of each trial with at least ``cfg.strong_rank`` of them; every other
-    family keeps the single users inside its set.  The samples come back as
-    ``value`` and the fraction of draws that met the condition as ``sched_prob``.
+    ``family`` is one of ``CDF_FAMILIES``.  ``ordered`` keeps the gain at
+    ascending ``rank`` (default ``cfg.strong_rank``) among the nonzero users
+    of each trial with at least ``cfg.strong_rank`` of them: the noise-free
+    ``FullCSI`` pick at that rank.  Every other family keeps the single users
+    inside its set.  The samples come back as ``value`` and the fraction of
+    draws that met the condition as ``sched_prob``.
     """
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
-    if family not in CDF_SAMPLE_FAMILIES:
-        raise InvalidParameterError(
-            f"family must be one of {CDF_SAMPLE_FAMILIES}, got {family!r}"
-        )
+    if family not in CDF_FAMILIES:
+        raise InvalidParameterError(f"family must be one of {tuple(CDF_FAMILIES)}, got {family!r}")
     if family == "ordered":
         if rank is None:
             rank = cfg.strong_rank
         if not 1 <= rank <= cfg.strong_rank:
             raise InvalidParameterError("rank must lie in [1, strong_rank]")
-
-        def chunk(c: int, size: int):
-            d, _, inst = sample_users(model, _chunk_rng(seed, c), (size, total_users))
-            gain_sq = np.square(dc_gain(d, inst, led))
-            nonzero = np.count_nonzero(gain_sq > 0.0, axis=1)
-            keep = nonzero >= cfg.strong_rank
-            return _take_ranked(np.sort(gain_sq[keep], axis=1), nonzero[keep], rank)
-
+        # The pair's weak rank must stay below its strong one: the top rank is the strong pick.
+        top = rank == cfg.strong_rank
+        pick_cfg = dataclasses.replace(
+            cfg, feedback_mode="FullCSI", weak_rank=cfg.weak_rank if top else rank
+        )
+        gain_sq_weak, gain_sq_strong, _ = collect_scheduled_gains(
+            trials, pick_cfg, model, led, total_users=total_users, seed=seed, workers=workers
+        )
+        samples = gain_sq_strong if top else gain_sq_weak
     else:
         membership = _single_user_condition(family, cfg, led)
 
@@ -348,7 +349,7 @@ def estimate(
             gain_sq = np.square(dc_gain(d, inst, led))
             return gain_sq[membership(d, mean, inst, gain_sq)]
 
-    samples = np.concatenate(_map_chunks(chunk, trials, workers))
+        samples = np.concatenate(_map_chunks(chunk, trials, workers))
     if samples.size == 0:
         raise DegenerateConditionError("conditioning event never occurred")
     return EstimateResult(samples, 0.0, samples.size / trials, trials, samples.size)
@@ -370,9 +371,8 @@ def nonzero_count_histogram(
     def chunk(c: int, size: int):
         rng = _chunk_rng(seed, c)
         d, mean, inst = sample_users(model, rng, (size, total_users))
-        theta = np.abs(incidence_angle(d, inst, led.ell))
-        # Equivalent to dc_gain > 0: inside the view cone with positive cosine.
-        lit = (theta <= led.theta_fov) & (theta < np.pi / 2)
+        # The lit test of dc_gain: incidence within the field of view.
+        lit = np.abs(incidence_angle(d, inst, led.ell)) <= led.theta_fov
         return np.bincount(lit.sum(axis=1), minlength=total_users + 1)
 
     counts = _map_chunks(chunk, trials, workers)

@@ -23,7 +23,6 @@ from vlcnoma import (
     MobilityModel,
     NoiseConfig,
     NonzeroCount,
-    QuadratureSpec,
     cdf_gain_unordered,
     cdf_strong_twobit_inst,
     cdf_vertical_angle,
@@ -237,8 +236,7 @@ def _ramp_integral_oracle(offset, y, z, model, led):
         v = np.pi + offset - edge
         if 0.0 < v < np.pi / 2:
             kinks.append(led.ell / np.tan(v))
-    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15, breakpoints=tuple(kinks))
-    return integrate_1d(integrand, y, z, spec)
+    return integrate_1d(integrand, y, z, kinks, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_criterion_04_closed_integral_vs_quadrature():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcnoma import CDF_SAMPLE_FAMILIES, gain_cdf
+from vlcnoma import CDF_FAMILIES, gain_cdf
 from vlcnoma.cli import (
     DEFAULTS,
     SWEEPS,
@@ -454,6 +454,17 @@ class TestSweeps:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("dev", ["0", "1e-6"])
+    def test_two_bit_mean_at_right_angle_view_without_deviation(self, dev):
+        # At 250 dB the weak-set quadrature meets its tolerance only if the
+        # gain half-angle near 90 degrees is free of rounding noise.
+        argv = [
+            "sweep-snr", "--mode", "TwoBitMean", "--trials", "2000",
+            "--set", "theta_fov_deg=90", "--set", f"max_deviation_deg={dev}",
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+
     def test_thresholds_requires_group_mode(self, capsys):
         code = main(["sweep-thresholds", "--trials", "2000"])
         assert code == 2
@@ -589,8 +600,9 @@ class TestDeterminism:
 
 
 class TestGoldenBytes:
-    """Monte Carlo bytes of two-chunk sweeps (the second partial), and analytic
-    bytes of each gain-CDF family against its samples, pinned by hash.
+    """Monte Carlo bytes of two-chunk sweeps (the second partial), analytic
+    bytes of each gain-CDF family against its samples, and one case of each
+    other subcommand, pinned by hash.
 
     A kernel change that is meant to keep results must keep these hashes.  A
     change that moves results on purpose regenerates them and says so.  Bytes
@@ -645,6 +657,50 @@ class TestGoldenBytes:
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.FAMILY_SHA256[family]
+
+    # The other subcommands and the ordered family's weak-rank path, one case each.
+    COMMAND_SHA256 = {
+        "knz_fov50": (
+            ("validate-knz",),
+            "a074eabf53c9c196a2443ad92d8615bbc96650a03f01378222f0a100d95711f6",
+        ),
+        "knz_fov90": (
+            ("validate-knz", "--set", "theta_fov_deg=90"),
+            "a066301db9b9761fe059e604043cac9d41d74088a96be2407699fa9f223c5343",
+        ),
+        "ordered_rank3": (
+            (
+                "validate-channel-cdf", "--family", "ordered", "--rank", "3",
+                "--set", "grid_points=6", "--set", "ks_grid_points=8",
+            ),
+            "6b7f9fad9d4379523e7615cc4beae493f57685e5066c990f348570caddd062c1",
+        ),
+        "angle_cdf": (
+            ("validate-angle-cdf", "--set", "grid_points=11"),
+            "ad1eb9795fc5bd1896a776c5cf8e8b619728dcb6e0b0e5397c46563d1b0048f1",
+        ),
+        "deviation": (
+            ("sweep-deviation", "--mode", "TwoBitMean", "--set", "deviation_grid_deg=0,25"),
+            "6bc56bd63810390e59fbc41e18bfab52ad53aa5ff8580c77f3c7b3d6d42ba31d",
+        ),
+        "thresholds": (
+            (
+                "sweep-thresholds", "--mode", "TwoBitInstantaneous",
+                "--set", "threshold_frac_grid=0.1,0.5",
+            ),
+            "301315224d6715ef10c9901f5b3b2f987865a6fde82b7d1e8dc855211ec2395c",
+        ),
+    }
+
+    @pytest.mark.skipif(np.__version__ != NUMPY, reason=f"hashes made with numpy {NUMPY}")
+    @pytest.mark.parametrize("case", sorted(COMMAND_SHA256))
+    def test_command_stdout_hash(self, case):
+        command, expected = self.COMMAND_SHA256[case]
+        argv = [*command, "--trials", "20000", "--seed", "3", "--set", "workers=1"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == expected
 
 
 class TestExitCodes:
@@ -820,7 +876,7 @@ class TestFuzzMain:
         assert code in (0, 2, 3)
 
     @given(
-        family=st.sampled_from(CDF_SAMPLE_FAMILIES),
+        family=st.sampled_from(tuple(CDF_FAMILIES)),
         overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES, max_size=4),
     )
     # Most examples exit 2 at config time; 1,000 of them take about 8 s on 2 cores.

@@ -42,7 +42,6 @@ from vlcnoma import (
 from vlcnoma import gain_cdf
 from vlcnoma.cli import main
 from vlcnoma.mobility import bound_crossing_radius, cdf_vertical_angle
-from vlcnoma.quadrature import QuadratureSpec
 
 
 class TestGainHalfangle:
@@ -59,6 +58,23 @@ class TestGainHalfangle:
             for r in (0.5, 3.0, 9.0):
                 x = np.cos(z) ** 2 / upsilon(r)
                 assert gain_halfangle(x, r, led_fov50) == pytest.approx(z, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [0.0, 3.0, 9.0])
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9])
+    def test_pinned_near_both_ends(self, led_fov50, r, delta):
+        # References: arcsin of the sine near 0 and arccos of the cosine near
+        # pi/2, each well conditioned there.
+        _, upsilon = channel_constant(led_fov50)
+        near_zero = np.cos(delta) ** 2 / upsilon(r)
+        c = near_zero * upsilon(r)
+        ref = np.arcsin(np.sqrt(1.0 - c))
+        assert gain_halfangle(near_zero, r, led_fov50) == pytest.approx(ref, rel=1e-14)
+        near_right = np.sin(delta) ** 2 / upsilon(r)
+        ref = np.arccos(np.sqrt(near_right * upsilon(r)))
+        assert gain_halfangle(near_right, r, led_fov50) == pytest.approx(ref, rel=1e-15)
+        assert gain_halfangle(near_right, r, led_fov50) == pytest.approx(
+            np.pi / 2 - delta, rel=1e-15
+        )
 
     @given(st.floats(0.0, 1e-9), st.floats(0.0, 10.0))
     @settings(max_examples=80, deadline=None)
@@ -256,8 +272,7 @@ class TestClosedIntegral:
                 ),
             )
 
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
-        return integrate_1d(integrand, y, z, spec)
+        return integrate_1d(integrand, y, z, rel_tol=1e-12, abs_tol=1e-15)
 
     def test_saturated_branch(self, model_dev30, led_fov60):
         offset = model_dev30.mean_angle_max - np.pi / 2 + 0.1
@@ -461,8 +476,8 @@ def _nested_mean_set_cdf(xi, model, led, th, subset):
     total = band_measure(split, model, led, th, subset)
     if split > r_lo:
         edge = edge_gain_distance(xi, led, cos_sq=np.cos(led.theta_fov) ** 2, lo=r_lo, hi=r_hi)
-        spec = QuadratureSpec(breakpoints=static + (edge,))
-        total += integrate_2d_nested(integrand, (r_lo, split), inner_support, spec) / (
+        bps = static + (edge,)
+        total += integrate_2d_nested(integrand, (r_lo, split), inner_support, bps) / (
             model.delta_mean
         )
     return float(np.clip(total / band_measure(r_lo, model, led, th, subset), 0.0, 1.0))

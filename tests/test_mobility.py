@@ -24,7 +24,6 @@ from vlcnoma import (
     sample_users,
 )
 from vlcnoma.mobility import MAX_TOTAL_USERS, fov_window_breakpoints
-from vlcnoma.quadrature import QuadratureSpec
 
 
 def model_with(dev_deg, lo_deg=None, hi_deg=None):
@@ -173,7 +172,7 @@ class TestInFovProbability:
             lambda r: prob_incidence_within(r, led.theta_fov, model, led),
             model.d_min,
             model.d_max,
-            QuadratureSpec(breakpoints=fov_window_breakpoints(led.theta_fov, model, led)),
+            fov_window_breakpoints(led.theta_fov, model, led),
         )
         assert nonzero_gain_probability(model, led) == min(max(total / model.delta_d, 0.0), 1.0)
 

@@ -11,7 +11,6 @@ from vlcnoma import (
     EmpiricalDistribution,
     InvalidParameterError,
     NumericFailureError,
-    QuadratureSpec,
     integrate_1d,
     integrate_2d_nested,
     ks_distance,
@@ -21,8 +20,7 @@ from vlcnoma import (
 
 class TestIntegrate1d:
     def test_breakpoint_makes_kink_exact(self):
-        spec = QuadratureSpec(breakpoints=(0.3,))
-        value = integrate_1d(lambda x: np.abs(x - 0.3), 0.0, 1.0, spec)
+        value = integrate_1d(lambda x: np.abs(x - 0.3), 0.0, 1.0, (0.3,))
         assert value == pytest.approx(0.29, abs=1e-14)
 
     def test_degree_seven_polynomial_exact(self):
@@ -46,9 +44,15 @@ class TestIntegrate1d:
             integrate_1d(lambda x: x, 1.0, 0.0, None)
 
     def test_budget_exhaustion_reports_partial_result(self):
-        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=16)
         with pytest.raises(NumericFailureError) as info:
-            integrate_1d(lambda x: np.abs(np.sin(50 / (x + 0.01))), 0.0, 1.0, spec)
+            integrate_1d(
+                lambda x: np.abs(np.sin(50 / (x + 0.01))),
+                0.0,
+                1.0,
+                rel_tol=1e-15,
+                abs_tol=1e-300,
+                max_subdivisions=16,
+            )
         assert np.isfinite(info.value.estimate)
         assert info.value.error_bound > 0
 
@@ -72,8 +76,7 @@ class TestIntegrate1d:
         assert len(failures) == 2
 
     def test_breakpoints_outside_interval_ignored(self):
-        spec = QuadratureSpec(breakpoints=(-5.0, 0.5, 7.0))
-        value = integrate_1d(lambda x: np.abs(x - 0.5), 0.0, 1.0, spec)
+        value = integrate_1d(lambda x: np.abs(x - 0.5), 0.0, 1.0, (-5.0, 0.5, 7.0))
         assert value == pytest.approx(0.25, abs=1e-14)
 
     @given(

@@ -25,7 +25,7 @@ from vlcnoma import (
     sample_users,
     sum_rate_noma,
 )
-from vlcnoma.quadrature import QuadratureSpec, integrate_1d
+from vlcnoma.quadrature import integrate_1d
 from vlcnoma import simulate
 from vlcnoma.rates import FEEDBACK_MODES, GROUP_MODES
 from vlcnoma.simulate import _group_masks, _observe, _uniform_pick
@@ -421,8 +421,7 @@ class TestConditionalSamples:
 
         span = model_dev30.d_max - model_dev30.d_min
         expected = integrate_1d(
-            band_prob, thresholds_validation.dist_threshold, model_dev30.d_max,
-            QuadratureSpec(),
+            band_prob, thresholds_validation.dist_threshold, model_dev30.d_max
         ) / span
         assert res.sched_prob == pytest.approx(expected, abs=0.01)
 
@@ -442,6 +441,15 @@ class TestNonzeroCountHistogram:
         pmf = stats.binom.pmf(np.arange(21), 20, p)
         tv = 0.5 * np.abs(counts / trials - pmf).sum()
         assert tv < 0.01
+
+    def test_lit_test_is_dc_gains(self, led_fov90):
+        # Flat beneath the LED, light arrives at exactly 90 degrees: inside a
+        # 90-degree field of view, so dc_gain is positive and the user is lit.
+        model = MobilityModel(0.0, 5e-324, 0.0, 0.0, 0.0)
+        d, _, inst = sample_users(model, np.random.default_rng(0), (8,))
+        assert np.all(dc_gain(d, inst, led_fov90) > 0.0)
+        counts = nonzero_count_histogram(1_000, 3, model, led_fov90, seed=1)
+        np.testing.assert_array_equal(counts, [0, 0, 0, 1_000])
 
     def test_worker_independence(self, model_dev30, led_fov60):
         a = nonzero_count_histogram(100_000, 20, model_dev30, led_fov60, seed=31, workers=1)
