@@ -32,7 +32,6 @@ from .geometry import (
 )
 from .mobility import (
     MobilityModel,
-    NonzeroCount,
     binom_pmf,
     binom_tail,
     cdf_vertical_angle,

@@ -26,7 +26,6 @@ from .geometry import LedGeometry
 from .mobility import (
     MAX_TOTAL_USERS,
     MobilityModel,
-    NonzeroCount,
     cdf_vertical_angle,
     pmf_nonzero_count_truncated,
 )
@@ -281,7 +280,7 @@ def build_thresholds(conf: dict, model: MobilityModel, led: LedGeometry) -> Feed
 
 
 def build_noma(conf: dict, thresholds: FeedbackThresholds) -> NomaConfig:
-    return NomaConfig(
+    fields = dict(
         beta_weak=_parse_float(conf, "beta_weak"),
         beta_strong=_parse_float(conf, "beta_strong"),
         rate_weak=_parse_float(conf, "rate_weak"),
@@ -291,8 +290,17 @@ def build_noma(conf: dict, thresholds: FeedbackThresholds) -> NomaConfig:
         strong_rank=_parse_int(conf, "strong_rank"),
         thresholds=thresholds,
         feedback_mode=conf["feedback_mode"],
-        normalize_power=_parse_bool(conf, "normalize_power"),
     )
+    if _parse_bool(conf, "normalize_power"):
+        # Scale so the squares sum to one.  A zero or non-finite split goes to NomaConfig
+        # unscaled, which rejects it.  Multiplying by the reciprocal, not dividing by the
+        # norm, keeps the bits of the pinned normalized runs.
+        norm = math.hypot(fields["beta_weak"], fields["beta_strong"])
+        if 0.0 < norm < math.inf:
+            scale = 1.0 / norm
+            fields["beta_weak"] *= scale
+            fields["beta_strong"] *= scale
+    return NomaConfig(**fields)
 
 
 def build_noise(conf: dict) -> NoiseConfig:
@@ -420,9 +428,9 @@ def cmd_validate_knz(xc: ExperimentConfig, out: str | None, manifest: str):
     if total == 0:
         raise DegenerateConditionError("no trial reached the scheduling rank")
     empirical = kept / total
-    count = NonzeroCount(xc.total_users, nonzero_gain_probability(xc.model, xc.led), j)
+    p = nonzero_gain_probability(xc.model, xc.led)
     ks_vals = np.arange(xc.total_users + 1)
-    analytic = pmf_nonzero_count_truncated(ks_vals, count)
+    analytic = pmf_nonzero_count_truncated(ks_vals, xc.total_users, p, j)
     tv = 0.5 * float(np.abs(analytic - empirical).sum())
     rows = list(zip(ks_vals, analytic, empirical))
     summary = [

@@ -31,7 +31,6 @@ from .errors import DegenerateConditionError, InvalidParameterError, require_fin
 from .geometry import LedGeometry, channel_constant
 from .mobility import (
     MobilityModel,
-    NonzeroCount,
     binom_pmf,
     binom_tail,
     bound_crossing_radius,
@@ -198,17 +197,17 @@ def cdf_gain_ranked(
     Conditions on at least ``k_min`` of ``total_users`` users having nonzero
     gain, mixing the order-statistic CDF over the truncated count distribution.
     """
-    count = NonzeroCount(total_users, nonzero_gain_probability(model, led), k_min)
     if not 1 <= rank <= k_min:
         raise InvalidParameterError("rank must lie in [1, k_min] so it always exists")
     base = np.ravel(cdf_gain_unordered(x, model, led))
-    ns = np.arange(count.k_min, count.total_users + 1)
-    weights = pmf_nonzero_count_truncated(ns, count)
+    ns = np.arange(k_min, total_users + 1)
+    p = nonzero_gain_probability(model, led)
+    weights = pmf_nonzero_count_truncated(ns, total_users, p, k_min)
     # The rank-th smallest of n gains is <= x when at least rank of them are, and
     # P(Bin(n + 1, F) >= rank) = P(Bin(n, F) >= rank) + F P(Bin(n, F) = rank - 1).
     # One row per level, so a level's value never depends on the others in the call.
     f = base[:, None]
-    first = binom_tail(rank, count.k_min, f)
+    first = binom_tail(rank, k_min, f)
     steps = np.cumsum(f * binom_pmf(rank - 1, ns[:-1], f), axis=1)
     tails = np.concatenate((first, first + steps), axis=1)
     # truncated-count weights sum to 1 only up to round-off

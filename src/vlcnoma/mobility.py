@@ -24,7 +24,6 @@ from .geometry import LedGeometry
 __all__ = [
     "MAX_TOTAL_USERS",
     "MobilityModel",
-    "NonzeroCount",
     "sample_users",
     "cdf_vertical_angle",
     "prob_incidence_within",
@@ -84,23 +83,6 @@ class MobilityModel:
     @property
     def delta_mean(self) -> float:
         return self.mean_angle_max - self.mean_angle_min
-
-
-@dataclass(frozen=True)
-class NonzeroCount:
-    """Binomial model for how many of K users have nonzero gain, with a start threshold."""
-
-    total_users: int
-    success_prob: float
-    k_min: int
-
-    def __post_init__(self):
-        if self.total_users < 1:
-            raise InvalidParameterError("need at least one user")
-        if not 0.0 <= self.success_prob <= 1.0:
-            raise InvalidParameterError("success probability outside [0, 1]")
-        if not 1 <= self.k_min <= self.total_users:
-            raise InvalidParameterError("k_min must lie in [1, total_users]")
 
 
 def sample_users(model: MobilityModel, rng: np.random.Generator, size):
@@ -232,19 +214,23 @@ def binom_tail(k_min: int, n: int, p):
     return out if out.ndim else float(out)
 
 
-def pmf_nonzero_count_truncated(k, nz: NonzeroCount):
+def pmf_nonzero_count_truncated(k, total_users: int, success_prob: float, k_min: int):
     """PMF of the nonzero-user count conditioned on reaching the start threshold ``k_min``.
 
-    The binomial PMF is renormalized by the tail mass at and above ``k_min``;
+    Each of ``total_users`` users has nonzero gain with ``success_prob``.  The
+    binomial PMF is renormalized by the tail mass at and above ``k_min``;
     values below ``k_min`` have probability zero.  Vectorized over ``k``.
     """
-    n, p = nz.total_users, nz.success_prob
+    if total_users < 1:
+        raise InvalidParameterError("need at least one user")
+    if not 0.0 <= success_prob <= 1.0:
+        raise InvalidParameterError("success probability outside [0, 1]")
+    if not 1 <= k_min <= total_users:
+        raise InvalidParameterError("k_min must lie in [1, total_users]")
     # normalize by the sum of the very terms returned, so the weights sum to one
-    tail = float(np.sum(binom_pmf(np.arange(nz.k_min, n + 1), n, p)))
+    tail = float(np.sum(binom_pmf(np.arange(k_min, total_users + 1), total_users, success_prob)))
     if tail <= 0.0:
-        raise DegenerateConditionError(
-            f"no mass at or above k_min={nz.k_min} for p={nz.success_prob}"
-        )
+        raise DegenerateConditionError(f"no mass at or above k_min={k_min} for p={success_prob}")
     k = np.asarray(k)
-    out = np.where(k >= nz.k_min, binom_pmf(k, n, p) / tail, 0.0)
+    out = np.where(k >= k_min, binom_pmf(k, total_users, success_prob) / tail, 0.0)
     return out if out.ndim else float(out)

@@ -72,10 +72,8 @@ class NomaConfig:
     ``snr`` is the linear electrical transmit SNR.  ``weak_rank`` and
     ``strong_rank`` select users by ascending-gain rank in the individual
     scheduling modes; ``thresholds`` drives the group modes.  Power
-    fractions are taken as given; pass ``normalize_power=True`` to rescale
-    them so their squares sum to one, otherwise a deviation beyond 1e-6
-    only warns.  The rescale happens once: the built config holds the
-    rescaled fractions with ``normalize_power`` cleared.
+    fractions are taken as given; a squared sum more than 1e-6 away from
+    one only warns.
     """
 
     beta_weak: float
@@ -87,7 +85,6 @@ class NomaConfig:
     strong_rank: int = 2
     thresholds: FeedbackThresholds | None = None
     feedback_mode: str = "FullCSI"
-    normalize_power: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "feedback_mode", canonical_feedback_mode(self.feedback_mode))
@@ -101,18 +98,10 @@ class NomaConfig:
         if not 1 <= self.weak_rank < self.strong_rank:
             raise InvalidParameterError("need 1 <= weak_rank < strong_rank")
         power = self.beta_weak**2 + self.beta_strong**2
-        rescale = self.normalize_power
-        if rescale:
-            scale = 1.0 / np.sqrt(power)
-            object.__setattr__(self, "beta_weak", self.beta_weak * scale)
-            object.__setattr__(self, "beta_strong", self.beta_strong * scale)
-            # The rescale is not idempotent in floating point, so a copy made by
-            # dataclasses.replace must take the stored fractions as given.
-            object.__setattr__(self, "normalize_power", False)
         # The strong user's outage threshold divides by this product.
         if self.snr * self.beta_strong**2 == 0.0:
             raise InvalidParameterError("snr * beta_strong**2 underflows to zero")
-        if not rescale and abs(power - 1.0) > 1e-6:
+        if abs(power - 1.0) > 1e-6:
             warnings.warn(
                 f"power fractions have squared sum {power:.6f}, not 1; "
                 "pass normalize_power=True to rescale",

@@ -220,6 +220,8 @@ def _group_batch(rng, n, total_users, cfg, model, led, noise):
 
 
 def _chunk_sizes(trials: int):
+    if trials < 1:
+        raise InvalidParameterError("need at least one trial")
     full, rem = divmod(trials, CHUNK_TRIALS)
     return [CHUNK_TRIALS] * full + ([rem] if rem else [])
 
@@ -255,8 +257,6 @@ def collect_scheduled_gains(
     rate evaluation on a whole SNR grid via :func:`rate_stats`.
     Returns ``(gain_sq_weak, gain_sq_strong, trials)``.
     """
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
     # strong_rank >= 2, so this also rejects an empty population
     if cfg.strong_rank > total_users:
         raise InvalidParameterError("strong_rank exceeds total_users")
@@ -323,8 +323,6 @@ def estimate(
     inside its set.  The samples come back as ``value`` and the fraction of
     draws that met the condition as ``sched_prob``.
     """
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
     if family not in CDF_FAMILIES:
         raise InvalidParameterError(f"family must be one of {tuple(CDF_FAMILIES)}, got {family!r}")
     if family == "ordered":
@@ -365,8 +363,6 @@ def nonzero_count_histogram(
     workers: int | None = None,
 ):
     """Histogram (length ``total_users + 1``) of how many users have nonzero gain per trial."""
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
 
     def chunk(c: int, size: int):
         rng = _chunk_rng(seed, c)
@@ -383,8 +379,6 @@ def sample_vertical_angles(
     trials: int, model: MobilityModel, *, seed: int = 0, workers: int | None = None
 ):
     """Instantaneous vertical angles of ``trials`` single users, drawn chunk by chunk."""
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
 
     def chunk(c: int, size: int):
         return sample_users(model, _chunk_rng(seed, c), (size,))[2]

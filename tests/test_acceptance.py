@@ -22,7 +22,6 @@ from vlcnoma import (
     LedGeometry,
     MobilityModel,
     NoiseConfig,
-    NonzeroCount,
     cdf_gain_unordered,
     cdf_strong_twobit_inst,
     cdf_vertical_angle,
@@ -158,8 +157,8 @@ def test_criterion_02_nonzero_count_pmf():
     kept = counts.astype(float)
     kept[:10] = 0.0
     empirical = kept / kept.sum()
-    count = NonzeroCount(TOTAL_USERS, nonzero_gain_probability(MODEL_FIG, LED_FIG), 10)
-    analytic = pmf_nonzero_count_truncated(np.arange(TOTAL_USERS + 1), count)
+    p = nonzero_gain_probability(MODEL_FIG, LED_FIG)
+    analytic = pmf_nonzero_count_truncated(np.arange(TOTAL_USERS + 1), TOTAL_USERS, p, 10)
     tv = 0.5 * float(np.abs(analytic - empirical).sum())
     elapsed = time.perf_counter() - start
     ok = tv < 0.01 and elapsed < 60.0

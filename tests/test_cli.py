@@ -6,6 +6,7 @@ import io
 import re
 import subprocess
 import sys
+import warnings
 from datetime import timedelta
 
 import numpy as np
@@ -599,6 +600,38 @@ class TestDeterminism:
         assert rows_a == rows_b
 
 
+class TestPowerNormalization:
+    """``normalize_power=true`` gives the rows of the split it rescales to."""
+
+    @staticmethod
+    def rows(*sets):
+        argv = ["sweep-snr", "--trials", "5000", "--set", "workers=1"]
+        for item in sets:
+            argv += ["--set", item]
+        out = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out):
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # the manifest hashes the config, which differs; everything after it must not
+        return out.getvalue().splitlines()[1:]
+
+    @pytest.mark.parametrize(
+        "split, normalized",
+        [
+            ((), ("0.999874047483599", "0.015871016626723793")),
+            (("1e-200", "1e-201"), ("0.9950371902099892", "0.09950371902099892")),
+            (("1e200", "1e199"), ("0.9950371902099892", "0.09950371902099892")),
+        ],
+        ids=["default", "tiny", "huge"],
+    )
+    def test_rows_match_explicit_fractions(self, split, normalized):
+        def sets(betas):
+            return [f"{key}={value}" for key, value in zip(("beta_weak", "beta_strong"), betas)]
+
+        assert self.rows("normalize_power=true", *sets(split)) == self.rows(*sets(normalized))
+
+
 class TestGoldenBytes:
     """Monte Carlo bytes of two-chunk sweeps (the second partial), analytic
     bytes of each gain-CDF family against its samples, and one case of each
@@ -689,6 +722,21 @@ class TestGoldenBytes:
                 "--set", "threshold_frac_grid=0.1,0.5",
             ),
             "301315224d6715ef10c9901f5b3b2f987865a6fde82b7d1e8dc855211ec2395c",
+        ),
+        "normalized": (
+            ("sweep-snr", "--set", "normalize_power=true"),
+            "9f7c78880d4b93dc21da313c429d85ace43e1ea2433dd7e042bf02670133bfb7",
+        ),
+        "normalized_twobit_mean": (
+            (
+                "sweep-snr", "--mode", "TwoBitMean", "--set", "normalize_power=true",
+                "--set", "beta_weak=1.2", "--set", "beta_strong=0.4",
+            ),
+            "5948d76f5d7e66a901e25156eaf64cc6dc9001795c4ce72c0fbeb00278e74342",
+        ),
+        "normalized_noisy_compare": (
+            ("noisy-compare", "--mode", "MeanAngle", "--set", "normalize_power=true"),
+            "a2c41c4a8abed76e0ab8f97df137b28642d20bf7f4b7a398c7ed23d5674595f3",
         ),
     }
 
@@ -794,6 +842,32 @@ class TestExitCodes:
         argv = ["sweep-snr", "--trials", "2000", "--set", "phi_hpbw_deg=1e-9"]
         assert main(argv) == 2
         assert "beamwidth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "betas, message",
+        [
+            (("0", "0"), "need beta_weak > beta_strong > 0"),
+            (("1", "0"), "need beta_weak > beta_strong > 0"),
+            (("0.5", "0.6"), "need beta_weak > beta_strong > 0"),
+            (("-1", "-2"), "need beta_weak > beta_strong > 0"),
+            (("inf", "1"), "beta_weak must be finite"),
+            (("nan", "1"), "beta_weak must be finite"),
+        ],
+    )
+    def test_normalized_split_rejected(self, capsys, betas, message):
+        argv = ["sweep-snr", "--trials", "2000", "--set", "normalize_power=true"]
+        argv += ["--set", f"beta_weak={betas[0]}", "--set", f"beta_strong={betas[1]}"]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_normalize_power_must_be_boolean(self, capsys):
+        assert main(["sweep-snr", "--trials", "2000", "--set", "normalize_power=maybe"]) == 2
+        assert "normalize_power: not a boolean" in capsys.readouterr().err
+
+    def test_huge_split_without_normalization_overflows(self, capsys):
+        argv = ["sweep-snr", "--trials", "2000", "--set", "beta_weak=1e200"]
+        assert main([*argv, "--set", "beta_strong=1e199"]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: ")
 
     def test_negative_seed_rejected(self, capsys):
         assert main(["sweep-snr", "--trials", "2000", "--seed", "-1"]) == 2

@@ -11,7 +11,6 @@ from vlcnoma import (
     InvalidParameterError,
     LedGeometry,
     MobilityModel,
-    NonzeroCount,
     binom_pmf,
     binom_tail,
     cdf_vertical_angle,
@@ -185,29 +184,27 @@ class TestInFovProbability:
 class TestNonzeroCountPmf:
     def test_pmf_sums_to_one(self, model_dev25, led_fov50):
         p = nonzero_gain_probability(model_dev25, led_fov50)
-        count = NonzeroCount(20, p, 10)
         ks = np.arange(21)
         assert stats.binom.pmf(ks, 20, p).sum() == pytest.approx(1.0, abs=1e-12)
-        assert pmf_nonzero_count_truncated(ks, count).sum() == pytest.approx(1.0, abs=1e-10)
+        assert pmf_nonzero_count_truncated(ks, 20, p, 10).sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_truncation_zeroes_low_counts(self):
-        count = NonzeroCount(20, 0.4, 10)
-        vals = pmf_nonzero_count_truncated(np.arange(21), count)
+        vals = pmf_nonzero_count_truncated(np.arange(21), 20, 0.4, 10)
         assert np.all(vals[:10] == 0.0)
         assert np.all(vals[10:] >= 0.0)
 
     def test_impossible_truncation_rejected(self):
-        count = NonzeroCount(20, 1e-300, 10)
         with pytest.raises(DegenerateConditionError):
-            pmf_nonzero_count_truncated(np.arange(21), count)
+            pmf_nonzero_count_truncated(np.arange(21), 20, 1e-300, 10)
 
     def test_invalid_count_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            NonzeroCount(0, 0.5, 1)
-        with pytest.raises(InvalidParameterError):
-            NonzeroCount(20, 1.5, 10)
-        with pytest.raises(InvalidParameterError):
-            NonzeroCount(20, 0.5, 25)
+        ks = np.arange(21)
+        with pytest.raises(InvalidParameterError, match="need at least one user"):
+            pmf_nonzero_count_truncated(ks, 0, 0.5, 1)
+        with pytest.raises(InvalidParameterError, match="success probability"):
+            pmf_nonzero_count_truncated(ks, 20, 1.5, 10)
+        with pytest.raises(InvalidParameterError, match="k_min must lie"):
+            pmf_nonzero_count_truncated(ks, 20, 0.5, 25)
 
 
 # scipy is the oracle: success probabilities at and next to both ends, and in the bulk.
@@ -263,14 +260,13 @@ class TestBinomial:
     @pytest.mark.parametrize("p", [0.0, 1e-300, 0.5, 1.0])
     @pytest.mark.parametrize("k_min", [1, 2, 500, MAX_TOTAL_USERS])
     def test_truncated_pmf_at_the_edges(self, p, k_min):
-        count = NonzeroCount(MAX_TOTAL_USERS, p, k_min)
         ks = np.arange(MAX_TOTAL_USERS + 1)
         if p == 0.0 or (p == 1e-300 and k_min > 1):
             # no representable mass at or above k_min
             with pytest.raises(DegenerateConditionError):
-                pmf_nonzero_count_truncated(ks, count)
+                pmf_nonzero_count_truncated(ks, MAX_TOTAL_USERS, p, k_min)
             return
-        weights = pmf_nonzero_count_truncated(ks, count)
+        weights = pmf_nonzero_count_truncated(ks, MAX_TOTAL_USERS, p, k_min)
         assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
         assert np.all(weights[:k_min] == 0.0)
         assert abs(weights.sum() - 1.0) <= 1e-12

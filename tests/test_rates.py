@@ -109,19 +109,6 @@ class TestNomaConfig:
         with pytest.warns(UserWarning, match="squared sum"):
             NomaConfig(63 / 64, 1 / 64, 2.0, 10.0, 1e20, strong_rank=10)
 
-    def test_normalization_flag(self):
-        cfg = make_noma(normalize_power=True)
-        assert cfg.beta_weak**2 + cfg.beta_strong**2 == pytest.approx(1.0, rel=1e-12)
-        # ratio preserved
-        assert cfg.beta_weak / cfg.beta_strong == pytest.approx(63.0, rel=1e-12)
-
-    @pytest.mark.parametrize("betas", [(0.95, 0.2), (1.2, 0.4), (0.8, 0.1)])
-    def test_normalization_happens_once(self, betas):
-        cfg = make_noma(beta_weak=betas[0], beta_strong=betas[1], normalize_power=True)
-        # a sweep point is a copy; rescaling it again would move a beta in the last bit
-        assert dataclasses.replace(cfg) == cfg
-        assert dataclasses.replace(cfg, snr=2 * cfg.snr).beta_weak == cfg.beta_weak
-
     def test_mode_canonicalization(self):
         assert canonical_feedback_mode("fullcsi") == "FullCSI"
         assert canonical_feedback_mode(" TWOBITMEAN ") == "TwoBitMean"

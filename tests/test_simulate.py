@@ -273,10 +273,16 @@ class TestEstimate:
             estimate("not_a_family", 1_000, make_noma(), model_dev25, led_fov50, total_users=20)
 
     def test_trial_count_validated(self, model_dev25, led_fov50):
-        with pytest.raises(InvalidParameterError):
-            collect_scheduled_gains(0, make_noma(), model_dev25, led_fov50, total_users=20)
-        with pytest.raises(InvalidParameterError):
-            estimate("unordered", 0, make_noma(), model_dev25, led_fov50, total_users=20)
+        cfg = make_noma()
+        for run in (
+            lambda: collect_scheduled_gains(0, cfg, model_dev25, led_fov50, total_users=20),
+            lambda: estimate("unordered", 0, cfg, model_dev25, led_fov50, total_users=20),
+            lambda: estimate("ordered", 0, cfg, model_dev25, led_fov50, total_users=20),
+            lambda: nonzero_count_histogram(0, 20, model_dev25, led_fov50),
+            lambda: simulate.sample_vertical_angles(0, model_dev25),
+        ):
+            with pytest.raises(InvalidParameterError, match="need at least one trial"):
+                run()
 
 
 class TestDeterminism:
