@@ -97,7 +97,12 @@ class NomaConfig:
             raise InvalidParameterError("transmit SNR must be positive")
         if not 1 <= self.weak_rank < self.strong_rank:
             raise InvalidParameterError("need 1 <= weak_rank < strong_rank")
-        power = self.beta_weak**2 + self.beta_strong**2
+        try:
+            power = self.beta_weak**2 + self.beta_strong**2
+        except OverflowError:
+            raise InvalidParameterError(
+                "beta_weak**2 + beta_strong**2 overflows; normalize_power=true rescales the split"
+            ) from None
         # The strong user's outage threshold divides by this product.
         if self.snr * self.beta_strong**2 == 0.0:
             raise InvalidParameterError("snr * beta_strong**2 underflows to zero")

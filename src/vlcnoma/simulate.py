@@ -8,8 +8,9 @@ random numbers first, then works through row blocks small enough for their
 temporaries to stay in cache.  A block picks, then evaluates the gains of the
 picks: the group modes and ``DistanceOnly`` pick from observed values alone,
 so only the two picked users of a row get a gain, while ``FullCSI`` and
-``MeanAngle`` need every true gain to tell whether enough users are lit.
-Every step is row-wise, so the block size never changes the output.
+``MeanAngle`` run the lit test on every user and evaluate gains only on the
+schedulable rows, those with at least ``strong_rank`` lit users.  Every step
+is row-wise, so the block size never changes the output.
 
 Observables can be perturbed by measurement noise; scheduling and ranking
 then use the noisy values while outage is always judged on the true gains.
@@ -99,6 +100,11 @@ def _row_blocks(n: int, total_users: int):
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
+def _lit_count(d, phi, led):
+    """Lit users per row, by the lit test of ``dc_gain``: incidence within the field of view."""
+    return np.count_nonzero(np.abs(incidence_angle(d, phi, led.ell)) <= led.theta_fov, axis=1)
+
+
 def _take_ranked(ranked, count, rank):
     """Per ascending row, the ``rank``-th smallest of its ``count`` largest entries.
 
@@ -121,7 +127,10 @@ _INDIVIDUAL_DRAWS = {"DistanceOnly": 1, "MeanAngle": 2}
 
 
 def _individual_batch(rng, n, total_users, cfg, model, led, noise):
-    """(scheduled, gain_sq_weak, gain_sq_strong) of one chunk of rank-based scheduling."""
+    """(scheduled, gain_sq_weak, gain_sq_strong) of one chunk of rank-based scheduling.
+
+    The two gains of an unscheduled row are left unset.
+    """
     mode = cfg.feedback_mode
     d, mean, inst = sample_users(model, rng, (n, total_users))
     d_obs, mean_obs, inst_obs = _observe(
@@ -130,24 +139,29 @@ def _individual_batch(rng, n, total_users, cfg, model, led, noise):
     # Noise-free FullCSI ranks by the true gain itself, so its sorted values
     # are the picks; every other ranking picks users by index.
     by_value = mode == "FullCSI" and d_obs is d
-    scheduled = np.ones(n, dtype=bool)
+    scheduled = np.full(n, mode == "DistanceOnly")
     gain_sq_weak = np.empty(n)
     gain_sq_strong = np.empty(n)
     for blk in _row_blocks(n, total_users):
+        rows = blk
         if mode == "DistanceOnly":
             # Farther observed distance = presumed weaker; every trial is scheduled.
             ranked = np.argsort(-d_obs[blk], axis=1, kind="stable")
             apparent = np.full(ranked.shape[0], total_users)
         else:
-            gain_sq = np.square(dc_gain(d[blk], inst[blk], led))
+            # A row with fewer than strong_rank lit users has fewer nonzero
+            # gains, so it stays unscheduled and only the others get gains.
+            lit_count = _lit_count(d[blk], inst[blk], led)
+            rows = blk.start + np.flatnonzero(lit_count >= cfg.strong_rank)
+            gain_sq = np.square(dc_gain(d[rows], inst[rows], led))
             nonzero = np.count_nonzero(gain_sq > 0.0, axis=1)
-            scheduled[blk] = nonzero >= cfg.strong_rank
+            scheduled[rows] = nonzero >= cfg.strong_rank
             if by_value:
                 ranked, apparent = np.sort(gain_sq, axis=1), nonzero
             else:
                 # FullCSI ranks by the observed gain, MeanAngle by the gain at the mean angle.
                 angle_obs = inst_obs if mode == "FullCSI" else mean_obs
-                metric = np.square(dc_gain(d_obs[blk], angle_obs[blk], led))
+                metric = np.square(dc_gain(d_obs[rows], angle_obs[rows], led))
                 ranked = np.argsort(metric, axis=1, kind="stable")
                 apparent = np.count_nonzero(metric > 0.0, axis=1)
         # Rank among the apparent-nonzero pool; when it is shorter than the
@@ -158,11 +172,11 @@ def _individual_batch(rng, n, total_users, cfg, model, led, noise):
         if by_value:
             picked = pick
         elif mode == "DistanceOnly":
-            picked = _gain_sq_at(pick, d[blk], inst[blk], led)
+            picked = _gain_sq_at(pick, d[rows], inst[rows], led)
         else:
             picked = np.take_along_axis(gain_sq, pick, axis=1)
         picked = np.where((apparent > 0)[:, None], picked, 0.0)
-        gain_sq_weak[blk], gain_sq_strong[blk] = picked.T
+        gain_sq_weak[rows], gain_sq_strong[rows] = picked.T
     return scheduled, gain_sq_weak, gain_sq_strong
 
 
@@ -367,9 +381,7 @@ def nonzero_count_histogram(
     def chunk(c: int, size: int):
         rng = _chunk_rng(seed, c)
         d, mean, inst = sample_users(model, rng, (size, total_users))
-        # The lit test of dc_gain: incidence within the field of view.
-        lit = np.abs(incidence_angle(d, inst, led.ell)) <= led.theta_fov
-        return np.bincount(lit.sum(axis=1), minlength=total_users + 1)
+        return np.bincount(_lit_count(d, inst, led), minlength=total_users + 1)
 
     counts = _map_chunks(chunk, trials, workers)
     return np.sum(counts, axis=0)

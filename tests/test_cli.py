@@ -864,10 +864,14 @@ class TestExitCodes:
         assert main(["sweep-snr", "--trials", "2000", "--set", "normalize_power=maybe"]) == 2
         assert "normalize_power: not a boolean" in capsys.readouterr().err
 
-    def test_huge_split_without_normalization_overflows(self, capsys):
+    def test_huge_split_without_normalization_rejected(self, capsys):
+        # the squared sum overflows; TestPowerNormalization runs the same split rescaled
         argv = ["sweep-snr", "--trials", "2000", "--set", "beta_weak=1e200"]
-        assert main([*argv, "--set", "beta_strong=1e199"]) == 3
-        assert capsys.readouterr().err.startswith("numeric failure: ")
+        assert main([*argv, "--set", "beta_strong=1e199"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for name in ("beta_weak", "beta_strong", "normalize_power=true"):
+            assert name in err
 
     def test_negative_seed_rejected(self, capsys):
         assert main(["sweep-snr", "--trials", "2000", "--seed", "-1"]) == 2

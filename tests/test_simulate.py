@@ -30,6 +30,7 @@ from vlcnoma import simulate
 from vlcnoma.rates import FEEDBACK_MODES, GROUP_MODES
 from vlcnoma.simulate import _group_masks, _observe, _uniform_pick
 from vlcnoma.gain_cdf import cdf_gain_ranked
+from vlcnoma.cli import main
 from tests.conftest import make_noma
 
 
@@ -344,9 +345,10 @@ class TestDeterminism:
 class TestGainEvaluations:
     """A row block picks first, then evaluates gains: a fixed count of ``dc_gain`` calls."""
 
-    # FullCSI and MeanAngle need every true gain to tell whether enough users
-    # are lit, plus their ranking metric unless it is that true gain; the others
-    # evaluate only the picked pair.
+    # FullCSI and MeanAngle run the lit test on every user, then evaluate the
+    # true gain, plus their ranking metric unless it is that true gain, on the
+    # rows with at least strong_rank lit users only; the others evaluate only
+    # the picked pair.
     PER_BLOCK = {
         ("FullCSI", False): 1,
         ("FullCSI", True): 2,
@@ -370,16 +372,87 @@ class TestGainEvaluations:
         monkeypatch.setattr(simulate, "dc_gain", counted)
         cfg = make_noma(mode=mode, thresholds=FeedbackThresholds(1.0, np.radians(5.0)))
         noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=noisy)
-        trials, total_users = 5_000, 20
+        trials, total_users, seed = 5_000, 20, 3
         collect_scheduled_gains(
             trials, cfg, model_dev25, led_fov50,
-            total_users=total_users, noise=noise, seed=3, workers=1,
+            total_users=total_users, noise=noise, seed=seed, workers=1,
         )
-        blocks = len(simulate._row_blocks(trials, total_users))
-        assert blocks > 1
-        assert len(calls) == self.PER_BLOCK[mode, noisy] * blocks
-        picks_first = mode not in ("FullCSI", "MeanAngle")
-        assert {shape[1] for shape in calls} == {2 if picks_first else total_users}
+        blocks = simulate._row_blocks(trials, total_users)
+        assert len(blocks) > 1
+        assert len(calls) == self.PER_BLOCK[mode, noisy] * len(blocks)
+        if mode not in ("FullCSI", "MeanAngle"):
+            assert {shape[1] for shape in calls} == {2}
+            return
+        # One chunk: its draws come first, so they are the users of these rows.
+        d, _, inst = sample_users(
+            model_dev25, simulate._chunk_rng(seed, 0), (trials, total_users)
+        )
+        lit = np.abs(incidence_angle(d, inst, led_fov50.ell)) <= led_fov50.theta_fov
+        schedulable = np.count_nonzero(lit, axis=1) >= cfg.strong_rank
+        want = [
+            (int(np.count_nonzero(schedulable[blk])), total_users)
+            for blk in blocks
+            for _ in range(self.PER_BLOCK[mode, noisy])
+        ]
+        assert calls == want
+        # about 30% of the rows at this geometry reach dc_gain
+        assert 0 < schedulable.sum() < trials / 2
+
+
+def _individual_reference(trials, cfg, model, led, *, total_users, noise, seed):
+    """``collect_scheduled_gains`` of one chunk, with gains and picks on every row."""
+    rng = simulate._chunk_rng(seed, 0)
+    d, mean, inst = sample_users(model, rng, (trials, total_users))
+    d_obs, mean_obs, inst_obs = _observe(d, mean, inst, noise, rng)
+    gain_sq = np.square(dc_gain(d, inst, led))
+    scheduled = np.count_nonzero(gain_sq > 0.0, axis=1) >= cfg.strong_rank
+    angle_obs = inst_obs if cfg.feedback_mode == "FullCSI" else mean_obs
+    metric = np.square(dc_gain(d_obs, angle_obs, led))
+    order = np.argsort(metric, axis=1, kind="stable")
+    apparent = np.count_nonzero(metric > 0.0, axis=1)
+    picks = []
+    for rank in (cfg.weak_rank, cfg.strong_rank):
+        # rank among the apparent-nonzero users, or the strongest when too few
+        pos = total_users - apparent + np.minimum(rank, np.maximum(apparent, 1)) - 1
+        user = np.take_along_axis(order, np.clip(pos, 0, total_users - 1)[:, None], 1)
+        gain = np.take_along_axis(gain_sq, user, 1)[:, 0]
+        picks.append(np.where(apparent > 0, gain, 0.0)[scheduled])
+    return picks
+
+
+class TestSchedulableRows:
+    """Gains only on rows with ``strong_rank`` lit users change no scheduled pick."""
+
+    @pytest.mark.parametrize("fov, dev", [(50, 0), (50, 25), (90, 0), (90, 25)])
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("mode", ["FullCSI", "MeanAngle"])
+    def test_matches_every_row_reference(self, mode, noisy, fov, dev):
+        led = LedGeometry(2.0, np.radians(60.0), 1e-4, np.radians(fov))
+        model = MobilityModel(0.0, 10.0, np.radians(25.0), np.radians(155.0), np.radians(dev))
+        noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=noisy)
+        # three row blocks in one chunk
+        trials, total_users, seed = 8_000, 20, 41
+        for strong_rank in (2, 10, 20):
+            cfg = make_noma(mode=mode, strong_rank=strong_rank)
+            kw = dict(total_users=total_users, noise=noise, seed=seed)
+            got = collect_scheduled_gains(trials, cfg, model, led, workers=1, **kw)
+            want = _individual_reference(trials, cfg, model, led, **kw)
+            for g, w in zip(got[:2], want):
+                assert g.tobytes() == w.tobytes(), strong_rank
+            if (fov, strong_rank) == (50, 20):
+                assert got[0].size == 0
+
+    @pytest.mark.parametrize("mode", ["FullCSI", "MeanAngle"])
+    def test_no_schedulable_row_is_degenerate(self, mode, model_dev25, capsys):
+        led = LedGeometry(2.0, np.radians(60.0), 1e-4, np.radians(10.0))
+        cfg = make_noma(mode=mode, strong_rank=20)
+        for noisy in (False, True):
+            noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=noisy)
+            with pytest.raises(DegenerateConditionError):
+                sum_rate(2_000, cfg, model_dev25, led, noise=noise)
+        argv = ["sweep-snr", "--trials", "2000", "--mode", mode, "--set", "strong_rank=20"]
+        assert main([*argv, "--set", "theta_fov_deg=10"]) == 3
+        assert "no scheduled trials" in capsys.readouterr().err
 
 
 class TestConditionalSamples:
