@@ -49,9 +49,7 @@ from .quadrature import (
 )
 from .rates import (
     FEEDBACK_MODES,
-    GROUP_MODES,
-    INDIVIDUAL_MODES,
-    MODE_FAMILIES,
+    FeedbackMode,
     OMA_MODES,
     NomaConfig,
     achievable_rate,

@@ -31,8 +31,7 @@ from .mobility import (
 )
 from .quadrature import EmpiricalDistribution, ks_bound_grid, ks_distance, ks_distance_bound
 from .rates import (
-    GROUP_MODES,
-    MODE_FAMILIES,
+    FEEDBACK_MODES,
     OMA_MODES,
     NomaConfig,
     oma_gain_thresholds,
@@ -490,9 +489,10 @@ def _sweep_points(xc: ExperimentConfig):
             # Threshold fractions read only d_min, d_max and the fov: xc.noma holds.
             yield (dev_deg,), xc.noma, model
     elif xc.command == "sweep-thresholds":
-        if xc.noma.feedback_mode not in GROUP_MODES:
+        group = tuple(name for name, mode in FEEDBACK_MODES.items() if mode.group)
+        if xc.noma.feedback_mode not in group:
             raise InvalidParameterError(
-                f"sweep-thresholds needs a group feedback mode, one of {GROUP_MODES}"
+                f"sweep-thresholds needs a group feedback mode, one of {group}"
             )
         for fracs in itertools.product(xc.grid, repeat=2):
             thresholds = FeedbackThresholds.from_fractions(xc.model, xc.led, *fracs)
@@ -509,7 +509,7 @@ def _sweep_cells(xc: ExperimentConfig, cfg: NomaConfig, model: MobilityModel, ga
         mc = rate_stats(*collected, cfg)
         cells[f"{run}_sum_rate"], cells[f"{run}_stderr"] = mc.value, mc.stderr
         cells["sched_prob" if run == "mc" else f"{run}_sched_prob"] = mc.sched_prob
-    analytic = cfg.feedback_mode in MODE_FAMILIES
+    analytic = FEEDBACK_MODES[cfg.feedback_mode].families is not None
     if "analytic_sum_rate" in values and analytic:
         p_weak, p_strong = outage_pair_analytic(cfg, model, xc.led, total_users=xc.total_users)
         cells["analytic_sum_rate"] = sum_rate_noma(p_weak, p_strong, cfg)
@@ -597,10 +597,16 @@ def main(argv=None) -> int:
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except DegenerateConditionError as exc:
+        print(f"degenerate condition: {exc}", file=sys.stderr)
+        return 3
     except ArithmeticError as exc:
-        # NumericFailureError, DegenerateConditionError, and float overflow or
-        # division by zero on extreme but finite parameters.
+        # NumericFailureError, or float overflow or division by zero on extreme finite input.
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        # Each worker holds one chunk of up to 65,536 trials x total_users users.
+        print("out of memory: lower total_users or workers", file=sys.stderr)
         return 3
     return 0
 

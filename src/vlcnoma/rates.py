@@ -22,10 +22,8 @@ from .geometry import LedGeometry
 from .mobility import MobilityModel
 
 __all__ = [
-    "INDIVIDUAL_MODES",
-    "GROUP_MODES",
+    "FeedbackMode",
     "FEEDBACK_MODES",
-    "MODE_FAMILIES",
     "OMA_MODES",
     "canonical_feedback_mode",
     "NomaConfig",
@@ -38,15 +36,28 @@ __all__ = [
     "sum_rate_oma",
 ]
 
-INDIVIDUAL_MODES = ("FullCSI", "MeanAngle", "DistanceOnly")
-GROUP_MODES = ("TwoBitInstantaneous", "TwoBitMean", "OneBitDistance")
-FEEDBACK_MODES = INDIVIDUAL_MODES + GROUP_MODES
-# Modes whose outage probabilities have a closed-form path, with the gain-CDF
-# families of their (weak, strong) picks.
-MODE_FAMILIES = {
-    "FullCSI": ("ordered", "ordered"),
-    "TwoBitInstantaneous": ("twobit_inst_weak", "twobit_inst_strong"),
-    "TwoBitMean": ("twobit_mean_weak", "twobit_mean_strong"),
+
+@dataclass(frozen=True)
+class FeedbackMode:
+    """A feedback mode as data, which ``simulate`` maps to code.
+
+    ``reads`` is the last report the mode reads, in draw order: 0 distance,
+    1 mean angle, 2 instantaneous angle.  ``families`` are the (weak, strong)
+    gain-CDF families of a mode with a closed-form outage path.
+    """
+
+    group: bool
+    reads: int
+    families: tuple[str, str] | None = None
+
+
+FEEDBACK_MODES = {
+    "FullCSI": FeedbackMode(False, 2, ("ordered", "ordered")),
+    "MeanAngle": FeedbackMode(False, 1),
+    "DistanceOnly": FeedbackMode(False, 0),
+    "TwoBitInstantaneous": FeedbackMode(True, 2, ("twobit_inst_weak", "twobit_inst_strong")),
+    "TwoBitMean": FeedbackMode(True, 1, ("twobit_mean_weak", "twobit_mean_strong")),
+    "OneBitDistance": FeedbackMode(True, 0),
 }
 OMA_MODES = ("time_shared", "paper_literal")
 
@@ -169,11 +180,11 @@ def _cdf_pair(
     total_users: int | None,
 ):
     """Evaluate the scheduling mode's per-user gain CDFs at two levels."""
-    if cfg.feedback_mode not in MODE_FAMILIES:
+    weak, strong = FEEDBACK_MODES[cfg.feedback_mode].families or (None, None)
+    if weak is None:
         raise InvalidParameterError(
             f"no analytic outage path for mode {cfg.feedback_mode!r}; use the Monte Carlo engine"
         )
-    weak, strong = MODE_FAMILIES[cfg.feedback_mode]
     cond = dict(thresholds=cfg.thresholds, total_users=total_users, k_min=cfg.strong_rank)
     return (
         float(CDF_FAMILIES[weak](x_weak, model, led, rank=cfg.weak_rank, **cond)),

@@ -6,11 +6,11 @@ combined in chunk order, so aggregates are bit-identical for a given
 (seed, configuration) regardless of the worker count.  A chunk draws all its
 random numbers first, then works through row blocks small enough for their
 temporaries to stay in cache.  A block picks, then evaluates the gains of the
-picks: the group modes and ``DistanceOnly`` pick from observed values alone,
-so only the two picked users of a row get a gain, while ``FullCSI`` and
-``MeanAngle`` run the lit test on every user and evaluate gains only on the
-schedulable rows, those with at least ``strong_rank`` lit users.  Every step
-is row-wise, so the block size never changes the output.
+picks: group modes and the distance ranking pick from observed values alone,
+so only the two picked users of a row get a gain, while gain rankings run the
+lit test on every user and evaluate gains only on the rows with at least
+``strong_rank`` lit users.  Every step is row-wise, so the block size never
+changes the output.
 
 Observables can be perturbed by measurement noise; scheduling and ranking
 then use the noisy values while outage is always judged on the true gains.
@@ -30,7 +30,7 @@ from .errors import DegenerateConditionError, InvalidParameterError, require_fin
 from .gain_cdf import CDF_FAMILIES
 from .geometry import LedGeometry, dc_gain, incidence_angle
 from .mobility import MobilityModel, sample_users
-from .rates import GROUP_MODES, MODE_FAMILIES, NomaConfig, outage_gain_thresholds
+from .rates import FEEDBACK_MODES, NomaConfig, outage_gain_thresholds
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -121,32 +121,24 @@ def _gain_sq_at(pick, d, inst, led):
     return np.square(dc_gain(d, inst, led))
 
 
-# Observation noise each individual mode reads: distance, then the mean angle,
-# then the instantaneous angle.  The skipped draws are a chunk's last.
-_INDIVIDUAL_DRAWS = {"DistanceOnly": 1, "MeanAngle": 2}
-
-
-def _individual_batch(rng, n, total_users, cfg, model, led, noise):
+def _individual_batch(rng, true, observed, reads, cfg, led):
     """(scheduled, gain_sq_weak, gain_sq_strong) of one chunk of rank-based scheduling.
 
-    The two gains of an unscheduled row are left unset.
+    It draws nothing from ``rng``.  The two gains of an unscheduled row are left unset.
     """
-    mode = cfg.feedback_mode
-    d, mean, inst = sample_users(model, rng, (n, total_users))
-    d_obs, mean_obs, inst_obs = _observe(
-        d, mean, inst, noise, rng, _INDIVIDUAL_DRAWS.get(mode, 3)
-    )
-    # Noise-free FullCSI ranks by the true gain itself, so its sorted values
-    # are the picks; every other ranking picks users by index.
-    by_value = mode == "FullCSI" and d_obs is d
-    scheduled = np.full(n, mode == "DistanceOnly")
+    d, _, inst = true
+    n, total_users = d.shape
+    # Ranking on the true instantaneous angle ranks by the true gain itself, so
+    # its sorted values are the picks; every other ranking picks users by index.
+    by_value = observed[reads] is inst
+    scheduled = np.full(n, reads == 0)
     gain_sq_weak = np.empty(n)
     gain_sq_strong = np.empty(n)
     for blk in _row_blocks(n, total_users):
         rows = blk
-        if mode == "DistanceOnly":
+        if reads == 0:
             # Farther observed distance = presumed weaker; every trial is scheduled.
-            ranked = np.argsort(-d_obs[blk], axis=1, kind="stable")
+            ranked = np.argsort(-observed[0][blk], axis=1, kind="stable")
             apparent = np.full(ranked.shape[0], total_users)
         else:
             # A row with fewer than strong_rank lit users has fewer nonzero
@@ -159,9 +151,8 @@ def _individual_batch(rng, n, total_users, cfg, model, led, noise):
             if by_value:
                 ranked, apparent = np.sort(gain_sq, axis=1), nonzero
             else:
-                # FullCSI ranks by the observed gain, MeanAngle by the gain at the mean angle.
-                angle_obs = inst_obs if mode == "FullCSI" else mean_obs
-                metric = np.square(dc_gain(d_obs[rows], angle_obs[rows], led))
+                # Rank by the gain at the observed angle the mode reads.
+                metric = np.square(dc_gain(observed[0][rows], observed[reads][rows], led))
                 ranked = np.argsort(metric, axis=1, kind="stable")
                 apparent = np.count_nonzero(metric > 0.0, axis=1)
         # Rank among the apparent-nonzero pool; when it is shorter than the
@@ -171,7 +162,7 @@ def _individual_batch(rng, n, total_users, cfg, model, led, noise):
         )
         if by_value:
             picked = pick
-        elif mode == "DistanceOnly":
+        elif reads == 0:
             picked = _gain_sq_at(pick, d[rows], inst[rows], led)
         else:
             picked = np.take_along_axis(gain_sq, pick, axis=1)
@@ -198,30 +189,28 @@ def _uniform_pick(mask, u):
     return idx, ok
 
 
-def _group_masks(mode, th, led, d_obs, mean_obs, inst_obs):
-    """Weak and strong selection sets of a group feedback mode, from observed values."""
-    if mode == "OneBitDistance":
-        weak_mask = d_obs > th.dist_threshold
-        return weak_mask, ~weak_mask
-    angle_src = inst_obs if mode == "TwoBitInstantaneous" else mean_obs
-    theta_obs = np.abs(incidence_angle(d_obs, angle_src, led.ell))
+def _group_masks(reads, th, led, d_obs, angle_obs):
+    """Weak and strong sets of a group mode: a distance bit, plus an angle bit if ``reads > 0``."""
     far = d_obs > th.dist_threshold
+    if reads == 0:
+        return far, ~far
+    theta_obs = np.abs(incidence_angle(d_obs, angle_obs, led.ell))
     weak_mask = far & (theta_obs > th.angle_threshold) & (theta_obs <= led.theta_fov)
     strong_mask = ~far & (theta_obs <= th.angle_threshold)
     return weak_mask, strong_mask
 
 
-def _group_batch(rng, n, total_users, cfg, model, led, noise):
+def _group_batch(rng, true, observed, reads, cfg, led):
     """(scheduled, gain_sq_weak, gain_sq_strong) of one chunk of threshold-feedback scheduling."""
-    d, mean, inst = sample_users(model, rng, (n, total_users))
-    d_obs, mean_obs, inst_obs = _observe(d, mean, inst, noise, rng)
+    d, _, inst = true
+    n, total_users = d.shape
     u = rng.random((n, 2))
     scheduled = np.empty(n, dtype=bool)
     gain_sq_weak = np.empty(n)
     gain_sq_strong = np.empty(n)
     for blk in _row_blocks(n, total_users):
         weak_mask, strong_mask = _group_masks(
-            cfg.feedback_mode, cfg.thresholds, led, d_obs[blk], mean_obs[blk], inst_obs[blk]
+            reads, cfg.thresholds, led, observed[0][blk], observed[reads][blk]
         )
         weak_idx, weak_ok = _uniform_pick(weak_mask, u[blk, 0])
         strong_idx, strong_ok = _uniform_pick(strong_mask, u[blk, 1])
@@ -274,14 +263,17 @@ def collect_scheduled_gains(
     # strong_rank >= 2, so this also rejects an empty population
     if cfg.strong_rank > total_users:
         raise InvalidParameterError("strong_rank exceeds total_users")
-    if cfg.feedback_mode in GROUP_MODES and cfg.thresholds is None:
+    mode = FEEDBACK_MODES[cfg.feedback_mode]
+    if mode.group and cfg.thresholds is None:
         raise InvalidParameterError("group modes need feedback thresholds")
-    batch = _group_batch if cfg.feedback_mode in GROUP_MODES else _individual_batch
+    batch = _group_batch if mode.group else _individual_batch
 
     def chunk(c: int, size: int):
-        scheduled, gain_sq_weak, gain_sq_strong = batch(
-            _chunk_rng(seed, c), size, total_users, cfg, model, led, noise
-        )
+        rng = _chunk_rng(seed, c)
+        true = sample_users(model, rng, (size, total_users))
+        # A group mode draws all three noise arrays, read or not, before its uniforms.
+        observed = _observe(*true, noise, rng, 3 if mode.group else mode.reads + 1)
+        scheduled, gain_sq_weak, gain_sq_strong = batch(rng, true, observed, mode.reads, cfg, led)
         return gain_sq_weak[scheduled], gain_sq_strong[scheduled]
 
     parts = _map_chunks(chunk, trials, workers)
@@ -304,16 +296,12 @@ def rate_stats(gain_sq_weak, gain_sq_strong, trials: int, cfg: NomaConfig) -> Es
     return EstimateResult(mean, stderr, n / trials, trials, n)
 
 
-def _single_user_condition(family: str, cfg, led):
-    """Membership test on true observables for single-user conditional sampling."""
-    if family == "unordered":
-        return lambda d, mean, inst, gain_sq: gain_sq > 0.0
-    th = cfg.thresholds
-    if th is None:
-        raise InvalidParameterError("set-conditioned families need feedback thresholds")
-    # A two-bit family is the weak or strong set of the group mode pairing it.
-    mode, side = next((m, p.index(family)) for m, p in MODE_FAMILIES.items() if family in p)
-    return lambda d, mean, inst, gain_sq: _group_masks(mode, th, led, d, mean, inst)[side]
+# (mode, side) of the pick whose gain CDF each family is, but "unordered".
+_FAMILY_PICKS = {
+    family: (name, side)
+    for name, mode in FEEDBACK_MODES.items()
+    for side, family in enumerate(mode.families or ())
+}
 
 
 def estimate(
@@ -339,7 +327,8 @@ def estimate(
     """
     if family not in CDF_FAMILIES:
         raise InvalidParameterError(f"family must be one of {tuple(CDF_FAMILIES)}, got {family!r}")
-    if family == "ordered":
+    mode, side = _FAMILY_PICKS.get(family, (None, None))
+    if mode is not None and not FEEDBACK_MODES[mode].group:
         if rank is None:
             rank = cfg.strong_rank
         if not 1 <= rank <= cfg.strong_rank:
@@ -347,19 +336,23 @@ def estimate(
         # The pair's weak rank must stay below its strong one: the top rank is the strong pick.
         top = rank == cfg.strong_rank
         pick_cfg = dataclasses.replace(
-            cfg, feedback_mode="FullCSI", weak_rank=cfg.weak_rank if top else rank
+            cfg, feedback_mode=mode, weak_rank=cfg.weak_rank if top else rank
         )
         gain_sq_weak, gain_sq_strong, _ = collect_scheduled_gains(
             trials, pick_cfg, model, led, total_users=total_users, seed=seed, workers=workers
         )
         samples = gain_sq_strong if top else gain_sq_weak
     else:
-        membership = _single_user_condition(family, cfg, led)
+        if mode is not None and cfg.thresholds is None:
+            raise InvalidParameterError("set-conditioned families need feedback thresholds")
 
         def chunk(c: int, size: int):
-            d, mean, inst = sample_users(model, _chunk_rng(seed, c), (size,))
-            gain_sq = np.square(dc_gain(d, inst, led))
-            return gain_sq[membership(d, mean, inst, gain_sq)]
+            true = sample_users(model, _chunk_rng(seed, c), (size,))
+            gain_sq = np.square(dc_gain(true[0], true[2], led))
+            if mode is None:
+                return gain_sq[gain_sq > 0.0]
+            reads = FEEDBACK_MODES[mode].reads
+            return gain_sq[_group_masks(reads, cfg.thresholds, led, true[0], true[reads])[side]]
 
         samples = np.concatenate(_map_chunks(chunk, trials, workers))
     if samples.size == 0:
@@ -379,8 +372,7 @@ def nonzero_count_histogram(
     """Histogram (length ``total_users + 1``) of how many users have nonzero gain per trial."""
 
     def chunk(c: int, size: int):
-        rng = _chunk_rng(seed, c)
-        d, mean, inst = sample_users(model, rng, (size, total_users))
+        d, _, inst = sample_users(model, _chunk_rng(seed, c), (size, total_users))
         return np.bincount(_lit_count(d, inst, led), minlength=total_users + 1)
 
     counts = _map_chunks(chunk, trials, workers)

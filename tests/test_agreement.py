@@ -13,7 +13,7 @@ import pytest
 from tests.conftest import make_noma
 from vlcnoma import (
     CDF_FAMILIES,
-    MODE_FAMILIES,
+    FEEDBACK_MODES,
     FeedbackThresholds,
     LedGeometry,
     MobilityModel,
@@ -37,7 +37,9 @@ def _z(mc: float, analytic: float, n: int) -> float:
 
 @pytest.mark.parametrize("dev_deg", [0.0, 25.0])
 @pytest.mark.parametrize("fov_deg", [50.0, 90.0])
-@pytest.mark.parametrize("mode", sorted(MODE_FAMILIES))
+@pytest.mark.parametrize(
+    "mode", sorted(name for name, mode in FEEDBACK_MODES.items() if mode.families)
+)
 def test_outage_agrees_per_user(mode, fov_deg, dev_deg):
     led = LedGeometry(2.0, np.radians(60.0), 1e-4, np.radians(fov_deg))
     dev = np.radians(dev_deg)
@@ -51,7 +53,7 @@ def test_outage_agrees_per_user(mode, fov_deg, dev_deg):
     cond = dict(thresholds=th, total_users=TOTAL_USERS, k_min=cfg.strong_rank)
     z = {}
     for side, family, rank, gain_sq in zip(
-        ("weak", "strong"), MODE_FAMILIES[mode], (cfg.weak_rank, cfg.strong_rank), gains
+        ("weak", "strong"), FEEDBACK_MODES[mode].families, (cfg.weak_rank, cfg.strong_rank), gains
     ):
         levels = np.quantile(gain_sq, [0.1, 0.5, 0.9])
         analytic = CDF_FAMILIES[family](levels, model, led, rank=rank, **cond)

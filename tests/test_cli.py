@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcnoma import CDF_FAMILIES, gain_cdf
+from vlcnoma import CDF_FAMILIES, gain_cdf, simulate
 from vlcnoma.cli import (
     DEFAULTS,
     SWEEPS,
@@ -254,7 +254,7 @@ class TestValidateKnz:
             ]
         )
         assert code == 3
-        assert "numeric failure" in capsys.readouterr().err
+        assert "degenerate condition" in capsys.readouterr().err
 
 
 class TestValidateChannelCdf:
@@ -836,6 +836,17 @@ class TestExitCodes:
             assert main(argv) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        # a chunk's draws grow with total_users; a failed allocation is no traceback
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(simulate, "sample_users", exhausted)
+        assert main(["sweep-snr", "--trials", "2000", "--set", "snr_grid_db=200"]) == 3
+        err = capsys.readouterr().err
+        assert err == "out of memory: lower total_users or workers\n"
+        assert "Traceback" not in err
+
     @pytest.mark.filterwarnings("error")
     def test_beamwidth_with_unit_cosine_rejected(self, capsys):
         # cos(1e-9 deg) rounds to 1, so the Lambertian order would divide by zero
@@ -941,7 +952,7 @@ class TestFuzzMain:
     @given(
         command=st.sampled_from(list(SWEEPS)),
         overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES, max_size=4),
-        mode=st.sampled_from(FEEDBACK_MODES),
+        mode=st.sampled_from(tuple(FEEDBACK_MODES)),
     )
     @settings(max_examples=200, deadline=timedelta(seconds=20))
     def test_main_returns_documented_exit_code(self, command, overrides, mode):

@@ -39,6 +39,15 @@ def test_all_names_are_bound(layer):
     assert not missing, f"vlcnoma.{layer}.__all__ names unbound {missing}"
 
 
+def test_feedback_modes_are_one_table():
+    """The mode table and its record type are the only feedback-mode exports."""
+    rates = LAYERS["rates"]
+    modes = {name for name in rates.__all__ if "MODE" in name.upper()}
+    assert modes == {"FEEDBACK_MODES", "FeedbackMode", "OMA_MODES", "canonical_feedback_mode"}
+    assert vlcnoma.FEEDBACK_MODES is rates.FEEDBACK_MODES
+    assert vlcnoma.FeedbackMode is rates.FeedbackMode
+
+
 def test_root_reexports_only_layer_exports():
     imports = root_imports()
     assert any(layer in LAYERS for layer, _ in imports)

@@ -1,6 +1,9 @@
 """Rate targets, SINR thresholds, outage probabilities, and the OMA baseline."""
 
+import ast
 import dataclasses
+import inspect
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlcnoma import (
+    CDF_FAMILIES,
+    FEEDBACK_MODES,
+    FeedbackMode,
     InvalidParameterError,
     NomaConfig,
     achievable_rate,
@@ -19,6 +25,7 @@ from vlcnoma import (
     sum_rate_noma,
     sum_rate_oma,
 )
+from vlcnoma import cli, simulate
 from tests.conftest import make_noma
 
 
@@ -116,6 +123,70 @@ class TestNomaConfig:
             canonical_feedback_mode("nonsense")
         cfg = make_noma(mode="meanangle")
         assert cfg.feedback_mode == "MeanAngle"
+
+
+class TestModeTable:
+    """``FEEDBACK_MODES`` is the one description of what each mode reads and how it picks."""
+
+    def test_records_are_frozen(self):
+        for mode in FEEDBACK_MODES.values():
+            assert isinstance(mode, FeedbackMode)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                mode.reads = 0
+
+    def test_families_are_cdf_families(self):
+        for name, mode in FEEDBACK_MODES.items():
+            if mode.families is not None:
+                assert len(mode.families) == 2, name
+                assert set(mode.families) <= set(CDF_FAMILIES), name
+
+    def test_each_pick_family_belongs_to_one_mode(self):
+        # so the family -> mode lookup of conditional sampling is unique
+        owners = Counter(
+            family
+            for mode in FEEDBACK_MODES.values()
+            for family in set(mode.families or ())
+        )
+        assert set(owners) == set(CDF_FAMILIES) - {"unordered"}
+        assert all(count == 1 for count in owners.values()), owners
+
+    def test_reads_is_a_report_index(self):
+        # 0 distance, 1 mean angle, 2 instantaneous angle
+        assert {mode.reads for mode in FEEDBACK_MODES.values()} <= {0, 1, 2}
+
+    def test_canonical_names_are_the_table(self):
+        for name in FEEDBACK_MODES:
+            assert canonical_feedback_mode(name.upper()) == name
+        assert {canonical_feedback_mode(name) for name in FEEDBACK_MODES} == set(FEEDBACK_MODES)
+        for name in ("", "OneBit", "FullCSI2", "unordered", "time_shared"):
+            with pytest.raises(InvalidParameterError):
+                canonical_feedback_mode(name)
+
+    @pytest.mark.parametrize("module", [simulate, cli])
+    def test_no_mode_name_outside_the_table(self, module):
+        # The one exception is the default value of the CLI's feedback_mode key.
+        tree = ast.parse(inspect.getsource(module))
+        allowed = set()
+        if module is cli:
+            (defaults,) = [
+                node.value
+                for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "DEFAULTS"
+            ]
+            allowed = {
+                id(value)
+                for key, value in zip(defaults.keys, defaults.values)
+                if key.value == "feedback_mode"
+            }
+        names = [
+            (node.lineno, node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and node.value in FEEDBACK_MODES
+            and id(node) not in allowed
+        ]
+        assert not names, f"mode names in {module.__name__}: {names}"
 
 
 class TestOutageThresholds:
