@@ -52,7 +52,6 @@ from .rates import (
     FeedbackMode,
     OMA_MODES,
     NomaConfig,
-    achievable_rate,
     canonical_feedback_mode,
     oma_gain_thresholds,
     outage_gain_thresholds,

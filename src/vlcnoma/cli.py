@@ -179,49 +179,34 @@ def parse_grid(text: str, key: str) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _read_item(text: str, where: str, expects: str) -> tuple[str, str]:
+    """``(key, value)`` of one ``--config`` line or ``--set`` item; ``where`` names it in errors."""
+    if "=" not in text:
+        raise InvalidParameterError(f"{expects} key=value, got {text!r}")
+    key, value = (part.strip() for part in text.split("=", 1))
+    if key not in DEFAULTS:
+        raise InvalidParameterError(f"{where}: unknown config key {key!r}")
+    return key, value
+
+
 def parse_config_file(path: str) -> dict:
     """Read a flat key=value file; ``#`` starts a comment, blank lines skip."""
-    overrides = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidParameterError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS:
-            raise InvalidParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-        overrides[key] = value
-    return overrides
+    items = ((f"{path}:{n}", raw.split("#", 1)[0].strip()) for n, raw in enumerate(lines, 1))
+    return dict(_read_item(line, at, f"{at}: expected") for at, line in items if line)
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file, and command-line overrides into one dict."""
+def resolve_config(args: argparse.Namespace) -> tuple[dict, bool]:
+    """Merge defaults, config file, ``--set`` items and flags; also say if the mean band was set."""
     conf = dict(DEFAULTS)
     if args.config:
         conf.update(parse_config_file(args.config))
-    for item in args.set or []:
-        if "=" not in item:
-            raise InvalidParameterError(f"--set expects key=value, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in DEFAULTS:
-            raise InvalidParameterError(f"--set: unknown config key {key!r}")
-        conf[key] = value
-    for key, value in (
-        ("seed", args.seed),
-        ("trials", args.trials),
-        ("feedback_mode", args.mode),
-        ("oma_mode", args.oma_mode),
-        ("family", getattr(args, "family", None)),
-        ("rank", getattr(args, "rank", None)),
-    ):
-        if value is not None:
-            conf[key] = str(value)
+    conf.update(_read_item(item, "--set", "--set expects") for item in args.set or [])
+    conf.update((k, str(v)) for k, v in vars(args).items() if k in DEFAULTS and v is not None)
 
     # Derived defaults: the mean-angle band tracks the deviation so the
     # instantaneous angle stays inside [0, 180] degrees unless overridden.
@@ -518,11 +503,8 @@ def _sweep_cells(xc: ExperimentConfig, cfg: NomaConfig, model: MobilityModel, ga
             cfg, model, xc.led, xc.oma_mode, total_users=xc.total_users
         )
     elif "oma_sum_rate" in values:
-        gain_w, gain_s, _ = gains["mc"]
-        t_weak, t_strong = oma_gain_thresholds(cfg, xc.oma_mode)
-        cells["oma_sum_rate"] = float(
-            np.mean(cfg.rate_weak * (gain_w > t_weak) + cfg.rate_strong * (gain_s > t_strong))
-        )
+        oma = rate_stats(*gains["mc"], cfg, oma_gain_thresholds(cfg, xc.oma_mode))
+        cells["oma_sum_rate"] = oma.value
     if "gap" in values:
         cells["gap"] = cells["clean_sum_rate"] - cells["noisy_sum_rate"]
     return cells
@@ -571,7 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="RNG seed (64-bit)")
         p.add_argument("--trials", type=int, help="Monte Carlo trial count")
         p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--mode", help="feedback mode override")
+        p.add_argument(
+            "--mode", dest="feedback_mode", metavar="MODE", help="feedback mode override"
+        )
         p.add_argument("--oma-mode", dest="oma_mode", choices=OMA_MODES)
         p.add_argument(
             "--set",

@@ -215,6 +215,21 @@ def cdf_gain_ranked(
     return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
+def _twobit_set(model: MobilityModel, led: LedGeometry, th: FeedbackThresholds, subset: str):
+    """``(r_lo, r_hi, floor, cap)`` of a two-bit selection set, the one table of both sets.
+
+    Members have distance in [r_lo, r_hi] and incidence-angle magnitude in
+    (floor, cap]; the mean-angle families apply the band to the mean angle.
+    """
+    sets = {
+        "weak": (th.dist_threshold, model.d_max, th.angle_threshold, led.theta_fov),
+        "strong": (model.d_min, th.dist_threshold, 0.0, th.angle_threshold),
+    }
+    if subset not in sets:
+        raise InvalidParameterError(f"unknown selection subset: {subset!r}")
+    return sets[subset]
+
+
 def cdf_weak_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds):
     """Gain CDF in the weak set of instantaneous two-bit feedback.
 
@@ -222,9 +237,7 @@ def cdf_weak_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: Feedback
     between the angle threshold and the field-of-view edge, so members always
     have nonzero gain.
     """
-    below = _band_integral(
-        model, led, th.dist_threshold, model.d_max, th.angle_threshold, led.theta_fov, clears=False
-    )
+    below = _band_integral(model, led, *_twobit_set(model, led, th, "weak"), clears=False)
     den = below()
     if den <= 0.0:
         raise DegenerateConditionError("weak selection set has zero probability")
@@ -237,7 +250,7 @@ def cdf_strong_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: Feedba
     Membership: distance at most the threshold and incidence-angle magnitude
     at most the angle threshold.
     """
-    survive = _band_integral(model, led, model.d_min, th.dist_threshold, 0.0, th.angle_threshold)
+    survive = _band_integral(model, led, *_twobit_set(model, led, th, "strong"))
     den = survive()
     if den <= 0.0:
         raise DegenerateConditionError("strong selection set has zero probability")
@@ -282,16 +295,11 @@ def _selection_set(model: MobilityModel, led: LedGeometry, th: FeedbackThreshold
 
     A user at distance ``r`` in the range belongs to the set when its mean
     angle lies in [c + lo, c + hi] for one band (lo, hi), where
-    c = pi - arctan(ell / r) is the angle aiming the detector at the LED.
+    c = pi - arctan(ell / r) is the angle aiming the detector at the LED: the
+    set's incidence band (floor, cap] on either side of c, one band if floor is 0.
     """
-    fov, tt = led.theta_fov, th.angle_threshold
-    sets = {
-        "weak": (th.dist_threshold, model.d_max, ((-fov, -tt), (tt, fov))),
-        "strong": (model.d_min, th.dist_threshold, ((-tt, tt),)),
-    }
-    if subset not in sets:
-        raise InvalidParameterError(f"unknown selection subset: {subset!r}")
-    return sets[subset]
+    r_lo, r_hi, floor, cap = _twobit_set(model, led, th, subset)
+    return r_lo, r_hi, (((-cap, -floor), (floor, cap)) if floor > 0.0 else ((-cap, cap),))
 
 
 def band_measure(

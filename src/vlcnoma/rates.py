@@ -27,7 +27,6 @@ __all__ = [
     "OMA_MODES",
     "canonical_feedback_mode",
     "NomaConfig",
-    "achievable_rate",
     "required_sinr",
     "outage_gain_thresholds",
     "oma_gain_thresholds",
@@ -125,13 +124,11 @@ class NomaConfig:
             )
 
 
-def achievable_rate(sinr):
-    """Achievable rate in bits/s/Hz for an intensity-modulated optical link."""
-    return 0.5 * np.log2(1.0 + np.e / (2.0 * np.pi) * np.asarray(sinr, dtype=float))
-
-
 def required_sinr(target_rate):
-    """SINR at which :func:`achievable_rate` meets the target rate exactly."""
+    """SINR at which an intensity-modulated optical link achieves the target rate exactly.
+
+    It inverts the achievable rate 0.5 log2(1 + e / (2 pi) SINR) in bits/s/Hz.
+    """
     return (np.exp2(2.0 * np.asarray(target_rate, dtype=float)) - 1.0) * 2.0 * np.pi / np.e
 
 

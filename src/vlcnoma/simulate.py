@@ -18,6 +18,7 @@ then use the noisy values while outage is always judged on the true gains.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import math
 import os
@@ -233,14 +234,26 @@ def _chunk_rng(seed: int, index: int):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _map_chunks(fn, trials: int, workers: int | None):
+def _map_chunks(fn, trials: int, model: MobilityModel, seed: int, workers, per_trial=()):
+    """``fn(rng, users)`` of every chunk, in chunk order: the one chunk driver.
+
+    Chunk ``c`` owns the generator of (seed, c), which first draws the chunk's
+    users, of shape ``(size, *per_trial)``; ``fn`` may draw more from it.
+    Chunks run on pool threads even at one worker (chunk arrays freed on the
+    main thread can stay pinned in its heap, ~30 MB more peak memory), each in
+    a copy of the caller's context, so that its ``np.errstate`` holds there.
+    """
     sizes = _chunk_sizes(trials)
+    caller = contextvars.copy_context()
+
+    def chunk(c: int, size: int):
+        rng = _chunk_rng(seed, c)
+        return fn(rng, sample_users(model, rng, (size, *per_trial)))
+
     if workers is None:
         workers = min(8, os.cpu_count() or 1)
-    if workers <= 1 or len(sizes) <= 1:
-        return [fn(c, size) for c, size in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(len(sizes)), sizes))
+        return list(pool.map(lambda c, n: caller.copy().run(chunk, c, n), range(len(sizes)), sizes))
 
 
 def collect_scheduled_gains(
@@ -268,26 +281,28 @@ def collect_scheduled_gains(
         raise InvalidParameterError("group modes need feedback thresholds")
     batch = _group_batch if mode.group else _individual_batch
 
-    def chunk(c: int, size: int):
-        rng = _chunk_rng(seed, c)
-        true = sample_users(model, rng, (size, total_users))
+    def chunk(rng, true):
         # A group mode draws all three noise arrays, read or not, before its uniforms.
         observed = _observe(*true, noise, rng, 3 if mode.group else mode.reads + 1)
         scheduled, gain_sq_weak, gain_sq_strong = batch(rng, true, observed, mode.reads, cfg, led)
         return gain_sq_weak[scheduled], gain_sq_strong[scheduled]
 
-    parts = _map_chunks(chunk, trials, workers)
+    parts = _map_chunks(chunk, trials, model, seed, workers, (total_users,))
     gain_sq_weak = np.concatenate([p[0] for p in parts])
     gain_sq_strong = np.concatenate([p[1] for p in parts])
     return gain_sq_weak, gain_sq_strong, trials
 
 
-def rate_stats(gain_sq_weak, gain_sq_strong, trials: int, cfg: NomaConfig) -> EstimateResult:
-    """Mean sum rate over scheduled trials, from collected pick gains."""
+def rate_stats(gain_sq_weak, gain_sq_strong, trials: int, cfg: NomaConfig, thresholds=None):
+    """Mean sum rate over scheduled trials, from collected pick gains, as an EstimateResult.
+
+    A user meets its target rate when its squared gain clears its entry of
+    ``thresholds``, a (weak, strong) pair that defaults to the NOMA outage levels.
+    """
     n = gain_sq_weak.size
     if n == 0:
         raise DegenerateConditionError("no scheduled trials")
-    threshold_weak, threshold_strong, _ = outage_gain_thresholds(cfg)
+    threshold_weak, threshold_strong = thresholds or outage_gain_thresholds(cfg)[:2]
     rate = cfg.rate_weak * (gain_sq_weak > threshold_weak) + cfg.rate_strong * (
         gain_sq_strong > threshold_strong
     )
@@ -346,15 +361,14 @@ def estimate(
         if mode is not None and cfg.thresholds is None:
             raise InvalidParameterError("set-conditioned families need feedback thresholds")
 
-        def chunk(c: int, size: int):
-            true = sample_users(model, _chunk_rng(seed, c), (size,))
+        def chunk(_, true):
             gain_sq = np.square(dc_gain(true[0], true[2], led))
             if mode is None:
                 return gain_sq[gain_sq > 0.0]
             reads = FEEDBACK_MODES[mode].reads
             return gain_sq[_group_masks(reads, cfg.thresholds, led, true[0], true[reads])[side]]
 
-        samples = np.concatenate(_map_chunks(chunk, trials, workers))
+        samples = np.concatenate(_map_chunks(chunk, trials, model, seed, workers))
     if samples.size == 0:
         raise DegenerateConditionError("conditioning event never occurred")
     return EstimateResult(samples, 0.0, samples.size / trials, trials, samples.size)
@@ -371,11 +385,10 @@ def nonzero_count_histogram(
 ):
     """Histogram (length ``total_users + 1``) of how many users have nonzero gain per trial."""
 
-    def chunk(c: int, size: int):
-        d, _, inst = sample_users(model, _chunk_rng(seed, c), (size, total_users))
-        return np.bincount(_lit_count(d, inst, led), minlength=total_users + 1)
+    def chunk(_, true):
+        return np.bincount(_lit_count(true[0], true[2], led), minlength=total_users + 1)
 
-    counts = _map_chunks(chunk, trials, workers)
+    counts = _map_chunks(chunk, trials, model, seed, workers, (total_users,))
     return np.sum(counts, axis=0)
 
 
@@ -383,8 +396,4 @@ def sample_vertical_angles(
     trials: int, model: MobilityModel, *, seed: int = 0, workers: int | None = None
 ):
     """Instantaneous vertical angles of ``trials`` single users, drawn chunk by chunk."""
-
-    def chunk(c: int, size: int):
-        return sample_users(model, _chunk_rng(seed, c), (size,))[2]
-
-    return np.concatenate(_map_chunks(chunk, trials, workers))
+    return np.concatenate(_map_chunks(lambda _, true: true[2], trials, model, seed, workers))

@@ -759,6 +759,15 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["sweep-snr", "--config", "/does/not/exist.conf"]) == 2
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        f = tmp_path / "bad.conf"
+        f.write_bytes(b"seed=1\n\xff\xfe=2\n")
+        argv = ["sweep-snr", "--config", str(f), "--trials", "2000", "--set", "snr_grid_db=200"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {f}: ")
+        assert "Traceback" not in err
+
     def test_unwritable_out_path(self, capsys):
         code = main(
             [

@@ -1,8 +1,10 @@
 """Closed-form gain distributions against limits, identities, and a quadrature oracle."""
 
+import ast
 import contextlib
 import dataclasses
 import functools
+import inspect
 import io
 import sys
 import warnings
@@ -315,6 +317,20 @@ class TestClosedIntegral:
     def test_reversed_interval_rejected(self, model_dev30, led_fov60):
         with pytest.raises(InvalidParameterError):
             ramp_cdf_integral(0.0, 5.0, 1.0, model_dev30, led_fov60)
+
+
+def test_one_twobit_set_table():
+    """Outside ``FeedbackThresholds``, only the set table reads the two thresholds."""
+    tree = ast.parse(inspect.getsource(gain_cdf))
+    readers = {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("dist_threshold", "angle_threshold")
+    }
+    assert readers == {"_twobit_set"}
 
 
 class TestBandMeasures:

@@ -16,7 +16,6 @@ from vlcnoma import (
     FeedbackMode,
     InvalidParameterError,
     NomaConfig,
-    achievable_rate,
     canonical_feedback_mode,
     oma_gain_thresholds,
     outage_gain_thresholds,
@@ -27,6 +26,14 @@ from vlcnoma import (
 )
 from vlcnoma import cli, simulate
 from tests.conftest import make_noma
+
+
+def achievable_rate(sinr):
+    """Achievable rate in bits/s/Hz of an intensity-modulated optical link.
+
+    The library keeps only its inverse, ``required_sinr``; this is the test oracle.
+    """
+    return 0.5 * np.log2(1.0 + np.e / (2.0 * np.pi) * np.asarray(sinr, dtype=float))
 
 
 class TestRateInversion:

@@ -1,5 +1,9 @@
 """Monte Carlo engine: trial semantics, conditioning, noise, and determinism."""
 
+import ast
+import inspect
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -26,12 +30,38 @@ from vlcnoma import (
     sum_rate_noma,
 )
 from vlcnoma.quadrature import integrate_1d
-from vlcnoma import simulate
+from vlcnoma import gain_cdf, simulate
 from vlcnoma.rates import FEEDBACK_MODES
 from vlcnoma.simulate import _group_masks, _observe, _uniform_pick
 from vlcnoma.gain_cdf import cdf_gain_ranked
 from vlcnoma.cli import main
 from tests.conftest import make_noma
+
+
+def test_one_chunk_driver():
+    """Only ``_map_chunks`` seeds a chunk's generator and draws its users."""
+    tree = ast.parse(inspect.getsource(simulate))
+    callers = {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("_chunk_rng", "sample_users")
+    }
+    assert callers == {"_map_chunks"}
+
+
+def test_chunks_run_on_pool_threads_in_the_callers_context(model_dev25):
+    # Off the main thread even at one worker, whose heap can pin freed chunk
+    # arrays, and under the caller's numpy error state at any worker count.
+    def probe(_, true):
+        return threading.current_thread() is threading.main_thread(), np.geterr()["over"]
+
+    for workers in (1, 2):
+        with np.errstate(over="raise"):
+            seen = simulate._map_chunks(probe, 2 * simulate.CHUNK_TRIALS, model_dev25, 0, workers)
+        assert seen == [(False, "raise")] * 2
 
 
 class TestApplyNoise:
@@ -505,6 +535,27 @@ class TestConditionalSamples:
             band_prob, thresholds_validation.dist_threshold, model_dev30.d_max
         ) / span
         assert res.sched_prob == pytest.approx(expected, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "family", [f"twobit_{b}_{s}" for b in ("inst", "mean") for s in ("weak", "strong")]
+    )
+    def test_set_probability_is_table_mass(
+        self, family, model_dev30, led_fov60, thresholds_validation
+    ):
+        # Each two-bit set's conditioning probability is its mass from the set
+        # table over the distance range, within 4 binomial standard errors.
+        model, led, th = model_dev30, led_fov60, thresholds_validation
+        subset = family.rsplit("_", 1)[1]
+        r_lo, r_hi, floor, cap = gain_cdf._twobit_set(model, led, th, subset)
+        if "_inst_" in family:
+            mass = gain_cdf._band_integral(model, led, r_lo, r_hi, floor, cap)()
+        else:
+            mass = gain_cdf.band_measure(r_lo, model, led, th, subset)
+        p = mass / model.delta_d
+        trials = 1_000_000
+        res = estimate(family, trials, make_noma(thresholds=th), model, led, total_users=20, seed=5)
+        z = (res.sched_prob - p) / np.sqrt(p * (1.0 - p) / trials)
+        assert abs(z) <= 4.0, (p, res.sched_prob)
 
     def test_rank_validated(self, model_dev30, led_fov60):
         with pytest.raises(InvalidParameterError):
