@@ -15,6 +15,8 @@ import hashlib
 import itertools
 import math
 import sys
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,70 +84,31 @@ SWEEPS = {
     ),
 }
 
-# Empty string means "derive at resolve time" (mean-angle band, trials, workers,
-# absolute threshold overrides).
-DEFAULTS = {
-    "ell": "2.0",
-    "phi_hpbw_deg": "60.0",
-    "area_r": "1e-4",
-    "theta_fov_deg": "50.0",
-    "d_min": "0.0",
-    "d_max": "10.0",
-    "mean_angle_min_deg": "",
-    "mean_angle_max_deg": "",
-    "max_deviation_deg": "25.0",
-    "beta_weak": "0.984375",
-    "beta_strong": "0.015625",
-    "rate_weak": "2.0",
-    "rate_strong": "10.0",
-    "snr_db": "200.0",
-    "weak_rank": "1",
-    "strong_rank": "10",
-    "feedback_mode": "FullCSI",
-    "normalize_power": "false",
-    "total_users": "20",
-    "dist_threshold_frac": "0.1",
-    "angle_threshold_frac": "0.1",
-    "dist_threshold": "",
-    "angle_threshold_deg": "",
-    "sigma_d": "0.05",
-    "sigma_phi_deg": "2.5",
-    "noise_enabled": "false",
-    "trials": "",
-    "seed": "0",
-    "workers": "",
-    "grid_points": "201",
-    "ks_grid_points": "512",
-    "snr_grid_db": "140:250:5",
-    "deviation_grid_deg": "0:45:5",
-    "threshold_frac_grid": "0.1,0.9",
-    "family": "unordered",
-    "rank": "",
-    "oma_mode": "time_shared",
+# A validate command's grid holds grid_points floats; this bounds its memory.
+MAX_GRID_POINTS = 1_000_000
+
+
+def _reader(parse, noun: str):
+    """Key reader ``(text, key) -> parse(text)``; a text that ``parse`` rejects is not ``noun``."""
+
+    def read(text: str, key: str):
+        try:
+            return parse(text)
+        except (LookupError, ValueError) as exc:
+            raise InvalidParameterError(f"config key {key}: not {noun}: {text!r}") from exc
+
+    return read
+
+
+_BOOLEANS = {
+    **dict.fromkeys(("true", "1", "yes", "on"), True),
+    **dict.fromkeys(("false", "0", "no", "off"), False),
 }
-
-
-def _parse_float(conf: dict, key: str) -> float:
-    try:
-        return float(conf[key])
-    except ValueError as exc:
-        raise InvalidParameterError(f"config key {key}: not a number: {conf[key]!r}") from exc
-
-
-def _parse_int(conf: dict, key: str) -> int:
-    try:
-        return int(conf[key])
-    except ValueError as exc:
-        raise InvalidParameterError(f"config key {key}: not an integer: {conf[key]!r}") from exc
-
-
-def _parse_bool(conf: dict, key: str) -> bool:
-    text = conf[key].strip().lower()
-    if text in ("true", "1", "yes", "on"):
-        return True
-    if text in ("false", "0", "no", "off"):
-        return False
-    raise InvalidParameterError(f"config key {key}: not a boolean: {conf[key]!r}")
+NUMBER = _reader(float, "a number")
+DEGREES = _reader(lambda text: math.radians(float(text)), "a number")
+INTEGER = _reader(int, "an integer")
+BOOLEAN = _reader(lambda text: _BOOLEANS[text.strip().lower()], "a boolean")
+TEXT = _reader(str, "text")
 
 
 def _snr_linear(snr_db: float) -> float:
@@ -179,12 +142,81 @@ def parse_grid(text: str, key: str) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+@dataclass(frozen=True)
+class Key:
+    """One config key: its default text, its reader and its optional integer bounds."""
+
+    default: str
+    read: Callable[[str, str], object]
+    low: int | None = None
+    high: int | None = None
+
+
+# One row per config key.  Angle keys are degrees read into radians, except
+# sigma_phi_deg (NoiseConfig takes degrees) and the deviation grid (each sweep
+# point converts).  A blank default is derived at resolve time (the mean-angle
+# band, trials) or means unset (absolute thresholds, workers, rank).
+KEYS = {
+    "ell": Key("2.0", NUMBER),
+    "phi_hpbw_deg": Key("60.0", DEGREES),
+    "area_r": Key("1e-4", NUMBER),
+    "theta_fov_deg": Key("50.0", DEGREES),
+    "d_min": Key("0.0", NUMBER),
+    "d_max": Key("10.0", NUMBER),
+    "mean_angle_min_deg": Key("", DEGREES),
+    "mean_angle_max_deg": Key("", DEGREES),
+    "max_deviation_deg": Key("25.0", DEGREES),
+    "beta_weak": Key("0.984375", NUMBER),
+    "beta_strong": Key("0.015625", NUMBER),
+    "rate_weak": Key("2.0", NUMBER),
+    "rate_strong": Key("10.0", NUMBER),
+    "snr_db": Key("200.0", NUMBER),
+    "weak_rank": Key("1", INTEGER),
+    "strong_rank": Key("10", INTEGER),
+    "feedback_mode": Key("FullCSI", TEXT),
+    "normalize_power": Key("false", BOOLEAN),
+    "total_users": Key("20", INTEGER, high=MAX_TOTAL_USERS),
+    "dist_threshold_frac": Key("0.1", NUMBER),
+    "angle_threshold_frac": Key("0.1", NUMBER),
+    "dist_threshold": Key("", NUMBER),
+    "angle_threshold_deg": Key("", DEGREES),
+    "sigma_d": Key("0.05", NUMBER),
+    "sigma_phi_deg": Key("2.5", NUMBER),
+    "noise_enabled": Key("false", BOOLEAN),
+    "trials": Key("", INTEGER, low=1000),
+    "seed": Key("0", INTEGER, low=0),
+    "workers": Key("", INTEGER, low=1),
+    "grid_points": Key("201", INTEGER, low=2, high=MAX_GRID_POINTS),
+    "ks_grid_points": Key("512", INTEGER, low=2),
+    "snr_grid_db": Key("140:250:5", parse_grid),
+    "deviation_grid_deg": Key("0:45:5", parse_grid),
+    "threshold_frac_grid": Key("0.1,0.9", parse_grid),
+    "family": Key("unordered", TEXT),
+    "rank": Key("", INTEGER),
+    "oma_mode": Key("time_shared", TEXT),
+}
+DEFAULTS = {key: row.default for key, row in KEYS.items()}
+
+
+def read_key(conf: dict, key: str):
+    """``conf[key]`` read and bounded by its ``KEYS`` row; ``None`` if unset (blank by default)."""
+    row = KEYS[key]
+    if not conf[key] and not row.default:
+        return None
+    value = row.read(conf[key], key)
+    if row.low is not None and value < row.low:
+        raise InvalidParameterError(f"{key} must be at least {row.low}")
+    if row.high is not None and value > row.high:
+        raise InvalidParameterError(f"{key} must be at most {row.high}")
+    return value
+
+
 def _read_item(text: str, where: str, expects: str) -> tuple[str, str]:
     """``(key, value)`` of one ``--config`` line or ``--set`` item; ``where`` names it in errors."""
     if "=" not in text:
         raise InvalidParameterError(f"{expects} key=value, got {text!r}")
     key, value = (part.strip() for part in text.split("=", 1))
-    if key not in DEFAULTS:
+    if key not in KEYS:
         raise InvalidParameterError(f"{where}: unknown config key {key!r}")
     return key, value
 
@@ -206,12 +238,12 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, bool]:
     if args.config:
         conf.update(parse_config_file(args.config))
     conf.update(_read_item(item, "--set", "--set expects") for item in args.set or [])
-    conf.update((k, str(v)) for k, v in vars(args).items() if k in DEFAULTS and v is not None)
+    conf.update((k, str(v)) for k, v in vars(args).items() if k in KEYS and v is not None)
 
     # Derived defaults: the mean-angle band tracks the deviation so the
     # instantaneous angle stays inside [0, 180] degrees unless overridden.
     explicit_band = bool(conf["mean_angle_min_deg"] or conf["mean_angle_max_deg"])
-    dev = _parse_float(conf, "max_deviation_deg")
+    dev = NUMBER(conf["max_deviation_deg"], "max_deviation_deg")
     if not conf["mean_angle_min_deg"]:
         conf["mean_angle_min_deg"] = repr(dev)
     if not conf["mean_angle_max_deg"]:
@@ -224,75 +256,6 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, bool]:
 def config_hash(conf: dict) -> str:
     payload = "\n".join(f"{k}={conf[k]}" for k in sorted(conf))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def build_geometry(conf: dict) -> LedGeometry:
-    return LedGeometry(
-        ell=_parse_float(conf, "ell"),
-        phi_hpbw=math.radians(_parse_float(conf, "phi_hpbw_deg")),
-        area_r=_parse_float(conf, "area_r"),
-        theta_fov=math.radians(_parse_float(conf, "theta_fov_deg")),
-    )
-
-
-def build_mobility(conf: dict) -> MobilityModel:
-    return MobilityModel(
-        d_min=_parse_float(conf, "d_min"),
-        d_max=_parse_float(conf, "d_max"),
-        mean_angle_min=math.radians(_parse_float(conf, "mean_angle_min_deg")),
-        mean_angle_max=math.radians(_parse_float(conf, "mean_angle_max_deg")),
-        max_deviation=math.radians(_parse_float(conf, "max_deviation_deg")),
-    )
-
-
-def build_thresholds(conf: dict, model: MobilityModel, led: LedGeometry) -> FeedbackThresholds:
-    if conf["dist_threshold"] or conf["angle_threshold_deg"]:
-        if not (conf["dist_threshold"] and conf["angle_threshold_deg"]):
-            raise InvalidParameterError(
-                "absolute thresholds need both dist_threshold and angle_threshold_deg"
-            )
-        return FeedbackThresholds(
-            dist_threshold=_parse_float(conf, "dist_threshold"),
-            angle_threshold=math.radians(_parse_float(conf, "angle_threshold_deg")),
-        )
-    return FeedbackThresholds.from_fractions(
-        model,
-        led,
-        _parse_float(conf, "dist_threshold_frac"),
-        _parse_float(conf, "angle_threshold_frac"),
-    )
-
-
-def build_noma(conf: dict, thresholds: FeedbackThresholds) -> NomaConfig:
-    fields = dict(
-        beta_weak=_parse_float(conf, "beta_weak"),
-        beta_strong=_parse_float(conf, "beta_strong"),
-        rate_weak=_parse_float(conf, "rate_weak"),
-        rate_strong=_parse_float(conf, "rate_strong"),
-        snr=_snr_linear(_parse_float(conf, "snr_db")),
-        weak_rank=_parse_int(conf, "weak_rank"),
-        strong_rank=_parse_int(conf, "strong_rank"),
-        thresholds=thresholds,
-        feedback_mode=conf["feedback_mode"],
-    )
-    if _parse_bool(conf, "normalize_power"):
-        # Scale so the squares sum to one.  A zero or non-finite split goes to NomaConfig
-        # unscaled, which rejects it.  Multiplying by the reciprocal, not dividing by the
-        # norm, keeps the bits of the pinned normalized runs.
-        norm = math.hypot(fields["beta_weak"], fields["beta_strong"])
-        if 0.0 < norm < math.inf:
-            scale = 1.0 / norm
-            fields["beta_weak"] *= scale
-            fields["beta_strong"] *= scale
-    return NomaConfig(**fields)
-
-
-def build_noise(conf: dict) -> NoiseConfig:
-    return NoiseConfig(
-        sigma_d=_parse_float(conf, "sigma_d"),
-        sigma_phi=_parse_float(conf, "sigma_phi_deg"),
-        enabled=_parse_bool(conf, "noise_enabled"),
-    )
 
 
 @dataclass(frozen=True)
@@ -316,32 +279,47 @@ class ExperimentConfig:
     explicit_mean_band: bool
 
     def __post_init__(self):
-        if self.trials < 1000:
-            raise InvalidParameterError("estimate subcommands need at least 1000 trials")
-        if self.seed < 0:
-            raise InvalidParameterError("seed must be nonnegative")
+        # A key's own bounds are in its KEYS row; here are oma_mode's choices and cross-key rules.
         if self.oma_mode not in OMA_MODES:
             raise InvalidParameterError(f"oma_mode must be one of {OMA_MODES}")
         if self.noma.strong_rank > self.total_users:
             raise InvalidParameterError("strong_rank exceeds total_users")
-        if self.total_users > MAX_TOTAL_USERS:
-            raise InvalidParameterError(f"total_users must be at most {MAX_TOTAL_USERS}")
-        if self.workers is not None and self.workers < 1:
-            raise InvalidParameterError("workers must be at least 1")
+        reads_rank = self.command == "validate-channel-cdf" and self.family == "ordered"
+        if self.rank is not None and not reads_rank:
+            raise InvalidParameterError("only validate-channel-cdf --family ordered reads rank")
 
 
 def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> ExperimentConfig:
-    led = build_geometry(conf)
-    model = build_mobility(conf)
-    thresholds = build_thresholds(conf, model, led)
-    noma = build_noma(conf, thresholds)
-    grid_points = _parse_int(conf, "grid_points")
-    ks_grid_points = _parse_int(conf, "ks_grid_points")
-    if grid_points < 2 or ks_grid_points < 2:
-        raise InvalidParameterError("grid_points and ks_grid_points must be at least 2")
+    """The model objects of a resolved config; a bad config fails at its first key in this order."""
+    read = functools.partial(read_key, conf)
+    led = LedGeometry(read("ell"), read("phi_hpbw_deg"), read("area_r"), read("theta_fov_deg"))
+    band = read("mean_angle_min_deg"), read("mean_angle_max_deg")
+    model = MobilityModel(read("d_min"), read("d_max"), *band, read("max_deviation_deg"))
+    if conf["dist_threshold"] or conf["angle_threshold_deg"]:
+        if not (conf["dist_threshold"] and conf["angle_threshold_deg"]):
+            raise InvalidParameterError(
+                "absolute thresholds need both dist_threshold and angle_threshold_deg"
+            )
+        thresholds = FeedbackThresholds(read("dist_threshold"), read("angle_threshold_deg"))
+    else:
+        fracs = read("dist_threshold_frac"), read("angle_threshold_frac")
+        thresholds = FeedbackThresholds.from_fractions(model, led, *fracs)
+    betas = read("beta_weak"), read("beta_strong")
+    rates = read("rate_weak"), read("rate_strong")
+    snr = _snr_linear(read("snr_db"))
+    ranks = read("weak_rank"), read("strong_rank")
+    mode = read("feedback_mode")
+    norm = math.hypot(*betas)
+    if read("normalize_power") and 0.0 < norm < math.inf:
+        # Scale so the squares sum to one.  A zero or non-finite split goes to NomaConfig
+        # unscaled, which rejects it.  Multiplying by the reciprocal, not dividing by the
+        # norm, keeps the bits of the pinned normalized runs.
+        scale = 1.0 / norm
+        betas = betas[0] * scale, betas[1] * scale
+    noma = NomaConfig(*betas, *rates, snr, *ranks, thresholds, mode)
+    grid_points, ks_grid_points = read("grid_points"), read("ks_grid_points")
     if command in SWEEPS:
-        key = SWEEPS[command][0]
-        grid = parse_grid(conf[key], key)
+        grid = read(SWEEPS[command][0])
     else:
         grid = tuple(np.linspace(0.0, 1.0, grid_points))
     return ExperimentConfig(
@@ -349,16 +327,16 @@ def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> Expe
         led=led,
         model=model,
         noma=noma,
-        noise=build_noise(conf),
-        total_users=_parse_int(conf, "total_users"),
-        trials=_parse_int(conf, "trials"),
-        seed=_parse_int(conf, "seed"),
-        workers=_parse_int(conf, "workers") if conf["workers"] else None,
+        noise=NoiseConfig(read("sigma_d"), read("sigma_phi_deg"), read("noise_enabled")),
+        total_users=read("total_users"),
+        trials=read("trials"),
+        seed=read("seed"),
+        workers=read("workers"),
         grid=grid,
         ks_grid_points=ks_grid_points,
-        oma_mode=conf["oma_mode"],
-        family=conf["family"],
-        rank=_parse_int(conf, "rank") if conf["rank"] else None,
+        oma_mode=read("oma_mode"),
+        family=read("family"),
+        rank=read("rank"),
         explicit_mean_band=explicit_mean_band,
     )
 
@@ -462,6 +440,13 @@ def cmd_validate_channel_cdf(xc: ExperimentConfig, out: str | None, manifest: st
     emit_csv(out, manifest, ["gain_sq", "analytic_cdf", "empirical_cdf"], rows, summary)
 
 
+def _noma_copy(noma: NomaConfig, **changes) -> NomaConfig:
+    """``noma`` with new thresholds or SNR; its power-split warning was given when it was built."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return dataclasses.replace(noma, **changes)
+
+
 def _sweep_points(xc: ExperimentConfig):
     """(leading cells, NomaConfig, MobilityModel) at each point of the sweep's grid."""
     if xc.command == "sweep-deviation":
@@ -481,10 +466,10 @@ def _sweep_points(xc: ExperimentConfig):
             )
         for fracs in itertools.product(xc.grid, repeat=2):
             thresholds = FeedbackThresholds.from_fractions(xc.model, xc.led, *fracs)
-            yield fracs, dataclasses.replace(xc.noma, thresholds=thresholds), xc.model
+            yield fracs, _noma_copy(xc.noma, thresholds=thresholds), xc.model
     else:
         for snr_db in xc.grid:
-            yield (snr_db,), dataclasses.replace(xc.noma, snr=_snr_linear(snr_db)), xc.model
+            yield (snr_db,), _noma_copy(xc.noma, snr=_snr_linear(snr_db)), xc.model
 
 
 def _sweep_cells(xc: ExperimentConfig, cfg: NomaConfig, model: MobilityModel, gains, values):

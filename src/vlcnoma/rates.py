@@ -120,7 +120,7 @@ class NomaConfig:
             warnings.warn(
                 f"power fractions have squared sum {power:.6f}, not 1; "
                 "pass normalize_power=True to rescale",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
 
 

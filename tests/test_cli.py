@@ -365,6 +365,17 @@ assert not loaded, loaded
 
 
 class TestSweeps:
+    def test_power_split_warns_once_naming_the_cli(self):
+        # each sweep point copies the built config; the copies must not repeat its warning
+        argv = ["sweep-snr", "--trials", "2000", "--set", "workers=1"]
+        argv += ["--set", "snr_grid_db=200,210"]
+        quiet = contextlib.redirect_stdout(io.StringIO())
+        with warnings.catch_warnings(record=True) as caught, quiet:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        split = [w.filename for w in caught if "squared sum" in str(w.message)]
+        assert split == [main.__code__.co_filename]
+
     def test_snr_schema_full_csi(self, tmp_path):
         out = tmp_path / "snr.csv"
         code = main(
@@ -895,7 +906,7 @@ class TestExitCodes:
 
     def test_negative_seed_rejected(self, capsys):
         assert main(["sweep-snr", "--trials", "2000", "--seed", "-1"]) == 2
-        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert "seed must be at least 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -912,6 +923,16 @@ class TestExitCodes:
             (["sweep-snr", "--set", f"total_users={2**62}"], "total_users must be at most 1000"),
             (["sweep-snr", "--set", "workers=0"], "workers must be at least 1"),
             (["sweep-snr", "--set", "workers=-3"], "workers must be at least 1"),
+            (["validate-angle-cdf", "--set", "grid_points=1000001"], "grid_points"),
+            (["validate-angle-cdf", "--set", f"grid_points={2**70}"], "grid_points"),
+            (
+                ["validate-channel-cdf", "--family", "unordered", "--rank", "-5"],
+                "only validate-channel-cdf --family ordered reads rank",
+            ),
+            (
+                ["validate-channel-cdf", "--family", "twobit_inst_weak", "--set", "rank=2"],
+                "only validate-channel-cdf --family ordered reads rank",
+            ),
         ],
     )
     def test_invalid_integer_key_rejected(self, capsys, argv, message):
@@ -958,8 +979,10 @@ FUZZ_VALUES = st.one_of(
 
 
 class TestFuzzMain:
+    # The sweeps, and two validate commands that build a grid of grid_points
+    # values: a drawn count up to MAX_GRID_POINTS is built, a larger one exits 2.
     @given(
-        command=st.sampled_from(list(SWEEPS)),
+        command=st.sampled_from([*SWEEPS, "validate-angle-cdf", "validate-knz"]),
         overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES, max_size=4),
         mode=st.sampled_from(tuple(FEEDBACK_MODES)),
     )

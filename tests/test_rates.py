@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -123,6 +124,13 @@ class TestNomaConfig:
         with pytest.warns(UserWarning, match="squared sum"):
             NomaConfig(63 / 64, 1 / 64, 2.0, 10.0, 1e20, strong_rank=10)
 
+    def test_unbalanced_power_warning_names_the_caller(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            NomaConfig(63 / 64, 1 / 64, 2.0, 10.0, 1e20, strong_rank=10)
+        (warning,) = caught
+        assert warning.filename == __file__
+
     def test_mode_canonicalization(self):
         assert canonical_feedback_mode("fullcsi") == "FullCSI"
         assert canonical_feedback_mode(" TWOBITMEAN ") == "TwoBitMean"
@@ -171,21 +179,25 @@ class TestModeTable:
 
     @pytest.mark.parametrize("module", [simulate, cli])
     def test_no_mode_name_outside_the_table(self, module):
-        # The one exception is the default value of the CLI's feedback_mode key.
+        # The one exception is the default value in the feedback_mode row of the CLI's KEYS.
         tree = ast.parse(inspect.getsource(module))
         allowed = set()
         if module is cli:
-            (defaults,) = [
+            (keys,) = [
                 node.value
                 for node in tree.body
                 if isinstance(node, ast.Assign)
-                and getattr(node.targets[0], "id", None) == "DEFAULTS"
+                and getattr(node.targets[0], "id", None) == "KEYS"
+            ]
+            (row,) = [
+                value for key, value in zip(keys.keys, keys.values) if key.value == "feedback_mode"
             ]
             allowed = {
-                id(value)
-                for key, value in zip(defaults.keys, defaults.values)
-                if key.value == "feedback_mode"
+                id(node)
+                for node in ast.walk(row)
+                if isinstance(node, ast.Constant) and node.value in FEEDBACK_MODES
             }
+            assert len(allowed) == 1
         names = [
             (node.lineno, node.value)
             for node in ast.walk(tree)
