@@ -320,6 +320,8 @@ def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> Expe
     grid_points, ks_grid_points = read("grid_points"), read("ks_grid_points")
     if command in SWEEPS:
         grid = read(SWEEPS[command][0])
+    elif command == "validate-knz":
+        grid = ()  # its rows are the user counts, not a grid
     else:
         grid = tuple(np.linspace(0.0, 1.0, grid_points))
     return ExperimentConfig(

@@ -32,8 +32,9 @@ __all__ = [
     "pmf_nonzero_count_truncated",
 ]
 
-# Largest user population.  The binomial count law is tabulated up to it, and a
-# Monte Carlo chunk holds CHUNK_TRIALS x total_users values per array: 0.5 GB at 1000.
+# Largest user population.  The binomial count law is tabulated up to it.  A
+# Monte Carlo chunk streams its users by row block, but with observation noise
+# it holds CHUNK_TRIALS x total_users values per noise array: 0.5 GB at 1000.
 MAX_TOTAL_USERS = 1000
 
 # log(k!) for k = 0..MAX_TOTAL_USERS, each from the exact integer factorial.
@@ -85,11 +86,16 @@ class MobilityModel:
         return self.mean_angle_max - self.mean_angle_min
 
 
-def sample_users(model: MobilityModel, rng: np.random.Generator, size):
-    """Draw (distance, mean angle, instantaneous angle) arrays of the given shape."""
-    d = rng.uniform(model.d_min, model.d_max, size)
-    mean = rng.uniform(model.mean_angle_min, model.mean_angle_max, size)
-    inst = rng.uniform(-model.max_deviation, model.max_deviation, size)
+def sample_users(model: MobilityModel, rng: np.random.Generator | tuple, size):
+    """Draw (distance, mean angle, instantaneous angle) arrays of the given shape.
+
+    ``rng`` is one generator, which draws the three in that order, or a
+    (distance, mean, instantaneous) triple of generators, one per variable.
+    """
+    rng_d, rng_mean, rng_inst = rng if isinstance(rng, tuple) else (rng,) * 3
+    d = rng_d.uniform(model.d_min, model.d_max, size)
+    mean = rng_mean.uniform(model.mean_angle_min, model.mean_angle_max, size)
+    inst = rng_inst.uniform(-model.max_deviation, model.max_deviation, size)
     inst += mean
     return d, mean, inst
 

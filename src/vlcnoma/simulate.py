@@ -3,14 +3,15 @@
 Trials run in vectorized chunks of fixed size.  Each chunk owns a generator
 derived from the root seed and the chunk index, and chunk results are
 combined in chunk order, so aggregates are bit-identical for a given
-(seed, configuration) regardless of the worker count.  A chunk draws all its
-random numbers first, then works through row blocks small enough for their
-temporaries to stay in cache.  A block picks, then evaluates the gains of the
-picks: group modes and the distance ranking pick from observed values alone,
-so only the two picked users of a row get a gain, while gain rankings run the
-lit test on every user and evaluate gains only on the rows with at least
-``strong_rank`` lit users.  Every step is row-wise, so the block size never
-changes the output.
+(seed, configuration) regardless of the worker count.  A chunk draws its
+users row block by row block, each small enough for its temporaries to stay
+in cache, so its memory is bounded by the block, not by the user count; only
+observation noise, when enabled, is drawn for the whole chunk.  A block
+picks, then evaluates the gains of the picks: group modes and the distance
+ranking pick from observed values alone, so only the two picked users of a
+row get a gain, while gain rankings run the lit test on every user and
+evaluate gains only on the rows with at least ``strong_rank`` lit users.
+Every step is row-wise, so the block size never changes the output.
 
 Observables can be perturbed by measurement noise; scheduling and ranking
 then use the noisy values while outage is always judged on the true gains.
@@ -74,31 +75,35 @@ class EstimateResult:
     scheduled_trials: int
 
 
-def _observe(dist, mean, inst, noise: NoiseConfig | None, rng, draws: int = 3):
-    """Noisy copies of (distance, mean angle, instantaneous angle) when enabled.
+def _noise(noise: NoiseConfig | None, rng, shape, draws: int = 3):
+    """Observation noise of (distance, mean angle, instantaneous angle), drawn whole.
 
-    Only the first ``draws`` get noise, one normal per user each; the rest come
-    back unperturbed, for callers that never read them.
+    Only the first ``draws`` get noise: one normal per user each, in that
+    order, scaled by its standard deviation.  Nothing is drawn when disabled.
     """
     if noise is None or not noise.enabled:
-        return dist, mean, inst
+        return ()
     sigma_phi = math.radians(noise.sigma_phi)
-    true = (dist, mean, inst)
-    observed = []
-    for value, sigma in zip(true[:draws], (noise.sigma_d, sigma_phi, sigma_phi)):
-        obs = rng.standard_normal(value.shape)
-        obs *= sigma
-        obs += value
-        observed.append(obs)
+    scaled = []
+    for sigma in (noise.sigma_d, sigma_phi, sigma_phi)[:draws]:
+        z = rng.standard_normal(shape)
+        z *= sigma
+        scaled.append(z)
+    return scaled
+
+
+def _observe(true, scaled, rows):
+    """Observed (distance, mean, inst) of the users in ``rows``: ``true`` plus its noise.
+
+    ``true`` holds those rows' values and ``scaled`` the chunk's :func:`_noise`;
+    a variable without noise comes back as it is, for callers that never read it.
+    """
+    if not scaled:
+        return true
+    observed = [z[rows] + value for z, value in zip(scaled, true)]
     # Observed distance is clamped at zero so the geometry stays on its branch.
     np.maximum(observed[0], 0.0, out=observed[0])
-    return (*observed, *true[draws:])
-
-
-def _row_blocks(n: int, total_users: int):
-    """Row slices of a chunk, each about ``_BLOCK_ENTRIES`` user entries."""
-    step = max(1, _BLOCK_ENTRIES // total_users)
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
+    return (*observed, *true[len(scaled):])
 
 
 def _lit_count(d, phi, led):
@@ -122,38 +127,34 @@ def _gain_sq_at(pick, d, inst, led):
     return np.square(dc_gain(d, inst, led))
 
 
-def _individual_batch(rng, true, observed, reads, cfg, led):
-    """(scheduled, gain_sq_weak, gain_sq_strong) of one chunk of rank-based scheduling.
+def _individual_batch(rng, n, blocks, scaled, reads, cfg, led):
+    """Squared true gains (weak, strong) of the scheduled rows of a rank-based chunk.
 
-    It draws nothing from ``rng``.  The two gains of an unscheduled row are left unset.
+    It draws nothing from ``rng``.
     """
-    d, _, inst = true
-    n, total_users = d.shape
-    # Ranking on the true instantaneous angle ranks by the true gain itself, so
-    # its sorted values are the picks; every other ranking picks users by index.
-    by_value = observed[reads] is inst
-    scheduled = np.full(n, reads == 0)
-    gain_sq_weak = np.empty(n)
-    gain_sq_strong = np.empty(n)
-    for blk in _row_blocks(n, total_users):
-        rows = blk
+    picks = []
+    for rows, true in blocks:
+        d, _, inst = true
+        observed = _observe(true, scaled, rows)
+        total_users = d.shape[1]
+        # Ranking on the true instantaneous angle ranks by the true gain itself, so
+        # its sorted values are the picks; every other ranking picks users by index.
+        by_value = observed[reads] is inst
         if reads == 0:
             # Farther observed distance = presumed weaker; every trial is scheduled.
-            ranked = np.argsort(-observed[0][blk], axis=1, kind="stable")
+            ranked = np.argsort(-observed[0], axis=1, kind="stable")
             apparent = np.full(ranked.shape[0], total_users)
         else:
             # A row with fewer than strong_rank lit users has fewer nonzero
             # gains, so it stays unscheduled and only the others get gains.
-            lit_count = _lit_count(d[blk], inst[blk], led)
-            rows = blk.start + np.flatnonzero(lit_count >= cfg.strong_rank)
-            gain_sq = np.square(dc_gain(d[rows], inst[rows], led))
+            lit = np.flatnonzero(_lit_count(d, inst, led) >= cfg.strong_rank)
+            gain_sq = np.square(dc_gain(d[lit], inst[lit], led))
             nonzero = np.count_nonzero(gain_sq > 0.0, axis=1)
-            scheduled[rows] = nonzero >= cfg.strong_rank
             if by_value:
                 ranked, apparent = np.sort(gain_sq, axis=1), nonzero
             else:
                 # Rank by the gain at the observed angle the mode reads.
-                metric = np.square(dc_gain(observed[0][rows], observed[reads][rows], led))
+                metric = np.square(dc_gain(observed[0][lit], observed[reads][lit], led))
                 ranked = np.argsort(metric, axis=1, kind="stable")
                 apparent = np.count_nonzero(metric > 0.0, axis=1)
         # Rank among the apparent-nonzero pool; when it is shorter than the
@@ -164,12 +165,12 @@ def _individual_batch(rng, true, observed, reads, cfg, led):
         if by_value:
             picked = pick
         elif reads == 0:
-            picked = _gain_sq_at(pick, d[rows], inst[rows], led)
+            picked = _gain_sq_at(pick, d, inst, led)
         else:
             picked = np.take_along_axis(gain_sq, pick, axis=1)
         picked = np.where((apparent > 0)[:, None], picked, 0.0)
-        gain_sq_weak[rows], gain_sq_strong[rows] = picked.T
-    return scheduled, gain_sq_weak, gain_sq_strong
+        picks.append(picked if reads == 0 else picked[nonzero >= cfg.strong_rank])
+    return np.concatenate(picks).T
 
 
 def _uniform_pick(mask, u):
@@ -201,26 +202,21 @@ def _group_masks(reads, th, led, d_obs, angle_obs):
     return weak_mask, strong_mask
 
 
-def _group_batch(rng, true, observed, reads, cfg, led):
-    """(scheduled, gain_sq_weak, gain_sq_strong) of one chunk of threshold-feedback scheduling."""
-    d, _, inst = true
-    n, total_users = d.shape
+def _group_batch(rng, n, blocks, scaled, reads, cfg, led):
+    """Squared true gains (weak, strong) of the scheduled rows of a threshold-feedback chunk."""
     u = rng.random((n, 2))
-    scheduled = np.empty(n, dtype=bool)
-    gain_sq_weak = np.empty(n)
-    gain_sq_strong = np.empty(n)
-    for blk in _row_blocks(n, total_users):
+    picks = []
+    for rows, true in blocks:
+        d, _, inst = true
+        observed = _observe(true, scaled, rows)
         weak_mask, strong_mask = _group_masks(
-            reads, cfg.thresholds, led, observed[0][blk], observed[reads][blk]
+            reads, cfg.thresholds, led, observed[0], observed[reads]
         )
-        weak_idx, weak_ok = _uniform_pick(weak_mask, u[blk, 0])
-        strong_idx, strong_ok = _uniform_pick(strong_mask, u[blk, 1])
-        scheduled[blk] = weak_ok & strong_ok
+        weak_idx, weak_ok = _uniform_pick(weak_mask, u[rows, 0])
+        strong_idx, strong_ok = _uniform_pick(strong_mask, u[rows, 1])
         pick = np.stack((weak_idx, strong_idx), axis=1)
-        picked = _gain_sq_at(pick, d[blk], inst[blk], led)
-        picked = np.where(np.stack((weak_ok, strong_ok), axis=1), picked, 0.0)
-        gain_sq_weak[blk], gain_sq_strong[blk] = picked.T
-    return scheduled, gain_sq_weak, gain_sq_strong
+        picks.append(_gain_sq_at(pick, d, inst, led)[weak_ok & strong_ok])
+    return np.concatenate(picks).T
 
 
 def _chunk_sizes(trials: int):
@@ -231,24 +227,44 @@ def _chunk_sizes(trials: int):
 
 
 def _chunk_rng(seed: int, index: int):
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    )
 
 
 def _map_chunks(fn, trials: int, model: MobilityModel, seed: int, workers, per_trial=()):
-    """``fn(rng, users)`` of every chunk, in chunk order: the one chunk driver.
+    """``fn(rng, n, blocks)`` of every chunk, in chunk order: the one chunk driver.
 
-    Chunk ``c`` owns the generator of (seed, c), which first draws the chunk's
-    users, of shape ``(size, *per_trial)``; ``fn`` may draw more from it.
+    Chunk ``c`` of ``n`` trials owns the generator of (seed, c).  Its users
+    are those that ``sample_users(model, rng, (n, *per_trial))`` would draw,
+    handed to ``fn`` as ``blocks``: an iterator, read once and in order, of
+    ``(rows, (d, mean, inst))`` over row slices of about ``_BLOCK_ENTRIES``
+    user entries.  A uniform draw takes exactly one PCG64 output, so each
+    variable is read block by block from its own copy of the generator,
+    advanced to where that variable starts, and ``rng`` reaches ``fn`` past
+    all three; ``fn`` may draw more from it.
     Chunks run on pool threads even at one worker (chunk arrays freed on the
     main thread can stay pinned in its heap, ~30 MB more peak memory), each in
     a copy of the caller's context, so that its ``np.errstate`` holds there.
     """
     sizes = _chunk_sizes(trials)
+    users = math.prod(per_trial)
     caller = contextvars.copy_context()
 
-    def chunk(c: int, size: int):
-        rng = _chunk_rng(seed, c)
-        return fn(rng, sample_users(model, rng, (size, *per_trial)))
+    def chunk(c: int, n: int):
+        # Copy k starts k * n * users outputs in: distance, mean, inst, then the rest.
+        copies = [_chunk_rng(seed, c) for _ in range(4)]
+        for k, g in enumerate(copies):
+            g.bit_generator.advance(k * n * users)
+        streams, rng = tuple(copies[:3]), copies[3]
+        step = max(1, _BLOCK_ENTRIES // users)
+
+        def blocks():
+            for lo in range(0, n, step):
+                rows = slice(lo, min(lo + step, n))
+                yield rows, sample_users(model, streams, (rows.stop - lo, *per_trial))
+
+        return fn(rng, n, blocks())
 
     if workers is None:
         workers = min(8, os.cpu_count() or 1)
@@ -281,11 +297,10 @@ def collect_scheduled_gains(
         raise InvalidParameterError("group modes need feedback thresholds")
     batch = _group_batch if mode.group else _individual_batch
 
-    def chunk(rng, true):
+    def chunk(rng, n, blocks):
         # A group mode draws all three noise arrays, read or not, before its uniforms.
-        observed = _observe(*true, noise, rng, 3 if mode.group else mode.reads + 1)
-        scheduled, gain_sq_weak, gain_sq_strong = batch(rng, true, observed, mode.reads, cfg, led)
-        return gain_sq_weak[scheduled], gain_sq_strong[scheduled]
+        scaled = _noise(noise, rng, (n, total_users), 3 if mode.group else mode.reads + 1)
+        return batch(rng, n, blocks, scaled, mode.reads, cfg, led)
 
     parts = _map_chunks(chunk, trials, model, seed, workers, (total_users,))
     gain_sq_weak = np.concatenate([p[0] for p in parts])
@@ -303,12 +318,16 @@ def rate_stats(gain_sq_weak, gain_sq_strong, trials: int, cfg: NomaConfig, thres
     if n == 0:
         raise DegenerateConditionError("no scheduled trials")
     threshold_weak, threshold_strong = thresholds or outage_gain_thresholds(cfg)[:2]
-    rate = cfg.rate_weak * (gain_sq_weak > threshold_weak) + cfg.rate_strong * (
-        gain_sq_strong > threshold_strong
-    )
-    mean = float(rate.mean())
-    stderr = float(np.sqrt(rate.var(ddof=1) / n)) if n > 1 else 0.0
-    return EstimateResult(mean, stderr, n / trials, trials, n)
+    # One buffer, reused in place: the steps of ndarray.mean and var(ddof=1).
+    rate = np.multiply(gain_sq_weak > threshold_weak, cfg.rate_weak)
+    np.add(rate, cfg.rate_strong, out=rate, where=gain_sq_strong > threshold_strong)
+    total = rate.sum()
+    stderr = 0.0
+    if n > 1:
+        rate -= total / n
+        rate *= rate
+        stderr = float(np.sqrt(rate.sum() / (n - 1) / n))
+    return EstimateResult(float(total / n), stderr, n / trials, trials, n)
 
 
 # (mode, side) of the pick whose gain CDF each family is, but "unordered".
@@ -361,12 +380,15 @@ def estimate(
         if mode is not None and cfg.thresholds is None:
             raise InvalidParameterError("set-conditioned families need feedback thresholds")
 
-        def chunk(_, true):
+        def kept(true):
             gain_sq = np.square(dc_gain(true[0], true[2], led))
             if mode is None:
                 return gain_sq[gain_sq > 0.0]
             reads = FEEDBACK_MODES[mode].reads
             return gain_sq[_group_masks(reads, cfg.thresholds, led, true[0], true[reads])[side]]
+
+        def chunk(_, n, blocks):
+            return np.concatenate([kept(true) for _, true in blocks])
 
         samples = np.concatenate(_map_chunks(chunk, trials, model, seed, workers))
     if samples.size == 0:
@@ -385,8 +407,11 @@ def nonzero_count_histogram(
 ):
     """Histogram (length ``total_users + 1``) of how many users have nonzero gain per trial."""
 
-    def chunk(_, true):
-        return np.bincount(_lit_count(true[0], true[2], led), minlength=total_users + 1)
+    def chunk(_, n, blocks):
+        return sum(
+            np.bincount(_lit_count(d, inst, led), minlength=total_users + 1)
+            for _, (d, _, inst) in blocks
+        )
 
     counts = _map_chunks(chunk, trials, model, seed, workers, (total_users,))
     return np.sum(counts, axis=0)
@@ -396,4 +421,8 @@ def sample_vertical_angles(
     trials: int, model: MobilityModel, *, seed: int = 0, workers: int | None = None
 ):
     """Instantaneous vertical angles of ``trials`` single users, drawn chunk by chunk."""
-    return np.concatenate(_map_chunks(lambda _, true: true[2], trials, model, seed, workers))
+
+    def chunk(_, n, blocks):
+        return np.concatenate([inst for _, (_, _, inst) in blocks])
+
+    return np.concatenate(_map_chunks(chunk, trials, model, seed, workers))

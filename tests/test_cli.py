@@ -18,6 +18,7 @@ from vlcnoma import CDF_FAMILIES, gain_cdf, simulate
 from vlcnoma.cli import (
     DEFAULTS,
     SWEEPS,
+    build_experiment,
     build_parser,
     config_hash,
     fmt,
@@ -240,6 +241,11 @@ class TestValidateKnz:
         m = re.match(r"# summary tv_distance=(\S+) sched_prob=(\S+)$", summary[0])
         assert m and 0 < float(m.group(1)) < 0.1
         assert float(m.group(2)) == pytest.approx(0.296, abs=0.02)
+
+    def test_builds_no_grid(self):
+        # its rows are the user counts; grid_points is still checked (TestExitCodes)
+        conf, band = resolve(["validate-knz", "--set", "grid_points=1000000"])
+        assert build_experiment("validate-knz", conf, band).grid == ()
 
     def test_unreachable_rank_exits_3(self, tmp_path, capsys):
         code = main(
@@ -857,7 +863,7 @@ class TestExitCodes:
         assert "non-finite" in capsys.readouterr().err
 
     def test_out_of_memory_exits_3(self, capsys, monkeypatch):
-        # a chunk's draws grow with total_users; a failed allocation is no traceback
+        # a noisy chunk's noise arrays grow with total_users; a failed allocation is no traceback
         def exhausted(*args, **kwargs):
             raise MemoryError
 
@@ -933,6 +939,7 @@ class TestExitCodes:
                 ["validate-channel-cdf", "--family", "twobit_inst_weak", "--set", "rank=2"],
                 "only validate-channel-cdf --family ordered reads rank",
             ),
+            (["validate-knz", "--set", "grid_points=1000001"], "grid_points"),
         ],
     )
     def test_invalid_integer_key_rejected(self, capsys, argv, message):
@@ -978,9 +985,32 @@ FUZZ_VALUES = st.one_of(
 )
 
 
+class TestMemoryBound:
+    def test_noise_free_chunk_peak_rss_is_bounded_by_the_block(self):
+        # One 65,536-trial chunk of 1000 users streams its users by row block;
+        # drawing them whole took 1.5 GB.  A process's peak RSS counts the
+        # memory of the process it was forked from, so a small launcher runs
+        # the CLI and reports the peak of that child alone.
+        script = """
+import resource, subprocess, sys
+argv = [sys.executable, "-m", "vlcnoma.cli", "sweep-snr", "--trials", "65536"]
+argv += ["--set", "total_users=1000", "--set", "workers=1", "--set", "snr_grid_db=200"]
+code = subprocess.run(argv, stdout=subprocess.DEVNULL).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == 0
+        assert peak_kb < 200 * 1024
+
+
 class TestFuzzMain:
-    # The sweeps, and two validate commands that build a grid of grid_points
-    # values: a drawn count up to MAX_GRID_POINTS is built, a larger one exits 2.
+    # The sweeps, and two validate commands that check grid_points: a drawn
+    # count up to MAX_GRID_POINTS is accepted (validate-angle-cdf builds its
+    # grid, validate-knz reads none), a larger one exits 2.
     @given(
         command=st.sampled_from([*SWEEPS, "validate-angle-cdf", "validate-knz"]),
         overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES, max_size=4),

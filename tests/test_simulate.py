@@ -32,7 +32,7 @@ from vlcnoma import (
 from vlcnoma.quadrature import integrate_1d
 from vlcnoma import gain_cdf, simulate
 from vlcnoma.rates import FEEDBACK_MODES
-from vlcnoma.simulate import _group_masks, _observe, _uniform_pick
+from vlcnoma.simulate import _group_masks, _noise, _observe, _uniform_pick
 from vlcnoma.gain_cdf import cdf_gain_ranked
 from vlcnoma.cli import main
 from tests.conftest import make_noma
@@ -55,7 +55,7 @@ def test_one_chunk_driver():
 def test_chunks_run_on_pool_threads_in_the_callers_context(model_dev25):
     # Off the main thread even at one worker, whose heap can pin freed chunk
     # arrays, and under the caller's numpy error state at any worker count.
-    def probe(_, true):
+    def probe(_, n, blocks):
         return threading.current_thread() is threading.main_thread(), np.geterr()["over"]
 
     for workers in (1, 2):
@@ -64,21 +64,61 @@ def test_chunks_run_on_pool_threads_in_the_callers_context(model_dev25):
         assert seen == [(False, "raise")] * 2
 
 
+class TestUserBlocks:
+    """A chunk's row blocks are its whole-chunk draw, read at PCG64 stream offsets."""
+
+    @pytest.mark.parametrize("entries", [1_000, None])
+    @pytest.mark.parametrize("per_trial", [(), (7,), (1_000,)])
+    def test_blocks_equal_the_whole_chunk_draw(self, per_trial, entries, monkeypatch):
+        # Deviation 0: the instantaneous angle is a zero-width uniform draw.
+        model = MobilityModel(0.0, 10.0, np.radians(25.0), np.radians(155.0), 0.0)
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS", 4096)
+        if entries is not None:
+            monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", entries)
+        seed = 41
+
+        def probe(rng, n, blocks):
+            rows, users = zip(*blocks)
+            return n, rows, [np.concatenate(v) for v in zip(*users)], rng.standard_normal(3)
+
+        # a full chunk, then a partial one
+        chunks = simulate._map_chunks(
+            probe, simulate.CHUNK_TRIALS + 999, model, seed, 2, per_trial
+        )
+        assert [c[0] for c in chunks] == [simulate.CHUNK_TRIALS, 999]
+        for c, (n, rows, got, after) in enumerate(chunks):
+            assert rows[0].start == 0 and rows[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+            rng = simulate._chunk_rng(seed, c)
+            want = sample_users(model, rng, (n, *per_trial))
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            # the chunk's generator goes on where the whole-chunk draw left it
+            assert after.tobytes() == rng.standard_normal(3).tobytes()
+        if entries is None and not per_trial:
+            assert len(chunks[0][1]) == 1  # a single-user chunk is one block
+
+
+def observe(d, mean, inst, noise, rng, draws=3):
+    """The engine's two noise steps on whole arrays of users: one block of every row."""
+    return _observe((d, mean, inst), _noise(noise, rng, d.shape, draws), slice(None))
+
+
 class TestApplyNoise:
-    """Observation noise of ``_observe``, the one noise path of the engine."""
+    """Observation noise of ``_noise`` and ``_observe``, the one noise path of the engine."""
 
     def test_disabled_is_identity(self):
         d, mean, inst = np.array([3.0]), np.array([1.2]), np.array([1.4])
         rng = np.random.default_rng(0)
         for noise in (None, NoiseConfig(0.05, 2.5, enabled=False)):
-            out = _observe(d, mean, inst, noise, rng)
+            out = observe(d, mean, inst, noise, rng)
             assert out[0] is d and out[1] is mean and out[2] is inst
         # nothing was drawn from the stream
         assert rng.random() == np.random.default_rng(0).random()
 
     def test_zero_sigma_is_identity(self):
         d, mean, inst = np.array([3.0]), np.array([1.2]), np.array([1.4])
-        out = _observe(d, mean, inst, NoiseConfig(0.0, 0.0, enabled=True), np.random.default_rng(0))
+        out = observe(d, mean, inst, NoiseConfig(0.0, 0.0, enabled=True), np.random.default_rng(0))
         np.testing.assert_array_equal(out[0], d)
         np.testing.assert_array_equal(out[1], mean)
         np.testing.assert_array_equal(out[2], inst)
@@ -86,13 +126,13 @@ class TestApplyNoise:
     def test_sample_std_matches_sigma(self):
         noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=True)
         angle = np.full(200_000, 1.3)
-        d_obs, _, _ = _observe(np.full(200_000, 5.0), angle, angle, noise, np.random.default_rng(1))
+        d_obs, _, _ = observe(np.full(200_000, 5.0), angle, angle, noise, np.random.default_rng(1))
         assert np.std(d_obs - 5.0) == pytest.approx(0.05, rel=0.01)
 
     def test_angle_sigma_in_degrees(self):
         noise = NoiseConfig(sigma_d=0.0, sigma_phi=2.5, enabled=True)
         angle = np.full(100_000, 1.3)
-        _, _, inst_obs = _observe(
+        _, _, inst_obs = observe(
             np.full(100_000, 5.0), angle, angle, noise, np.random.default_rng(2)
         )
         assert np.std(inst_obs - 1.3) == pytest.approx(np.radians(2.5), rel=0.02)
@@ -105,7 +145,7 @@ class TestApplyNoise:
         noise = NoiseConfig(sigma_d=0.8, sigma_phi=2.5, enabled=True)
         d, mean, inst = sample_users(model_dev25, np.random.default_rng(3), (300, 20))
         # large distance noise so the clamp at zero is exercised
-        got = _observe(d, mean, inst, noise, np.random.default_rng(4))
+        got = observe(d, mean, inst, noise, np.random.default_rng(4))
         rng = np.random.default_rng(4)
         sigma_phi = np.radians(noise.sigma_phi)
         want = (
@@ -121,9 +161,9 @@ class TestApplyNoise:
     def test_fewer_draws_keep_the_leading_ones(self, draws):
         noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=True)
         true = tuple(np.full(50, v) for v in (5.0, 1.2, 1.4))
-        full = _observe(*true, noise, np.random.default_rng(5))
+        full = observe(*true, noise, np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        part = _observe(*true, noise, rng, draws)
+        part = observe(*true, noise, rng, draws)
         for k in range(draws):
             assert part[k].tobytes() == full[k].tobytes()
         assert all(part[k] is true[k] for k in range(draws, 3))
@@ -409,13 +449,14 @@ class TestGainEvaluations:
             trials, cfg, model_dev25, led_fov50,
             total_users=total_users, noise=noise, seed=seed, workers=1,
         )
-        blocks = simulate._row_blocks(trials, total_users)
+        step = simulate._BLOCK_ENTRIES // total_users
+        blocks = [slice(lo, lo + step) for lo in range(0, trials, step)]
         assert len(blocks) > 1
         assert len(calls) == self.PER_BLOCK[mode, noisy] * len(blocks)
         if mode not in ("FullCSI", "MeanAngle"):
             assert {shape[1] for shape in calls} == {2}
             return
-        # One chunk: its draws come first, so they are the users of these rows.
+        # One chunk: its blocks hold the users of one whole-chunk draw.
         d, _, inst = sample_users(
             model_dev25, simulate._chunk_rng(seed, 0), (trials, total_users)
         )
@@ -435,7 +476,7 @@ def _individual_reference(trials, cfg, model, led, *, total_users, noise, seed):
     """``collect_scheduled_gains`` of one chunk, with gains and picks on every row."""
     rng = simulate._chunk_rng(seed, 0)
     d, mean, inst = sample_users(model, rng, (trials, total_users))
-    d_obs, mean_obs, inst_obs = _observe(d, mean, inst, noise, rng)
+    d_obs, mean_obs, inst_obs = observe(d, mean, inst, noise, rng)
     gain_sq = np.square(dc_gain(d, inst, led))
     scheduled = np.count_nonzero(gain_sq > 0.0, axis=1) >= cfg.strong_rank
     angle_obs = inst_obs if cfg.feedback_mode == "FullCSI" else mean_obs
@@ -600,6 +641,22 @@ class TestNoisyScheduling:
         assert noisy.sched_prob == clean.sched_prob  # scheduling uses true gains
         assert noisy.value != clean.value  # ranking uses the noisy gains
         assert abs(noisy.value - clean.value) < 0.5
+
+    @pytest.mark.parametrize("rates", [(2.0, 10.0), (0.3, 1.7), (1e-3, 7.123456789)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1_000, 300_001])
+    def test_rate_stats_matches_mean_and_var(self, n, rates):
+        rng = np.random.default_rng(n)
+        gain_w, gain_s = rng.random(n), rng.random(n)
+        cfg = make_noma(rate_weak=rates[0], rate_strong=rates[1])
+        thresholds = (0.4, 0.7)
+        got = rate_stats(gain_w, gain_s, 3 * n, cfg, thresholds)
+        # the oracle: the rate array, then ndarray.mean and var(ddof=1)
+        rate = cfg.rate_weak * (gain_w > thresholds[0]) + cfg.rate_strong * (
+            gain_s > thresholds[1]
+        )
+        assert got.value == float(rate.mean())
+        assert got.stderr == (float(np.sqrt(rate.var(ddof=1) / n)) if n > 1 else 0.0)
+        assert (got.sched_prob, got.trials, got.scheduled_trials) == (1 / 3, 3 * n, n)
 
     def test_rate_stats_empty_rejected(self):
         with pytest.raises(DegenerateConditionError):
