@@ -16,7 +16,7 @@ import itertools
 import math
 import sys
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,7 +271,7 @@ class ExperimentConfig:
     trials: int
     seed: int
     workers: int | None
-    grid: tuple[float, ...]
+    grid: tuple[float, ...] | np.ndarray  # a sweep's floats, or a validate command's levels
     ks_grid_points: int
     oma_mode: str
     family: str
@@ -323,7 +323,7 @@ def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> Expe
     elif command == "validate-knz":
         grid = ()  # its rows are the user counts, not a grid
     else:
-        grid = tuple(np.linspace(0.0, 1.0, grid_points))
+        grid = np.linspace(0.0, 1.0, grid_points)
     return ExperimentConfig(
         command=command,
         led=led,
@@ -351,7 +351,7 @@ def fmt(value) -> str:
     return f"{float(value):.9g}"
 
 
-def emit_csv(out: str | None, manifest: str, header: list, rows: list, summary: list):
+def emit_csv(out: str | None, manifest: str, header: list, rows: Iterable, summary: list):
     lines = [manifest, ",".join(header)]
     lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
     lines.extend(summary)
@@ -370,13 +370,11 @@ def cmd_validate_angle_cdf(xc: ExperimentConfig, out: str | None, manifest: str)
     inst = sample_vertical_angles(xc.trials, xc.model, seed=xc.seed, workers=xc.workers)
     lo = xc.model.mean_angle_min - xc.model.max_deviation
     hi = xc.model.mean_angle_max + xc.model.max_deviation
-    xs = lo + np.asarray(xc.grid) * (hi - lo)
+    xs = lo + xc.grid * (hi - lo)
     analytic = cdf_vertical_angle(xs, xc.model)
     emp = EmpiricalDistribution(inst)
     ks = ks_distance(emp, lambda x: cdf_vertical_angle(x, xc.model))
-    rows = [
-        (math.degrees(x), a, e) for x, a, e in zip(xs, analytic, emp.cdf(xs))
-    ]
+    rows = zip(np.degrees(xs).tolist(), analytic.tolist(), emp.cdf(xs).tolist())
     summary = [f"# summary ks_distance={fmt(ks)} samples={xc.trials}"]
     emit_csv(out, manifest, ["angle_deg", "analytic_cdf", "empirical_cdf"], rows, summary)
 
@@ -404,28 +402,19 @@ def cmd_validate_knz(xc: ExperimentConfig, out: str | None, manifest: str):
 
 
 def cmd_validate_channel_cdf(xc: ExperimentConfig, out: str | None, manifest: str):
-    res = estimate(
-        xc.family,
-        xc.trials,
-        xc.noma,
-        xc.model,
-        xc.led,
-        total_users=xc.total_users,
-        seed=xc.seed,
-        workers=xc.workers,
-        rank=xc.rank,
-    )
-    emp = EmpiricalDistribution(res.value)
-    cdf = functools.partial(
-        CDF_FAMILIES[xc.family],
-        model=xc.model,
-        led=xc.led,
+    # The family's conditioning, given alike to its Monte Carlo and analytic twins.
+    condition = dict(
         thresholds=xc.noma.thresholds,
         total_users=xc.total_users,
         k_min=xc.noma.strong_rank,
         rank=xc.rank,
     )
-    xs = np.unique(emp.quantile(np.asarray(xc.grid)))
+    res = estimate(
+        xc.family, xc.trials, xc.model, xc.led, seed=xc.seed, workers=xc.workers, **condition
+    )
+    emp = EmpiricalDistribution(res.value)
+    cdf = functools.partial(CDF_FAMILIES[xc.family], model=xc.model, led=xc.led, **condition)
+    xs = np.unique(emp.quantile(xc.grid))
     # The quantile grid and the KS grid share their end points: integrate each level once.
     levels = np.union1d(xs, ks_bound_grid(emp, xc.ks_grid_points))
     values = cdf(levels)

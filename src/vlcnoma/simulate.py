@@ -20,7 +20,6 @@ then use the noisy values while outage is always judged on the true gains.
 from __future__ import annotations
 
 import contextvars
-import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConditionError, InvalidParameterError, require_finite
-from .gain_cdf import CDF_FAMILIES
+from .gain_cdf import CDF_FAMILIES, FeedbackThresholds
 from .geometry import LedGeometry, dc_gain, incidence_angle
 from .mobility import MobilityModel, sample_users
 from .rates import FEEDBACK_MODES, NomaConfig, outage_gain_thresholds
@@ -127,11 +126,8 @@ def _gain_sq_at(pick, d, inst, led):
     return np.square(dc_gain(d, inst, led))
 
 
-def _individual_batch(rng, n, blocks, scaled, reads, cfg, led):
-    """Squared true gains (weak, strong) of the scheduled rows of a rank-based chunk.
-
-    It draws nothing from ``rng``.
-    """
+def _individual_batch(blocks, scaled, reads, ranks, led):
+    """Squared true gains at ``ranks`` (weak, strong) of a rank-based chunk's scheduled rows."""
     picks = []
     for rows, true in blocks:
         d, _, inst = true
@@ -145,9 +141,9 @@ def _individual_batch(rng, n, blocks, scaled, reads, cfg, led):
             ranked = np.argsort(-observed[0], axis=1, kind="stable")
             apparent = np.full(ranked.shape[0], total_users)
         else:
-            # A row with fewer than strong_rank lit users has fewer nonzero
+            # A row with fewer lit users than the strong rank has fewer nonzero
             # gains, so it stays unscheduled and only the others get gains.
-            lit = np.flatnonzero(_lit_count(d, inst, led) >= cfg.strong_rank)
+            lit = np.flatnonzero(_lit_count(d, inst, led) >= ranks[1])
             gain_sq = np.square(dc_gain(d[lit], inst[lit], led))
             nonzero = np.count_nonzero(gain_sq > 0.0, axis=1)
             if by_value:
@@ -159,9 +155,7 @@ def _individual_batch(rng, n, blocks, scaled, reads, cfg, led):
                 apparent = np.count_nonzero(metric > 0.0, axis=1)
         # Rank among the apparent-nonzero pool; when it is shorter than the
         # requested rank, fall back to the strongest available pick.
-        pick = np.stack(
-            [_take_ranked(ranked, apparent, r) for r in (cfg.weak_rank, cfg.strong_rank)], axis=1
-        )
+        pick = np.stack([_take_ranked(ranked, apparent, r) for r in ranks], axis=1)
         if by_value:
             picked = pick
         elif reads == 0:
@@ -169,7 +163,7 @@ def _individual_batch(rng, n, blocks, scaled, reads, cfg, led):
         else:
             picked = np.take_along_axis(gain_sq, pick, axis=1)
         picked = np.where((apparent > 0)[:, None], picked, 0.0)
-        picks.append(picked if reads == 0 else picked[nonzero >= cfg.strong_rank])
+        picks.append(picked if reads == 0 else picked[nonzero >= ranks[1]])
     return np.concatenate(picks).T
 
 
@@ -202,16 +196,13 @@ def _group_masks(reads, th, led, d_obs, angle_obs):
     return weak_mask, strong_mask
 
 
-def _group_batch(rng, n, blocks, scaled, reads, cfg, led):
+def _group_batch(u, blocks, scaled, reads, thresholds, led):
     """Squared true gains (weak, strong) of the scheduled rows of a threshold-feedback chunk."""
-    u = rng.random((n, 2))
     picks = []
     for rows, true in blocks:
         d, _, inst = true
         observed = _observe(true, scaled, rows)
-        weak_mask, strong_mask = _group_masks(
-            reads, cfg.thresholds, led, observed[0], observed[reads]
-        )
+        weak_mask, strong_mask = _group_masks(reads, thresholds, led, observed[0], observed[reads])
         weak_idx, weak_ok = _uniform_pick(weak_mask, u[rows, 0])
         strong_idx, strong_ok = _uniform_pick(strong_mask, u[rows, 1])
         pick = np.stack((weak_idx, strong_idx), axis=1)
@@ -295,12 +286,13 @@ def collect_scheduled_gains(
     mode = FEEDBACK_MODES[cfg.feedback_mode]
     if mode.group and cfg.thresholds is None:
         raise InvalidParameterError("group modes need feedback thresholds")
-    batch = _group_batch if mode.group else _individual_batch
 
     def chunk(rng, n, blocks):
         # A group mode draws all three noise arrays, read or not, before its uniforms.
         scaled = _noise(noise, rng, (n, total_users), 3 if mode.group else mode.reads + 1)
-        return batch(rng, n, blocks, scaled, mode.reads, cfg, led)
+        if mode.group:
+            return _group_batch(rng.random((n, 2)), blocks, scaled, mode.reads, cfg.thresholds, led)
+        return _individual_batch(blocks, scaled, mode.reads, (cfg.weak_rank, cfg.strong_rank), led)
 
     parts = _map_chunks(chunk, trials, model, seed, workers, (total_users,))
     gain_sq_weak = np.concatenate([p[0] for p in parts])
@@ -341,43 +333,44 @@ _FAMILY_PICKS = {
 def estimate(
     family: str,
     trials: int,
-    cfg: NomaConfig,
     model: MobilityModel,
     led: LedGeometry,
     *,
-    total_users: int,
+    thresholds: FeedbackThresholds | None = None,
+    total_users: int | None = None,
+    k_min: int | None = None,
+    rank: int | None = None,
     seed: int = 0,
     workers: int | None = None,
-    rank: int | None = None,
 ) -> EstimateResult:
     """Squared true gains drawn under the conditioning of a CDF family.
 
-    ``family`` is one of ``CDF_FAMILIES``.  ``ordered`` keeps the gain at
-    ascending ``rank`` (default ``cfg.strong_rank``) among the nonzero users
-    of each trial with at least ``cfg.strong_rank`` of them: the noise-free
-    ``FullCSI`` pick at that rank.  Every other family keeps the single users
-    inside its set.  The samples come back as ``value`` and the fraction of
-    draws that met the condition as ``sched_prob``.
+    ``family`` is one of ``CDF_FAMILIES`` and takes the conditioning keywords
+    of its analytic CDF there.  ``ordered`` keeps the gain at ascending
+    ``rank`` (default ``k_min``) among the nonzero users of each trial of
+    ``total_users`` with at least ``k_min`` of them: the noise-free
+    ``FullCSI`` pick at ranks ``(rank, k_min)``.  Every other family keeps the
+    single users inside its set.  The samples come back as ``value`` and the
+    fraction of draws that met the condition as ``sched_prob``.
     """
     if family not in CDF_FAMILIES:
         raise InvalidParameterError(f"family must be one of {tuple(CDF_FAMILIES)}, got {family!r}")
     mode, side = _FAMILY_PICKS.get(family, (None, None))
     if mode is not None and not FEEDBACK_MODES[mode].group:
-        if rank is None:
-            rank = cfg.strong_rank
-        if not 1 <= rank <= cfg.strong_rank:
-            raise InvalidParameterError("rank must lie in [1, strong_rank]")
-        # The pair's weak rank must stay below its strong one: the top rank is the strong pick.
-        top = rank == cfg.strong_rank
-        pick_cfg = dataclasses.replace(
-            cfg, feedback_mode=mode, weak_rank=cfg.weak_rank if top else rank
-        )
-        gain_sq_weak, gain_sq_strong, _ = collect_scheduled_gains(
-            trials, pick_cfg, model, led, total_users=total_users, seed=seed, workers=workers
-        )
-        samples = gain_sq_strong if top else gain_sq_weak
+        if total_users is None or k_min is None:
+            raise InvalidParameterError("the ordered family needs total_users and k_min")
+        rank = k_min if rank is None else rank
+        if not 1 <= rank <= k_min:
+            raise InvalidParameterError("rank must lie in [1, k_min] so it always exists")
+        if k_min > total_users:
+            raise InvalidParameterError("k_min must lie in [1, total_users]")
+
+        def chunk(_, n, blocks):
+            return _individual_batch(blocks, (), FEEDBACK_MODES[mode].reads, (rank, k_min), led)[0]
+
+        parts = _map_chunks(chunk, trials, model, seed, workers, (total_users,))
     else:
-        if mode is not None and cfg.thresholds is None:
+        if mode is not None and thresholds is None:
             raise InvalidParameterError("set-conditioned families need feedback thresholds")
 
         def kept(true):
@@ -385,12 +378,13 @@ def estimate(
             if mode is None:
                 return gain_sq[gain_sq > 0.0]
             reads = FEEDBACK_MODES[mode].reads
-            return gain_sq[_group_masks(reads, cfg.thresholds, led, true[0], true[reads])[side]]
+            return gain_sq[_group_masks(reads, thresholds, led, true[0], true[reads])[side]]
 
         def chunk(_, n, blocks):
             return np.concatenate([kept(true) for _, true in blocks])
 
-        samples = np.concatenate(_map_chunks(chunk, trials, model, seed, workers))
+        parts = _map_chunks(chunk, trials, model, seed, workers)
+    samples = np.concatenate(parts)
     if samples.size == 0:
         raise DegenerateConditionError("conditioning event never occurred")
     return EstimateResult(samples, 0.0, samples.size / trials, trials, samples.size)

@@ -179,21 +179,11 @@ def test_criterion_03_channel_gain_cdf_families():
         ("twobit_mean_weak", 2_700_000, 401, 0.02),
         ("twobit_mean_strong", 105_000_000, 401, 0.02),
     )
-    cfg = make_noma(thresholds=TH_FIG)
     start = time.perf_counter()
     ok = True
     parts = []
     for family, trials, grid, tol in plan:
-        res = estimate(
-            family,
-            trials,
-            cfg,
-            MODEL_FIG,
-            LED_FIG,
-            total_users=TOTAL_USERS,
-            seed=SEED,
-            workers=WORKERS,
-        )
+        res = estimate(family, trials, seed=SEED, workers=WORKERS, **FIG_CONDITION)
         cdf = functools.partial(CDF_FAMILIES[family], **FIG_CONDITION)
         bound = ks_distance_bound(res.value, cdf, grid_size=grid)
         n = res.value.size

@@ -372,15 +372,22 @@ assert not loaded, loaded
 
 class TestSweeps:
     def test_power_split_warns_once_naming_the_cli(self):
-        # each sweep point copies the built config; the copies must not repeat its warning
-        argv = ["sweep-snr", "--trials", "2000", "--set", "workers=1"]
-        argv += ["--set", "snr_grid_db=200,210"]
-        quiet = contextlib.redirect_stdout(io.StringIO())
-        with warnings.catch_warnings(record=True) as caught, quiet:
-            warnings.simplefilter("always")
-            assert main(argv) == 0
-        split = [w.filename for w in caught if "squared sum" in str(w.message)]
-        assert split == [main.__code__.co_filename]
+        # each sweep point copies the built config; the copies must not repeat its warning,
+        # and the ordered family's sampler makes no copy of its own
+        small = ["--trials", "2000", "--set", "workers=1"]
+        for argv in (
+            ["sweep-snr", *small, "--set", "snr_grid_db=200,210"],
+            [
+                "validate-channel-cdf", "--family", "ordered", *small,
+                "--set", "grid_points=5", "--set", "ks_grid_points=8",
+            ],
+        ):
+            quiet = contextlib.redirect_stdout(io.StringIO())
+            with warnings.catch_warnings(record=True) as caught, quiet:
+                warnings.simplefilter("always")
+                assert main(argv) == 0
+            split = [w.filename for w in caught if "squared sum" in str(w.message)]
+            assert split == [main.__code__.co_filename], argv[0]
 
     def test_snr_schema_full_csi(self, tmp_path):
         out = tmp_path / "snr.csv"

@@ -33,7 +33,7 @@ from vlcnoma.quadrature import integrate_1d
 from vlcnoma import gain_cdf, simulate
 from vlcnoma.rates import FEEDBACK_MODES
 from vlcnoma.simulate import _group_masks, _noise, _observe, _uniform_pick
-from vlcnoma.gain_cdf import cdf_gain_ranked
+from vlcnoma.gain_cdf import CDF_FAMILIES, cdf_gain_ranked
 from vlcnoma.cli import main
 from tests.conftest import make_noma
 
@@ -342,14 +342,14 @@ class TestEstimate:
 
     def test_unknown_family(self, model_dev25, led_fov50):
         with pytest.raises(InvalidParameterError):
-            estimate("not_a_family", 1_000, make_noma(), model_dev25, led_fov50, total_users=20)
+            estimate("not_a_family", 1_000, model_dev25, led_fov50)
 
     def test_trial_count_validated(self, model_dev25, led_fov50):
         cfg = make_noma()
         for run in (
             lambda: collect_scheduled_gains(0, cfg, model_dev25, led_fov50, total_users=20),
-            lambda: estimate("unordered", 0, cfg, model_dev25, led_fov50, total_users=20),
-            lambda: estimate("ordered", 0, cfg, model_dev25, led_fov50, total_users=20),
+            lambda: estimate("unordered", 0, model_dev25, led_fov50),
+            lambda: estimate("ordered", 0, model_dev25, led_fov50, total_users=20, k_min=10),
             lambda: nonzero_count_histogram(0, 20, model_dev25, led_fov50),
             lambda: simulate.sample_vertical_angles(0, model_dev25),
         ):
@@ -531,8 +531,7 @@ class TestSchedulableRows:
 class TestConditionalSamples:
     def test_ordered_rank_gain_matches_analytic(self, model_dev30, led_fov60):
         res = estimate(
-            "ordered", 150_000, make_noma(), model_dev30, led_fov60,
-            total_users=20, seed=19, rank=10,
+            "ordered", 150_000, model_dev30, led_fov60, total_users=20, k_min=10, rank=10, seed=19
         )
         # the grid bound dominates the exact distance at a fraction of its integrals
         d = ks_distance_bound(
@@ -543,23 +542,21 @@ class TestConditionalSamples:
         assert d < 0.012
 
     def test_unordered_samples_are_nonzero_gains(self, model_dev30, led_fov60):
-        res = estimate(
-            "unordered", 20_000, make_noma(), model_dev30, led_fov60, total_users=20, seed=21
-        )
+        res = estimate("unordered", 20_000, model_dev30, led_fov60, seed=21)
         assert np.all(res.value > 0.0)
 
     def test_mean_weak_family_keeps_atom(self, model_dev30, led_fov60, thresholds_validation):
-        cfg = make_noma(mode="TwoBitMean", thresholds=thresholds_validation)
         res = estimate(
-            "twobit_mean_weak", 50_000, cfg, model_dev30, led_fov60, total_users=20, seed=23
+            "twobit_mean_weak", 50_000, model_dev30, led_fov60,
+            thresholds=thresholds_validation, seed=23,
         )
         zero_frac = np.mean(res.value == 0.0)
         assert zero_frac == pytest.approx(0.1457, abs=0.01)
 
     def test_inst_weak_family_matches_membership(self, model_dev30, led_fov60, thresholds_validation):
-        cfg = make_noma(thresholds=thresholds_validation)
         res = estimate(
-            "twobit_inst_weak", 50_000, cfg, model_dev30, led_fov60, total_users=20, seed=25
+            "twobit_inst_weak", 50_000, model_dev30, led_fov60,
+            thresholds=thresholds_validation, seed=25,
         )
         assert np.all(res.value > 0.0)
         # conditioning probability equals the single-user weak-set measure,
@@ -594,15 +591,45 @@ class TestConditionalSamples:
             mass = gain_cdf.band_measure(r_lo, model, led, th, subset)
         p = mass / model.delta_d
         trials = 1_000_000
-        res = estimate(family, trials, make_noma(thresholds=th), model, led, total_users=20, seed=5)
+        res = estimate(family, trials, model, led, thresholds=th, seed=5)
         z = (res.sched_prob - p) / np.sqrt(p * (1.0 - p) / trials)
         assert abs(z) <= 4.0, (p, res.sched_prob)
 
     def test_rank_validated(self, model_dev30, led_fov60):
         with pytest.raises(InvalidParameterError):
-            estimate(
-                "ordered", 5_000, make_noma(), model_dev30, led_fov60, total_users=20, rank=11
+            estimate("ordered", 5_000, model_dev30, led_fov60, total_users=20, k_min=10, rank=11)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ordered_is_the_full_csi_pick(self, workers, model_dev25, led_fov50):
+        # Two full chunks and a partial one; the weak pick at rank 3, the strong at rank 10.
+        n = 2 * simulate.CHUNK_TRIALS + 999
+        kw = dict(total_users=20, seed=7, workers=workers)
+        for rank, cfg, side in ((3, make_noma(weak_rank=3), 0), (10, make_noma(), 1)):
+            res = estimate("ordered", n, model_dev25, led_fov50, k_min=10, rank=rank, **kw)
+            picks = collect_scheduled_gains(n, cfg, model_dev25, led_fov50, **kw)
+            assert res.value.tobytes() == picks[side].tobytes(), rank
+            assert res.scheduled_trials == picks[side].size > 0
+
+    @pytest.mark.parametrize("family", sorted(CDF_FAMILIES))
+    def test_twins_reject_bad_conditioning_alike(self, family, model_dev25, led_fov50):
+        # A family's analytic CDF and its sampler take the same conditioning keywords.
+        for condition in (
+            {},
+            dict(total_users=20, k_min=10, rank=11),
+            dict(total_users=20, k_min=21),
+        ):
+            twins = (
+                lambda: CDF_FAMILIES[family](1e-12, model_dev25, led_fov50, **condition),
+                lambda: estimate(family, 2_000, model_dev25, led_fov50, **condition),
             )
+            rejected = []
+            for twin in twins:
+                try:
+                    twin()
+                    rejected.append(False)
+                except InvalidParameterError:
+                    rejected.append(True)
+            assert rejected[0] == rejected[1], condition
 
 
 class TestNonzeroCountHistogram:
