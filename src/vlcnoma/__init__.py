@@ -44,7 +44,6 @@ from .quadrature import (
     integrate_1d,
     integrate_2d_nested,
     ks_bound_grid,
-    ks_distance,
     ks_distance_bound,
 )
 from .rates import (

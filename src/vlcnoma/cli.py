@@ -31,7 +31,7 @@ from .mobility import (
     cdf_vertical_angle,
     pmf_nonzero_count_truncated,
 )
-from .quadrature import EmpiricalDistribution, ks_bound_grid, ks_distance, ks_distance_bound
+from .quadrature import EmpiricalDistribution, ks_bound_grid, ks_distance_bound
 from .rates import (
     FEEDBACK_MODES,
     OMA_MODES,
@@ -343,17 +343,22 @@ def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> Expe
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _template(types: tuple) -> str:
+    """``%`` template of a CSV row by cell type: integers whole, ``None`` blank, else ``%.9g``."""
+    return ",".join(
+        "%.0s" if t is type(None) else "%d" if issubclass(t, (int, np.integer)) else "%.9g"
+        for t in types
+    )
+
+
 def fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.9g}"
+    return _template((type(value),)) % (value,)
 
 
 def emit_csv(out: str | None, manifest: str, header: list, rows: Iterable, summary: list):
     lines = [manifest, ",".join(header)]
-    lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
+    lines.extend(_template(tuple(map(type, row))) % tuple(row) for row in rows)
     lines.extend(summary)
     text = "\n".join(lines) + "\n"
     if out is None:
@@ -373,7 +378,7 @@ def cmd_validate_angle_cdf(xc: ExperimentConfig, out: str | None, manifest: str)
     xs = lo + xc.grid * (hi - lo)
     analytic = cdf_vertical_angle(xs, xc.model)
     emp = EmpiricalDistribution(inst)
-    ks = ks_distance(emp, lambda x: cdf_vertical_angle(x, xc.model))
+    ks = ks_distance_bound(emp, lambda x: cdf_vertical_angle(x, xc.model))
     rows = zip(np.degrees(xs).tolist(), analytic.tolist(), emp.cdf(xs).tolist())
     summary = [f"# summary ks_distance={fmt(ks)} samples={xc.trials}"]
     emit_csv(out, manifest, ["angle_deg", "analytic_cdf", "empirical_cdf"], rows, summary)

@@ -230,6 +230,17 @@ def _twobit_set(model: MobilityModel, led: LedGeometry, th: FeedbackThresholds, 
     return sets[subset]
 
 
+def _set_mass(mass: float, model: MobilityModel, subset: str) -> float:
+    """``mass``, a selection set's membership integrated over distance, unless the set is empty.
+
+    Round-off leaves an empty set a mass of either sign, up to ~3e-14 of the distance
+    range in 3,000 random configurations; genuine sets there held 1e-7 of it or more.
+    """
+    if mass <= 1e-12 * model.delta_d:
+        raise DegenerateConditionError(f"{subset} selection set has zero probability")
+    return mass
+
+
 def cdf_weak_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds):
     """Gain CDF in the weak set of instantaneous two-bit feedback.
 
@@ -238,9 +249,7 @@ def cdf_weak_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: Feedback
     have nonzero gain.
     """
     below = _band_integral(model, led, *_twobit_set(model, led, th, "weak"), clears=False)
-    den = below()
-    if den <= 0.0:
-        raise DegenerateConditionError("weak selection set has zero probability")
+    den = _set_mass(below(), model, "weak")
     return _per_level(x, lambda xi: float(np.clip(below(xi) / den, 0.0, 1.0)))
 
 
@@ -251,9 +260,7 @@ def cdf_strong_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: Feedba
     at most the angle threshold.
     """
     survive = _band_integral(model, led, *_twobit_set(model, led, th, "strong"))
-    den = survive()
-    if den <= 0.0:
-        raise DegenerateConditionError("strong selection set has zero probability")
+    den = _set_mass(survive(), model, "strong")
     return _survival_cdf(x, survive, den)
 
 
@@ -373,9 +380,7 @@ def _below_in_bands(xi: float, r, model, led, th, subset: str):
 
 def _cdf_twobit_mean(x, model, led, th, subset: str):
     r_lo, r_hi, offsets = _selection_set(model, led, th, subset)
-    den = band_measure(r_lo, model, led, th, subset)
-    if den <= 0.0:
-        raise DegenerateConditionError(f"{subset} selection set has zero probability")
+    den = _set_mass(band_measure(r_lo, model, led, th, subset), model, subset)
     # Radii where a band edge crosses a mean-angle bound; band clipping kinks there.
     bounds = (model.mean_angle_min, model.mean_angle_max)
     static = tuple(

@@ -19,7 +19,6 @@ __all__ = [
     "integrate_1d",
     "integrate_2d_nested",
     "EmpiricalDistribution",
-    "ks_distance",
     "ks_distance_bound",
     "ks_bound_grid",
 ]
@@ -178,12 +177,29 @@ class EmpiricalDistribution:
         return np.quantile(self.samples, q)
 
 
-# Samples per reference-CDF evaluation in ks_distance.
+# Samples per reference-CDF evaluation on the every-sample grid.
 _KS_SLICE = 1 << 16
 
 
-def ks_distance(samples, cdf: Callable) -> float:
-    """Two-sided Kolmogorov-Smirnov distance between samples and a reference CDF.
+def ks_bound_grid(emp: EmpiricalDistribution, grid_size: int = 512) -> np.ndarray:
+    """Distinct rank-spaced samples where :func:`ks_distance_bound` evaluates the reference."""
+    if grid_size < 2:
+        raise InvalidParameterError("grid_size must be at least 2")
+    idx = np.linspace(0, emp.n - 1, min(grid_size, emp.n)).round().astype(int)
+    return np.unique(emp.samples[idx])
+
+
+def ks_distance_bound(samples, cdf: Callable, grid_size: int | None = None) -> float:
+    """Kolmogorov-Smirnov distance between samples and a reference CDF, or a bound on it.
+
+    The reference is evaluated at grid points y_1 < ... < y_M only.  With L_t
+    and H_t the empirical CDF below and at y_t, F_t = cdf(y_t) and F_0 = H_0 = 0,
+    monotonicity bounds the distance on (y_{t-1}, y_t] by max(L_t - F_{t-1},
+    cdf(y_t^-) - H_{t-1}) and past y_M by 1 - F_M.  With ``grid_size=None``
+    every sample is a point, tied ones consecutive, and the bound is the exact
+    distance.  Else the grid is :func:`ks_bound_grid`, for a reference costing
+    an integration per point, and the bound exceeds the exact distance by at
+    most the largest empirical mass between grid points, about 1/grid_size.
 
     The reference must be the CDF of a nonnegative variable with at most one
     atom, at zero, as are squared gains and vertical angles in [0, pi].  Its
@@ -191,51 +207,25 @@ def ks_distance(samples, cdf: Callable) -> float:
     atom mass is not reported as spurious distance.
     """
     emp = samples if isinstance(samples, EmpiricalDistribution) else EmpiricalDistribution(samples)
+    dist, f_prev, h_prev = 0.0, 0.0, 0.0
+    for y, low, high in _ks_grid(emp, grid_size):
+        f = np.asarray(cdf(y), dtype=float)
+        f_left = np.where(y <= 0.0, 0.0, f)
+        # A piece's first point pairs with the last point of the piece before.
+        up = np.max(low[1:] - f[:-1], initial=low[0] - f_prev)
+        down = np.max(f_left[1:] - high[:-1], initial=f_left[0] - h_prev)
+        dist, f_prev, h_prev = max(dist, up, down), f[-1], high[-1]
+    return float(max(dist, 1.0 - f_prev))
+
+
+def _ks_grid(emp: EmpiricalDistribution, grid_size: int | None):
+    """Ascending pieces ``(y, L, H)`` of the grid of :func:`ks_distance_bound`."""
     s, n = emp.samples, emp.n
-    dist = -np.inf
-    # Slices bound the sample-sized temporaries; the running maximum is exact.
+    if grid_size is not None:
+        y = ks_bound_grid(emp, grid_size)
+        yield y, np.searchsorted(s, y, side="left") / n, np.searchsorted(s, y, side="right") / n
+        return
+    # Every sample, ranked by its position: a search would cost several times the pass.
     for start in range(0, n, _KS_SLICE):
-        part = s[start : start + _KS_SLICE]
-        f_right = np.asarray(cdf(part), dtype=float)
-        f_left = np.where(part <= 0.0, 0.0, f_right)
-        i = np.arange(start + 1, start + part.size + 1)
-        dist = max(dist, np.max(i / n - f_right), np.max(f_left - (i - 1) / n))
-    return float(dist)
-
-
-def ks_bound_grid(emp: EmpiricalDistribution, grid_size: int = 512) -> np.ndarray:
-    """Distinct rank-spaced samples where :func:`ks_distance_bound` evaluates the reference."""
-    if grid_size < 2:
-        raise InvalidParameterError("grid_size must be at least 2")
-    idx = np.unique(np.linspace(0, emp.n - 1, min(grid_size, emp.n)).round().astype(int))
-    return np.unique(emp.samples[idx])
-
-
-def ks_distance_bound(samples, cdf: Callable, grid_size: int = 512) -> float:
-    """Upper bound on the KS distance from ``grid_size`` reference-CDF evaluations.
-
-    The exact distance needs the reference CDF at every sample, which is
-    wasteful when one evaluation costs a numerical integration.  This variant
-    evaluates it only at a rank-spaced subset y_1 < ... < y_M of the samples
-    and bounds the supremum on each gap using the monotonicity of both curves:
-    on (y_{t-1}, y_t) the deviation is at most
-    max(emp(y_t^-) - cdf(y_{t-1}), cdf(y_t^-) - emp(y_{t-1})).  The bound
-    exceeds the true distance by at most the largest empirical mass between
-    consecutive grid points, about 1/grid_size.
-
-    The reference must meet the precondition of :func:`ks_distance`; its left
-    limit comes from the values already held, one evaluation per grid point.
-    """
-    emp = samples if isinstance(samples, EmpiricalDistribution) else EmpiricalDistribution(samples)
-    s, n = emp.samples, emp.n
-    y = ks_bound_grid(emp, grid_size)
-    f = np.asarray(cdf(y), dtype=float)
-    f_left = np.where(y <= 0.0, 0.0, f)
-    emp_right = np.searchsorted(s, y, side="right") / n
-    emp_left = np.searchsorted(s, y, side="left") / n
-    prev_f = np.concatenate(([0.0], f[:-1]))
-    prev_emp = np.concatenate(([0.0], emp_right[:-1]))
-    gap = np.maximum(emp_left - prev_f, f_left - prev_emp)
-    at_point = np.abs(emp_right - f)
-    tail = 1.0 - f[-1]
-    return float(max(np.max(gap), np.max(at_point), tail, 0.0))
+        ranks = np.arange(start, min(start + _KS_SLICE, n) + 1) / n
+        yield s[start : start + _KS_SLICE], ranks[:-1], ranks[1:]

@@ -29,7 +29,6 @@ from vlcnoma import (
     collect_scheduled_gains,
     estimate,
     integrate_1d,
-    ks_distance,
     ks_distance_bound,
     nonzero_count_histogram,
     nonzero_gain_probability,
@@ -136,7 +135,7 @@ def test_criterion_01_vertical_angle_cdf():
     start = time.perf_counter()
     rng = np.random.default_rng(SEED)
     _, _, inst = sample_users(MODEL_FIG, rng, (1_000_000,))
-    ks = ks_distance(
+    ks = ks_distance_bound(
         EmpiricalDistribution(inst), lambda x: cdf_vertical_angle(x, MODEL_FIG)
     )
     elapsed = time.perf_counter() - start

@@ -21,6 +21,7 @@ from vlcnoma.cli import (
     build_experiment,
     build_parser,
     config_hash,
+    emit_csv,
     fmt,
     main,
     parse_config_file,
@@ -156,6 +157,18 @@ class TestFormatting:
         assert fmt(np.int64(3)) == "3"
         assert fmt(2.0) == "2"
         assert fmt(0.1234567891234) == "0.123456789"
+
+    def test_rows_of_mixed_cells_read_as_fmt(self, tmp_path):
+        rows = [
+            (None, 20, np.int64(-3), 0.1234567891234, np.float64(2.0)),
+            (1.5e-310, None, 2**70, float("inf"), -0.0),
+            (None, None, True, np.int64(0), 1e300),
+        ]
+        out = tmp_path / "mixed.csv"
+        emit_csv(str(out), "# manifest", list("abcde"), rows, ["# summary"])
+        lines = out.read_text().splitlines()
+        assert lines[2] == ",20,-3,0.123456789,2"
+        assert lines[2:-1] == [",".join(fmt(cell) for cell in row) for row in rows]
 
     def test_hash_order_independent(self):
         a = {"x": "1", "y": "2"}

@@ -32,6 +32,7 @@ from vlcnoma import (
     channel_constant,
     dc_gain,
     edge_gain_distance,
+    estimate,
     gain_halfangle,
     incidence_angle,
     integrate_1d,
@@ -409,6 +410,19 @@ class TestMeanSetCdfs:
         with pytest.raises((DegenerateConditionError, InvalidParameterError)):
             th = FeedbackThresholds(dist_threshold=1.0, angle_threshold=0.0)
             cdf_strong_twobit_mean(1e-12, model_dev30, led_fov60, th)
+
+    def test_roundoff_mass_of_empty_set_is_degenerate(self):
+        # The strong set (d <= 4 m) needs a mean angle within 5 degrees of an aim
+        # angle of 135-153 degrees, outside the mean band [70, 100]: it is empty,
+        # and only round-off gives it a mass.  Both twins must say so.
+        led = LedGeometry(2.0, np.radians(60.0), 1e-4, np.radians(50.0))
+        model = MobilityModel(2.0, 6.0, np.radians(70.0), np.radians(100.0), np.radians(20.0))
+        th = FeedbackThresholds.from_fractions(model, led, 0.5, 0.1)
+        assert abs(band_measure(model.d_min, model, led, th, "strong")) < 1e-12
+        with pytest.raises(DegenerateConditionError):
+            cdf_strong_twobit_mean(np.array([0.0, 1e-12, 1e-10, 1e-8]), model, led, th)
+        with pytest.raises(DegenerateConditionError):
+            estimate("twobit_mean_strong", 20_000, model, led, thresholds=th, seed=0)
 
     def test_monotone_coarse_grid(self, validation_setup):
         model, led, th = validation_setup

@@ -16,7 +16,7 @@ from vlcnoma import (
     cdf_vertical_angle,
     dc_gain,
     integrate_1d,
-    ks_distance,
+    ks_distance_bound,
     nonzero_gain_probability,
     pmf_nonzero_count_truncated,
     prob_incidence_within,
@@ -114,7 +114,7 @@ class TestAngleCdf:
     def test_matches_empirical(self, model_dev30):
         rng = np.random.default_rng(42)
         _, _, inst = sample_users(model_dev30, rng, (400_000,))
-        assert ks_distance(inst, lambda x: cdf_vertical_angle(x, model_dev30)) < 0.004
+        assert ks_distance_bound(inst, lambda x: cdf_vertical_angle(x, model_dev30)) < 0.004
 
     @given(st.floats(0.0, 45.0), st.floats(0.0, np.pi))
     @settings(max_examples=60, deadline=None)

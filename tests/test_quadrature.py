@@ -13,9 +13,9 @@ from vlcnoma import (
     NumericFailureError,
     integrate_1d,
     integrate_2d_nested,
-    ks_distance,
     ks_distance_bound,
 )
+from vlcnoma.quadrature import _KS_SLICE
 
 
 class TestIntegrate1d:
@@ -145,17 +145,19 @@ class TestEmpiricalDistribution:
 
 
 class TestKsDistance:
+    """The default grid, every sample: the exact distance."""
+
     def test_single_sample_at_median(self):
-        assert ks_distance(np.array([0.0]), lambda x: np.full_like(x, 0.5)) == 0.5
+        assert ks_distance_bound(np.array([0.0]), lambda x: np.full_like(x, 0.5)) == 0.5
 
     def test_cdf_identically_zero(self):
         samples = np.linspace(0.1, 1.0, 10)
-        assert ks_distance(samples, lambda x: np.zeros_like(x)) == 1.0
+        assert ks_distance_bound(samples, lambda x: np.zeros_like(x)) == 1.0
 
     def test_uniform_sample_agreement(self):
         rng = np.random.default_rng(5)
         s = rng.random(200_000)
-        d = ks_distance(s, lambda x: np.clip(x, 0.0, 1.0))
+        d = ks_distance_bound(s, lambda x: np.clip(x, 0.0, 1.0))
         assert d < 0.01
 
     def test_atom_with_left_limit(self):
@@ -164,7 +166,7 @@ class TestKsDistance:
         s = np.where(rng.random(100_000) < 0.4, 0.0, rng.random(100_000))
         cdf = lambda x: np.where(np.asarray(x) < 0, 0.0, 0.4 + 0.6 * np.clip(x, 0.0, 1.0))
         # the left limit at the atom is derived, so its mass is not counted as distance
-        assert ks_distance(s, cdf) < 0.01
+        assert ks_distance_bound(s, cdf) < 0.01
 
     @pytest.mark.parametrize(
         "cdf",
@@ -175,13 +177,22 @@ class TestKsDistance:
         ],
     )
     def test_slices_match_one_pass(self, cdf):
+        rng = np.random.default_rng(9)
         # 200,000 samples span four evaluation slices, the last one partial
-        s = np.sort(np.random.default_rng(9).random(200_000))
-        s[:1000] = 0.0
-        f = cdf(s)
-        i = np.arange(1, s.size + 1)
-        one_pass = max(np.max(i / s.size - f), np.max(np.where(s <= 0, 0, f) - (i - 1) / s.size))
-        assert ks_distance(s, cdf) == float(one_pass)
+        four_slices = np.sort(rng.random(200_000))
+        four_slices[:1000] = 0.0
+        # a run of equal samples straddles the first slice boundary
+        tied = np.sort(rng.random(3 * _KS_SLICE))
+        tied[_KS_SLICE - 7 : _KS_SLICE + 9] = tied[_KS_SLICE - 7]
+        all_equal = np.full(_KS_SLICE + 5, 0.5)
+        one_past = np.sort(rng.random(_KS_SLICE + 1))
+        for s in (four_slices, tied, all_equal, one_past):
+            f = cdf(s)
+            i = np.arange(1, s.size + 1)
+            one_pass = max(
+                np.max(i / s.size - f), np.max(np.where(s <= 0, 0, f) - (i - 1) / s.size)
+            )
+            assert ks_distance_bound(s, cdf) == float(one_pass)
 
 
 class TestKsDistanceBound:
@@ -189,7 +200,7 @@ class TestKsDistanceBound:
         rng = np.random.default_rng(7)
         s = rng.exponential(size=50_000)
         cdf = lambda x: 1.0 - np.exp(-np.maximum(np.asarray(x, dtype=float), 0.0))
-        exact = ks_distance(s, cdf)
+        exact = ks_distance_bound(s, cdf)
         for m in (16, 64, 256):
             bound = ks_distance_bound(s, cdf, grid_size=m)
             assert bound >= exact
@@ -201,11 +212,43 @@ class TestKsDistanceBound:
         cdf = lambda x: np.where(
             np.asarray(x) < 0, 0.0, 0.3 + 0.7 * (1 - np.exp(-np.maximum(np.asarray(x), 0)))
         )
-        exact = ks_distance(s, cdf)
+        exact = ks_distance_bound(s, cdf)
         bound = ks_distance_bound(s, cdf, grid_size=128)
         assert exact <= bound <= exact + 0.02
         # the 0.3 atom at zero is not counted as distance
         assert bound < 0.02
+
+    @staticmethod
+    def _value_grid_bound(samples, cdf, grid_size):
+        """The rank-grid bound with its at-point term |H_t - F_t|, which the one rule drops."""
+        s = np.sort(samples)
+        n = s.size
+        y = np.unique(s[np.unique(np.linspace(0, n - 1, min(grid_size, n)).round().astype(int))])
+        f = np.asarray(cdf(y), dtype=float)
+        f_left = np.where(y <= 0.0, 0.0, f)
+        emp_right = np.searchsorted(s, y, side="right") / n
+        emp_left = np.searchsorted(s, y, side="left") / n
+        prev_f = np.concatenate(([0.0], f[:-1]))
+        prev_emp = np.concatenate(([0.0], emp_right[:-1]))
+        gap = np.maximum(emp_left - prev_f, f_left - prev_emp)
+        at_point = np.abs(emp_right - f)
+        return float(max(np.max(gap), np.max(at_point), 1.0 - f[-1], 0.0))
+
+    @pytest.mark.parametrize("grid_size", [2, 8, 512, 50_000])
+    @pytest.mark.parametrize("case", ["exponential", "atom", "tied"])
+    def test_matches_value_grid_formula(self, case, grid_size):
+        rng = np.random.default_rng(12)
+        s = rng.exponential(size=20_000)
+        if case == "atom":
+            s = np.where(rng.random(s.size) < 0.3, 0.0, s)
+        elif case == "tied":
+            s = np.round(s, 2)
+        atom = 0.3 if case == "atom" else 0.0
+        cdf = lambda x: np.where(
+            np.asarray(x) < 0, 0.0, atom + (1 - atom) * (1 - np.exp(-np.maximum(x, 0.0)))
+        )
+        expected = self._value_grid_bound(s, cdf, grid_size)
+        assert ks_distance_bound(s, cdf, grid_size=grid_size) == expected
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
