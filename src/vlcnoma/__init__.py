@@ -32,11 +32,11 @@ from .geometry import (
 )
 from .mobility import (
     MobilityModel,
+    band_mixture,
     binom_pmf,
     binom_tail,
     cdf_vertical_angle,
     pmf_nonzero_count_truncated,
-    prob_incidence_within,
     sample_users,
 )
 from .quadrature import (

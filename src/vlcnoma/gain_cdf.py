@@ -9,15 +9,11 @@ Six families are covered, each dispatched by name through ``CDF_FAMILIES``:
 the gain of an unordered user conditioned on being nonzero, the gain at a
 given ascending rank among the nonzero users, and the weak/strong selection
 sets of two-bit feedback based on the instantaneous or the mean orientation.
-The unordered family (which the ranked one mixes) and the instantaneous sets
-are one band integral over distance of P(a(r) < |theta| <= b(r)), with the
-clipped gain half-angle as a band edge.  In the mean-angle pair set
-membership follows the mean orientation while the gain follows the
-instantaneous one.  Given the distance, the chance of staying below a level
-is piecewise linear in the mean angle, so its integral over the membership
-bands is closed-form and the pair is again one integral over distance; the
-distance profile of the bands themselves has the closed form
-:func:`ramp_cdf_integral`.
+Every single-user family (the ranked one mixes the unordered one) is one
+band integral over distance and mean angle, :func:`_band_integral`, of
+P(a(r) < |theta| <= b(r)) with the clipped gain half-angle as a band edge;
+:func:`~vlcnoma.mobility.band_mixture` does the mean-angle part in closed form.
+The mean-angle sets' own mass has the closed form :func:`ramp_cdf_integral`.
 """
 
 from __future__ import annotations
@@ -31,12 +27,12 @@ from .errors import DegenerateConditionError, InvalidParameterError, require_fin
 from .geometry import LedGeometry, channel_constant
 from .mobility import (
     MobilityModel,
+    band_mixture,
     binom_pmf,
     binom_tail,
     bound_crossing_radius,
     fov_window_breakpoints,
     pmf_nonzero_count_truncated,
-    prob_incidence_within,
 )
 from .quadrature import integrate_1d
 
@@ -123,70 +119,116 @@ def _per_level(x, fn):
     return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
-def _band_integral(model, led, r_lo, r_hi, floor: float, cap: float, *, clears=True):
-    """The one band integral behind the one-dimensional families, as ``integral(x)``.
+def _mean_offsets(floor: float, cap: float):
+    """(lo, hi) offsets from the aim angle of the mean-angle bands: (floor, cap] on either side."""
+    return ((-cap, -floor), (floor, cap)) if floor > 0.0 else ((-cap, cap),)
 
-    ``integral(x)`` is the integral over ``r`` in [r_lo, r_hi] of
-    P(a(r) < |theta| <= b(r)); ``integral()`` takes the whole band (floor, cap].
-    At a level ``x`` the gain half-angle, clipped to [floor, cap], is the upper
-    edge ``b`` when ``clears`` (the part where the squared gain clears ``x``)
-    and the lower edge ``a`` otherwise (the part where it stays below ``x``).
-    A zero floor is the empty window: it adds no breakpoints and is not evaluated.
+
+def _clipped_bands(center, offsets, model: MobilityModel):
+    """The bands ``center + offsets`` clipped to the mean-angle range, with hi = lo where empty."""
+    bands, low, high = [], model.mean_angle_min, model.mean_angle_max
+    for lo, hi in offsets:
+        # clip without np.clip's call overhead, which the integrand pays per band
+        a = np.minimum(np.maximum(center + lo, low), high)
+        b = np.minimum(np.maximum(center + hi, low), high)
+        bands.append((a, np.maximum(a, b)))
+    return tuple(bands)
+
+
+def _within(center, h, a, b, model: MobilityModel):
+    """Mean-angle measure of the means in [a, b] with |theta| <= h: all for None, none for 0."""
+    if h is None:
+        return b - a
+    if np.ndim(h) == 0 and h == 0.0:
+        return 0.0
+    return band_mixture(center + h, a, b, model) - band_mixture(center - h, a, b, model)
+
+
+def _band_integral(model, led, r_lo, r_hi, floor: float, cap: float, *, clears=True, on_mean=False):
+    """The one band integral behind the single-user families, as ``integral(x, stop=r_hi)``.
+
+    The set holds the users at distance in [r_lo, r_hi] whose incidence angle
+    (``on_mean``: mean incidence angle) has magnitude in (floor, cap].  Given
+    ``r``, the mean angle runs over the whole mean range, or ``on_mean`` over
+    c(r) + :func:`_mean_offsets`, c(r) the angle aiming at the LED.  At a level
+    ``x`` the gain clears |theta| <= psi(r), the gain half-angle clipped to the
+    view and, for a set on the instantaneous angle, to (floor, cap]; the band is
+    the set's part inside that window if ``clears``, else the part outside it.
+    ``integral()`` is the set's mass.  Results are in mean-angle measure:
+    divide by the mean-angle range after integrating.
     """
-    static = fov_window_breakpoints(cap, model, led)
-    if floor > 0.0:
-        static += fov_window_breakpoints(floor, model, led)
+    if on_mean:
+        offsets = _mean_offsets(floor, cap)
+        # Radii where a band edge crosses a mean-angle bound; band clipping kinks there.
+        bounds = (model.mean_angle_min, model.mean_angle_max)
+        static = tuple(
+            bound_crossing_radius(o, b, led.ell) for band in offsets for o in band for b in bounds
+        )
+        floor_w, cap_w, top = 0.0, led.theta_fov, None
+    else:
+        static = fov_window_breakpoints(cap, model, led)
+        if floor > 0.0:
+            static += fov_window_breakpoints(floor, model, led)
+        floor_w, cap_w, top = floor, min(cap, led.theta_fov), cap
+        whole = ((model.mean_angle_min, model.mean_angle_max),)
 
-    def integral(x: float | None = None) -> float:
+    def integral(x: float | None = None, stop: float = r_hi) -> float:
         start, bps = r_lo, static
         if x is not None:
-            # Radii where the gain at the cap, at the floor and on axis crosses x.
+            # Radii where the gain at the window's cap, at its floor and on axis crosses x.
             edges = tuple(
                 edge_gain_distance(x, led, cos_sq=np.cos(a) ** 2, lo=r_lo, hi=r_hi)
-                for a in (cap, floor, 0.0)
+                for a in (cap_w, floor_w, 0.0)
             )
-            # Short of the cap's radius a below-level band is empty.
-            start, bps = (r_lo if clears else edges[0]), static + edges
-        zero_floor = clears and floor == 0.0
+            # Short of the cap's radius the window is whole: the part outside it
+            # is empty there when the window reaches the top of the set.
+            start = edges[0] if not clears and top == cap_w else r_lo
+            bps = static + edges
 
         def band(r):
-            lower, upper = floor, cap
+            center = np.pi - np.arctan2(led.ell, r)
+            lower, upper = floor_w, top
             if x is not None:
-                psi = np.clip(gain_halfangle(x, r, led), floor, cap)
-                lower, upper = (floor, psi) if clears else (psi, cap)
-            inside = prob_incidence_within(r, upper, model, led)
-            return inside if zero_floor else inside - prob_incidence_within(r, lower, model, led)
+                psi = np.minimum(np.maximum(gain_halfangle(x, r, led), floor_w), cap_w)
+                lower, upper = (floor_w, psi) if clears else (psi, top)
+            total = 0.0
+            for a, b in _clipped_bands(center, offsets, model) if on_mean else whole:
+                total = total + _within(center, upper, a, b, model) - _within(
+                    center, lower, a, b, model
+                )
+            return total
 
-        return integrate_1d(band, start, r_hi, bps)
+        return integrate_1d(band, start, stop, bps)
 
     return integral
 
 
 @functools.lru_cache(maxsize=64)
-def nonzero_gain_probability(model: MobilityModel, led: LedGeometry) -> float:
-    """Probability that a single user's channel gain is nonzero, memoized per geometry.
+def _lit_mass(model: MobilityModel, led: LedGeometry) -> float:
+    """The whole field-of-view band of :func:`_band_integral`, memoized per (hashable) geometry."""
+    return _band_integral(model, led, model.d_min, model.d_max, 0.0, led.theta_fov)()
 
-    The whole field-of-view band of :func:`_band_integral`, averaged over
-    distance.  Each ranked-family call needs it; arguments must be hashable.
-    """
-    total = _band_integral(model, led, model.d_min, model.d_max, 0.0, led.theta_fov)()
+
+def nonzero_gain_probability(model: MobilityModel, led: LedGeometry) -> float:
+    """Probability that a single user's channel gain is nonzero."""
+    total = _lit_mass(model, led) / (model.delta_mean or 1.0)
     return min(max(total / model.delta_d, 0.0), 1.0)
 
 
 def _survival_cdf(x, survive, den: float):
-    """``1 - survive(x) / den`` per level; no positive gain lies at or below a nonpositive level."""
+    """``1 - survive(x) / den`` per level; no gain lies below a negative level."""
     return _per_level(
-        x, lambda xi: 0.0 if xi <= 0.0 else float(np.clip(1.0 - survive(xi) / den, 0.0, 1.0))
+        x, lambda xi: 0.0 if xi < 0.0 else float(np.clip(1.0 - survive(xi) / den, 0.0, 1.0))
     )
 
 
 def cdf_gain_unordered(x, model: MobilityModel, led: LedGeometry):
     """CDF of one user's squared gain conditioned on it being nonzero."""
-    p = nonzero_gain_probability(model, led)
-    if p <= 0.0:
+    den = _lit_mass(model, led)
+    if den <= 0.0:
         raise DegenerateConditionError("gain is zero with probability one")
     survive = _band_integral(model, led, model.d_min, model.d_max, 0.0, led.theta_fov)
-    return _survival_cdf(x, survive, p * model.delta_d)
+    return _survival_cdf(x, survive, den)
 
 
 def cdf_gain_ranked(
@@ -230,13 +272,14 @@ def _twobit_set(model: MobilityModel, led: LedGeometry, th: FeedbackThresholds, 
     return sets[subset]
 
 
-def _set_mass(mass: float, model: MobilityModel, subset: str) -> float:
+def _set_mass(mass: float, model: MobilityModel, subset: str, measure: float = 1.0) -> float:
     """``mass``, a selection set's membership integrated over distance, unless the set is empty.
 
-    Round-off leaves an empty set a mass of either sign, up to ~3e-14 of the distance
+    ``measure`` is the mean-angle measure ``mass`` was integrated in.  Round-off
+    leaves an empty set a mass of either sign, up to ~3e-14 of the distance
     range in 3,000 random configurations; genuine sets there held 1e-7 of it or more.
     """
-    if mass <= 1e-12 * model.delta_d:
+    if mass / measure <= 1e-12 * model.delta_d:
         raise DegenerateConditionError(f"{subset} selection set has zero probability")
     return mass
 
@@ -249,7 +292,7 @@ def cdf_weak_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: Feedback
     have nonzero gain.
     """
     below = _band_integral(model, led, *_twobit_set(model, led, th, "weak"), clears=False)
-    den = _set_mass(below(), model, "weak")
+    den = _set_mass(below(), model, "weak", model.delta_mean or 1.0)
     return _per_level(x, lambda xi: float(np.clip(below(xi) / den, 0.0, 1.0)))
 
 
@@ -260,7 +303,7 @@ def cdf_strong_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: Feedba
     at most the angle threshold.
     """
     survive = _band_integral(model, led, *_twobit_set(model, led, th, "strong"))
-    den = _set_mass(survive(), model, "strong")
+    den = _set_mass(survive(), model, "strong", model.delta_mean or 1.0)
     return _survival_cdf(x, survive, den)
 
 
@@ -297,18 +340,6 @@ def ramp_cdf_integral(
     return (z - hi) + anti(hi) - anti(lo)
 
 
-def _selection_set(model: MobilityModel, led: LedGeometry, th: FeedbackThresholds, subset: str):
-    """Distance range and mean-angle band offsets of a two-bit selection set.
-
-    A user at distance ``r`` in the range belongs to the set when its mean
-    angle lies in [c + lo, c + hi] for one band (lo, hi), where
-    c = pi - arctan(ell / r) is the angle aiming the detector at the LED: the
-    set's incidence band (floor, cap] on either side of c, one band if floor is 0.
-    """
-    r_lo, r_hi, floor, cap = _twobit_set(model, led, th, subset)
-    return r_lo, r_hi, (((-cap, -floor), (floor, cap)) if floor > 0.0 else ((-cap, cap),))
-
-
 def band_measure(
     y: float, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds, subset: str
 ) -> float:
@@ -316,10 +347,10 @@ def band_measure(
 
     ``subset`` is ``"weak"`` (range end d_max) or ``"strong"`` (range end d_th).
     """
-    _, z, offsets = _selection_set(model, led, th, subset)
+    _, z, floor, cap = _twobit_set(model, led, th, subset)
     return sum(
         ramp_cdf_integral(hi, y, z, model, led) - ramp_cdf_integral(lo, y, z, model, led)
-        for lo, hi in offsets
+        for lo, hi in _mean_offsets(floor, cap)
     )
 
 
@@ -331,73 +362,21 @@ def mean_angle_bands(
     Vectorized over ``r``: one (lo, hi) pair per band, clipped to the mean-angle
     range, with hi = lo where the band is empty.
     """
-    center = np.pi - np.arctan2(led.ell, r)
-    bands = []
-    for lo, hi in _selection_set(model, led, th, subset)[2]:
-        a = np.clip(center + lo, model.mean_angle_min, model.mean_angle_max)
-        b = np.clip(center + hi, model.mean_angle_min, model.mean_angle_max)
-        bands.append((a, np.maximum(a, b)))
-    return tuple(bands)
-
-
-def _ramp_band_integral(k, a, b, dev: float):
-    """Integral over the mean angle in [a, b] of clip((k - mean) / (2 dev), 0, 1)."""
-    w = 2.0 * dev
-
-    def area(u):
-        # antiderivative of clip(u, 0, 1); squaring the clipped value cannot overflow
-        c = np.clip(u, 0.0, 1.0)
-        return 0.5 * c * c + np.maximum(u - 1.0, 0.0)
-
-    return w * (area((k - a) / w) - area((k - b) / w))
-
-
-def _below_in_bands(xi: float, r, model, led, th, subset: str):
-    """Integral over the set's mean-angle bands of P(squared gain <= xi | r, mean), per ``r``.
-
-    The gain clears the level when the incidence angle is within psi of zero,
-    i.e. the instantaneous angle is within psi of the aim angle c.  It is
-    uniform within dev of the mean, so the chance of that is the difference
-    of the ramps clip((k - mean) / (2 dev), 0, 1) at k = c + psi + dev and
-    k = c - psi + dev, and each ramp integrates over a band in closed form.
-    Below a normal deviation the chance is the indicator of [c - psi, c + psi],
-    which integrates to its overlap with the band.
-    """
-    center = np.pi - np.arctan2(led.ell, r)
-    psi = np.minimum(gain_halfangle(xi, r, led), led.theta_fov)
-    dev = model.max_deviation
-    total = 0.0
-    for a, b in mean_angle_bands(r, model, led, th, subset):
-        if dev < np.finfo(float).tiny:
-            clears = np.maximum(np.minimum(b, center + psi) - np.maximum(a, center - psi), 0.0)
-        else:
-            clears = _ramp_band_integral(center + psi + dev, a, b, dev) - _ramp_band_integral(
-                center - psi + dev, a, b, dev
-            )
-        total = total + (b - a) - clears
-    return total
+    _, _, floor, cap = _twobit_set(model, led, th, subset)
+    return _clipped_bands(np.pi - np.arctan2(led.ell, r), _mean_offsets(floor, cap), model)
 
 
 def _cdf_twobit_mean(x, model, led, th, subset: str):
-    r_lo, r_hi, offsets = _selection_set(model, led, th, subset)
+    r_lo, r_hi, floor, cap = _twobit_set(model, led, th, subset)
     den = _set_mass(band_measure(r_lo, model, led, th, subset), model, subset)
-    # Radii where a band edge crosses a mean-angle bound; band clipping kinks there.
-    bounds = (model.mean_angle_min, model.mean_angle_max)
-    static = tuple(
-        bound_crossing_radius(o, b, led.ell) for band in offsets for o in band for b in bounds
-    )
-    cos_fov_sq = np.cos(led.theta_fov) ** 2
+    below = _band_integral(model, led, r_lo, r_hi, floor, cap, clears=False, on_mean=True)
 
     def one(xi: float) -> float:
         if xi < 0.0:
             return 0.0
         # Beyond this radius no orientation clears the level: the whole band is below it.
         split = edge_gain_distance(xi, led, cos_sq=1.0, lo=r_lo, hi=r_hi)
-        bps = static + (edge_gain_distance(xi, led, cos_sq=cos_fov_sq, lo=r_lo, hi=r_hi),)
-        below = integrate_1d(
-            lambda r: _below_in_bands(xi, r, model, led, th, subset), r_lo, split, bps
-        )
-        total = band_measure(split, model, led, th, subset) + below / model.delta_mean
+        total = band_measure(split, model, led, th, subset) + below(xi, split) / model.delta_mean
         return float(np.clip(total / den, 0.0, 1.0))
 
     return _per_level(x, one)

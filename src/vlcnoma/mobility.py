@@ -3,9 +3,10 @@
 Each transmission period draws, independently per user, a horizontal
 distance, a mean vertical angle, and an instantaneous vertical angle
 uniform within a deviation band around the mean.  The derived objects here
-are the unconditional CDF of the instantaneous angle (a piecewise
-quadratic/linear mixture), the probability that the incidence angle stays
-inside a window at a given distance, and the distribution of the number of
+are the one closed form of the angle mixture, :func:`band_mixture`, which
+integrates the chance of the instantaneous angle staying below a level over a
+band of mean angles, the unconditional CDF of the instantaneous angle (that
+mixture over the whole mean range), and the distribution of the number of
 nonzero-gain users, a binomial law computed in log space by :func:`binom_pmf`.
 """
 
@@ -25,8 +26,8 @@ __all__ = [
     "MAX_TOTAL_USERS",
     "MobilityModel",
     "sample_users",
+    "band_mixture",
     "cdf_vertical_angle",
-    "prob_incidence_within",
     "binom_pmf",
     "binom_tail",
     "pmf_nonzero_count_truncated",
@@ -68,7 +69,8 @@ class MobilityModel:
             raise InvalidParameterError("need 0 <= d_min < d_max")
         if self.mean_angle_min > self.mean_angle_max:
             raise InvalidParameterError("mean-angle bounds out of order")
-        if self.max_deviation < 0:
+        # signbit also refuses -0.0, for which the sampler's uniform(0.0, -0.0) raises
+        if np.signbit(self.max_deviation):
             raise InvalidParameterError("angular deviation must be nonnegative")
         if self.mean_angle_min - self.max_deviation < -1e-12 or (
             self.mean_angle_max + self.max_deviation > np.pi + 1e-12
@@ -100,49 +102,51 @@ def sample_users(model: MobilityModel, rng: np.random.Generator | tuple, size):
     return d, mean, inst
 
 
-def cdf_vertical_angle(x, model: MobilityModel):
-    """Unconditional CDF of the instantaneous vertical angle.
+def band_mixture(y, a, b, model: MobilityModel):
+    """Integral over mean angles in [a, b] of P(instantaneous angle <= y | mean).
 
-    Mixing the uniform deviation band over the uniform mean angle yields a
-    piecewise form: quadratic ramps on both shoulders and a linear middle
-    whose slope depends on whether the deviation band is narrower than half
-    the mean-angle range.  Vectorized over ``x``.
+    Given the mean, that chance is clip((y + dev - mean) / (2 dev), 0, 1), a
+    ramp integrated in closed form; below a normal deviation it is the
+    indicator of mean <= y.  The result is in mean-angle measure, except that
+    a point mean range gives its one angle weight one.  Vectorized.
+    """
+    y = np.asarray(y, dtype=float)
+    dev = model.max_deviation
+    # subnormal deviations overflow the ramp slope; the indicator is exact there
+    if dev < np.finfo(float).tiny:
+        out = np.where(y >= a, 1.0, 0.0) if model.delta_mean == 0.0 else np.clip(y, a, b) - a
+    elif model.delta_mean == 0.0:
+        out = np.clip((y - a + dev) / (2.0 * dev), 0.0, 1.0)
+    else:
+        # In place in three buffers, the result allocated last: freeing the
+        # buffers under it leaves the heap whole, so no call faults pages back in.
+        w, shape = 2.0 * dev, np.broadcast(y, a, b).shape
+        k, lower, c = np.empty(shape), np.empty(shape), np.empty(shape)
+        np.subtract(np.add(y, dev, out=k), a, out=lower)
+        # u = (k - a) / w and (k - b) / w become the antiderivative of the ramp,
+        # 0.5 c^2 + max(u - 1, 0) with c = clip(u, 0, 1); c * c cannot overflow,
+        # and (c * c) * 0.5 is 0.5 * c * c bit for bit unless it is subnormal.
+        for u in (lower, np.subtract(k, b, out=k)):
+            u /= w
+            np.minimum(np.maximum(u, 0.0, out=c), 1.0, out=c)
+            np.maximum(np.subtract(u, 1.0, out=u), 0.0, out=u)
+            u += np.multiply(np.multiply(c, c, out=c), 0.5, out=c)
+        out = lower - k
+        out *= w
+    return out if np.ndim(out) else float(out)
+
+
+def cdf_vertical_angle(x, model: MobilityModel):
+    """CDF of the instantaneous vertical angle: :func:`band_mixture` over the mean range.
+
+    Exactly 0 below the support and 1 at and past its top.  Vectorized over ``x``.
     """
     x = np.asarray(x, dtype=float)
-    lo, hi = model.mean_angle_min, model.mean_angle_max
-    dev, dmean = model.max_deviation, model.delta_mean
-    # subnormal deviations overflow the ramp slopes; the uniform limit is exact there
-    if dev < np.finfo(float).tiny:
-        if dmean == 0.0:
-            return np.where(x >= lo, 1.0, 0.0)
-        return np.clip((x - lo) / dmean, 0.0, 1.0)
-    if dmean == 0.0:
-        return np.clip((x - lo + dev) / (2 * dev), 0.0, 1.0)
-    z_lo = min(lo + dev, hi - dev)
-    z_hi = max(lo + dev, hi - dev)
-    # factored so neither the square nor the 4*dev*dmean product can underflow
-    ramp_up = ((x - lo + dev) / (2 * dev)) * ((x - lo + dev) / (2 * dmean))
-    ramp_down = 1.0 - ((hi + dev - x) / (2 * dev)) * ((hi + dev - x) / (2 * dmean))
-    if 2 * dev <= dmean:
-        middle = (x - lo) / dmean
-    else:
-        middle = (x + dev - 0.5 * (lo + hi)) / (2 * dev)
-    out = np.where(x < lo - dev, 0.0, np.where(x < z_lo, ramp_up, middle))
-    out = np.where(x >= z_hi, np.where(x < hi + dev, ramp_down, 1.0), out)
+    out = np.asarray(band_mixture(x, model.mean_angle_min, model.mean_angle_max, model))
+    out /= model.delta_mean or 1.0
+    # past the top the two ramps cancel only to 1 - 2e-16
+    np.copyto(out, 1.0, where=x >= model.mean_angle_max + model.max_deviation)
     return out if out.ndim else float(out)
-
-
-def prob_incidence_within(r, half_width, model: MobilityModel, led: LedGeometry):
-    """Probability that the incidence-angle magnitude is at most ``half_width`` at distance ``r``.
-
-    Equals the vertical-angle CDF evaluated across the window of width
-    ``2 * half_width`` centered on the angle that points the detector
-    straight at the LED.  Vectorized over ``r`` and ``half_width``.
-    """
-    center = np.pi - np.arctan2(led.ell, np.asarray(r, dtype=float))
-    return cdf_vertical_angle(center + half_width, model) - cdf_vertical_angle(
-        center - half_width, model
-    )
 
 
 def bound_crossing_radius(offset: float, bound: float, ell: float) -> float:

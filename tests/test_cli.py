@@ -818,6 +818,18 @@ class TestExitCodes:
         assert code == 2
         assert "cannot write output" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate-angle-cdf", "--set", "max_deviation_deg=-0.0"],
+            ["sweep-deviation", "--set", "deviation_grid_deg=-0.0,5"],
+        ],
+    )
+    def test_negative_zero_deviation(self, argv, capsys):
+        # -0.0 passes a "< 0" test, but the sampler's band uniform(0.0, -0.0) raises.
+        assert main([*argv, "--trials", "2000", "--set", "workers=1"]) == 2
+        assert "angular deviation must be nonnegative" in capsys.readouterr().err
+
     def test_absolute_threshold_needs_both_parts(self, capsys):
         assert main(["sweep-snr", "--trials", "2000", "--set", "dist_threshold=1.0"]) == 2
 
@@ -999,7 +1011,7 @@ FUZZ_KEYS = (
 # One-point grids: one collection per example in every sweep.
 FUZZ_GRIDS = ("snr_grid_db=200", "deviation_grid_deg=25", "threshold_frac_grid=0.1")
 FUZZ_VALUES = st.one_of(
-    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e300", "-1e300", "1e30", "true"]),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "-0.0", "1e300", "-1e300", "1e30", "true"]),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.integers(-(2**70), 2**70).map(str),
 )

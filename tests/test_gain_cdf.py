@@ -23,6 +23,7 @@ from vlcnoma import (
     LedGeometry,
     MobilityModel,
     band_measure,
+    band_mixture,
     cdf_gain_ranked,
     cdf_gain_unordered,
     cdf_strong_twobit_inst,
@@ -37,6 +38,7 @@ from vlcnoma import (
     incidence_angle,
     integrate_1d,
     integrate_2d_nested,
+    ks_distance_bound,
     mean_angle_bands,
     nonzero_gain_probability,
     ramp_cdf_integral,
@@ -44,7 +46,7 @@ from vlcnoma import (
 )
 from vlcnoma import gain_cdf
 from vlcnoma.cli import main
-from vlcnoma.mobility import bound_crossing_radius, cdf_vertical_angle
+from vlcnoma.mobility import bound_crossing_radius, cdf_vertical_angle, fov_window_breakpoints
 
 
 class TestGainHalfangle:
@@ -246,6 +248,52 @@ class TestInstantaneousSetCdfs:
         xs_s = np.linspace(0.0, 1.2 / upsilon(model.d_min), 1000)
         vals_s = np.array([cdf_strong_twobit_inst(x, model, led, th) for x in xs_s])
         assert np.all(np.diff(vals_s) >= -1e-12)
+
+
+class TestStrongSetPastTheView:
+    """An angle threshold past the field of view puts unlit users into the strong set."""
+
+    TH = FeedbackThresholds(dist_threshold=5.0, angle_threshold=np.radians(70.0))
+
+    def test_atom_is_the_unlit_share(self, model_dev25, led_fov50):
+        model, led = model_dev25, led_fov50
+        lo, hi = model.mean_angle_min, model.mean_angle_max
+
+        def mass(half):
+            def window(r):
+                c = np.pi - np.arctan2(led.ell, r)
+                return band_mixture(c + half, lo, hi, model) - band_mixture(c - half, lo, hi, model)
+
+            bps = fov_window_breakpoints(half, model, led)
+            return integrate_1d(window, model.d_min, self.TH.dist_threshold, bps)
+
+        unlit = 1.0 - mass(led.theta_fov) / mass(self.TH.angle_threshold)
+        assert unlit == pytest.approx(0.2341, abs=1e-4)
+        # each integral meets a relative tolerance of 1e-8
+        atom = cdf_strong_twobit_inst(0.0, model, led, self.TH)
+        assert atom == pytest.approx(unlit, abs=1e-7)
+        assert cdf_strong_twobit_inst(1e-300, model, led, self.TH) == pytest.approx(atom, abs=1e-7)
+        assert cdf_strong_twobit_inst(-1.0, model, led, self.TH) == 0.0
+
+    def test_matches_its_sampler_within_dkw(self, model_dev25, led_fov50):
+        # Dvoretzky-Kiefer-Wolfowitz with Massart's constant at alpha = 1e-4,
+        # plus the grid slack of ks_distance_bound.
+        model, led = model_dev25, led_fov50
+        res = estimate(
+            "twobit_inst_strong", 400_000, model, led, thresholds=self.TH, seed=3, workers=1
+        )
+        grid = 512
+        d = ks_distance_bound(
+            res.value, lambda x: cdf_strong_twobit_inst(x, model, led, self.TH), grid_size=grid
+        )
+        assert d <= np.sqrt(np.log(2.0 / 1e-4) / (2.0 * res.value.size)) + 2.0 / grid
+
+    def test_weak_set_is_empty_in_both_twins(self, model_dev25, led_fov50):
+        model, led = model_dev25, led_fov50
+        with pytest.raises(DegenerateConditionError):
+            cdf_weak_twobit_inst(1e-12, model, led, self.TH)
+        with pytest.raises(DegenerateConditionError):
+            estimate("twobit_inst_weak", 20_000, model, led, thresholds=self.TH, seed=0)
 
 
 class TestClosedIntegral:

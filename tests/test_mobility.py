@@ -1,4 +1,4 @@
-"""Mobility model: angle mixture CDF, in-FOV probability, nonzero-count PMF."""
+"""Mobility model: the angle mixture and its CDF, in-FOV probability, nonzero-count PMF."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from vlcnoma import (
     InvalidParameterError,
     LedGeometry,
     MobilityModel,
+    band_mixture,
     binom_pmf,
     binom_tail,
     cdf_vertical_angle,
@@ -19,7 +20,6 @@ from vlcnoma import (
     ks_distance_bound,
     nonzero_gain_probability,
     pmf_nonzero_count_truncated,
-    prob_incidence_within,
     sample_users,
 )
 from vlcnoma.mobility import MAX_TOTAL_USERS, fov_window_breakpoints
@@ -32,6 +32,15 @@ def model_with(dev_deg, lo_deg=None, hi_deg=None):
     return MobilityModel(0.0, 10.0, lo, hi, dev)
 
 
+def window_mass(r, half_width, model, led):
+    """Mean-angle measure of |incidence angle| <= half_width at distance r, by band_mixture."""
+    center = np.pi - np.arctan2(led.ell, r)
+    lo, hi = model.mean_angle_min, model.mean_angle_max
+    return band_mixture(center + half_width, lo, hi, model) - band_mixture(
+        center - half_width, lo, hi, model
+    )
+
+
 class TestMobilityModel:
     def test_invalid_ranges_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -40,6 +49,12 @@ class TestMobilityModel:
             MobilityModel(0.0, 10.0, 2.5, 0.5, 0.1)
         with pytest.raises(InvalidParameterError):
             MobilityModel(0.0, 10.0, 0.5, 2.5, -0.1)
+
+    def test_negative_zero_deviation_rejected(self):
+        # -0.0 < 0 is False, and the sampler's uniform(0.0, -0.0) would raise
+        with pytest.raises(InvalidParameterError):
+            MobilityModel(0.0, 10.0, 0.5, 2.5, -0.0)
+        MobilityModel(0.0, 10.0, 0.5, 2.5, 0.0)
 
     def test_deviation_band_must_stay_physical(self):
         # mean 10 degrees with deviation 30 dips below zero
@@ -124,6 +139,76 @@ class TestAngleCdf:
         assert 0.0 <= v <= 1.0
 
 
+def piecewise_cdf(x, model):
+    """The piecewise form of the angle CDF, kept as an oracle for the band-mixture one."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = model.mean_angle_min, model.mean_angle_max
+    dev, dmean = model.max_deviation, model.delta_mean
+    if dev < np.finfo(float).tiny:
+        if dmean == 0.0:
+            return np.where(x >= lo, 1.0, 0.0)
+        return np.clip((x - lo) / dmean, 0.0, 1.0)
+    if dmean == 0.0:
+        return np.clip((x - lo + dev) / (2 * dev), 0.0, 1.0)
+    z_lo = min(lo + dev, hi - dev)
+    z_hi = max(lo + dev, hi - dev)
+    ramp_up = ((x - lo + dev) / (2 * dev)) * ((x - lo + dev) / (2 * dmean))
+    ramp_down = 1.0 - ((hi + dev - x) / (2 * dev)) * ((hi + dev - x) / (2 * dmean))
+    if 2 * dev <= dmean:
+        middle = (x - lo) / dmean
+    else:
+        middle = (x + dev - 0.5 * (lo + hi)) / (2 * dev)
+    out = np.where(x < lo - dev, 0.0, np.where(x < z_lo, ramp_up, middle))
+    return np.where(x >= z_hi, np.where(x < hi + dev, ramp_down, 1.0), out)
+
+
+class TestBandMixture:
+    @pytest.mark.parametrize(
+        "dev,lo_deg,hi_deg",
+        [
+            (np.radians(25.0), 25.0, 155.0),  # 2 dev <= delta_mean
+            (np.radians(50.0), 60.0, 120.0),  # 2 dev > delta_mean
+            (0.0, 30.0, 150.0),
+            (1e-310, 30.0, 150.0),  # subnormal
+            (np.radians(20.0), 90.0, 90.0),  # point mean range
+            (0.0, 90.0, 90.0),
+        ],
+    )
+    def test_cdf_matches_the_piecewise_form(self, dev, lo_deg, hi_deg):
+        model = MobilityModel(0.0, 10.0, np.radians(lo_deg), np.radians(hi_deg), dev)
+        bottom = model.mean_angle_min - dev
+        top = model.mean_angle_max + dev
+        xs = np.concatenate(
+            (np.linspace(bottom - 0.3, top + 0.3, 20_001), [bottom, top, np.nextafter(top, 0.0)])
+        )
+        got = cdf_vertical_angle(xs, model)
+        assert np.max(np.abs(got - piecewise_cdf(xs, model))) <= 4e-15
+        assert np.all(got[xs < bottom] == 0.0)
+        assert np.all(got[xs >= top] == 1.0)
+        scalar = cdf_vertical_angle(float(xs[7_000]), model)
+        assert type(scalar) is float and scalar == got[7_000]
+
+    def test_in_place_form_is_the_plain_formula(self):
+        # The ramp integral w * (area((k - a) / w) - area((k - b) / w)), k = y + dev, bit for bit.
+        model = model_with(25.0)
+        rng = np.random.default_rng(11)
+        lo, hi = model.mean_angle_min, model.mean_angle_max
+        a = rng.uniform(lo, hi, 50_000)
+        b = rng.uniform(a, hi)
+        y = rng.uniform(0.0, np.pi, 50_000)
+        w = 2.0 * model.max_deviation
+
+        def area(u):
+            c = np.clip(u, 0.0, 1.0)
+            return 0.5 * c * c + np.maximum(u - 1.0, 0.0)
+
+        k = y + model.max_deviation
+        plain = w * (area((k - a) / w) - area((k - b) / w))
+        assert band_mixture(y, a, b, model).tobytes() == plain.tobytes()
+        assert band_mixture(y[0], a[0], b[0], model) == plain[0]
+        assert type(band_mixture(y[0], a[0], b[0], model)) is float
+
+
 class TestSampling:
     def test_sampler_respects_ranges(self, model_dev25):
         rng = np.random.default_rng(3)
@@ -150,30 +235,30 @@ class TestInFovProbability:
         frac = np.mean(dc_gain(d, inst, led_fov50) > 0)
         assert p == pytest.approx(frac, abs=0.003)
 
-    def test_prob_incidence_within_consistency(self, model_dev25, led_fov50):
-        # integrating the per-radius window probability reproduces the average
+    def test_window_mixture_consistency(self, model_dev25, led_fov50):
+        # the in-view mass at one radius lies in [0, delta_mean] and shrinks with the window
         r = 4.0
         half = led_fov50.theta_fov
-        per_r = prob_incidence_within(r, half, model_dev25, led_fov50)
-        assert 0.0 <= per_r <= 1.0
-        # window probability shrinks with the half width
-        narrower = prob_incidence_within(r, half / 4, model_dev25, led_fov50)
+        per_r = window_mass(r, half, model_dev25, led_fov50)
+        assert 0.0 <= per_r <= model_dev25.delta_mean
+        narrower = window_mass(r, half / 4, model_dev25, led_fov50)
         assert narrower <= per_r
 
     @pytest.mark.parametrize("fov_deg", [30.0, 50.0, 60.0, 90.0])
     @pytest.mark.parametrize("dev_deg", [0.0, 10.0, 25.0, 30.0])
     def test_equals_direct_window_integral(self, dev_deg, fov_deg):
         # The band integral of the CDF families, over the whole field of view,
-        # is the distance average of the in-view probability bit for bit.
+        # is the distance average of the in-view mixture difference bit for bit.
         model = model_with(dev_deg)
         led = LedGeometry(2.0, np.radians(60.0), 1e-4, np.radians(fov_deg))
         total = integrate_1d(
-            lambda r: prob_incidence_within(r, led.theta_fov, model, led),
+            lambda r: window_mass(r, led.theta_fov, model, led),
             model.d_min,
             model.d_max,
             fov_window_breakpoints(led.theta_fov, model, led),
         )
-        assert nonzero_gain_probability(model, led) == min(max(total / model.delta_d, 0.0), 1.0)
+        p = total / model.delta_mean / model.delta_d
+        assert nonzero_gain_probability(model, led) == min(max(p, 0.0), 1.0)
 
     def test_fig_reference_value(self, model_dev30, led_fov60):
         assert nonzero_gain_probability(model_dev30, led_fov60) == pytest.approx(

@@ -15,6 +15,7 @@ from vlcnoma import (
     LedGeometry,
     MobilityModel,
     NoiseConfig,
+    band_mixture,
     collect_scheduled_gains,
     dc_gain,
     estimate,
@@ -24,7 +25,6 @@ from vlcnoma import (
     nonzero_gain_probability,
     outage_gain_thresholds,
     outage_pair_analytic,
-    prob_incidence_within,
     rate_stats,
     sample_users,
     sum_rate_noma,
@@ -561,17 +561,23 @@ class TestConditionalSamples:
         assert np.all(res.value > 0.0)
         # conditioning probability equals the single-user weak-set measure,
         # mixing the incidence-angle band over the distance range past d_th
+        lo, hi = model_dev30.mean_angle_min, model_dev30.mean_angle_max
+
+        def within(r, half):
+            center = np.pi - np.arctan2(led_fov60.ell, r)
+            return band_mixture(center + half, lo, hi, model_dev30) - band_mixture(
+                center - half, lo, hi, model_dev30
+            )
+
         def band_prob(r):
-            return prob_incidence_within(
-                r, led_fov60.theta_fov, model_dev30, led_fov60
-            ) - prob_incidence_within(
-                r, thresholds_validation.angle_threshold, model_dev30, led_fov60
+            return within(r, led_fov60.theta_fov) - within(
+                r, thresholds_validation.angle_threshold
             )
 
         span = model_dev30.d_max - model_dev30.d_min
         expected = integrate_1d(
             band_prob, thresholds_validation.dist_threshold, model_dev30.d_max
-        ) / span
+        ) / model_dev30.delta_mean / span
         assert res.sched_prob == pytest.approx(expected, abs=0.01)
 
     @pytest.mark.parametrize(
@@ -586,7 +592,9 @@ class TestConditionalSamples:
         subset = family.rsplit("_", 1)[1]
         r_lo, r_hi, floor, cap = gain_cdf._twobit_set(model, led, th, subset)
         if "_inst_" in family:
+            # the band integral is in mean-angle measure
             mass = gain_cdf._band_integral(model, led, r_lo, r_hi, floor, cap)()
+            mass /= model.delta_mean
         else:
             mass = gain_cdf.band_measure(r_lo, model, led, th, subset)
         p = mass / model.delta_d
