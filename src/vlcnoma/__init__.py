@@ -18,7 +18,6 @@ from .gain_cdf import (
     cdf_weak_twobit_mean,
     edge_gain_distance,
     gain_halfangle,
-    mean_angle_bands,
     nonzero_gain_probability,
     ramp_cdf_integral,
 )

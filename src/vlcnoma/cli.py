@@ -111,6 +111,11 @@ BOOLEAN = _reader(lambda text: _BOOLEANS[text.strip().lower()], "a boolean")
 TEXT = _reader(str, "text")
 
 
+def _choice(choices) -> Callable[[str, str], str]:
+    """Reader of a key whose text must name one of ``choices`` exactly."""
+    return _reader(dict(zip(choices, choices)).__getitem__, f"one of {', '.join(choices)}")
+
+
 def _snr_linear(snr_db: float) -> float:
     """Linear SNR of a dB value; one too large for a float is an invalid parameter."""
     try:
@@ -191,9 +196,9 @@ KEYS = {
     "snr_grid_db": Key("140:250:5", parse_grid),
     "deviation_grid_deg": Key("0:45:5", parse_grid),
     "threshold_frac_grid": Key("0.1,0.9", parse_grid),
-    "family": Key("unordered", TEXT),
+    "family": Key("unordered", _choice(CDF_FAMILIES)),
     "rank": Key("", INTEGER),
-    "oma_mode": Key("time_shared", TEXT),
+    "oma_mode": Key("time_shared", _choice(OMA_MODES)),
 }
 DEFAULTS = {key: row.default for key, row in KEYS.items()}
 
@@ -279,9 +284,7 @@ class ExperimentConfig:
     explicit_mean_band: bool
 
     def __post_init__(self):
-        # A key's own bounds are in its KEYS row; here are oma_mode's choices and cross-key rules.
-        if self.oma_mode not in OMA_MODES:
-            raise InvalidParameterError(f"oma_mode must be one of {OMA_MODES}")
+        # A key's own bounds and choices are in its KEYS row; here are the cross-key rules.
         if self.noma.strong_rank > self.total_users:
             raise InvalidParameterError("strong_rank exceeds total_users")
         reads_rank = self.command == "validate-channel-cdf" and self.family == "ordered"
@@ -317,6 +320,13 @@ def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> Expe
         scale = 1.0 / norm
         betas = betas[0] * scale, betas[1] * scale
     noma = NomaConfig(*betas, *rates, snr, *ranks, thresholds, mode)
+    # NomaConfig takes its split as given; the run warns about it here, once.
+    power = noma.beta_weak**2 + noma.beta_strong**2
+    if abs(power - 1.0) > 1e-6:
+        warnings.warn(
+            f"power fractions have squared sum {power:.6f}, not 1; "
+            "set normalize_power=true to rescale"
+        )
     grid_points, ks_grid_points = read("grid_points"), read("ks_grid_points")
     if command in SWEEPS:
         grid = read(SWEEPS[command][0])
@@ -436,13 +446,6 @@ def cmd_validate_channel_cdf(xc: ExperimentConfig, out: str | None, manifest: st
     emit_csv(out, manifest, ["gain_sq", "analytic_cdf", "empirical_cdf"], rows, summary)
 
 
-def _noma_copy(noma: NomaConfig, **changes) -> NomaConfig:
-    """``noma`` with new thresholds or SNR; its power-split warning was given when it was built."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return dataclasses.replace(noma, **changes)
-
-
 def _sweep_points(xc: ExperimentConfig):
     """(leading cells, NomaConfig, MobilityModel) at each point of the sweep's grid."""
     if xc.command == "sweep-deviation":
@@ -462,10 +465,10 @@ def _sweep_points(xc: ExperimentConfig):
             )
         for fracs in itertools.product(xc.grid, repeat=2):
             thresholds = FeedbackThresholds.from_fractions(xc.model, xc.led, *fracs)
-            yield fracs, _noma_copy(xc.noma, thresholds=thresholds), xc.model
+            yield fracs, dataclasses.replace(xc.noma, thresholds=thresholds), xc.model
     else:
         for snr_db in xc.grid:
-            yield (snr_db,), _noma_copy(xc.noma, snr=_snr_linear(snr_db)), xc.model
+            yield (snr_db,), dataclasses.replace(xc.noma, snr=_snr_linear(snr_db)), xc.model
 
 
 def _sweep_cells(xc: ExperimentConfig, cfg: NomaConfig, model: MobilityModel, gains, values):

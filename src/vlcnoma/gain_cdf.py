@@ -43,12 +43,12 @@ __all__ = [
     "edge_gain_distance",
     "nonzero_gain_probability",
     "cdf_gain_unordered",
+    "ordered_rank",
     "cdf_gain_ranked",
     "cdf_weak_twobit_inst",
     "cdf_strong_twobit_inst",
     "ramp_cdf_integral",
     "band_measure",
-    "mean_angle_bands",
     "cdf_weak_twobit_mean",
     "cdf_strong_twobit_mean",
 ]
@@ -113,9 +113,9 @@ def edge_gain_distance(x: float, led: LedGeometry, *, cos_sq: float, lo: float, 
 
 
 def _per_level(x, fn):
-    """Apply a scalar CDF evaluator over an array of levels."""
+    """A CDF per level from its scalar evaluator ``fn``: 0 below zero, else clipped to [0, 1]."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([fn(float(xi)) for xi in xs])
+    out = np.array([0.0 if xi < 0.0 else float(np.clip(fn(float(xi)), 0.0, 1.0)) for xi in xs])
     return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
@@ -171,6 +171,8 @@ def _band_integral(model, led, r_lo, r_hi, floor: float, cap: float, *, clears=T
             static += fov_window_breakpoints(floor, model, led)
         floor_w, cap_w, top = floor, min(cap, led.theta_fov), cap
         whole = ((model.mean_angle_min, model.mean_angle_max),)
+    # A cap past the view leaves the levels a window capped at the fov, whose edges kink too.
+    window = fov_window_breakpoints(cap_w, model, led) if not on_mean and cap_w < cap else ()
 
     def integral(x: float | None = None, stop: float = r_hi) -> float:
         start, bps = r_lo, static
@@ -183,7 +185,7 @@ def _band_integral(model, led, r_lo, r_hi, floor: float, cap: float, *, clears=T
             # Short of the cap's radius the window is whole: the part outside it
             # is empty there when the window reaches the top of the set.
             start = edges[0] if not clears and top == cap_w else r_lo
-            bps = static + edges
+            bps = static + window + edges
 
         def band(r):
             center = np.pi - np.arctan2(led.ell, r)
@@ -215,20 +217,25 @@ def nonzero_gain_probability(model: MobilityModel, led: LedGeometry) -> float:
     return min(max(total / model.delta_d, 0.0), 1.0)
 
 
-def _survival_cdf(x, survive, den: float):
-    """``1 - survive(x) / den`` per level; no gain lies below a negative level."""
-    return _per_level(
-        x, lambda xi: 0.0 if xi < 0.0 else float(np.clip(1.0 - survive(xi) / den, 0.0, 1.0))
-    )
-
-
 def cdf_gain_unordered(x, model: MobilityModel, led: LedGeometry):
     """CDF of one user's squared gain conditioned on it being nonzero."""
     den = _lit_mass(model, led)
     if den <= 0.0:
         raise DegenerateConditionError("gain is zero with probability one")
     survive = _band_integral(model, led, model.d_min, model.d_max, 0.0, led.theta_fov)
-    return _survival_cdf(x, survive, den)
+    return _per_level(x, lambda xi: 1.0 - survive(xi) / den)
+
+
+def ordered_rank(total_users: int | None, k_min: int | None, rank: int | None = None) -> int:
+    """The ordered family's rank (default ``k_min``), checked with the rest of its conditioning."""
+    if total_users is None or k_min is None:
+        raise InvalidParameterError("the ordered family needs total_users and k_min")
+    rank = k_min if rank is None else rank
+    if not 1 <= rank <= k_min:
+        raise InvalidParameterError("rank must lie in [1, k_min] so it always exists")
+    if k_min > total_users:
+        raise InvalidParameterError("k_min must lie in [1, total_users]")
+    return rank
 
 
 def cdf_gain_ranked(
@@ -239,8 +246,7 @@ def cdf_gain_ranked(
     Conditions on at least ``k_min`` of ``total_users`` users having nonzero
     gain, mixing the order-statistic CDF over the truncated count distribution.
     """
-    if not 1 <= rank <= k_min:
-        raise InvalidParameterError("rank must lie in [1, k_min] so it always exists")
+    ordered_rank(total_users, k_min, rank)
     base = np.ravel(cdf_gain_unordered(x, model, led))
     ns = np.arange(k_min, total_users + 1)
     p = nonzero_gain_probability(model, led)
@@ -293,7 +299,7 @@ def cdf_weak_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: Feedback
     """
     below = _band_integral(model, led, *_twobit_set(model, led, th, "weak"), clears=False)
     den = _set_mass(below(), model, "weak", model.delta_mean or 1.0)
-    return _per_level(x, lambda xi: float(np.clip(below(xi) / den, 0.0, 1.0)))
+    return _per_level(x, lambda xi: below(xi) / den)
 
 
 def cdf_strong_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds):
@@ -304,7 +310,7 @@ def cdf_strong_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: Feedba
     """
     survive = _band_integral(model, led, *_twobit_set(model, led, th, "strong"))
     den = _set_mass(survive(), model, "strong", model.delta_mean or 1.0)
-    return _survival_cdf(x, survive, den)
+    return _per_level(x, lambda xi: 1.0 - survive(xi) / den)
 
 
 def ramp_cdf_integral(
@@ -354,30 +360,16 @@ def band_measure(
     )
 
 
-def mean_angle_bands(
-    r, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds, subset: str
-):
-    """Mean-angle intervals putting a user at distance ``r`` into the given selection set.
-
-    Vectorized over ``r``: one (lo, hi) pair per band, clipped to the mean-angle
-    range, with hi = lo where the band is empty.
-    """
-    _, _, floor, cap = _twobit_set(model, led, th, subset)
-    return _clipped_bands(np.pi - np.arctan2(led.ell, r), _mean_offsets(floor, cap), model)
-
-
 def _cdf_twobit_mean(x, model, led, th, subset: str):
     r_lo, r_hi, floor, cap = _twobit_set(model, led, th, subset)
     den = _set_mass(band_measure(r_lo, model, led, th, subset), model, subset)
     below = _band_integral(model, led, r_lo, r_hi, floor, cap, clears=False, on_mean=True)
 
     def one(xi: float) -> float:
-        if xi < 0.0:
-            return 0.0
         # Beyond this radius no orientation clears the level: the whole band is below it.
         split = edge_gain_distance(xi, led, cos_sq=1.0, lo=r_lo, hi=r_hi)
         total = band_measure(split, model, led, th, subset) + below(xi, split) / model.delta_mean
-        return float(np.clip(total / den, 0.0, 1.0))
+        return total / den
 
     return _per_level(x, one)
 
@@ -398,9 +390,7 @@ def cdf_strong_twobit_mean(x, model: MobilityModel, led: LedGeometry, th: Feedba
 
 
 def _ranked_family(x, model, led, *, total_users=None, k_min=None, rank=None, **_):
-    if total_users is None or k_min is None:
-        raise InvalidParameterError("the ordered family needs total_users and k_min")
-    rank = k_min if rank is None else rank
+    rank = ordered_rank(total_users, k_min, rank)
     return cdf_gain_ranked(x, rank, model, led, total_users=total_users, k_min=k_min)
 
 

@@ -11,7 +11,6 @@ user selection is provided for comparison.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +81,7 @@ class NomaConfig:
     ``snr`` is the linear electrical transmit SNR.  ``weak_rank`` and
     ``strong_rank`` select users by ascending-gain rank in the individual
     scheduling modes; ``thresholds`` drives the group modes.  Power
-    fractions are taken as given; a squared sum more than 1e-6 away from
-    one only warns.
+    fractions are taken as given, whatever their squared sum.
     """
 
     beta_weak: float
@@ -108,7 +106,7 @@ class NomaConfig:
         if not 1 <= self.weak_rank < self.strong_rank:
             raise InvalidParameterError("need 1 <= weak_rank < strong_rank")
         try:
-            power = self.beta_weak**2 + self.beta_strong**2
+            self.beta_weak**2 + self.beta_strong**2  # a float power overflows by raising
         except OverflowError:
             raise InvalidParameterError(
                 "beta_weak**2 + beta_strong**2 overflows; normalize_power=true rescales the split"
@@ -116,12 +114,6 @@ class NomaConfig:
         # The strong user's outage threshold divides by this product.
         if self.snr * self.beta_strong**2 == 0.0:
             raise InvalidParameterError("snr * beta_strong**2 underflows to zero")
-        if abs(power - 1.0) > 1e-6:
-            warnings.warn(
-                f"power fractions have squared sum {power:.6f}, not 1; "
-                "pass normalize_power=True to rescale",
-                stacklevel=3,  # past the generated __init__, to the caller
-            )
 
 
 def required_sinr(target_rate):

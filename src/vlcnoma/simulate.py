@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConditionError, InvalidParameterError, require_finite
-from .gain_cdf import CDF_FAMILIES, FeedbackThresholds
+from .gain_cdf import CDF_FAMILIES, FeedbackThresholds, ordered_rank
 from .geometry import LedGeometry, dc_gain, incidence_angle
 from .mobility import MobilityModel, sample_users
 from .rates import FEEDBACK_MODES, NomaConfig, outage_gain_thresholds
@@ -357,13 +357,7 @@ def estimate(
         raise InvalidParameterError(f"family must be one of {tuple(CDF_FAMILIES)}, got {family!r}")
     mode, side = _FAMILY_PICKS.get(family, (None, None))
     if mode is not None and not FEEDBACK_MODES[mode].group:
-        if total_users is None or k_min is None:
-            raise InvalidParameterError("the ordered family needs total_users and k_min")
-        rank = k_min if rank is None else rank
-        if not 1 <= rank <= k_min:
-            raise InvalidParameterError("rank must lie in [1, k_min] so it always exists")
-        if k_min > total_users:
-            raise InvalidParameterError("k_min must lie in [1, total_users]")
+        rank = ordered_rank(total_users, k_min, rank)
 
         def chunk(_, n, blocks):
             return _individual_batch(blocks, (), FEEDBACK_MODES[mode].reads, (rank, k_min), led)[0]

@@ -978,6 +978,13 @@ class TestExitCodes:
         assert main([*argv, "--trials", "2000"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["family", "oma_mode"])
+    @pytest.mark.parametrize("command", ["sweep-snr", "validate-angle-cdf", "validate-knz"])
+    def test_unknown_choice_rejected_on_every_command(self, capsys, command, key):
+        # a choice key is checked when it is read, also by a command that never uses it
+        assert main([command, "--trials", "2000", "--set", f"{key}=bogus"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config key {key}: not one of ")
+
 
 # Keys of the physical model, the population, the grid sizes and the seed;
 # workers, trials and the sweep grids stay fixed so one example stays small.

@@ -39,14 +39,20 @@ from vlcnoma import (
     integrate_1d,
     integrate_2d_nested,
     ks_distance_bound,
-    mean_angle_bands,
     nonzero_gain_probability,
     ramp_cdf_integral,
     sample_users,
 )
-from vlcnoma import gain_cdf
+from vlcnoma import gain_cdf, quadrature
 from vlcnoma.cli import main
 from vlcnoma.mobility import bound_crossing_radius, cdf_vertical_angle, fov_window_breakpoints
+
+
+def mean_angle_bands(r, model, led, th, subset):
+    """Mean-angle (lo, hi) bands that put a user at distance ``r`` into a two-bit set."""
+    _, _, floor, cap = gain_cdf._twobit_set(model, led, th, subset)
+    center = np.pi - np.arctan2(led.ell, r)
+    return gain_cdf._clipped_bands(center, gain_cdf._mean_offsets(floor, cap), model)
 
 
 class TestGainHalfangle:
@@ -274,6 +280,22 @@ class TestStrongSetPastTheView:
         assert atom == pytest.approx(unlit, abs=1e-7)
         assert cdf_strong_twobit_inst(1e-300, model, led, self.TH) == pytest.approx(atom, abs=1e-7)
         assert cdf_strong_twobit_inst(-1.0, model, led, self.TH) == 0.0
+
+    def test_levels_split_at_the_view_edge(self, monkeypatch, model_dev25, led_fov50):
+        # Past the view a level's window caps at the fov.  Without the branch-edge
+        # radii of that cap the adaptive rule bisects toward its kinks: ~40 panels
+        # a level on these levels, ~28 with them.
+        _, upsilon = channel_constant(led_fov50)
+        levels = np.geomspace(1e-3, 1.0, 60) / upsilon(0.0)
+        evaluate, panels = quadrature._panel_eval, []
+
+        def counting(f, lo, hi):
+            panels.append(lo.size)
+            return evaluate(f, lo, hi)
+
+        monkeypatch.setattr(quadrature, "_panel_eval", counting)
+        cdf_strong_twobit_inst(levels, model_dev25, led_fov50, self.TH)
+        assert sum(panels) / levels.size < 33
 
     def test_matches_its_sampler_within_dkw(self, model_dev25, led_fov50):
         # Dvoretzky-Kiefer-Wolfowitz with Massart's constant at alpha = 1e-4,

@@ -3,7 +3,6 @@
 import ast
 import dataclasses
 import inspect
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -120,16 +119,17 @@ class TestNomaConfig:
         with pytest.raises(InvalidParameterError):
             make_noma(snr=-1.0)
 
-    def test_unbalanced_power_warns(self):
-        with pytest.warns(UserWarning, match="squared sum"):
-            NomaConfig(63 / 64, 1 / 64, 2.0, 10.0, 1e20, strong_rank=10)
+    # The CLI warns about an unbalanced split once; the record takes it as given.
+    @pytest.mark.filterwarnings("error")
+    def test_unbalanced_power_is_taken_as_given(self):
+        cfg = NomaConfig(63 / 64, 1 / 64, 2.0, 10.0, 1e20, strong_rank=10)
+        assert (cfg.beta_weak, cfg.beta_strong) == (63 / 64, 1 / 64)
 
-    def test_unbalanced_power_warning_names_the_caller(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            NomaConfig(63 / 64, 1 / 64, 2.0, 10.0, 1e20, strong_rank=10)
-        (warning,) = caught
-        assert warning.filename == __file__
+    @pytest.mark.filterwarnings("error")
+    def test_copies_of_unbalanced_power_stay_silent(self):
+        cfg = NomaConfig(63 / 64, 1 / 64, 2.0, 10.0, 1e20, strong_rank=10)
+        for copy in (dataclasses.replace(cfg), dataclasses.replace(cfg, snr=1e21)):
+            assert (copy.beta_weak, copy.beta_strong) == (63 / 64, 1 / 64)
 
     def test_mode_canonicalization(self):
         assert canonical_feedback_mode("fullcsi") == "FullCSI"
