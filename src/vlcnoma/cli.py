@@ -534,13 +534,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--seed", type=int, help="RNG seed (64-bit)")
-        p.add_argument("--trials", type=int, help="Monte Carlo trial count")
+        p.add_argument("--seed", help="RNG seed (64-bit)")
+        p.add_argument("--trials", help="Monte Carlo trial count")
         p.add_argument("--out", help="output CSV path (default: stdout)")
         p.add_argument(
             "--mode", dest="feedback_mode", metavar="MODE", help="feedback mode override"
         )
-        p.add_argument("--oma-mode", dest="oma_mode", choices=OMA_MODES)
+        p.add_argument("--oma-mode", dest="oma_mode", help=f"one of {', '.join(OMA_MODES)}")
         p.add_argument(
             "--set",
             action="append",
@@ -548,8 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="override any config key (repeatable)",
         )
         if name == "validate-channel-cdf":
-            p.add_argument("--family", choices=CDF_FAMILIES)
-            p.add_argument("--rank", type=int, help="order-statistic rank (ordered family)")
+            p.add_argument("--family", help=f"one of {', '.join(CDF_FAMILIES)}")
+            p.add_argument("--rank", help="order-statistic rank (ordered family)")
     return parser
 
 

@@ -105,12 +105,11 @@ class NomaConfig:
             raise InvalidParameterError("transmit SNR must be positive")
         if not 1 <= self.weak_rank < self.strong_rank:
             raise InvalidParameterError("need 1 <= weak_rank < strong_rank")
-        try:
-            self.beta_weak**2 + self.beta_strong**2  # a float power overflows by raising
-        except OverflowError:
+        # Each square can be finite while their sum is not.
+        if not np.isfinite(self.beta_weak * self.beta_weak + self.beta_strong * self.beta_strong):
             raise InvalidParameterError(
                 "beta_weak**2 + beta_strong**2 overflows; normalize_power=true rescales the split"
-            ) from None
+            )
         # The strong user's outage threshold divides by this product.
         if self.snr * self.beta_strong**2 == 0.0:
             raise InvalidParameterError("snr * beta_strong**2 underflows to zero")

@@ -6,11 +6,13 @@ combined in chunk order, so aggregates are bit-identical for a given
 (seed, configuration) regardless of the worker count.  A chunk draws its
 users row block by row block, each small enough for its temporaries to stay
 in cache, so its memory is bounded by the block, not by the user count; only
-observation noise, when enabled, is drawn for the whole chunk.  A block
-picks, then evaluates the gains of the picks: group modes and the distance
-ranking pick from observed values alone, so only the two picked users of a
-row get a gain, while gain rankings run the lit test on every user and
-evaluate gains only on the rows with at least ``strong_rank`` lit users.
+observation noise, when enabled, is drawn for the whole chunk.  A chunk has
+one of two shapes, named for what its mode reads first.  Pick, then gain:
+``OneBitDistance``, ``TwoBitInstantaneous``, ``TwoBitMean`` and
+``DistanceOnly`` pick from observed values alone, so only the two picked
+users of a row get a gain.  Gain, then rank: ``FullCSI``, ``MeanAngle`` and
+the ``ordered`` sampler run the lit test on every user, evaluate gains only
+on the rows with at least ``strong_rank`` lit users, and rank those gains.
 Every step is row-wise, so the block size never changes the output.
 
 Observables can be perturbed by measurement noise; scheduling and ranking
@@ -120,50 +122,46 @@ def _take_ranked(ranked, count, rank):
     return np.take_along_axis(ranked, np.clip(pos, 0, total - 1)[:, None], 1)[:, 0]
 
 
-def _gain_sq_at(pick, d, inst, led):
-    """Squared true gains of the users at the row-wise indices ``pick``."""
-    d, inst = (np.take_along_axis(a, pick, axis=1) for a in (d, inst))
-    return np.square(dc_gain(d, inst, led))
-
-
-def _individual_batch(blocks, scaled, reads, ranks, led):
-    """Squared true gains at ``ranks`` (weak, strong) of a rank-based chunk's scheduled rows."""
+def _gain_then_rank(blocks, scaled, reads, ranks, led):
+    """Squared true gains at ``ranks`` (weak, strong) of a gain ranking's scheduled rows."""
     picks = []
     for rows, true in blocks:
         d, _, inst = true
         observed = _observe(true, scaled, rows)
-        total_users = d.shape[1]
         # Ranking on the true instantaneous angle ranks by the true gain itself, so
         # its sorted values are the picks; every other ranking picks users by index.
         by_value = observed[reads] is inst
-        if reads == 0:
-            # Farther observed distance = presumed weaker; every trial is scheduled.
-            ranked = np.argsort(-observed[0], axis=1, kind="stable")
-            apparent = np.full(ranked.shape[0], total_users)
+        # A row with fewer lit users than the strong rank has fewer nonzero
+        # gains, so it stays unscheduled and only the others get gains.
+        lit = np.flatnonzero(_lit_count(d, inst, led) >= ranks[1])
+        gain_sq = np.square(dc_gain(d[lit], inst[lit], led))
+        nonzero = np.count_nonzero(gain_sq > 0.0, axis=1)
+        if by_value:
+            ranked, apparent = np.sort(gain_sq, axis=1), nonzero
         else:
-            # A row with fewer lit users than the strong rank has fewer nonzero
-            # gains, so it stays unscheduled and only the others get gains.
-            lit = np.flatnonzero(_lit_count(d, inst, led) >= ranks[1])
-            gain_sq = np.square(dc_gain(d[lit], inst[lit], led))
-            nonzero = np.count_nonzero(gain_sq > 0.0, axis=1)
-            if by_value:
-                ranked, apparent = np.sort(gain_sq, axis=1), nonzero
-            else:
-                # Rank by the gain at the observed angle the mode reads.
-                metric = np.square(dc_gain(observed[0][lit], observed[reads][lit], led))
-                ranked = np.argsort(metric, axis=1, kind="stable")
-                apparent = np.count_nonzero(metric > 0.0, axis=1)
+            # Rank by the gain at the observed angle the mode reads.
+            metric = np.square(dc_gain(observed[0][lit], observed[reads][lit], led))
+            ranked = np.argsort(metric, axis=1, kind="stable")
+            apparent = np.count_nonzero(metric > 0.0, axis=1)
         # Rank among the apparent-nonzero pool; when it is shorter than the
         # requested rank, fall back to the strongest available pick.
         pick = np.stack([_take_ranked(ranked, apparent, r) for r in ranks], axis=1)
-        if by_value:
-            picked = pick
-        elif reads == 0:
-            picked = _gain_sq_at(pick, d, inst, led)
-        else:
-            picked = np.take_along_axis(gain_sq, pick, axis=1)
+        picked = pick if by_value else np.take_along_axis(gain_sq, pick, axis=1)
         picked = np.where((apparent > 0)[:, None], picked, 0.0)
-        picks.append(picked if reads == 0 else picked[nonzero >= ranks[1]])
+        picks.append(picked[nonzero >= ranks[1]])
+    return np.concatenate(picks).T
+
+
+def _pick_then_gain(blocks, scaled, pick, led):
+    """Squared true gains (weak, strong) of a chunk whose mode picks from observed values.
+
+    ``pick(rows, observed)`` gives each row's (weak, strong) user indices and the scheduled rows.
+    """
+    picks = []
+    for rows, true in blocks:
+        users, scheduled = pick(rows, _observe(true, scaled, rows))
+        d, inst = (np.take_along_axis(a, users, axis=1) for a in (true[0], true[2]))
+        picks.append(np.square(dc_gain(d, inst, led))[scheduled])
     return np.concatenate(picks).T
 
 
@@ -194,20 +192,6 @@ def _group_masks(reads, th, led, d_obs, angle_obs):
     weak_mask = far & (theta_obs > th.angle_threshold) & (theta_obs <= led.theta_fov)
     strong_mask = ~far & (theta_obs <= th.angle_threshold)
     return weak_mask, strong_mask
-
-
-def _group_batch(u, blocks, scaled, reads, thresholds, led):
-    """Squared true gains (weak, strong) of the scheduled rows of a threshold-feedback chunk."""
-    picks = []
-    for rows, true in blocks:
-        d, _, inst = true
-        observed = _observe(true, scaled, rows)
-        weak_mask, strong_mask = _group_masks(reads, thresholds, led, observed[0], observed[reads])
-        weak_idx, weak_ok = _uniform_pick(weak_mask, u[rows, 0])
-        strong_idx, strong_ok = _uniform_pick(strong_mask, u[rows, 1])
-        pick = np.stack((weak_idx, strong_idx), axis=1)
-        picks.append(_gain_sq_at(pick, d, inst, led)[weak_ok & strong_ok])
-    return np.concatenate(picks).T
 
 
 def _chunk_sizes(trials: int):
@@ -287,12 +271,28 @@ def collect_scheduled_gains(
     if mode.group and cfg.thresholds is None:
         raise InvalidParameterError("group modes need feedback thresholds")
 
+    th, ranks = cfg.thresholds, (cfg.weak_rank, cfg.strong_rank)
+
     def chunk(rng, n, blocks):
         # A group mode draws all three noise arrays, read or not, before its uniforms.
         scaled = _noise(noise, rng, (n, total_users), 3 if mode.group else mode.reads + 1)
         if mode.group:
-            return _group_batch(rng.random((n, 2)), blocks, scaled, mode.reads, cfg.thresholds, led)
-        return _individual_batch(blocks, scaled, mode.reads, (cfg.weak_rank, cfg.strong_rank), led)
+            u = rng.random((n, 2))
+
+            def pick(rows, observed):
+                sets = _group_masks(mode.reads, th, led, observed[0], observed[mode.reads])
+                (weak, weak_ok), (strong, strong_ok) = map(_uniform_pick, sets, u[rows].T)
+                return np.stack((weak, strong), axis=1), weak_ok & strong_ok
+
+        elif mode.reads == 0:
+            # Farther observed distance = presumed weaker, ties in user order; all scheduled.
+            def pick(rows, observed):
+                order = np.argsort(-observed[0], axis=1, kind="stable")
+                return order[:, [r - 1 for r in ranks]], slice(None)
+
+        else:
+            return _gain_then_rank(blocks, scaled, mode.reads, ranks, led)
+        return _pick_then_gain(blocks, scaled, pick, led)
 
     parts = _map_chunks(chunk, trials, model, seed, workers, (total_users,))
     gain_sq_weak = np.concatenate([p[0] for p in parts])
@@ -360,7 +360,7 @@ def estimate(
         rank = ordered_rank(total_users, k_min, rank)
 
         def chunk(_, n, blocks):
-            return _individual_batch(blocks, (), FEEDBACK_MODES[mode].reads, (rank, k_min), led)[0]
+            return _gain_then_rank(blocks, (), FEEDBACK_MODES[mode].reads, (rank, k_min), led)[0]
 
         parts = _map_chunks(chunk, trials, model, seed, workers, (total_users,))
     else:

@@ -353,10 +353,9 @@ class TestValidateChannelCdf:
         # the quantile grid and the KS grid share their end points
         assert len(levels) == len(set(levels)) > len(rows)
 
-    def test_unknown_family_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["validate-channel-cdf", "--family", "bogus"])
-        assert exc.value.code == 2
+    def test_unknown_family_is_usage_error(self, capsys):
+        assert main(["validate-channel-cdf", "--family", "bogus"]) == 2
+        assert "error: config key family: not one of unordered, " in capsys.readouterr().err
 
 
 class TestNumpyOnlyRuntime:
@@ -659,8 +658,9 @@ class TestPowerNormalization:
             ((), ("0.999874047483599", "0.015871016626723793")),
             (("1e-200", "1e-201"), ("0.9950371902099892", "0.09950371902099892")),
             (("1e200", "1e199"), ("0.9950371902099892", "0.09950371902099892")),
+            (("1.3e154", "1.2e154"), ("0.7348034446274879", "0.6782801027330658")),
         ],
-        ids=["default", "tiny", "huge"],
+        ids=["default", "tiny", "huge", "sum_overflows"],
     )
     def test_rows_match_explicit_fractions(self, split, normalized):
         def sets(betas):
@@ -941,6 +941,26 @@ class TestExitCodes:
         assert err.startswith("error: ")
         for name in ("beta_weak", "beta_strong", "normalize_power=true"):
             assert name in err
+
+    def test_split_whose_squares_sum_past_a_float_rejected(self, capsys):
+        # each square is finite but their sum is inf; TestPowerNormalization rescales it
+        argv = ["sweep-snr", "--trials", "2000", "--set", "snr_grid_db=200"]
+        assert main([*argv, "--set", "beta_weak=1.3e154", "--set", "beta_strong=1.2e154"]) == 2
+        err = capsys.readouterr().err
+        assert "error: beta_weak**2 + beta_strong**2 overflows; normalize_power=true" in err
+        assert "squared sum inf" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["validate-angle-cdf", "--oma-mode", "bogus"], "oma_mode: not one of time_shared, "),
+            (["sweep-snr", "--seed", "abc"], "seed: not an integer: 'abc'"),
+        ],
+    )
+    def test_flag_is_read_by_its_key(self, capsys, argv, message):
+        # a flag's text goes through its KEYS row, as --set does, and not through argparse
+        assert main([*argv, "--trials", "2000"]) == 2
+        assert f"error: config key {message}" in capsys.readouterr().err
 
     def test_negative_seed_rejected(self, capsys):
         assert main(["sweep-snr", "--trials", "2000", "--seed", "-1"]) == 2

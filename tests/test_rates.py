@@ -119,6 +119,12 @@ class TestNomaConfig:
         with pytest.raises(InvalidParameterError):
             make_noma(snr=-1.0)
 
+    def test_squared_sum_past_a_float_rejected(self):
+        # each square is finite, but their sum is inf
+        assert np.isfinite(1.3e154 * 1.3e154) and np.isfinite(1.2e154 * 1.2e154)
+        with pytest.raises(InvalidParameterError, match="overflows; normalize_power=true"):
+            NomaConfig(1.3e154, 1.2e154, 2.0, 10.0, 1e20, strong_rank=10)
+
     # The CLI warns about an unbalanced split once; the record takes it as given.
     @pytest.mark.filterwarnings("error")
     def test_unbalanced_power_is_taken_as_given(self):

@@ -528,6 +528,29 @@ class TestSchedulableRows:
         assert "no scheduled trials" in capsys.readouterr().err
 
 
+class TestDistancePick:
+    """``DistanceOnly`` picks ranks of the stable order of decreasing observed distance."""
+
+    def test_users_tied_at_the_zero_clamp_keep_their_order(self, model_dev25, led_fov50):
+        # A large sigma_d clamps many observed distances at zero; at strong_rank =
+        # total_users the strong pick is the last user of that tie.
+        trials, total_users, seed = 5_000, 5, 12
+        noise = NoiseConfig(sigma_d=5.0, enabled=True)
+        cfg = make_noma(mode="DistanceOnly", strong_rank=total_users)
+        kw = dict(total_users=total_users, noise=noise, seed=seed, workers=1)
+        got = collect_scheduled_gains(trials, cfg, model_dev25, led_fov50, **kw)
+        rng = simulate._chunk_rng(seed, 0)
+        d, mean, inst = sample_users(model_dev25, rng, (trials, total_users))
+        d_obs = observe(d, mean, inst, noise, rng, draws=1)[0]
+        assert np.count_nonzero(np.count_nonzero(d_obs == 0.0, axis=1) >= 2) > trials / 10
+        order = np.argsort(-d_obs, axis=1, kind="stable")
+        users = order[:, [cfg.weak_rank - 1, cfg.strong_rank - 1]]
+        d, inst = (np.take_along_axis(a, users, axis=1) for a in (d, inst))
+        want = np.square(dc_gain(d, inst, led_fov50))
+        for g, w in zip(got[:2], want.T):
+            assert g.tobytes() == w.tobytes()
+
+
 class TestConditionalSamples:
     def test_ordered_rank_gain_matches_analytic(self, model_dev30, led_fov60):
         res = estimate(
