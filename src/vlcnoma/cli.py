@@ -320,13 +320,6 @@ def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> Expe
         scale = 1.0 / norm
         betas = betas[0] * scale, betas[1] * scale
     noma = NomaConfig(*betas, *rates, snr, *ranks, thresholds, mode)
-    # NomaConfig takes its split as given; the run warns about it here, once.
-    power = noma.beta_weak**2 + noma.beta_strong**2
-    if abs(power - 1.0) > 1e-6:
-        warnings.warn(
-            f"power fractions have squared sum {power:.6f}, not 1; "
-            "set normalize_power=true to rescale"
-        )
     grid_points, ks_grid_points = read("grid_points"), read("ks_grid_points")
     if command in SWEEPS:
         grid = read(SWEEPS[command][0])
@@ -334,7 +327,7 @@ def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> Expe
         grid = ()  # its rows are the user counts, not a grid
     else:
         grid = np.linspace(0.0, 1.0, grid_points)
-    return ExperimentConfig(
+    xc = ExperimentConfig(
         command=command,
         led=led,
         model=model,
@@ -351,6 +344,14 @@ def build_experiment(command: str, conf: dict, explicit_mean_band: bool) -> Expe
         rank=read("rank"),
         explicit_mean_band=explicit_mean_band,
     )
+    # NomaConfig takes its split as given; a run whose every key is valid warns about it here, once.
+    power = noma.beta_weak**2 + noma.beta_strong**2
+    if abs(power - 1.0) > 1e-6:
+        warnings.warn(
+            f"power fractions have squared sum {power:.6f}, not 1; "
+            "set normalize_power=true to rescale"
+        )
+    return xc
 
 
 @functools.lru_cache(maxsize=64)

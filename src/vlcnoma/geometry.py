@@ -19,6 +19,8 @@ __all__ = [
     "LedGeometry",
     "lambertian_order",
     "incidence_angle",
+    "lit_mask",
+    "lit_gain",
     "dc_gain",
     "mean_dc_gain",
     "channel_constant",
@@ -66,13 +68,58 @@ class LedGeometry:
             raise InvalidParameterError("Lambertian order must be positive")
 
 
-def incidence_angle(d, phi, ell: float):
+def incidence_angle(d, phi, ell: float, out=None):
     """Angle between the arriving ray and the detector normal, radians.
 
     May be negative; only its magnitude matters for the field-of-view gate.
-    ``d = 0`` is allowed (receiver directly beneath the LED).
+    ``d = 0`` is allowed (receiver directly beneath the LED).  With ``out``,
+    an array of the broadcast shape, the angle is computed in it.
     """
-    return np.pi - np.arctan2(ell, d) - phi
+    if out is None:
+        return np.pi - np.arctan2(ell, d) - phi
+    np.arctan2(ell, d, out=out)
+    np.subtract(np.pi, out, out=out)
+    return np.subtract(out, phi, out=out)
+
+
+def lit_mask(theta, theta_fov: float, out=None):
+    """Receivers inside the field of view: ``|theta| <= theta_fov``, as two bounds on ``theta``.
+
+    ``out``, a boolean array of ``theta``'s shape, receives the mask.
+    """
+    lit = np.less_equal(theta, theta_fov, out=out)
+    lit &= theta >= -theta_fov
+    return lit
+
+
+def lit_gain(d, theta, lit, led: LedGeometry, out=None):
+    """:func:`dc_gain` from the incidence angle ``theta`` and its :func:`lit_mask` ``lit``.
+
+    ``d``, ``theta`` and ``lit`` share one shape; only the lit receivers pay for
+    the emission and incidence factors, the rest stay exactly zero.  ``out``, a
+    contiguous array of that shape, receives the gain.
+    """
+    # Flat indices gather and scatter far faster than a boolean mask.
+    lit = np.flatnonzero(lit)
+    m = led.lambertian_m
+    # In place in two arrays of the lit receivers, in the order of
+    # (m + 1) A / (2 pi rho^2) * (ell / rho)^m * cos(theta) with rho^2 = ell^2 + d^2.
+    rho_sq = np.take(d, lit)
+    rho_sq *= rho_sq
+    rho_sq += led.ell**2
+    factor = np.sqrt(rho_sq)
+    np.divide(led.ell, factor, out=factor)
+    factor **= m
+    rho_sq *= 2 * np.pi
+    gain = np.divide((m + 1) * led.area_r, rho_sq, out=rho_sq)
+    gain *= factor
+    gain *= np.cos(np.take(theta, lit, out=factor, mode="clip"), out=factor)
+    if out is None:
+        out = np.zeros(np.shape(theta))
+    else:
+        out.fill(0.0)
+    np.put(out, lit, gain)
+    return out
 
 
 def dc_gain(d, phi, led: LedGeometry):
@@ -80,22 +127,12 @@ def dc_gain(d, phi, led: LedGeometry):
 
     Product of the Lambertian emission factor cos^m of the irradiance angle,
     the detector aperture factor, and the cosine of the incidence angle; zero
-    outside the field of view.  ``d`` and ``phi`` broadcast.  Only receivers
-    inside the field of view pay for the emission and incidence factors; the
-    rest stay exactly zero.
+    outside the field of view.  ``d`` and ``phi`` broadcast.  It is
+    :func:`lit_gain` of the angle from :func:`incidence_angle`.
     """
     d, phi = np.broadcast_arrays(np.asarray(d, dtype=float), phi)
     theta = incidence_angle(d, phi, led.ell)
-    # Flat indices gather and scatter far faster than a boolean mask.
-    lit = np.flatnonzero(np.abs(theta) <= led.theta_fov)
-    d = np.take(d, lit)
-    m = led.lambertian_m
-    rho_sq = led.ell**2 + d * d
-    cos_irr = led.ell / np.sqrt(rho_sq)
-    base = (m + 1) * led.area_r / (2 * np.pi * rho_sq)
-    gain = np.zeros(theta.size)
-    gain[lit] = base * cos_irr**m * np.cos(np.take(theta, lit))
-    return gain.reshape(theta.shape)
+    return lit_gain(d, theta, lit_mask(theta, led.theta_fov), led)
 
 
 def mean_dc_gain(d, mean_angle, led: LedGeometry):

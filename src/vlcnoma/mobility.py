@@ -88,16 +88,26 @@ class MobilityModel:
         return self.mean_angle_max - self.mean_angle_min
 
 
-def sample_users(model: MobilityModel, rng: np.random.Generator | tuple, size):
+def sample_users(model: MobilityModel, rng: np.random.Generator | tuple, size, out=None):
     """Draw (distance, mean angle, instantaneous angle) arrays of the given shape.
 
     ``rng`` is one generator, which draws the three in that order, or a
     (distance, mean, instantaneous) triple of generators, one per variable.
+    ``out``, three contiguous arrays of that shape, receives the draws.  Each
+    value is ``Generator.uniform``'s, one generator output apiece, scaled in place.
     """
-    rng_d, rng_mean, rng_inst = rng if isinstance(rng, tuple) else (rng,) * 3
-    d = rng_d.uniform(model.d_min, model.d_max, size)
-    mean = rng_mean.uniform(model.mean_angle_min, model.mean_angle_max, size)
-    inst = rng_inst.uniform(-model.max_deviation, model.max_deviation, size)
+    rngs = rng if isinstance(rng, tuple) else (rng,) * 3
+    out = [np.empty(size) for _ in range(3)] if out is None else out
+    bounds = (
+        (model.d_min, model.d_max),
+        (model.mean_angle_min, model.mean_angle_max),
+        (-model.max_deviation, model.max_deviation),
+    )
+    for g, x, (lo, hi) in zip(rngs, out, bounds):
+        g.random(out=x)
+        x *= hi - lo
+        x += lo
+    d, mean, inst = out
     inst += mean
     return d, mean, inst
 

@@ -6,8 +6,15 @@ combined in chunk order, so aggregates are bit-identical for a given
 (seed, configuration) regardless of the worker count.  A chunk draws its
 users row block by row block, each small enough for its temporaries to stay
 in cache, so its memory is bounded by the block, not by the user count; only
-observation noise, when enabled, is drawn for the whole chunk.  A chunk has
-one of two shapes, named for what its mode reads first.  Pick, then gain:
+observation noise, when enabled, is drawn for the whole chunk.  The users
+and the float arrays a chunk computes over a block's rows live in buffers
+made for its first block and reused by each later one (:func:`_block_buffers`),
+as block-sized temporaries made afresh block after block fault their pages
+back in; only the smaller ones (boolean tests, the lit users' gain factors)
+and the stable ``argsort`` of a ranking metric are made anew.  So a block, and
+all computed from it in a buffer, is valid only until the next block is drawn,
+and a chunk copies what it keeps.  A chunk has one of two shapes, named for
+what its mode reads first.  Pick, then gain:
 ``OneBitDistance``, ``TwoBitInstantaneous``, ``TwoBitMean`` and
 ``DistanceOnly`` pick from observed values alone, so only the two picked
 users of a row get a gain.  Gain, then rank: ``FullCSI``, ``MeanAngle`` and
@@ -31,7 +38,7 @@ import numpy as np
 
 from .errors import DegenerateConditionError, InvalidParameterError, require_finite
 from .gain_cdf import CDF_FAMILIES, FeedbackThresholds, ordered_rank
-from .geometry import LedGeometry, dc_gain, incidence_angle
+from .geometry import LedGeometry, dc_gain, incidence_angle, lit_gain, lit_mask
 from .mobility import MobilityModel, sample_users
 from .rates import FEEDBACK_MODES, NomaConfig, outage_gain_thresholds
 
@@ -93,23 +100,62 @@ def _noise(noise: NoiseConfig | None, rng, shape, draws: int = 3):
     return scaled
 
 
-def _observe(true, scaled, rows):
+def _observe(true, scaled, rows, buffer):
     """Observed (distance, mean, inst) of the users in ``rows``: ``true`` plus its noise.
 
     ``true`` holds those rows' values and ``scaled`` the chunk's :func:`_noise`;
     a variable without noise comes back as it is, for callers that never read it.
+    A noisy one is computed in the chunk's buffer ``observed<k>`` (:func:`_block_buffers`).
     """
     if not scaled:
         return true
-    observed = [z[rows] + value for z, value in zip(scaled, true)]
+    observed = [
+        np.add(z[rows], value, out=buffer(f"observed{k}", value))
+        for k, (z, value) in enumerate(zip(scaled, true))
+    ]
     # Observed distance is clamped at zero so the geometry stays on its branch.
     np.maximum(observed[0], 0.0, out=observed[0])
     return (*observed, *true[len(scaled):])
 
 
-def _lit_count(d, phi, led):
-    """Lit users per row, by the lit test of ``dc_gain``: incidence within the field of view."""
-    return np.count_nonzero(np.abs(incidence_angle(d, phi, led.ell)) <= led.theta_fov, axis=1)
+def _block_buffers():
+    """``buffer(name, block, rows=None, dtype=None)``: the chunk array ``name``, reused by blocks.
+
+    It gives the leading ``rows`` (default ``len(block)``) rows of an array
+    made in ``block``'s shape and dtype (unless ``dtype`` is given) when
+    ``name`` is first asked for, and again only if it has too few rows.  A
+    chunk's first row block is its largest, so an array made for it serves
+    every later block.  What a block leaves there is valid until it is written again.
+    """
+    arrays = {}
+
+    def buffer(name, block, rows=None, dtype=None):
+        rows = len(block) if rows is None else rows
+        if name not in arrays or len(arrays[name]) < rows:
+            arrays[name] = np.empty(block.shape, dtype or block.dtype)
+        return arrays[name][:rows]
+
+    return buffer
+
+
+def _take_rows(buffer, rows, **arrays):
+    """Rows ``rows`` (indices) of each keyword's block array, in ``buffer`` ``<keyword>_rows``."""
+    return [
+        np.take(a, rows, axis=0, out=buffer(f"{name}_rows", a, rows.size), mode="clip")
+        for name, a in arrays.items()
+    ]
+
+
+def _lit(d, phi, led, buffer):
+    """Incidence angles of (d, phi) and ``dc_gain``'s lit test, in buffers ``theta`` and ``lit``."""
+    theta = incidence_angle(d, phi, led.ell, out=buffer("theta", d))
+    return theta, lit_mask(theta, led.theta_fov, out=buffer("lit", d, dtype=bool))
+
+
+def _gain_sq(d, theta, lit, led, out):
+    """Squared :func:`lit_gain`, computed in ``out``."""
+    gain = lit_gain(d, theta, lit, led, out=out)
+    return np.square(gain, out=gain)
 
 
 def _take_ranked(ranked, count, rank):
@@ -124,23 +170,33 @@ def _take_ranked(ranked, count, rank):
 
 def _gain_then_rank(blocks, scaled, reads, ranks, led):
     """Squared true gains at ``ranks`` (weak, strong) of a gain ranking's scheduled rows."""
-    picks = []
+    picks, buffer = [], _block_buffers()
     for rows, true in blocks:
         d, _, inst = true
-        observed = _observe(true, scaled, rows)
+        observed = _observe(true, scaled, rows, buffer)
         # Ranking on the true instantaneous angle ranks by the true gain itself, so
         # its sorted values are the picks; every other ranking picks users by index.
         by_value = observed[reads] is inst
-        # A row with fewer lit users than the strong rank has fewer nonzero
-        # gains, so it stays unscheduled and only the others get gains.
-        lit = np.flatnonzero(_lit_count(d, inst, led) >= ranks[1])
-        gain_sq = np.square(dc_gain(d[lit], inst[lit], led))
+        # One incidence angle per user serves the lit test and the gains.  A row
+        # with fewer lit users than the strong rank has fewer nonzero gains, so
+        # it stays unscheduled and only the others get gains.
+        theta, lit = _lit(d, inst, led, buffer)
+        kept = np.flatnonzero(np.count_nonzero(lit, axis=1) >= ranks[1])
+        gain_sq = _gain_sq(
+            *_take_rows(buffer, kept, d=d, theta=theta, lit=lit), led,
+            buffer("gain_sq", d, kept.size),
+        )
         nonzero = np.count_nonzero(gain_sq > 0.0, axis=1)
         if by_value:
-            ranked, apparent = np.sort(gain_sq, axis=1), nonzero
+            gain_sq.sort(axis=1)
+            ranked, apparent = gain_sq, nonzero
         else:
-            # Rank by the gain at the observed angle the mode reads.
-            metric = np.square(dc_gain(observed[0][lit], observed[reads][lit], led))
+            # Rank by the gain at the observed angle the mode reads.  The true
+            # angles are spent, so the kept rows' observed ones take their buffers.
+            d_obs, phi_obs = _take_rows(buffer, kept, d_obs=observed[0], phi_obs=observed[reads])
+            metric = _gain_sq(
+                d_obs, *_lit(d_obs, phi_obs, led, buffer), led, buffer("metric", d, kept.size)
+            )
             ranked = np.argsort(metric, axis=1, kind="stable")
             apparent = np.count_nonzero(metric > 0.0, axis=1)
         # Rank among the apparent-nonzero pool; when it is shorter than the
@@ -155,11 +211,12 @@ def _gain_then_rank(blocks, scaled, reads, ranks, led):
 def _pick_then_gain(blocks, scaled, pick, led):
     """Squared true gains (weak, strong) of a chunk whose mode picks from observed values.
 
-    ``pick(rows, observed)`` gives each row's (weak, strong) user indices and the scheduled rows.
+    ``pick(rows, observed, buffer)`` gives each row's (weak, strong) user indices and the
+    scheduled rows, computed in the chunk's :func:`_block_buffers` ``buffer``.
     """
-    picks = []
+    picks, buffer = [], _block_buffers()
     for rows, true in blocks:
-        users, scheduled = pick(rows, _observe(true, scaled, rows))
+        users, scheduled = pick(rows, _observe(true, scaled, rows, buffer), buffer)
         d, inst = (np.take_along_axis(a, users, axis=1) for a in (true[0], true[2]))
         picks.append(np.square(dc_gain(d, inst, led))[scheduled])
     return np.concatenate(picks).T
@@ -183,12 +240,16 @@ def _uniform_pick(mask, u):
     return idx, ok
 
 
-def _group_masks(reads, th, led, d_obs, angle_obs):
-    """Weak and strong sets of a group mode: a distance bit, plus an angle bit if ``reads > 0``."""
+def _group_masks(reads, th, led, d_obs, angle_obs, buffer):
+    """Weak and strong sets of a group mode: a distance bit, plus an angle bit if ``reads > 0``.
+
+    The angle bit's incidence angles are computed in the chunk's buffer ``theta``.
+    """
     far = d_obs > th.dist_threshold
     if reads == 0:
         return far, ~far
-    theta_obs = np.abs(incidence_angle(d_obs, angle_obs, led.ell))
+    theta_obs = incidence_angle(d_obs, angle_obs, led.ell, out=buffer("theta", d_obs))
+    np.abs(theta_obs, out=theta_obs)
     weak_mask = far & (theta_obs > th.angle_threshold) & (theta_obs <= led.theta_fov)
     strong_mask = ~far & (theta_obs <= th.angle_threshold)
     return weak_mask, strong_mask
@@ -214,7 +275,9 @@ def _map_chunks(fn, trials: int, model: MobilityModel, seed: int, workers, per_t
     are those that ``sample_users(model, rng, (n, *per_trial))`` would draw,
     handed to ``fn`` as ``blocks``: an iterator, read once and in order, of
     ``(rows, (d, mean, inst))`` over row slices of about ``_BLOCK_ENTRIES``
-    user entries.  A uniform draw takes exactly one PCG64 output, so each
+    user entries.  Each block is drawn into views of the same three arrays, over
+    the block before it, so ``fn`` must be done with a block, or copy it, before
+    it reads the next.  A uniform draw takes exactly one PCG64 output, so each
     variable is read block by block from its own copy of the generator,
     advanced to where that variable starts, and ``rng`` reaches ``fn`` past
     all three; ``fn`` may draw more from it.
@@ -233,11 +296,15 @@ def _map_chunks(fn, trials: int, model: MobilityModel, seed: int, workers, per_t
             g.bit_generator.advance(k * n * users)
         streams, rng = tuple(copies[:3]), copies[3]
         step = max(1, _BLOCK_ENTRIES // users)
+        # The first block is the largest; every block is drawn into its arrays.
+        drawn = [np.empty((min(step, n), *per_trial)) for _ in range(3)]
 
         def blocks():
             for lo in range(0, n, step):
                 rows = slice(lo, min(lo + step, n))
-                yield rows, sample_users(model, streams, (rows.stop - lo, *per_trial))
+                size = rows.stop - lo
+                out = [x[:size] for x in drawn]
+                yield rows, sample_users(model, streams, (size, *per_trial), out)
 
         return fn(rng, n, blocks())
 
@@ -279,14 +346,14 @@ def collect_scheduled_gains(
         if mode.group:
             u = rng.random((n, 2))
 
-            def pick(rows, observed):
-                sets = _group_masks(mode.reads, th, led, observed[0], observed[mode.reads])
+            def pick(rows, observed, buffer):
+                sets = _group_masks(mode.reads, th, led, observed[0], observed[mode.reads], buffer)
                 (weak, weak_ok), (strong, strong_ok) = map(_uniform_pick, sets, u[rows].T)
                 return np.stack((weak, strong), axis=1), weak_ok & strong_ok
 
         elif mode.reads == 0:
             # Farther observed distance = presumed weaker, ties in user order; all scheduled.
-            def pick(rows, observed):
+            def pick(rows, observed, buffer):
                 order = np.argsort(-observed[0], axis=1, kind="stable")
                 return order[:, [r - 1 for r in ranks]], slice(None)
 
@@ -367,15 +434,17 @@ def estimate(
         if mode is not None and thresholds is None:
             raise InvalidParameterError("set-conditioned families need feedback thresholds")
 
-        def kept(true):
+        def kept(true, buffer):
             gain_sq = np.square(dc_gain(true[0], true[2], led))
             if mode is None:
                 return gain_sq[gain_sq > 0.0]
             reads = FEEDBACK_MODES[mode].reads
-            return gain_sq[_group_masks(reads, thresholds, led, true[0], true[reads])[side]]
+            sets = _group_masks(reads, thresholds, led, true[0], true[reads], buffer)
+            return gain_sq[sets[side]]
 
         def chunk(_, n, blocks):
-            return np.concatenate([kept(true) for _, true in blocks])
+            buffer = _block_buffers()
+            return np.concatenate([kept(true, buffer) for _, true in blocks])
 
         parts = _map_chunks(chunk, trials, model, seed, workers)
     samples = np.concatenate(parts)
@@ -396,8 +465,11 @@ def nonzero_count_histogram(
     """Histogram (length ``total_users + 1``) of how many users have nonzero gain per trial."""
 
     def chunk(_, n, blocks):
+        buffer = _block_buffers()
         return sum(
-            np.bincount(_lit_count(d, inst, led), minlength=total_users + 1)
+            np.bincount(
+                np.count_nonzero(_lit(d, inst, led, buffer)[1], axis=1), minlength=total_users + 1
+            )
             for _, (d, _, inst) in blocks
         )
 
@@ -411,6 +483,9 @@ def sample_vertical_angles(
     """Instantaneous vertical angles of ``trials`` single users, drawn chunk by chunk."""
 
     def chunk(_, n, blocks):
-        return np.concatenate([inst for _, (_, _, inst) in blocks])
+        angles = np.empty(n)
+        for rows, (_, _, inst) in blocks:
+            angles[rows] = inst
+        return angles
 
     return np.concatenate(_map_chunks(chunk, trials, model, seed, workers))

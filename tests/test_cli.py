@@ -401,6 +401,23 @@ class TestSweeps:
             split = [w.filename for w in caught if "squared sum" in str(w.message)]
             assert split == [main.__code__.co_filename], argv[0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-snr", "--seed", "abc"],
+            ["sweep-snr", "--set", "seed=abc"],
+            ["validate-channel-cdf", "--family", "bogus"],
+        ],
+    )
+    def test_invalid_key_exits_without_the_power_split_warning(self, argv, capsys):
+        # the default split warns, but only once every key has been read
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--trials", "2000"]) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_snr_schema_full_csi(self, tmp_path):
         out = tmp_path / "snr.csv"
         code = main(

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import math
 import threading
 
 import numpy as np
@@ -30,7 +31,8 @@ from vlcnoma import (
     sum_rate_noma,
 )
 from vlcnoma.quadrature import integrate_1d
-from vlcnoma import gain_cdf, simulate
+from vlcnoma import gain_cdf, geometry, simulate
+from vlcnoma.geometry import lit_gain
 from vlcnoma.rates import FEEDBACK_MODES
 from vlcnoma.simulate import _group_masks, _noise, _observe, _uniform_pick
 from vlcnoma.gain_cdf import CDF_FAMILIES, cdf_gain_ranked
@@ -78,7 +80,8 @@ class TestUserBlocks:
         seed = 41
 
         def probe(rng, n, blocks):
-            rows, users = zip(*blocks)
+            # A block is valid only until the next is drawn, so each is copied as it is read.
+            rows, users = zip(*((r, [v.copy() for v in u]) for r, u in blocks))
             return n, rows, [np.concatenate(v) for v in zip(*users)], rng.standard_normal(3)
 
         # a full chunk, then a partial one
@@ -98,10 +101,49 @@ class TestUserBlocks:
         if entries is None and not per_trial:
             assert len(chunks[0][1]) == 1  # a single-user chunk is one block
 
+    @pytest.mark.parametrize("per_trial", [(), (7,)])
+    def test_blocks_of_a_chunk_share_its_buffers(self, per_trial, monkeypatch):
+        model = MobilityModel(0.0, 10.0, np.radians(25.0), np.radians(155.0), 0.1)
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS", 4096)
+        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 1_000)
+
+        def probe(_, n, blocks):
+            blocks = iter(blocks)
+            _, first = next(blocks)
+            return [
+                all(np.shares_memory(a, b) for a, b in zip(first, users)) for _, users in blocks
+            ]
+
+        chunks = simulate._map_chunks(probe, 2 * simulate.CHUNK_TRIALS, model, 0, 2, per_trial)
+        for shared in chunks:
+            assert len(shared) > 1 and all(shared)
+
+    def test_single_user_samplers_read_each_block_before_the_next(
+        self, model_dev25, led_fov50, monkeypatch
+    ):
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS", 4096)
+        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 1_000)
+        trials, seed = simulate.CHUNK_TRIALS + 999, 5
+        d, _, inst = (
+            np.concatenate(v)
+            for v in zip(
+                *(
+                    sample_users(model_dev25, simulate._chunk_rng(seed, c), (n,))
+                    for c, n in enumerate(simulate._chunk_sizes(trials))
+                )
+            )
+        )
+        got = simulate.sample_vertical_angles(trials, model_dev25, seed=seed, workers=2)
+        assert got.tobytes() == inst.tobytes()
+        gain_sq = np.square(dc_gain(d, inst, led_fov50))
+        got = estimate("unordered", trials, model_dev25, led_fov50, seed=seed, workers=2).value
+        assert got.tobytes() == gain_sq[gain_sq > 0.0].tobytes()
+
 
 def observe(d, mean, inst, noise, rng, draws=3):
     """The engine's two noise steps on whole arrays of users: one block of every row."""
-    return _observe((d, mean, inst), _noise(noise, rng, d.shape, draws), slice(None))
+    scaled = _noise(noise, rng, d.shape, draws)
+    return _observe((d, mean, inst), scaled, slice(None), simulate._block_buffers())
 
 
 class TestApplyNoise:
@@ -255,7 +297,9 @@ class TestGroupTrial:
         rng = np.random.default_rng(8)
         d, mean, inst = sample_users(model_dev25, rng, (200, 20))
         reads = FEEDBACK_MODES[cfg.feedback_mode].reads
-        weak_mask, strong_mask = _group_masks(reads, th, led_fov50, d, (d, mean, inst)[reads])
+        weak_mask, strong_mask = _group_masks(
+            reads, th, led_fov50, d, (d, mean, inst)[reads], simulate._block_buffers()
+        )
         u = rng.random((200, 2))
         weak_idx, weak_ok = _uniform_pick(weak_mask, u[:, 0])
         strong_idx, strong_ok = _uniform_pick(strong_mask, u[:, 1])
@@ -414,34 +458,52 @@ class TestDeterminism:
 
 
 class TestGainEvaluations:
-    """A row block picks first, then evaluates gains: a fixed count of ``dc_gain`` calls."""
+    """A row block's gain-kernel calls and incidence-angle evaluations, pinned per mode.
 
-    # FullCSI and MeanAngle run the lit test on every user, then evaluate the
-    # true gain, plus their ranking metric unless it is that true gain, on the
-    # rows with at least strong_rank lit users only; the others evaluate only
-    # the picked pair.
+    The gain kernel is ``lit_gain``, which ``dc_gain`` calls too.  FullCSI and
+    MeanAngle take the incidence angle of every user once, for the lit test and
+    the true gains, then evaluate the true gain, plus their ranking metric unless
+    it is that true gain, on the rows with at least strong_rank lit users only;
+    the metric takes the observed incidence angle of those rows.  The other modes
+    evaluate only the picked pair, the threshold modes after their angle bit on
+    every user.
+    """
+
+    # Per block: the shapes that reach the gain kernel, then the incidence angle.
+    # "block" is every user of the block, "kept" its rows with strong_rank lit
+    # users, "pair" the two picked users of each row.
+    GROUP = (["pair"], ["block", "pair"])
     PER_BLOCK = {
-        ("FullCSI", False): 1,
-        ("FullCSI", True): 2,
-        ("MeanAngle", False): 2,
-        ("MeanAngle", True): 2,
-        **{
-            (mode, noisy): 1
-            for mode in FEEDBACK_MODES
-            if mode not in ("FullCSI", "MeanAngle")
-            for noisy in (False, True)
-        },
+        ("FullCSI", False): (["kept"], ["block"]),
+        ("FullCSI", True): (["kept", "kept"], ["block", "kept"]),
+        ("MeanAngle", False): (["kept", "kept"], ["block", "kept"]),
+        ("MeanAngle", True): (["kept", "kept"], ["block", "kept"]),
+        ("TwoBitInstantaneous", False): GROUP,
+        ("TwoBitInstantaneous", True): GROUP,
+        ("TwoBitMean", False): GROUP,
+        ("TwoBitMean", True): GROUP,
+        **{(mode, noisy): (["pair"], ["pair"])
+           for mode in ("OneBitDistance", "DistanceOnly") for noisy in (False, True)},
     }
+
+    def test_every_mode_is_pinned(self):
+        assert {mode for mode, _ in self.PER_BLOCK} == set(FEEDBACK_MODES)
 
     @pytest.mark.parametrize("mode, noisy", sorted(PER_BLOCK))
     def test_calls_per_row_block(self, mode, noisy, model_dev25, led_fov50, monkeypatch):
-        calls = []
+        calls = {"gain": [], "angle": []}
 
-        def counted(d, phi, led):
-            calls.append(np.shape(d))
-            return dc_gain(d, phi, led)
+        def counted(kind, fn):
+            def wrapper(*args, **kwargs):
+                calls[kind].append(np.shape(args[1]))
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "dc_gain", counted)
+            return wrapper
+
+        # dc_gain reaches both through the geometry module, simulate through its own names
+        for module in (geometry, simulate):
+            monkeypatch.setattr(module, "lit_gain", counted("gain", lit_gain))
+            monkeypatch.setattr(module, "incidence_angle", counted("angle", incidence_angle))
         cfg = make_noma(mode=mode, thresholds=FeedbackThresholds(1.0, np.radians(5.0)))
         noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=noisy)
         trials, total_users, seed = 5_000, 20, 3
@@ -450,26 +512,30 @@ class TestGainEvaluations:
             total_users=total_users, noise=noise, seed=seed, workers=1,
         )
         step = simulate._BLOCK_ENTRIES // total_users
-        blocks = [slice(lo, lo + step) for lo in range(0, trials, step)]
+        blocks = [slice(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
         assert len(blocks) > 1
-        assert len(calls) == self.PER_BLOCK[mode, noisy] * len(blocks)
-        if mode not in ("FullCSI", "MeanAngle"):
-            assert {shape[1] for shape in calls} == {2}
-            return
         # One chunk: its blocks hold the users of one whole-chunk draw.
         d, _, inst = sample_users(
             model_dev25, simulate._chunk_rng(seed, 0), (trials, total_users)
         )
         lit = np.abs(incidence_angle(d, inst, led_fov50.ell)) <= led_fov50.theta_fov
         schedulable = np.count_nonzero(lit, axis=1) >= cfg.strong_rank
-        want = [
-            (int(np.count_nonzero(schedulable[blk])), total_users)
-            for blk in blocks
-            for _ in range(self.PER_BLOCK[mode, noisy])
-        ]
-        assert calls == want
-        # about 30% of the rows at this geometry reach dc_gain
+        # about 30% of the rows at this geometry reach the gains of a gain ranking
         assert 0 < schedulable.sum() < trials / 2
+
+        def shape(blk, name):
+            rows = blk.stop - blk.start
+            return {
+                "block": (rows, total_users),
+                "kept": (int(np.count_nonzero(schedulable[blk])), total_users),
+                "pair": (rows, 2),
+            }[name]
+
+        for kind, names in zip(("gain", "angle"), self.PER_BLOCK[mode, noisy]):
+            assert calls[kind] == [shape(blk, name) for blk in blocks for name in names], kind
+        if (mode, noisy) == ("FullCSI", False):
+            # the incidence angle of every user, once
+            assert sum(math.prod(s) for s in calls["angle"]) == trials * total_users
 
 
 def _individual_reference(trials, cfg, model, led, *, total_users, noise, seed):
