@@ -509,10 +509,11 @@ def cmd_sweep(xc: ExperimentConfig, out: str | None, manifest: str):
         # Picks depend on the thresholds and the model, not on SNR, powers or rates.
         if (cfg.thresholds, model) != picked_by:
             picked_by = (cfg.thresholds, model)
-            gains = {
-                run: collect_scheduled_gains(xc.trials, cfg, model, xc.led, noise=n, **shared)
-                for run, n in runs.items()
-            }
+            # One call for all the runs: they share one draw of the users.
+            collected = collect_scheduled_gains(
+                xc.trials, [(cfg, n) for n in runs.values()], model, xc.led, **shared
+            )
+            gains = dict(zip(runs, collected))
         cells = _sweep_cells(xc, cfg, model, gains, values)
         rows.append((*lead, *(cells[name] for name in values)))
     emit_csv(out, manifest, [*leading, *values], rows, [])

@@ -92,32 +92,33 @@ def lit_mask(theta, theta_fov: float, out=None):
     return lit
 
 
-def lit_gain(d, theta, lit, led: LedGeometry, out=None):
+def lit_gain(d, theta, lit, led: LedGeometry, out=None, work=None):
     """:func:`dc_gain` from the incidence angle ``theta`` and its :func:`lit_mask` ``lit``.
 
     ``d``, ``theta`` and ``lit`` share one shape; only the lit receivers pay for
     the emission and incidence factors, the rest stay exactly zero.  ``out``, a
-    contiguous array of that shape, receives the gain.
+    contiguous array of that shape that shares no memory with them, receives
+    the gain and, until then, holds one factor.  ``work``, a 1-D float array of
+    at least ``lit.size`` entries, holds the other.
     """
     # Flat indices gather and scatter far faster than a boolean mask.
     lit = np.flatnonzero(lit)
     m = led.lambertian_m
+    if out is None:
+        out = np.empty(np.shape(theta))
     # In place in two arrays of the lit receivers, in the order of
     # (m + 1) A / (2 pi rho^2) * (ell / rho)^m * cos(theta) with rho^2 = ell^2 + d^2.
-    rho_sq = np.take(d, lit)
+    rho_sq = np.take(d, lit, out=None if work is None else work[: lit.size], mode="clip")
     rho_sq *= rho_sq
     rho_sq += led.ell**2
-    factor = np.sqrt(rho_sq)
+    factor = np.sqrt(rho_sq, out=out.reshape(-1)[: lit.size])
     np.divide(led.ell, factor, out=factor)
     factor **= m
     rho_sq *= 2 * np.pi
     gain = np.divide((m + 1) * led.area_r, rho_sq, out=rho_sq)
     gain *= factor
     gain *= np.cos(np.take(theta, lit, out=factor, mode="clip"), out=factor)
-    if out is None:
-        out = np.zeros(np.shape(theta))
-    else:
-        out.fill(0.0)
+    out.fill(0.0)
     np.put(out, lit, gain)
     return out
 

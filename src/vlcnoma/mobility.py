@@ -154,8 +154,10 @@ def cdf_vertical_angle(x, model: MobilityModel):
     x = np.asarray(x, dtype=float)
     out = np.asarray(band_mixture(x, model.mean_angle_min, model.mean_angle_max, model))
     out /= model.delta_mean or 1.0
-    # past the top the two ramps cancel only to 1 - 2e-16
+    # past the top the two ramps cancel only to 1 - 2e-16, and an ulp below it they can
+    # round to 1 + 2e-16
     np.copyto(out, 1.0, where=x >= model.mean_angle_max + model.max_deviation)
+    np.minimum(out, 1.0, out=out)
     return out if out.ndim else float(out)
 
 

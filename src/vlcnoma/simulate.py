@@ -5,22 +5,29 @@ derived from the root seed and the chunk index, and chunk results are
 combined in chunk order, so aggregates are bit-identical for a given
 (seed, configuration) regardless of the worker count.  A chunk draws its
 users row block by row block, each small enough for its temporaries to stay
-in cache, so its memory is bounded by the block, not by the user count; only
-observation noise, when enabled, is drawn for the whole chunk.  The users
-and the float arrays a chunk computes over a block's rows live in buffers
-made for its first block and reused by each later one (:func:`_block_buffers`),
-as block-sized temporaries made afresh block after block fault their pages
-back in; only the smaller ones (boolean tests, the lit users' gain factors)
-and the stable ``argsort`` of a ranking metric are made anew.  So a block, and
-all computed from it in a buffer, is valid only until the next block is drawn,
-and a chunk copies what it keeps.  A chunk has one of two shapes, named for
-what its mode reads first.  Pick, then gain:
-``OneBitDistance``, ``TwoBitInstantaneous``, ``TwoBitMean`` and
-``DistanceOnly`` pick from observed values alone, so only the two picked
-users of a row get a gain.  Gain, then rank: ``FullCSI``, ``MeanAngle`` and
-the ``ordered`` sampler run the lit test on every user, evaluate gains only
-on the rows with at least ``strong_rank`` lit users, and rank those gains.
-Every step is row-wise, so the block size never changes the output.
+in cache, so its memory is bounded by the block, not by the user count.  One
+collection serves several runs, (config, noise) pairs that share the users:
+each block is drawn once and handed to every run in turn, and each run reads
+its own copy of the chunk's generator past the users, so it gets the bytes it
+would get alone.  A run with observation noise draws the noise arrays its mode
+reads whole for the chunk and scales them block by block; an array the mode
+never reads is drawn through a block-sized scratch array only to keep the
+stream where the run alone would have it.  The users and the float arrays a
+chunk computes over a block's rows live in buffers made for its first block
+and reused by each later one (:func:`_block_buffers`), as block-sized
+temporaries made afresh block after block fault their pages back in; only the
+smaller ones (boolean tests, the lit users' flat indices) and the stable
+``argsort`` of a ranking metric are made anew.  So a block, and all computed
+from it in a buffer, is valid only until the next block is drawn, and a chunk
+copies what it keeps.  A run's chunk has one of two shapes, named for what its
+mode reads first.  Pick, then gain: ``OneBitDistance``,
+``TwoBitInstantaneous``, ``TwoBitMean`` and ``DistanceOnly`` pick from
+observed values alone, so only the two picked users of a row get a gain, and
+the threshold modes pick only on their scheduled rows, those with a user in
+both feedback sets.  Gain, then rank: ``FullCSI``, ``MeanAngle`` and the
+``ordered`` sampler run the lit test on every user, evaluate gains only on the
+rows with at least ``strong_rank`` lit users, and rank those gains.  Every
+step is row-wise, so the block size never changes the output.
 
 Observables can be perturbed by measurement noise; scheduling and ranking
 then use the noisy values while outage is always judged on the true gains.
@@ -29,6 +36,7 @@ then use the noisy values while outage is always judged on the true gains.
 from __future__ import annotations
 
 import contextvars
+import copy
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -83,39 +91,51 @@ class EstimateResult:
     scheduled_trials: int
 
 
-def _noise(noise: NoiseConfig | None, rng, shape, draws: int = 3):
-    """Observation noise of (distance, mean angle, instantaneous angle), drawn whole.
+def _noise(noise: NoiseConfig | None, rng, shape, reads):
+    """Observation noise of (distance, mean angle, instantaneous angle), as unscaled normals.
 
-    Only the first ``draws`` get noise: one normal per user each, in that
-    order, scaled by its standard deviation.  Nothing is drawn when disabled.
+    ``reads`` flags, in that order, the variables to draw: one normal per user
+    each, from ``rng``.  A flagged one comes back as ``(normals, sigma)``, drawn
+    whole; an unflagged one is drawn through a block-sized scratch array, which
+    only moves ``rng`` on, and comes back as ``None``.  Nothing is drawn when disabled.
     """
     if noise is None or not noise.enabled:
         return ()
     sigma_phi = math.radians(noise.sigma_phi)
-    scaled = []
-    for sigma in (noise.sigma_d, sigma_phi, sigma_phi)[:draws]:
-        z = rng.standard_normal(shape)
-        z *= sigma
-        scaled.append(z)
-    return scaled
+    size = math.prod(shape)
+    drawn = []
+    for read, sigma in zip(reads, (noise.sigma_d, sigma_phi, sigma_phi)):
+        if read:
+            drawn.append((rng.standard_normal(shape), sigma))
+            continue
+        # Normals are drawn one after another, so a draw in pieces is the whole draw.
+        scratch = np.empty(min(size, _BLOCK_ENTRIES))
+        for lo in range(0, size, scratch.size):
+            rng.standard_normal(out=scratch[: size - lo])
+        drawn.append(None)
+    return drawn
 
 
-def _observe(true, scaled, rows, buffer):
+def _observe(true, drawn, rows, buffer):
     """Observed (distance, mean, inst) of the users in ``rows``: ``true`` plus its noise.
 
-    ``true`` holds those rows' values and ``scaled`` the chunk's :func:`_noise`;
+    ``true`` holds those rows' values and ``drawn`` the chunk's :func:`_noise`;
     a variable without noise comes back as it is, for callers that never read it.
-    A noisy one is computed in the chunk's buffer ``observed<k>`` (:func:`_block_buffers`).
+    A noisy one is ``normals * sigma + true``, computed in the chunk's buffer
+    ``observed<k>`` (:func:`_block_buffers`).
     """
-    if not scaled:
-        return true
-    observed = [
-        np.add(z[rows], value, out=buffer(f"observed{k}", value))
-        for k, (z, value) in enumerate(zip(scaled, true))
-    ]
-    # Observed distance is clamped at zero so the geometry stays on its branch.
-    np.maximum(observed[0], 0.0, out=observed[0])
-    return (*observed, *true[len(scaled):])
+    observed = list(true)
+    for k, noisy in enumerate(drawn):
+        if noisy is None:
+            continue
+        z, sigma = noisy
+        value = np.multiply(z[rows], sigma, out=buffer(f"observed{k}", true[k]))
+        np.add(value, true[k], out=value)
+        if k == 0:
+            # Observed distance is clamped at zero so the geometry stays on its branch.
+            np.maximum(value, 0.0, out=value)
+        observed[k] = value
+    return observed
 
 
 def _block_buffers():
@@ -152,9 +172,9 @@ def _lit(d, phi, led, buffer):
     return theta, lit_mask(theta, led.theta_fov, out=buffer("lit", d, dtype=bool))
 
 
-def _gain_sq(d, theta, lit, led, out):
-    """Squared :func:`lit_gain`, computed in ``out``."""
-    gain = lit_gain(d, theta, lit, led, out=out)
+def _gain_sq(d, theta, lit, led, out, work):
+    """Squared :func:`lit_gain`, computed in ``out`` with its ``work`` array."""
+    gain = lit_gain(d, theta, lit, led, out=out, work=work)
     return np.square(gain, out=gain)
 
 
@@ -168,76 +188,77 @@ def _take_ranked(ranked, count, rank):
     return np.take_along_axis(ranked, np.clip(pos, 0, total - 1)[:, None], 1)[:, 0]
 
 
-def _gain_then_rank(blocks, scaled, reads, ranks, led):
-    """Squared true gains at ``ranks`` (weak, strong) of a gain ranking's scheduled rows."""
-    picks, buffer = [], _block_buffers()
-    for rows, true in blocks:
-        d, _, inst = true
-        observed = _observe(true, scaled, rows, buffer)
-        # Ranking on the true instantaneous angle ranks by the true gain itself, so
-        # its sorted values are the picks; every other ranking picks users by index.
-        by_value = observed[reads] is inst
-        # One incidence angle per user serves the lit test and the gains.  A row
-        # with fewer lit users than the strong rank has fewer nonzero gains, so
-        # it stays unscheduled and only the others get gains.
-        theta, lit = _lit(d, inst, led, buffer)
-        kept = np.flatnonzero(np.count_nonzero(lit, axis=1) >= ranks[1])
-        gain_sq = _gain_sq(
-            *_take_rows(buffer, kept, d=d, theta=theta, lit=lit), led,
-            buffer("gain_sq", d, kept.size),
-        )
-        nonzero = np.count_nonzero(gain_sq > 0.0, axis=1)
-        if by_value:
-            gain_sq.sort(axis=1)
-            ranked, apparent = gain_sq, nonzero
-        else:
-            # Rank by the gain at the observed angle the mode reads.  The true
-            # angles are spent, so the kept rows' observed ones take their buffers.
-            d_obs, phi_obs = _take_rows(buffer, kept, d_obs=observed[0], phi_obs=observed[reads])
-            metric = _gain_sq(
-                d_obs, *_lit(d_obs, phi_obs, led, buffer), led, buffer("metric", d, kept.size)
-            )
-            ranked = np.argsort(metric, axis=1, kind="stable")
-            apparent = np.count_nonzero(metric > 0.0, axis=1)
-        # Rank among the apparent-nonzero pool; when it is shorter than the
-        # requested rank, fall back to the strongest available pick.
-        pick = np.stack([_take_ranked(ranked, apparent, r) for r in ranks], axis=1)
-        picked = pick if by_value else np.take_along_axis(gain_sq, pick, axis=1)
-        picked = np.where((apparent > 0)[:, None], picked, 0.0)
-        picks.append(picked[nonzero >= ranks[1]])
-    return np.concatenate(picks).T
+def _row_count(mask):
+    """True entries per row of a 2-D boolean ``mask``: ``np.count_nonzero(mask, axis=1)``.
 
-
-def _pick_then_gain(blocks, scaled, pick, led):
-    """Squared true gains (weak, strong) of a chunk whose mode picks from observed values.
-
-    ``pick(rows, observed, buffer)`` gives each row's (weak, strong) user indices and the
-    scheduled rows, computed in the chunk's :func:`_block_buffers` ``buffer``.
+    A sum in uint16 is exact for rows of fewer than 65,536 entries, and faster
+    than ``count_nonzero`` at 5, 20 and 1000 entries a row.
     """
-    picks, buffer = [], _block_buffers()
-    for rows, true in blocks:
-        users, scheduled = pick(rows, _observe(true, scaled, rows, buffer), buffer)
-        d, inst = (np.take_along_axis(a, users, axis=1) for a in (true[0], true[2]))
-        picks.append(np.square(dc_gain(d, inst, led))[scheduled])
-    return np.concatenate(picks).T
+    return np.add.reduce(mask, axis=1, dtype=np.uint16 if mask.shape[1] < 1 << 16 else np.intp)
 
 
-def _uniform_pick(mask, u):
-    """Index of a uniformly chosen True entry per row, and whether one exists.
+def _gain_then_rank(true, observed, reads, ranks, led, buffer):
+    """Squared true gains at ``ranks`` (weak, strong) of a gain ranking's scheduled rows.
+
+    One row block: ``true`` users, ``observed`` as :func:`_observe` gives them,
+    and the chunk's :func:`_block_buffers` ``buffer``.
+    """
+    d, _, inst = true
+    # Ranking on the true instantaneous angle ranks by the true gain itself, so
+    # its sorted values are the picks; every other ranking picks users by index.
+    by_value = observed[reads] is inst
+    # One incidence angle per user serves the lit test and the gains.  A row
+    # with fewer lit users than the strong rank has fewer nonzero gains, so
+    # it stays unscheduled and only the others get gains.
+    theta, lit = _lit(d, inst, led, buffer)
+    kept = np.flatnonzero(_row_count(lit) >= ranks[1])
+    # lit_gain's work array, made afresh, would be mapped and unmapped block after block.
+    work = buffer("lit_work", d).ravel()
+    gain_sq = _gain_sq(
+        *_take_rows(buffer, kept, d=d, theta=theta, lit=lit), led,
+        buffer("gain_sq", d, kept.size), work,
+    )
+    nonzero = _row_count(gain_sq > 0.0)
+    if by_value:
+        gain_sq.sort(axis=1)
+        ranked, apparent = gain_sq, nonzero
+    else:
+        # Rank by the gain at the observed angle the mode reads.  The true
+        # angles are spent, so the kept rows' observed ones take their buffers.
+        d_obs, phi_obs = _take_rows(buffer, kept, d_obs=observed[0], phi_obs=observed[reads])
+        metric = _gain_sq(
+            d_obs, *_lit(d_obs, phi_obs, led, buffer), led,
+            buffer("metric", d, kept.size), work,
+        )
+        ranked = np.argsort(metric, axis=1, kind="stable")
+        apparent = _row_count(metric > 0.0)
+    # Rank among the apparent-nonzero pool; when it is shorter than the
+    # requested rank, fall back to the strongest available pick.
+    pick = np.stack([_take_ranked(ranked, apparent, r) for r in ranks], axis=1)
+    picked = pick if by_value else np.take_along_axis(gain_sq, pick, axis=1)
+    picked = np.where((apparent > 0)[:, None], picked, 0.0)
+    return picked[nonzero >= ranks[1]]
+
+
+def _pair_gain_sq(true, rows, users, led):
+    """Squared true gains of ``users`` (a column per pick) in rows ``rows`` of a block."""
+    d, inst = (np.take_along_axis(a[rows], users, axis=1) for a in (true[0], true[2]))
+    return np.square(dc_gain(d, inst, led))
+
+
+def _uniform_pick(mask, count, u):
+    """Index of a uniformly chosen True entry per row of ``mask``, which has ``count`` of them.
 
     Row ``i`` with ``c`` True entries picks its ``floor(u[i] * c)``-th (from 0);
     an empty row gives index 0.
     """
     rows, width = mask.shape
-    count = np.count_nonzero(mask, axis=1)
     # Flat positions of the True entries, row by row; the sentinel keeps the
     # lookup of trailing empty rows in bounds.
     flat = np.append(np.flatnonzero(mask), 0)
-    start = np.cumsum(count) - count
+    start = np.cumsum(count, dtype=np.intp) - count
     target = (u * np.maximum(count, 1)).astype(np.int64)
-    ok = count > 0
-    idx = np.where(ok, flat[start + target] - np.arange(rows) * width, 0)
-    return idx, ok
+    return np.where(count > 0, flat[start + target] - np.arange(rows) * width, 0)
 
 
 def _group_masks(reads, th, led, d_obs, angle_obs, buffer):
@@ -314,57 +335,93 @@ def _map_chunks(fn, trials: int, model: MobilityModel, seed: int, workers, per_t
         return list(pool.map(lambda c, n: caller.copy().run(chunk, c, n), range(len(sizes)), sizes))
 
 
+def _run_step(cfg: NomaConfig, noise: NoiseConfig | None, rng, shape, led):
+    """``step(rows, true, buffer)``: a run's scheduled pairs of squared true gains in one block.
+
+    ``rng`` is the run's own copy of its chunk's generator, past the users, and
+    ``shape`` the chunk's (trials, users).  The run draws its noise and the
+    group modes' uniforms from it here, for the whole chunk.
+    """
+    mode = FEEDBACK_MODES[cfg.feedback_mode]
+    ranks = (cfg.weak_rank, cfg.strong_rank)
+    # Every mode reads distance and the report at ``reads``.  A group mode draws
+    # all three noise arrays, read or not, before its uniforms.
+    reads = [k in (0, mode.reads) for k in range(3 if mode.group else mode.reads + 1)]
+    drawn = _noise(noise, rng, shape, reads)
+    if mode.group:
+        u = rng.random((shape[0], 2))
+
+        def step(rows, true, buffer):
+            observed = _observe(true, drawn, rows, buffer)
+            sets = _group_masks(
+                mode.reads, cfg.thresholds, led, observed[0], observed[mode.reads], buffer
+            )
+            # Only a row with a user in both sets is scheduled, and only its picks count.
+            counts = [_row_count(s) for s in sets]
+            kept = np.flatnonzero((counts[0] > 0) & (counts[1] > 0))
+            u_kept = u[rows][kept]
+            users = [
+                _uniform_pick(s[kept], c[kept], u_kept[:, k])
+                for k, (s, c) in enumerate(zip(sets, counts))
+            ]
+            return _pair_gain_sq(true, kept, np.stack(users, axis=1), led)
+
+    elif mode.reads == 0:
+        # Farther observed distance = presumed weaker, ties in user order; all scheduled.
+        def step(rows, true, buffer):
+            order = np.argsort(-_observe(true, drawn, rows, buffer)[0], axis=1, kind="stable")
+            return _pair_gain_sq(true, slice(None), order[:, [r - 1 for r in ranks]], led)
+
+    else:
+        def step(rows, true, buffer):
+            observed = _observe(true, drawn, rows, buffer)
+            return _gain_then_rank(true, observed, mode.reads, ranks, led, buffer)
+
+    return step
+
+
 def collect_scheduled_gains(
     trials: int,
-    cfg: NomaConfig,
+    runs,
     model: MobilityModel,
     led: LedGeometry,
     *,
     total_users: int,
-    noise: NoiseConfig | None = None,
     seed: int = 0,
     workers: int | None = None,
 ):
-    """True squared gains of the picked pair over every scheduled trial.
+    """True squared gains of the picked pair over every scheduled trial, for each run.
 
-    The picks do not depend on the transmit SNR, so one collection supports
-    rate evaluation on a whole SNR grid via :func:`rate_stats`.
-    Returns ``(gain_sq_weak, gain_sq_strong, trials)``.
+    ``runs`` is a sequence of ``(NomaConfig, NoiseConfig | None)``.  The runs
+    share the users: each chunk draws every row block once and hands it to
+    each run in turn.  Each run reads its own copy of the chunk's generator past
+    the users, so its noise, its picks and its gains are those it would have
+    alone.  The picks do not depend on the transmit SNR, so one collection
+    supports rate evaluation on a whole SNR grid via :func:`rate_stats`.
+    Returns a list with one ``(gain_sq_weak, gain_sq_strong, trials)`` per run.
     """
-    # strong_rank >= 2, so this also rejects an empty population
-    if cfg.strong_rank > total_users:
-        raise InvalidParameterError("strong_rank exceeds total_users")
-    mode = FEEDBACK_MODES[cfg.feedback_mode]
-    if mode.group and cfg.thresholds is None:
-        raise InvalidParameterError("group modes need feedback thresholds")
-
-    th, ranks = cfg.thresholds, (cfg.weak_rank, cfg.strong_rank)
+    runs = list(runs)
+    for cfg, _ in runs:
+        # strong_rank >= 2, so this also rejects an empty population
+        if cfg.strong_rank > total_users:
+            raise InvalidParameterError("strong_rank exceeds total_users")
+        if FEEDBACK_MODES[cfg.feedback_mode].group and cfg.thresholds is None:
+            raise InvalidParameterError("group modes need feedback thresholds")
 
     def chunk(rng, n, blocks):
-        # A group mode draws all three noise arrays, read or not, before its uniforms.
-        scaled = _noise(noise, rng, (n, total_users), 3 if mode.group else mode.reads + 1)
-        if mode.group:
-            u = rng.random((n, 2))
-
-            def pick(rows, observed, buffer):
-                sets = _group_masks(mode.reads, th, led, observed[0], observed[mode.reads], buffer)
-                (weak, weak_ok), (strong, strong_ok) = map(_uniform_pick, sets, u[rows].T)
-                return np.stack((weak, strong), axis=1), weak_ok & strong_ok
-
-        elif mode.reads == 0:
-            # Farther observed distance = presumed weaker, ties in user order; all scheduled.
-            def pick(rows, observed, buffer):
-                order = np.argsort(-observed[0], axis=1, kind="stable")
-                return order[:, [r - 1 for r in ranks]], slice(None)
-
-        else:
-            return _gain_then_rank(blocks, scaled, mode.reads, ranks, led)
-        return _pick_then_gain(blocks, scaled, pick, led)
+        shape = (n, total_users)
+        steps = [_run_step(cfg, noise, copy.deepcopy(rng), shape, led) for cfg, noise in runs]
+        buffer, picks = _block_buffers(), [[] for _ in runs]
+        for rows, true in blocks:
+            for step, pairs in zip(steps, picks):
+                pairs.append(step(rows, true, buffer))
+        return [np.concatenate(pairs).T for pairs in picks]
 
     parts = _map_chunks(chunk, trials, model, seed, workers, (total_users,))
-    gain_sq_weak = np.concatenate([p[0] for p in parts])
-    gain_sq_strong = np.concatenate([p[1] for p in parts])
-    return gain_sq_weak, gain_sq_strong, trials
+    return [
+        (np.concatenate([p[r][0] for p in parts]), np.concatenate([p[r][1] for p in parts]), trials)
+        for r in range(len(runs))
+    ]
 
 
 def rate_stats(gain_sq_weak, gain_sq_strong, trials: int, cfg: NomaConfig, thresholds=None):
@@ -427,7 +484,9 @@ def estimate(
         rank = ordered_rank(total_users, k_min, rank)
 
         def chunk(_, n, blocks):
-            return _gain_then_rank(blocks, (), FEEDBACK_MODES[mode].reads, (rank, k_min), led)[0]
+            buffer, reads, ranks = _block_buffers(), FEEDBACK_MODES[mode].reads, (rank, k_min)
+            picks = (_gain_then_rank(true, true, reads, ranks, led, buffer) for _, true in blocks)
+            return np.concatenate([pick[:, 0] for pick in picks])
 
         parts = _map_chunks(chunk, trials, model, seed, workers, (total_users,))
     else:
@@ -467,9 +526,7 @@ def nonzero_count_histogram(
     def chunk(_, n, blocks):
         buffer = _block_buffers()
         return sum(
-            np.bincount(
-                np.count_nonzero(_lit(d, inst, led, buffer)[1], axis=1), minlength=total_users + 1
-            )
+            np.bincount(_row_count(_lit(d, inst, led, buffer)[1]), minlength=total_users + 1)
             for _, (d, _, inst) in blocks
         )
 

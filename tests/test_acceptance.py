@@ -106,13 +106,12 @@ def mc():
         key = (mode, fov, noisy, trials)
         if key not in cache:
             noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=True) if noisy else None
-            cache[key] = collect_scheduled_gains(
+            (cache[key],) = collect_scheduled_gains(
                 trials,
-                make_cfg(mode, fov),
+                [(make_cfg(mode, fov), noise)],
                 MODEL_V,
                 LED_V[fov],
                 total_users=TOTAL_USERS,
-                noise=noise,
                 seed=SEED,
                 workers=WORKERS,
             )
@@ -412,9 +411,9 @@ def test_criterion_11_property_invariants():
     one, many = (
         rate_stats(
             *collect_scheduled_gains(
-                200_000, cfg, MODEL_V, LED_V[50],
+                200_000, [(cfg, None)], MODEL_V, LED_V[50],
                 total_users=TOTAL_USERS, seed=5, workers=workers,
-            ),
+            )[0],
             cfg,
         )
         for workers in (1, 3)

@@ -34,7 +34,7 @@ from vlcnoma.quadrature import integrate_1d
 from vlcnoma import gain_cdf, geometry, simulate
 from vlcnoma.geometry import lit_gain
 from vlcnoma.rates import FEEDBACK_MODES
-from vlcnoma.simulate import _group_masks, _noise, _observe, _uniform_pick
+from vlcnoma.simulate import _group_masks, _noise, _observe, _row_count, _uniform_pick
 from vlcnoma.gain_cdf import CDF_FAMILIES, cdf_gain_ranked
 from vlcnoma.cli import main
 from tests.conftest import make_noma
@@ -140,10 +140,10 @@ class TestUserBlocks:
         assert got.tobytes() == gain_sq[gain_sq > 0.0].tobytes()
 
 
-def observe(d, mean, inst, noise, rng, draws=3):
+def observe(d, mean, inst, noise, rng, reads=(True, True, True)):
     """The engine's two noise steps on whole arrays of users: one block of every row."""
-    scaled = _noise(noise, rng, d.shape, draws)
-    return _observe((d, mean, inst), scaled, slice(None), simulate._block_buffers())
+    drawn = _noise(noise, rng, d.shape, reads)
+    return _observe((d, mean, inst), drawn, slice(None), simulate._block_buffers())
 
 
 class TestApplyNoise:
@@ -205,7 +205,7 @@ class TestApplyNoise:
         true = tuple(np.full(50, v) for v in (5.0, 1.2, 1.4))
         full = observe(*true, noise, np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        part = observe(*true, noise, rng, draws)
+        part = observe(*true, noise, rng, (True,) * draws)
         for k in range(draws):
             assert part[k].tobytes() == full[k].tobytes()
         assert all(part[k] is true[k] for k in range(draws, 3))
@@ -214,11 +214,30 @@ class TestApplyNoise:
         after.standard_normal(50 * draws)
         assert rng.random() == after.random()
 
+    @pytest.mark.parametrize("reads", [(True, False, True), (True, True, False), (True, False)])
+    def test_unread_draws_only_move_the_stream(self, reads, monkeypatch):
+        # A scratch array smaller than a noise array: the unread one is drawn in pieces.
+        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 7)
+        noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=True)
+        true = tuple(np.full((5, 10), v) for v in (5.0, 1.2, 1.4))
+        full = observe(*true, noise, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        part = observe(*true, noise, rng, reads)
+        for k, read in enumerate(reads):
+            if read:
+                assert part[k].tobytes() == full[k].tobytes()
+            else:
+                assert part[k] is true[k]
+        # every flagged variable left the stream, read or not
+        after = np.random.default_rng(6)
+        after.standard_normal(50 * len(reads))
+        assert rng.random() == after.random()
+
 
 class TestIndividualTrial:
     def test_outcome_structure(self, model_dev25, led_fov50):
-        gain_w, gain_s, trials = collect_scheduled_gains(
-            2_000, make_noma(), model_dev25, led_fov50, total_users=20, seed=3
+        [(gain_w, gain_s, trials)] = collect_scheduled_gains(
+            2_000, [(make_noma(), None)], model_dev25, led_fov50, total_users=20, seed=3
         )
         assert trials == 2_000
         assert 0 < gain_w.size == gain_s.size < trials
@@ -230,7 +249,9 @@ class TestIndividualTrial:
         led = LedGeometry(2.0, np.radians(60), 1e-4, np.radians(90))
         model = MobilityModel(0.0, 10.0, np.radians(25), np.radians(155), np.radians(25))
         cfg = make_noma(snr_db=320.0, weak_rank=1, strong_rank=2)
-        gain_w, gain_s, _ = collect_scheduled_gains(300, cfg, model, led, total_users=2, seed=4)
+        [(gain_w, gain_s, _)] = collect_scheduled_gains(
+            300, [(cfg, None)], model, led, total_users=2, seed=4
+        )
         threshold_weak, threshold_strong, _ = outage_gain_thresholds(cfg)
         lit = gain_w > 0.0
         assert np.all(gain_w[lit] > threshold_weak)
@@ -239,11 +260,11 @@ class TestIndividualTrial:
 
     def test_mean_angle_equals_full_csi_at_zero_deviation(self, led_fov50):
         model = MobilityModel(0.0, 10.0, np.radians(25), np.radians(155), 0.0)
-        a = collect_scheduled_gains(
-            5_000, make_noma(mode="FullCSI"), model, led_fov50, total_users=20, seed=6
+        [a] = collect_scheduled_gains(
+            5_000, [(make_noma(mode="FullCSI"), None)], model, led_fov50, total_users=20, seed=6
         )
-        b = collect_scheduled_gains(
-            5_000, make_noma(mode="MeanAngle"), model, led_fov50, total_users=20, seed=6
+        [b] = collect_scheduled_gains(
+            5_000, [(make_noma(mode="MeanAngle"), None)], model, led_fov50, total_users=20, seed=6
         )
         assert a[0].size > 0
         np.testing.assert_array_equal(a[0], b[0])
@@ -252,15 +273,15 @@ class TestIndividualTrial:
     def test_population_must_cover_rank(self, model_dev25, led_fov50):
         with pytest.raises(InvalidParameterError):
             collect_scheduled_gains(
-                1_000, make_noma(), model_dev25, led_fov50, total_users=5, seed=0
+                1_000, [(make_noma(), None)], model_dev25, led_fov50, total_users=5, seed=0
             )
 
 
 class TestGroupTrial:
     def test_outcome_structure(self, model_dev30, led_fov60, thresholds_validation):
         cfg = make_noma(mode="TwoBitInstantaneous", thresholds=thresholds_validation)
-        gain_w, gain_s, trials = collect_scheduled_gains(
-            2_000, cfg, model_dev30, led_fov60, total_users=20, seed=5
+        [(gain_w, gain_s, trials)] = collect_scheduled_gains(
+            2_000, [(cfg, None)], model_dev30, led_fov60, total_users=20, seed=5
         )
         assert 0 < gain_w.size == gain_s.size <= trials
         assert np.all(gain_w >= 0.0) and np.all(gain_s >= 0.0)
@@ -270,8 +291,8 @@ class TestGroupTrial:
         # the angle threshold sits inside the field of view
         th = FeedbackThresholds(1.0, np.radians(6.0))
         cfg = make_noma(mode="TwoBitInstantaneous", thresholds=th)
-        _, gain_s, _ = collect_scheduled_gains(
-            400, cfg, model_dev30, led_fov60, total_users=20, seed=6
+        [(_, gain_s, _)] = collect_scheduled_gains(
+            400, [(cfg, None)], model_dev30, led_fov60, total_users=20, seed=6
         )
         assert np.all(gain_s > 0.0)
         assert gain_s.size > 20
@@ -281,8 +302,8 @@ class TestGroupTrial:
         # FOV, so zero-gain picks must appear and count as outage
         th = FeedbackThresholds(dist_threshold=9.5, angle_threshold=np.radians(55.0))
         cfg = make_noma(mode="TwoBitMean", thresholds=th)
-        gain_w, gain_s, trials = collect_scheduled_gains(
-            600, cfg, model_dev30, led_fov60, total_users=20, seed=7
+        [(gain_w, gain_s, trials)] = collect_scheduled_gains(
+            600, [(cfg, None)], model_dev30, led_fov60, total_users=20, seed=7
         )
         zero = gain_s == 0.0
         assert zero.sum() > 0
@@ -301,9 +322,10 @@ class TestGroupTrial:
             reads, th, led_fov50, d, (d, mean, inst)[reads], simulate._block_buffers()
         )
         u = rng.random((200, 2))
-        weak_idx, weak_ok = _uniform_pick(weak_mask, u[:, 0])
-        strong_idx, strong_ok = _uniform_pick(strong_mask, u[:, 1])
-        scheduled = weak_ok & strong_ok
+        weak_count, strong_count = _row_count(weak_mask), _row_count(strong_mask)
+        weak_idx = _uniform_pick(weak_mask, weak_count, u[:, 0])
+        strong_idx = _uniform_pick(strong_mask, strong_count, u[:, 1])
+        scheduled = (weak_count > 0) & (strong_count > 0)
         rows = np.arange(200)
         assert scheduled.sum() > 150
         assert np.all(d[rows, weak_idx][scheduled] > th.dist_threshold)
@@ -312,8 +334,8 @@ class TestGroupTrial:
     def test_weak_set_empty_when_threshold_at_dmax(self, model_dev25, led_fov50):
         th = FeedbackThresholds(dist_threshold=10.0, angle_threshold=np.radians(5.0))
         cfg = make_noma(mode="OneBitDistance", thresholds=th)
-        gain_w, _, _ = collect_scheduled_gains(
-            200, cfg, model_dev25, led_fov50, total_users=20, seed=9
+        [(gain_w, _, _)] = collect_scheduled_gains(
+            200, [(cfg, None)], model_dev25, led_fov50, total_users=20, seed=9
         )
         assert gain_w.size == 0
 
@@ -333,18 +355,29 @@ class TestUniformPick:
         rng = np.random.default_rng(width)
         mask = rng.random((300, width)) < p
         for u in (rng.random(300), np.zeros(300), np.full(300, np.nextafter(1.0, 0.0))):
-            idx, ok = _uniform_pick(mask, u)
+            count = _row_count(mask)
+            idx, ok = _uniform_pick(mask, count, u), count > 0
             want_idx, want_ok = _uniform_pick_reference(mask, u)
             np.testing.assert_array_equal(idx, want_idx)
             np.testing.assert_array_equal(ok, want_ok)
             assert np.all(mask[ok, idx[ok]])
 
+    @pytest.mark.parametrize("width", [1, 5, 20, 1000, 1 << 16])
+    def test_row_count_is_count_nonzero(self, width):
+        rng = np.random.default_rng(width)
+        mask = rng.random((7, width)) < 0.4
+        mask[0], mask[1] = False, True  # an empty row and a full one
+        count = _row_count(mask)
+        assert count.tolist() == np.count_nonzero(mask, axis=1).tolist()
+        assert count[0] == 0 and count[1] == width
 
-def sum_rate(trials, cfg, model, led, *, total_users=20, **kw):
+
+def sum_rate(trials, cfg, model, led, *, total_users=20, noise=None, **kw):
     """Monte Carlo sum rate over scheduled trials, as the sweeps compute it."""
-    return rate_stats(
-        *collect_scheduled_gains(trials, cfg, model, led, total_users=total_users, **kw), cfg
+    [gains] = collect_scheduled_gains(
+        trials, [(cfg, noise)], model, led, total_users=total_users, **kw
     )
+    return rate_stats(*gains, cfg)
 
 
 class TestEstimate:
@@ -364,8 +397,8 @@ class TestEstimate:
 
     def test_outage_pair_metric(self, model_dev25, led_fov50):
         cfg = make_noma(snr_db=200.0)
-        gain_w, gain_s, _ = collect_scheduled_gains(
-            100_000, cfg, model_dev25, led_fov50, total_users=20, seed=3
+        [(gain_w, gain_s, _)] = collect_scheduled_gains(
+            100_000, [(cfg, None)], model_dev25, led_fov50, total_users=20, seed=3
         )
         threshold_weak, threshold_strong, _ = outage_gain_thresholds(cfg)
         p_weak, p_strong = outage_pair_analytic(cfg, model_dev25, led_fov50, total_users=20)
@@ -391,7 +424,9 @@ class TestEstimate:
     def test_trial_count_validated(self, model_dev25, led_fov50):
         cfg = make_noma()
         for run in (
-            lambda: collect_scheduled_gains(0, cfg, model_dev25, led_fov50, total_users=20),
+            lambda: collect_scheduled_gains(
+                0, [(cfg, None)], model_dev25, led_fov50, total_users=20
+            ),
             lambda: estimate("unordered", 0, model_dev25, led_fov50),
             lambda: estimate("ordered", 0, model_dev25, led_fov50, total_users=20, k_min=10),
             lambda: nonzero_count_histogram(0, 20, model_dev25, led_fov50),
@@ -413,11 +448,11 @@ class TestDeterminism:
 
     def test_same_seed_same_gains(self, model_dev30, led_fov60, thresholds_validation):
         cfg = make_noma(mode="TwoBitMean", thresholds=thresholds_validation)
-        a = collect_scheduled_gains(
-            100_000, cfg, model_dev30, led_fov60, total_users=20, seed=17, workers=2
+        [a] = collect_scheduled_gains(
+            100_000, [(cfg, None)], model_dev30, led_fov60, total_users=20, seed=17, workers=2
         )
-        b = collect_scheduled_gains(
-            100_000, cfg, model_dev30, led_fov60, total_users=20, seed=17, workers=5
+        [b] = collect_scheduled_gains(
+            100_000, [(cfg, None)], model_dev30, led_fov60, total_users=20, seed=17, workers=5
         )
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
@@ -436,10 +471,11 @@ class TestDeterminism:
         trials = simulate.CHUNK_TRIALS + 17
 
         def collect():
-            return collect_scheduled_gains(
-                trials, cfg, model_dev25, led_fov50,
-                total_users=total_users, noise=noise, seed=23, workers=1,
+            [gains] = collect_scheduled_gains(
+                trials, [(cfg, noise)], model_dev25, led_fov50,
+                total_users=total_users, seed=23, workers=1,
             )
+            return gains
 
         want = collect()
         assert want[0].size > 0
@@ -457,6 +493,73 @@ class TestDeterminism:
         assert a.value != b.value
 
 
+class TestSharedDraw:
+    """Runs of one call share a draw of the users, and each gets its own run's bytes."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("total_users", [5, 20, 1000])
+    def test_each_run_is_the_run_alone(self, total_users, workers, model_dev25, led_fov50,
+                                       monkeypatch):
+        # Two full chunks and a partial one, each of several row blocks.
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS", max(16, 40_000 // total_users))
+        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", simulate.CHUNK_TRIALS * total_users // 3)
+        trials = 2 * simulate.CHUNK_TRIALS + simulate.CHUNK_TRIALS // 3
+        th = FeedbackThresholds.from_fractions(model_dev25, led_fov50, 0.1, 0.1)
+        rank = min(10, total_users)
+        noisy = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=True)
+        cfgs = [make_noma(mode=m, thresholds=th, strong_rank=rank) for m in FEEDBACK_MODES]
+        kw = dict(total_users=total_users, seed=29, workers=workers)
+
+        def collect(runs):
+            return collect_scheduled_gains(trials, runs, model_dev25, led_fov50, **kw)
+
+        alone = {(cfg, n): collect([(cfg, n)])[0] for cfg in cfgs for n in (None, noisy)}
+        for runs in (
+            [(cfg, n) for cfg in cfgs for n in (None, noisy)],  # clean and noisy per mode
+            [(cfg, noisy) for cfg in cfgs],  # the six noisy modes
+        ):
+            got = collect(runs)
+            assert len(got) == len(runs)
+            for run, (weak, strong, n) in zip(runs, got):
+                want = alone[run]
+                assert weak.tobytes() == want[0].tobytes(), run
+                assert strong.tobytes() == want[1].tobytes(), run
+                assert n == trials
+        assert all(want[0].size > 0 for want in alone.values())
+
+
+class TestNoiseMemory:
+    """A noisy chunk holds the noise arrays its mode reads, and no other."""
+
+    @pytest.mark.parametrize("mode", ["TwoBitMean", "OneBitDistance"])
+    def test_peak_below_one_array_more_than_read(self, mode, model_dev25, led_fov50,
+                                                  monkeypatch):
+        import tracemalloc
+
+        # One chunk whose noise arrays are large beside its row-block buffers.
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS", 8192)
+        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 4096)
+        total_users = 20
+        array_bytes = simulate.CHUNK_TRIALS * total_users * 8
+        cfg = make_noma(mode=mode, thresholds=FeedbackThresholds(1.0, np.radians(5.0)))
+        reads = len({0, FEEDBACK_MODES[mode].reads})
+
+        def peak(noise):
+            tracemalloc.start()
+            try:
+                collect_scheduled_gains(
+                    simulate.CHUNK_TRIALS, [(cfg, noise)], model_dev25, led_fov50,
+                    total_users=total_users, seed=2, workers=1,
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=True)
+        extra = peak(noise) - peak(None)
+        assert reads * array_bytes <= extra < (reads + 1) * array_bytes
+
+
 class TestGainEvaluations:
     """A row block's gain-kernel calls and incidence-angle evaluations, pinned per mode.
 
@@ -465,14 +568,15 @@ class TestGainEvaluations:
     the true gains, then evaluate the true gain, plus their ranking metric unless
     it is that true gain, on the rows with at least strong_rank lit users only;
     the metric takes the observed incidence angle of those rows.  The other modes
-    evaluate only the picked pair, the threshold modes after their angle bit on
-    every user.
+    evaluate only the picked pair: ``DistanceOnly`` on every row, the threshold
+    modes on their scheduled rows only, after their angle bit on every user.
     """
 
     # Per block: the shapes that reach the gain kernel, then the incidence angle.
     # "block" is every user of the block, "kept" its rows with strong_rank lit
-    # users, "pair" the two picked users of each row.
-    GROUP = (["pair"], ["block", "pair"])
+    # users, "pair" the two picked users of each row, "scheduled" those of each
+    # row with an observed user in both feedback sets.
+    GROUP = (["scheduled"], ["block", "scheduled"])
     PER_BLOCK = {
         ("FullCSI", False): (["kept"], ["block"]),
         ("FullCSI", True): (["kept", "kept"], ["block", "kept"]),
@@ -482,8 +586,10 @@ class TestGainEvaluations:
         ("TwoBitInstantaneous", True): GROUP,
         ("TwoBitMean", False): GROUP,
         ("TwoBitMean", True): GROUP,
-        **{(mode, noisy): (["pair"], ["pair"])
-           for mode in ("OneBitDistance", "DistanceOnly") for noisy in (False, True)},
+        ("OneBitDistance", False): (["scheduled"], ["scheduled"]),
+        ("OneBitDistance", True): (["scheduled"], ["scheduled"]),
+        ("DistanceOnly", False): (["pair"], ["pair"]),
+        ("DistanceOnly", True): (["pair"], ["pair"]),
     }
 
     def test_every_mode_is_pinned(self):
@@ -508,20 +614,29 @@ class TestGainEvaluations:
         noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=noisy)
         trials, total_users, seed = 5_000, 20, 3
         collect_scheduled_gains(
-            trials, cfg, model_dev25, led_fov50,
-            total_users=total_users, noise=noise, seed=seed, workers=1,
+            trials, [(cfg, noise)], model_dev25, led_fov50,
+            total_users=total_users, seed=seed, workers=1,
         )
+        monkeypatch.undo()  # the reference below goes uncounted
         step = simulate._BLOCK_ENTRIES // total_users
         blocks = [slice(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
         assert len(blocks) > 1
         # One chunk: its blocks hold the users of one whole-chunk draw.
-        d, _, inst = sample_users(
-            model_dev25, simulate._chunk_rng(seed, 0), (trials, total_users)
-        )
+        rng = simulate._chunk_rng(seed, 0)
+        d, mean, inst = sample_users(model_dev25, rng, (trials, total_users))
         lit = np.abs(incidence_angle(d, inst, led_fov50.ell)) <= led_fov50.theta_fov
         schedulable = np.count_nonzero(lit, axis=1) >= cfg.strong_rank
         # about 30% of the rows at this geometry reach the gains of a gain ranking
         assert 0 < schedulable.sum() < trials / 2
+        observed = observe(d, mean, inst, noise, rng)
+        reads = FEEDBACK_MODES[mode].reads
+        sets = _group_masks(
+            reads, cfg.thresholds, led_fov50, observed[0], observed[reads],
+            simulate._block_buffers(),
+        )
+        scheduled = np.all([np.count_nonzero(s, axis=1) > 0 for s in sets], axis=0)
+        if FEEDBACK_MODES[mode].group:
+            assert 0 < scheduled.sum() < trials
 
         def shape(blk, name):
             rows = blk.stop - blk.start
@@ -529,6 +644,7 @@ class TestGainEvaluations:
                 "block": (rows, total_users),
                 "kept": (int(np.count_nonzero(schedulable[blk])), total_users),
                 "pair": (rows, 2),
+                "scheduled": (int(np.count_nonzero(scheduled[blk])), 2),
             }[name]
 
         for kind, names in zip(("gain", "angle"), self.PER_BLOCK[mode, noisy]):
@@ -559,6 +675,23 @@ def _individual_reference(trials, cfg, model, led, *, total_users, noise, seed):
     return picks
 
 
+def _group_reference(trials, cfg, model, led, *, total_users, noise, seed):
+    """``collect_scheduled_gains`` of one chunk of a threshold mode, picks and gains on every row."""
+    rng = simulate._chunk_rng(seed, 0)
+    d, mean, inst = sample_users(model, rng, (trials, total_users))
+    observed = observe(d, mean, inst, noise, rng)
+    u = rng.random((trials, 2))
+    reads = FEEDBACK_MODES[cfg.feedback_mode].reads
+    sets = _group_masks(
+        reads, cfg.thresholds, led, observed[0], observed[reads], simulate._block_buffers()
+    )
+    picks = [_uniform_pick_reference(mask, u[:, k]) for k, mask in enumerate(sets)]
+    scheduled = picks[0][1] & picks[1][1]
+    users = np.stack([idx for idx, _ in picks], axis=1)
+    d, inst = (np.take_along_axis(a, users, axis=1) for a in (d, inst))
+    return np.square(dc_gain(d, inst, led))[scheduled].T
+
+
 class TestSchedulableRows:
     """Gains only on rows with ``strong_rank`` lit users change no scheduled pick."""
 
@@ -573,13 +706,29 @@ class TestSchedulableRows:
         trials, total_users, seed = 8_000, 20, 41
         for strong_rank in (2, 10, 20):
             cfg = make_noma(mode=mode, strong_rank=strong_rank)
-            kw = dict(total_users=total_users, noise=noise, seed=seed)
-            got = collect_scheduled_gains(trials, cfg, model, led, workers=1, **kw)
-            want = _individual_reference(trials, cfg, model, led, **kw)
+            kw = dict(total_users=total_users, seed=seed)
+            [got] = collect_scheduled_gains(trials, [(cfg, noise)], model, led, workers=1, **kw)
+            want = _individual_reference(trials, cfg, model, led, noise=noise, **kw)
             for g, w in zip(got[:2], want):
                 assert g.tobytes() == w.tobytes(), strong_rank
             if (fov, strong_rank) == (50, 20):
                 assert got[0].size == 0
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("mode", ["TwoBitInstantaneous", "TwoBitMean", "OneBitDistance"])
+    def test_group_picks_match_every_row_reference(self, mode, noisy, model_dev25, led_fov50):
+        # Picks and gains only on the rows with a user in both sets, three row blocks.
+        noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=noisy)
+        th = FeedbackThresholds.from_fractions(model_dev25, led_fov50, 0.1, 0.1)
+        cfg = make_noma(mode=mode, thresholds=th)
+        kw = dict(total_users=20, seed=43)
+        [got] = collect_scheduled_gains(
+            8_000, [(cfg, noise)], model_dev25, led_fov50, workers=1, **kw
+        )
+        want = _group_reference(8_000, cfg, model_dev25, led_fov50, noise=noise, **kw)
+        assert 0 < want[0].size < 8_000
+        for g, w in zip(got[:2], want):
+            assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("mode", ["FullCSI", "MeanAngle"])
     def test_no_schedulable_row_is_degenerate(self, mode, model_dev25, capsys):
@@ -603,11 +752,11 @@ class TestDistancePick:
         trials, total_users, seed = 5_000, 5, 12
         noise = NoiseConfig(sigma_d=5.0, enabled=True)
         cfg = make_noma(mode="DistanceOnly", strong_rank=total_users)
-        kw = dict(total_users=total_users, noise=noise, seed=seed, workers=1)
-        got = collect_scheduled_gains(trials, cfg, model_dev25, led_fov50, **kw)
+        kw = dict(total_users=total_users, seed=seed, workers=1)
+        [got] = collect_scheduled_gains(trials, [(cfg, noise)], model_dev25, led_fov50, **kw)
         rng = simulate._chunk_rng(seed, 0)
         d, mean, inst = sample_users(model_dev25, rng, (trials, total_users))
-        d_obs = observe(d, mean, inst, noise, rng, draws=1)[0]
+        d_obs = observe(d, mean, inst, noise, rng, reads=(True,))[0]
         assert np.count_nonzero(np.count_nonzero(d_obs == 0.0, axis=1) >= 2) > trials / 10
         order = np.argsort(-d_obs, axis=1, kind="stable")
         users = order[:, [cfg.weak_rank - 1, cfg.strong_rank - 1]]
@@ -703,7 +852,7 @@ class TestConditionalSamples:
         kw = dict(total_users=20, seed=7, workers=workers)
         for rank, cfg, side in ((3, make_noma(weak_rank=3), 0), (10, make_noma(), 1)):
             res = estimate("ordered", n, model_dev25, led_fov50, k_min=10, rank=rank, **kw)
-            picks = collect_scheduled_gains(n, cfg, model_dev25, led_fov50, **kw)
+            [picks] = collect_scheduled_gains(n, [(cfg, None)], model_dev25, led_fov50, **kw)
             assert res.value.tobytes() == picks[side].tobytes(), rank
             assert res.scheduled_trials == picks[side].size > 0
 
