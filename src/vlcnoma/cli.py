@@ -39,7 +39,6 @@ from .rates import (
     oma_gain_thresholds,
     outage_pair_analytic,
     sum_rate_noma,
-    sum_rate_oma,
 )
 from .simulate import (
     NoiseConfig,
@@ -472,27 +471,37 @@ def _sweep_points(xc: ExperimentConfig):
             yield (snr_db,), dataclasses.replace(xc.noma, snr=_snr_linear(snr_db)), xc.model
 
 
-def _sweep_cells(xc: ExperimentConfig, cfg: NomaConfig, model: MobilityModel, gains, values):
-    """Cells of one sweep point by column name; analytic and OMA ones only if asked for."""
+def _sweep_cells(xc: ExperimentConfig, cfg: NomaConfig, gains, closed: bool, values):
+    """Monte Carlo cells of one sweep point by column name.
+
+    The gains score the OMA cell too unless the mode has closed forms (``closed``),
+    which :func:`_analytic_cells` then evaluates with the analytic sum rate.
+    """
     cells = {"analytic_sum_rate": None}
     for run, collected in gains.items():
         mc = rate_stats(*collected, cfg)
         cells[f"{run}_sum_rate"], cells[f"{run}_stderr"] = mc.value, mc.stderr
         cells["sched_prob" if run == "mc" else f"{run}_sched_prob"] = mc.sched_prob
-    analytic = FEEDBACK_MODES[cfg.feedback_mode].families is not None
-    if "analytic_sum_rate" in values and analytic:
-        p_weak, p_strong = outage_pair_analytic(cfg, model, xc.led, total_users=xc.total_users)
-        cells["analytic_sum_rate"] = sum_rate_noma(p_weak, p_strong, cfg)
-    if "oma_sum_rate" in values and analytic:
-        cells["oma_sum_rate"] = sum_rate_oma(
-            cfg, model, xc.led, xc.oma_mode, total_users=xc.total_users
-        )
-    elif "oma_sum_rate" in values:
+    if "oma_sum_rate" in values and not closed:
         oma = rate_stats(*gains["mc"], cfg, oma_gain_thresholds(cfg, xc.oma_mode))
         cells["oma_sum_rate"] = oma.value
     if "gap" in values:
         cells["gap"] = cells["clean_sum_rate"] - cells["noisy_sum_rate"]
     return cells
+
+
+def _analytic_cells(xc: ExperimentConfig, cfgs, model: MobilityModel, values):
+    """Closed-form cells of each point of a collection group, from one call of each family."""
+    oma = "oma_sum_rate" in values
+    found = outage_pair_analytic(
+        cfgs, model, xc.led, total_users=xc.total_users, oma_mode=xc.oma_mode if oma else None
+    )
+    # Per point its NOMA and OMA outage pairs, or its NOMA pair alone.
+    names = ("analytic_sum_rate", "oma_sum_rate")[: 1 + oma]
+    return [
+        {name: sum_rate_noma(*pair, cfg) for name, pair in zip(names, pairs if oma else [pairs])}
+        for pairs, cfg in zip(found, cfgs)
+    ]
 
 
 def cmd_sweep(xc: ExperimentConfig, out: str | None, manifest: str):
@@ -504,18 +513,26 @@ def cmd_sweep(xc: ExperimentConfig, out: str | None, manifest: str):
     }
     runs = {run: n for run, n in noise.items() if f"{run}_sum_rate" in values}
     shared = dict(total_users=xc.total_users, seed=xc.seed, workers=xc.workers)
-    rows, picked_by = [], None
-    for lead, cfg, model in _sweep_points(xc):
-        # Picks depend on the thresholds and the model, not on SNR, powers or rates.
-        if (cfg.thresholds, model) != picked_by:
-            picked_by = (cfg.thresholds, model)
-            # One call for all the runs: they share one draw of the users.
-            collected = collect_scheduled_gains(
-                xc.trials, [(cfg, n) for n in runs.values()], model, xc.led, **shared
-            )
-            gains = dict(zip(runs, collected))
-        cells = _sweep_cells(xc, cfg, model, gains, values)
-        rows.append((*lead, *(cells[name] for name in values)))
+    closed = (
+        "analytic_sum_rate" in values and FEEDBACK_MODES[xc.noma.feedback_mode].families is not None
+    )
+    rows = []
+    # Picks depend on the thresholds and the model, not on SNR, powers or rates:
+    # a run of points that share those is one collection group.
+    groups = itertools.groupby(_sweep_points(xc), lambda point: (point[1].thresholds, point[2]))
+    for (_, model), points in groups:
+        leads, cfgs, _ = zip(*points)
+        # One call for all the runs: they share one draw of the users.
+        collected = collect_scheduled_gains(
+            xc.trials, [(cfgs[0], n) for n in runs.values()], model, xc.led, **shared
+        )
+        gains = dict(zip(runs, collected))
+        # Monte Carlo cells first: an empty collection reports so before any family call.
+        cells = [_sweep_cells(xc, cfg, gains, closed, values) for cfg in cfgs]
+        if closed:
+            for cell, found in zip(cells, _analytic_cells(xc, cfgs, model, values)):
+                cell.update(found)
+        rows += [(*lead, *(cell[name] for name in values)) for lead, cell in zip(leads, cells)]
     emit_csv(out, manifest, [*leading, *values], rows, [])
 
 

@@ -94,28 +94,36 @@ def gain_halfangle(x, r, led: LedGeometry):
     return np.arctan2(np.sqrt(1.0 - c), np.sqrt(c))
 
 
-def edge_gain_distance(x: float, led: LedGeometry, *, cos_sq: float, lo: float, hi: float) -> float:
+def edge_gain_distance(x, led: LedGeometry, *, cos_sq: float, lo: float, hi: float):
     """Distance at which the squared gain at a fixed cosine factor equals ``x``, clamped.
 
     With ``cos_sq = cos^2`` of the field-of-view half-angle this is where the
     gain at the view edge crosses ``x``; with ``cos_sq = 1`` it is where even
     a perfectly aligned receiver drops below ``x``.  Nonpositive ``x`` maps
-    to the upper clamp since the gain is nonnegative.
+    to the upper clamp since the gain is nonnegative.  Vectorized over ``x``.
     """
-    if x <= 0.0:
-        return hi
     h_c, _ = channel_constant(led)
     m = led.lambertian_m
-    base = (h_c * h_c * cos_sq / x) ** (1.0 / (m + 2.0)) - led.ell * led.ell
-    if base <= 0.0:
-        return lo
-    return min(max(np.sqrt(base), lo), hi)
+    x = np.asarray(x, dtype=float)
+    ratio = h_c * h_c * cos_sq / np.where(x > 0.0, x, 1.0)
+    # Python's power per level: numpy's vectorized one may round a level's radius
+    # otherwise than the level alone, and otherwise on another CPU.
+    e = 1.0 / (m + 2.0)
+    root = np.array([v**e for v in ratio.ravel().tolist()]).reshape(x.shape)
+    base = root - led.ell * led.ell
+    with np.errstate(invalid="ignore"):
+        r = np.minimum(np.maximum(np.sqrt(base), lo), hi)
+    out = np.where(x <= 0.0, hi, np.where(base <= 0.0, lo, r))
+    return out if np.ndim(out) else float(out)
 
 
-def _per_level(x, fn):
-    """A CDF per level from its scalar evaluator ``fn``: 0 below zero, else clipped to [0, 1]."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([0.0 if xi < 0.0 else float(np.clip(fn(float(xi)), 0.0, 1.0)) for xi in xs])
+def _cdf_at(x, fn):
+    """A CDF at levels ``x``: 0 below zero, else ``fn`` of the others' array clipped to [0, 1]."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    out = np.zeros(xs.shape)
+    at = ~(xs < 0.0)
+    if at.any():
+        out[at] = np.clip(fn(xs[at]), 0.0, 1.0)
     return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
@@ -154,8 +162,10 @@ def _band_integral(model, led, r_lo, r_hi, floor: float, cap: float, *, clears=T
     ``x`` the gain clears |theta| <= psi(r), the gain half-angle clipped to the
     view and, for a set on the instantaneous angle, to (floor, cap]; the band is
     the set's part inside that window if ``clears``, else the part outside it.
-    ``integral()`` is the set's mass.  Results are in mean-angle measure:
-    divide by the mean-angle range after integrating.
+    ``integral()`` is the set's mass.  ``x`` is an array of levels and ``stop``
+    a radius or an array of them, one per level; one adaptive integration
+    serves every level.  Results are in mean-angle measure: divide by the
+    mean-angle range after integrating.
     """
     if on_mean:
         offsets = _mean_offsets(floor, cap)
@@ -174,33 +184,33 @@ def _band_integral(model, led, r_lo, r_hi, floor: float, cap: float, *, clears=T
     # A cap past the view leaves the levels a window capped at the fov, whose edges kink too.
     window = fov_window_breakpoints(cap_w, model, led) if not on_mean and cap_w < cap else ()
 
-    def integral(x: float | None = None, stop: float = r_hi) -> float:
-        start, bps = r_lo, static
-        if x is not None:
-            # Radii where the gain at the window's cap, at its floor and on axis crosses x.
-            edges = tuple(
-                edge_gain_distance(x, led, cos_sq=np.cos(a) ** 2, lo=r_lo, hi=r_hi)
-                for a in (cap_w, floor_w, 0.0)
+    def integral(x=None, stop=r_hi):
+        """The set's mass, or at the levels ``x`` (an array) the band's integral up to ``stop``."""
+        if x is None:
+            return integrate_1d(band, r_lo, r_hi, static)
+        # Radii where the gain at the window's cap, at its floor and on axis crosses x.
+        edges = tuple(
+            edge_gain_distance(x, led, cos_sq=np.cos(a) ** 2, lo=r_lo, hi=r_hi)
+            for a in (cap_w, floor_w, 0.0)
+        )
+        # Short of the cap's radius the window is whole: the part outside it
+        # is empty there when the window reaches the top of the set.
+        start = edges[0] if not clears and top == cap_w else r_lo
+        a, b = (np.broadcast_to(v, x.shape) for v in (start, stop))
+        return integrate_1d(lambda r, i: band(r, x[i]), a, b, static + window + edges)
+
+    def band(r, level=None):
+        center = np.pi - np.arctan2(led.ell, r)
+        lower, upper = floor_w, top
+        if level is not None:
+            psi = np.minimum(np.maximum(gain_halfangle(level, r, led), floor_w), cap_w)
+            lower, upper = (floor_w, psi) if clears else (psi, top)
+        total = 0.0
+        for a, b in _clipped_bands(center, offsets, model) if on_mean else whole:
+            total = total + _within(center, upper, a, b, model) - _within(
+                center, lower, a, b, model
             )
-            # Short of the cap's radius the window is whole: the part outside it
-            # is empty there when the window reaches the top of the set.
-            start = edges[0] if not clears and top == cap_w else r_lo
-            bps = static + window + edges
-
-        def band(r):
-            center = np.pi - np.arctan2(led.ell, r)
-            lower, upper = floor_w, top
-            if x is not None:
-                psi = np.minimum(np.maximum(gain_halfangle(x, r, led), floor_w), cap_w)
-                lower, upper = (floor_w, psi) if clears else (psi, top)
-            total = 0.0
-            for a, b in _clipped_bands(center, offsets, model) if on_mean else whole:
-                total = total + _within(center, upper, a, b, model) - _within(
-                    center, lower, a, b, model
-                )
-            return total
-
-        return integrate_1d(band, start, stop, bps)
+        return total
 
     return integral
 
@@ -223,7 +233,7 @@ def cdf_gain_unordered(x, model: MobilityModel, led: LedGeometry):
     if den <= 0.0:
         raise DegenerateConditionError("gain is zero with probability one")
     survive = _band_integral(model, led, model.d_min, model.d_max, 0.0, led.theta_fov)
-    return _per_level(x, lambda xi: 1.0 - survive(xi) / den)
+    return _cdf_at(x, lambda xs: 1.0 - survive(xs) / den)
 
 
 def ordered_rank(total_users: int | None, k_min: int | None, rank: int | None = None) -> int:
@@ -299,7 +309,7 @@ def cdf_weak_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: Feedback
     """
     below = _band_integral(model, led, *_twobit_set(model, led, th, "weak"), clears=False)
     den = _set_mass(below(), model, "weak", model.delta_mean or 1.0)
-    return _per_level(x, lambda xi: below(xi) / den)
+    return _cdf_at(x, lambda xs: below(xs) / den)
 
 
 def cdf_strong_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds):
@@ -310,48 +320,46 @@ def cdf_strong_twobit_inst(x, model: MobilityModel, led: LedGeometry, th: Feedba
     """
     survive = _band_integral(model, led, *_twobit_set(model, led, th, "strong"))
     den = _set_mass(survive(), model, "strong", model.delta_mean or 1.0)
-    return _per_level(x, lambda xi: 1.0 - survive(xi) / den)
+    return _cdf_at(x, lambda xs: 1.0 - survive(xs) / den)
 
 
-def ramp_cdf_integral(
-    offset: float, y: float, z: float, model: MobilityModel, led: LedGeometry
-) -> float:
+def ramp_cdf_integral(offset: float, y, z: float, model: MobilityModel, led: LedGeometry):
     """Closed form of the mean-angle CDF integrated over distance.
 
     Computes the integral over ``r`` in [y, z] of the uniform mean-angle CDF
     evaluated at ``pi - arctan(ell / r) + offset``.  The integrand is 0 up to
     the radius where the argument reaches the lower angle bound, ramps while
     it sweeps the uniform range, and is 1 beyond; the ramp piece integrates
-    in closed form through the arctangent antiderivative.
+    in closed form through the arctangent antiderivative.  Vectorized over ``y``.
     """
     if model.delta_mean <= 0.0:
         raise InvalidParameterError("mean-angle range must be nondegenerate")
-    if y > z:
+    if np.any(np.asarray(y) > z):
         raise InvalidParameterError(f"integration bounds out of order: {y} > {z}")
     ell = led.ell
     r0 = bound_crossing_radius(offset, model.mean_angle_min, ell)
     r1 = bound_crossing_radius(offset, model.mean_angle_max, ell)
-    lo = min(max(r0, y), z)
-    hi = min(max(r1, y), z)
+    lo = np.minimum(np.maximum(r0, y), z)
+    hi = np.minimum(np.maximum(r1, y), z)
 
-    def anti(v: float) -> float:
-        if v == 0.0:
-            return -0.5 * ell * np.log(ell * ell) / model.delta_mean
-        return (
-            (np.pi + offset - model.mean_angle_min) * v
-            - 0.5 * ell * np.log(ell * ell + v * v)
-            - v * np.arctan(ell / v)
-        ) / model.delta_mean
+    def anti(v):
+        with np.errstate(divide="ignore"):
+            ramp = (
+                (np.pi + offset - model.mean_angle_min) * v
+                - 0.5 * ell * np.log(ell * ell + v * v)
+                - v * np.arctan(ell / v)
+            ) / model.delta_mean
+        return np.where(v == 0.0, -0.5 * ell * np.log(ell * ell) / model.delta_mean, ramp)
 
-    return (z - hi) + anti(hi) - anti(lo)
+    out = (z - hi) + anti(hi) - anti(lo)
+    return out if np.ndim(out) else float(out)
 
 
-def band_measure(
-    y: float, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds, subset: str
-) -> float:
+def band_measure(y, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds, subset: str):
     """Integral over [y, range end] of the probability the mean angle is in the set's bands.
 
     ``subset`` is ``"weak"`` (range end d_max) or ``"strong"`` (range end d_th).
+    Vectorized over ``y``.
     """
     _, z, floor, cap = _twobit_set(model, led, th, subset)
     return sum(
@@ -365,13 +373,13 @@ def _cdf_twobit_mean(x, model, led, th, subset: str):
     den = _set_mass(band_measure(r_lo, model, led, th, subset), model, subset)
     below = _band_integral(model, led, r_lo, r_hi, floor, cap, clears=False, on_mean=True)
 
-    def one(xi: float) -> float:
+    def at(xs):
         # Beyond this radius no orientation clears the level: the whole band is below it.
-        split = edge_gain_distance(xi, led, cos_sq=1.0, lo=r_lo, hi=r_hi)
-        total = band_measure(split, model, led, th, subset) + below(xi, split) / model.delta_mean
+        split = edge_gain_distance(xs, led, cos_sq=1.0, lo=r_lo, hi=r_hi)
+        total = band_measure(split, model, led, th, subset) + below(xs, split) / model.delta_mean
         return total / den
 
-    return _per_level(x, one)
+    return _cdf_at(x, at)
 
 
 def cdf_weak_twobit_mean(x, model: MobilityModel, led: LedGeometry, th: FeedbackThresholds):

@@ -2,9 +2,9 @@
 
 The integrator is a vectorized Gauss-Kronrod 7/15 scheme: integrands are
 called with a numpy array of abscissae and must evaluate elementwise.  All
-panels pending refinement are evaluated in a single call per round, which
-keeps the Python overhead flat even when thousands of panels are needed
-around integrand kinks.
+panels pending refinement, of every level a call integrates, are evaluated in
+a single call per round, which keeps the Python overhead flat even when
+thousands of panels are needed around integrand kinks.
 """
 
 from __future__ import annotations
@@ -48,77 +48,160 @@ _WG = np.array([
 _XGL, _WGL = np.polynomial.legendre.leggauss(15)
 
 
+# The K15 weights (row 0) and the G7 weights at the Gauss nodes (row 1), per node.
+_WEIGHTS = np.zeros((2, _XK.size, 1))
+_WEIGHTS[0, :, 0] = _WK
+_WEIGHTS[1, 1::2, 0] = _WG
+
+
 def _panel_eval(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod-15 estimate and |K15 - G7| error for a batch of panels."""
+    """Kronrod-15 estimate and |K15 - G7| error for a batch of panels.
+
+    ``f`` gets the abscissae node by node: the first node of every panel, then
+    the second, and so on.
+    """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _XK[None, :]
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    k15 = (vals @ _WK) * half
-    g7 = (vals[:, 1::2] @ _WG) * half
+    nodes = mid + half * _XK[:, None]
+    terms = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape) * _WEIGHTS
+    # Both sums by one fixed tree over the nodes, not through BLAS: a matrix-vector
+    # product may sum a panel in an order set by the panels beside it and by the CPU.
+    terms[:, :7] += terms[:, 8:]
+    terms[:, :4] += terms[:, 4:8]
+    terms[:, :2] += terms[:, 2:4]
+    terms[:, 0] += terms[:, 1]
+    k15, g7 = terms[:, 0] * half
     return k15, np.abs(k15 - g7)
+
+
+def _segment_sums(x, starts, count):
+    """Each row's ``row[s : s + c].sum()`` per segment ``s, c``: every level sums as alone.
+
+    Row by row, since a 2-D reduction may add a row's values in another order.
+    """
+    segments = list(zip(starts.tolist(), count.tolist()))
+    return np.array([[row[s : s + c].sum() for s, c in segments] for row in x])
+
+
+# Levels per pass of the adaptive loop, which bounds its panel arrays on large level sets.
+_LEVEL_BATCH = 512
 
 
 def integrate_1d(
     f: Callable,
-    a: float,
-    b: float,
-    breakpoints: Sequence[float] | None = None,
+    a,
+    b,
+    breakpoints: Sequence | None = None,
     *,
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-12,
     max_subdivisions: int = 4096,
-) -> float:
-    """Integrate a vectorized scalar function over [a, b] adaptively.
+):
+    """Integrate a vectorized function over [a, b] adaptively, for one level or many.
 
-    Splits first at every breakpoint inside (a, b), then bisects the panels
-    with the largest error estimates until the summed error meets
-    ``max(abs_tol, rel_tol * |integral|)``.
+    Scalar bounds integrate ``f(x)`` and give a float.  Arrays of bounds give
+    one integral per level: ``f(x, level)`` then also gets the level index of
+    each abscissa, and each breakpoint is a scalar or an array over the levels.
+    A level splits first at its breakpoints inside (a, b), then bisects the
+    panels with the largest error estimates until its summed error meets
+    ``max(abs_tol, rel_tol * |integral|)``.  Levels share the integrand calls
+    only: each keeps its own panels, tolerance and budget, so it gets the
+    same bits in any batch as alone.
 
-    Raises ``NumericFailureError`` (carrying the best estimate and bound)
-    if the panel budget is exhausted first, or as soon as a panel value or
-    error estimate is not finite, since no refinement can cure that.
+    Raises ``NumericFailureError`` (carrying the level's best estimate and
+    bound) if a level exhausts its panel budget first, or as soon as a
+    level's value or error estimate is not finite, since no refinement can
+    cure that.
     """
-    if a > b:
-        raise InvalidParameterError(f"integration bounds out of order: {a} > {b}")
-    if a == b:
-        return 0.0
-    cuts = sorted({float(c) for c in breakpoints or () if a < c < b})
-    edges = np.array([a, *cuts, b])
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs = _panel_eval(f, lo, hi)
-    while True:
-        total = vals.sum()
-        err = errs.sum()
-        tol = max(abs_tol, rel_tol * abs(total))
-        if not (np.isfinite(total) and np.isfinite(err)):
+    one = np.ndim(a) == 0 and np.ndim(b) == 0
+    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, float)), np.asarray(b, float))
+    out_of_order = a > b
+    if out_of_order.any():
+        i = np.argmax(out_of_order)
+        raise InvalidParameterError(f"integration bounds out of order: {a[i]} > {b[i]}")
+    g = (lambda x, _: f(x)) if one else f
+    # One row per breakpoint, one column per level.
+    cuts = np.empty((len(breakpoints or ()), a.size))
+    for row, c in zip(cuts, breakpoints or ()):
+        row[:] = c
+    out = np.empty(a.shape)
+    for first in range(0, a.size, _LEVEL_BATCH):
+        part = slice(first, first + _LEVEL_BATCH)
+        out[part] = _adaptive(
+            g, first, a[part], b[part], cuts[:, part], rel_tol, abs_tol, max_subdivisions
+        )
+    return float(out[0]) if one else out
+
+
+def _adaptive(f, first, a, b, cuts, rel_tol, abs_tol, max_subdivisions):
+    """:func:`integrate_1d` of one batch of levels, ``first`` the index of its first level.
+
+    The panel array's rows are lo, hi, value and error; its columns hold every
+    unfinished level's panels, grouped by level and, within a level, kept
+    panels first, then the left and the right halves of the panels split
+    last, each in their previous order.
+    """
+    out = np.zeros(a.size)
+
+    def evaluate(lo, hi, lev):
+        at = np.tile(lev + first, _XK.size)
+        return np.array((lo, hi, *_panel_eval(lambda x: f(x, at), lo, hi)))
+
+    # Each level's knots: a, its breakpoints strictly inside (a, b) in order, b;
+    # its panels lie between consecutive distinct knots.
+    inner = np.sort(np.where((cuts > a) & (cuts < b), cuts, b), axis=0)
+    knots = np.vstack((a, inner, b)).T
+    between = knots[:, 1:] > knots[:, :-1]
+    lev = np.nonzero(between)[0]
+    panels = evaluate(knots[:, :-1][between], knots[:, 1:][between], lev)
+    width, tiny = b - a, np.finfo(float).tiny
+    while lev.size:
+        starts = np.flatnonzero(np.concatenate(([True], lev[1:] != lev[:-1])))
+        count = np.concatenate((starts[1:], [lev.size])) - starts
+        total, err = _segment_sums(panels[2:], starts, count)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        bad = ~(np.isfinite(total) & np.isfinite(err))
+        if bad.any():
+            i = np.argmax(bad)
             raise NumericFailureError(
-                f"quadrature hit a non-finite value with {len(lo)} panels",
-                estimate=float(total),
-                error_bound=float(err),
+                f"quadrature hit a non-finite value with {count[i]} panels",
+                estimate=float(total[i]),
+                error_bound=float(err[i]),
             )
-        if err <= tol:
-            return float(total)
-        if len(lo) >= max_subdivisions:
+        done = err <= tol
+        out[lev[starts[done]]] = total[done]
+        stuck = ~done & (count >= max_subdivisions)
+        if stuck.any():
+            i = np.argmax(stuck)
             raise NumericFailureError(
-                f"quadrature did not converge: error {err:.3g} > tol {tol:.3g} "
-                f"with {len(lo)} panels",
-                estimate=float(total),
-                error_bound=float(err),
+                f"quadrature did not converge: error {err[i]:.3g} > tol {tol[i]:.3g} "
+                f"with {count[i]} panels",
+                estimate=float(total[i]),
+                error_bound=float(err[i]),
             )
-        # Refine every panel still holding more than its length-proportional share.
-        budget = tol * (hi - lo) / (b - a)
-        split = errs > np.maximum(budget, np.finfo(float).tiny)
-        if not split.any():
-            split = errs >= errs.max()
+        if done.all():
+            return out
+        on = np.repeat(~done, count)
+        panels, lev = panels[:, on], lev[on]
+        tol, count = tol[~done], count[~done]
+        starts = np.cumsum(count) - count
+        lo, hi, _, errs = panels
+        # Refine every panel still holding more than its length-proportional share;
+        # a level with none such refines its worst panels.
+        budget = np.repeat(tol, count) * (hi - lo) / width[lev]
+        split = errs > np.maximum(budget, tiny)
+        worst = np.repeat(np.maximum.reduceat(errs, starts), count)
+        split |= np.repeat(~np.logical_or.reduceat(split, starts), count) & (errs >= worst)
         mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs = _panel_eval(f, new_lo, new_hi)
-        lo = np.concatenate([lo[~split], new_lo])
-        hi = np.concatenate([hi[~split], new_hi])
-        vals = np.concatenate([vals[~split], new_vals])
-        errs = np.concatenate([errs[~split], new_errs])
+        new_lev = np.tile(lev[split], 2)
+        halves = evaluate(
+            np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split])), new_lev
+        )
+        # A stable sort by level keeps each level's panels in the order above.
+        lev = np.concatenate((lev[~split], new_lev))
+        order = np.argsort(lev, kind="stable")
+        panels, lev = np.concatenate((panels[:, ~split], halves), axis=1)[:, order], lev[order]
+    return out
 
 
 def integrate_2d_nested(

@@ -163,11 +163,14 @@ def _cdf_pair(
     cfg: NomaConfig,
     model: MobilityModel,
     led: LedGeometry,
-    x_weak: float,
-    x_strong: float,
+    x_weak,
+    x_strong,
     total_users: int | None,
 ):
-    """Evaluate the scheduling mode's per-user gain CDFs at two levels."""
+    """The scheduling mode's per-user gain CDFs at levels ``x_weak`` and ``x_strong``.
+
+    One call of each of the mode's two families, for a level or an array of them.
+    """
     weak, strong = FEEDBACK_MODES[cfg.feedback_mode].families or (None, None)
     if weak is None:
         raise InvalidParameterError(
@@ -175,19 +178,45 @@ def _cdf_pair(
         )
     cond = dict(thresholds=cfg.thresholds, total_users=total_users, k_min=cfg.strong_rank)
     return (
-        float(CDF_FAMILIES[weak](x_weak, model, led, rank=cfg.weak_rank, **cond)),
-        float(CDF_FAMILIES[strong](x_strong, model, led, rank=cfg.strong_rank, **cond)),
+        CDF_FAMILIES[weak](x_weak, model, led, rank=cfg.weak_rank, **cond),
+        CDF_FAMILIES[strong](x_strong, model, led, rank=cfg.strong_rank, **cond),
     )
 
 
 def outage_pair_analytic(
-    cfg: NomaConfig, model: MobilityModel, led: LedGeometry, *, total_users: int | None = None
+    cfgs,
+    model: MobilityModel,
+    led: LedGeometry,
+    *,
+    total_users: int | None = None,
+    oma_mode: str | None = None,
 ):
-    """Closed-form outage probabilities (weak, strong) for the scheduled pair."""
-    threshold_weak, threshold_strong, feasible = outage_gain_thresholds(cfg)
-    if not feasible:
-        return 1.0, 1.0
-    return _cdf_pair(cfg, model, led, threshold_weak, threshold_strong, total_users)
+    """Closed-form outage probabilities (weak, strong) for the scheduled pair.
+
+    ``cfgs`` is one ``NomaConfig``, for one pair, or a sequence of configs that
+    differ only in power split, target rates and SNR, for a list of pairs: the
+    levels of all of them go to one call of each of the mode's two families.
+    An infeasible split is in certain outage.  With ``oma_mode`` the same two
+    calls also evaluate the orthogonal baseline's levels
+    (:func:`oma_gain_thresholds`), and each config gets ``(noma, oma)`` pairs.
+    """
+    one = isinstance(cfgs, NomaConfig)
+    group = [cfgs] if one else list(cfgs)
+    if len({(c.feedback_mode, c.thresholds, c.weak_rank, c.strong_rank) for c in group}) > 1:
+        raise InvalidParameterError("a config sequence must share mode, thresholds and ranks")
+    noma = [outage_gain_thresholds(c) for c in group]
+    levels = [(w, s) for w, s, feasible in noma if feasible]
+    if oma_mode is not None:
+        levels += [oma_gain_thresholds(c, oma_mode) for c in group]
+    p_weak = p_strong = np.empty(0)
+    if levels:
+        x_weak, x_strong = np.array(levels).T
+        p_weak, p_strong = _cdf_pair(group[0], model, led, x_weak, x_strong, total_users)
+    pairs = zip(p_weak.tolist(), p_strong.tolist())
+    out = [next(pairs) if feasible else (1.0, 1.0) for *_, feasible in noma]
+    if oma_mode is not None:
+        out = list(zip(out, pairs))
+    return out[0] if one else out
 
 
 def sum_rate_noma(p_out_weak: float, p_out_strong: float, cfg: NomaConfig) -> float:
@@ -206,5 +235,5 @@ def sum_rate_oma(
     total_users: int | None = None,
 ) -> float:
     """Sum rate of the orthogonal baseline serving the same selected pair."""
-    t_weak, t_strong = oma_gain_thresholds(cfg, mode)
-    return sum_rate_noma(*_cdf_pair(cfg, model, led, t_weak, t_strong, total_users), cfg)
+    _, oma = outage_pair_analytic(cfg, model, led, total_users=total_users, oma_mode=mode)
+    return sum_rate_noma(*oma, cfg)

@@ -616,6 +616,38 @@ class TestSweepConsistency:
             assert noisy[f"{run}_sched_prob"] == snr["sched_prob"]
 
 
+class TestAnalyticBatching:
+    """A collection group sends all its levels, NOMA and OMA, to one call of each family."""
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            # 23 SNR points, one group: each call holds 23 NOMA and 23 OMA levels.
+            (["sweep-snr"], [("ordered", 46), ("ordered", 46)]),
+            # A group per deviation point (10) and per threshold pair (4).
+            (
+                ["sweep-deviation", "--mode", "TwoBitMean"],
+                [("twobit_mean_weak", 1), ("twobit_mean_strong", 1)] * 10,
+            ),
+            (
+                ["sweep-thresholds", "--mode", "TwoBitInstantaneous"],
+                [("twobit_inst_weak", 1), ("twobit_inst_strong", 1)] * 4,
+            ),
+        ],
+    )
+    def test_family_calls_per_group(self, argv, calls, monkeypatch):
+        seen = []
+
+        def counted(name, cdf):
+            return lambda x, *a, **k: seen.append((name, np.size(x))) or cdf(x, *a, **k)
+
+        for name, cdf in list(CDF_FAMILIES.items()):
+            monkeypatch.setitem(CDF_FAMILIES, name, counted(name, cdf))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--trials", "2000", "--set", "workers=1"]) == 0
+        assert seen == calls
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         args = ["validate-angle-cdf", "--trials", "5000", "--seed", "11"]

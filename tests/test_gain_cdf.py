@@ -6,6 +6,8 @@ import dataclasses
 import functools
 import inspect
 import io
+import os
+import subprocess
 import sys
 import warnings
 
@@ -698,3 +700,67 @@ class TestFamilyTable:
             CDF_FAMILIES["ordered"](1e-12, model, led)
         with pytest.raises(InvalidParameterError):
             CDF_FAMILIES["twobit_inst_weak"](1e-12, model, led)
+
+
+class TestLevelBatch:
+    """A family integrates all its levels in one adaptive loop; each gets the bits it gets alone."""
+
+    @pytest.mark.parametrize("family", list(CDF_FAMILIES))
+    def test_each_level_as_alone(self, family, model_dev25, led_fov50, monkeypatch):
+        model, led = model_dev25, led_fov50
+        th = FeedbackThresholds.from_fractions(model, led, 0.1, 0.1)
+        cdf = functools.partial(
+            CDF_FAMILIES[family], model=model, led=led, thresholds=th, total_users=20, k_min=10
+        )
+        _, upsilon = channel_constant(led)
+        top = 1.0 / upsilon(model.d_min)
+        levels = np.geomspace(1e-6 * top, top, 12)
+        # Duplicates, zeros, negative levels and levels above the top, shuffled.
+        extra = [*levels[3:6], 0.0, -0.0, -1.0, -top, 1.5 * top, 40.0 * top]
+        xs = np.random.default_rng(7).permutation(np.concatenate((levels, extra)))
+        # Five levels a batch: the call spans several batches.
+        monkeypatch.setattr(quadrature, "_LEVEL_BATCH", 5)
+        batched = cdf(xs)
+        assert batched.tobytes() == np.array([cdf(float(x)) for x in xs]).tobytes()
+        assert batched.tobytes() == cdf(xs.reshape(3, 7)).ravel().tobytes()
+
+
+    def test_edge_radii_are_those_of_float_arithmetic(self, led_fov50):
+        # numpy's vectorized power may round a level otherwise than Python's,
+        # and otherwise from one CPU to another.
+        led = led_fov50
+        h_c, _ = channel_constant(led)
+        e, cos_sq = 1.0 / (led.lambertian_m + 2.0), np.cos(led.theta_fov) ** 2
+        xs = np.geomspace(1e-16, 1e-8, 500)
+        got = edge_gain_distance(xs, led, cos_sq=cos_sq, lo=0.0, hi=1e3)
+        want = [
+            min(np.sqrt(max((h_c * h_c * cos_sq / x) ** e - led.ell * led.ell, 0.0)), 1e3)
+            for x in xs.tolist()
+        ]
+        assert got.tobytes() == np.array(want).tobytes()
+
+# A family's CDF at 64 levels, printed as float.hex; run alike in and out of process.
+KERNEL_PROBE = """
+import numpy as np
+from vlcnoma import LedGeometry, MobilityModel, cdf_gain_unordered, channel_constant
+led = LedGeometry(2.0, np.radians(60.0), 1e-4, np.radians(50.0))
+model = MobilityModel(0.0, 10.0, np.radians(25.0), np.radians(155.0), np.radians(25.0))
+_, upsilon = channel_constant(led)
+levels = np.geomspace(1e-6, 1.0, 64) / upsilon(0.0)
+print(" ".join(float(v).hex() for v in cdf_gain_unordered(levels, model, led)))
+"""
+
+
+def test_values_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernel by CPU at load, and OPENBLAS_CORETYPE forces one
+    # in that process only.  A matrix-vector panel sum gave other bits under
+    # Nehalem than under the AVX2 kernels for 14 of these 64 levels.
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem")
+    proc = subprocess.run(
+        [sys.executable, "-c", KERNEL_PROBE], capture_output=True, text=True, timeout=300, env=env
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(KERNEL_PROBE, {})
+    assert proc.stdout.split() == here.getvalue().split()

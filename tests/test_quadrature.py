@@ -15,6 +15,7 @@ from vlcnoma import (
     integrate_2d_nested,
     ks_distance_bound,
 )
+from vlcnoma import quadrature
 from vlcnoma.quadrature import _KS_SLICE
 
 
@@ -90,6 +91,127 @@ class TestIntegrate1d:
         value = integrate_1d(lambda x: a * x**2 + b * x + c, 0.0, width, None)
         exact = a * width**3 / 3 + b * width**2 / 2 + c * width
         assert value == pytest.approx(exact, rel=1e-10, abs=1e-10)
+
+
+def _kinked(c, k):
+    """|x - c| exp(-k x) with level-dependent c and k: each level needs its own bisections."""
+    return lambda x, level: np.abs(x - c[level]) * np.exp(-k[level] * x)
+
+
+def _one_level(f, a, b, breakpoints):
+    """The adaptive rule on one level as a plain loop, the reference for the batched one.
+
+    Its panels stay kept first, then left halves, then right halves, and sum by ``.sum()``.
+    """
+    if a == b:
+        return 0.0
+    edges = np.array([a, *sorted({c for c in breakpoints if a < c < b}), b])
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs = quadrature._panel_eval(f, lo, hi)
+    while True:
+        total, err = vals.sum(), errs.sum()
+        tol = max(1e-12, 1e-8 * abs(total))
+        if err <= tol:
+            return total
+        split = errs > np.maximum(tol * (hi - lo) / (b - a), np.finfo(float).tiny)
+        if not split.any():
+            split = errs >= errs.max()
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        new_vals, new_errs = quadrature._panel_eval(f, new_lo, new_hi)
+        lo, hi = np.concatenate([lo[~split], new_lo]), np.concatenate([hi[~split], new_hi])
+        vals = np.concatenate([vals[~split], new_vals])
+        errs = np.concatenate([errs[~split], new_errs])
+
+
+class TestLevelBatches:
+    """Array bounds integrate many levels in one loop, each level as it would alone."""
+
+    def test_each_level_as_alone(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = 40
+        c, k = rng.uniform(-0.5, 1.5, n), rng.uniform(0.0, 30.0, n)
+        a = rng.uniform(-1.0, 0.5, n)
+        b = a + rng.uniform(0.0, 2.0, n)
+        b[[3, 17]] = a[[3, 17]]
+        for i in (11, 12):  # duplicates of level 10
+            a[i], b[i], c[i], k[i] = a[10], b[10], c[10], k[10]
+        cut = a + 0.3 * (b - a)
+        f = _kinked(c, k)
+        # Seven levels a batch: the call spans several batches.
+        monkeypatch.setattr(quadrature, "_LEVEL_BATCH", 7)
+        got = integrate_1d(f, a, b, (0.25, cut))
+        alone = [
+            integrate_1d(lambda x: f(x, np.full(x.shape, i)), a[i], b[i], (0.25, cut[i]))
+            for i in range(n)
+        ]
+        assert got.tobytes() == np.array(alone).tobytes()
+        assert got[3] == got[17] == 0.0
+        perm = rng.permutation(n)
+        shuffled = integrate_1d(_kinked(c[perm], k[perm]), a[perm], b[perm], (0.25, cut[perm]))
+        assert shuffled.tobytes() == got[perm].tobytes()
+
+    def test_each_level_as_the_one_level_loop(self):
+        rng = np.random.default_rng(6)
+        n = 30
+        c, k = rng.uniform(-0.5, 1.5, n), rng.uniform(0.0, 30.0, n)
+        a = rng.uniform(-1.0, 0.5, n)
+        b = a + rng.uniform(0.0, 2.0, n)
+        f = _kinked(c, k)
+        got = integrate_1d(f, a, b, (0.25, c))
+        want = [
+            _one_level(lambda x: f(x, np.full(x.shape, i)), a[i], b[i], (0.25, c[i]))
+            for i in range(n)
+        ]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_non_finite_level_raises_with_its_estimate(self):
+        # Level 1 turns infinite past 0.5; levels 0 and 2 stay finite.
+        def f(x, level):
+            return np.where((level == 1) & (x > 0.5), np.inf, (level + 1.0) * x)
+
+        with pytest.raises(NumericFailureError) as batch, np.errstate(invalid="ignore"):
+            integrate_1d(f, np.zeros(3), np.ones(3))
+        with pytest.raises(NumericFailureError) as alone, np.errstate(invalid="ignore"):
+            integrate_1d(lambda x: np.where(x > 0.5, np.inf, 2.0 * x), 0.0, 1.0)
+        assert batch.value.estimate == alone.value.estimate == np.inf
+        assert str(batch.value) == str(alone.value)
+
+    def test_panel_budget_is_per_level(self):
+        def f(x, level):
+            hard = np.abs(np.sin(50 / (x + 0.01)))
+            return np.where(level < 40, (level + 1.0) * x * x, hard)
+
+        tight = dict(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=16)
+        # Forty one-panel levels hold more panels together than one level's budget.
+        easy = integrate_1d(f, np.zeros(40), np.ones(40), max_subdivisions=1)
+        assert easy == pytest.approx((np.arange(40) + 1.0) / 3.0, rel=1e-14)
+        with pytest.raises(NumericFailureError) as batch:
+            integrate_1d(f, np.zeros(41), np.ones(41), **tight)
+        with pytest.raises(NumericFailureError) as alone:
+            integrate_1d(lambda x: np.abs(np.sin(50 / (x + 0.01))), 0.0, 1.0, **tight)
+        assert batch.value.estimate == alone.value.estimate
+        assert batch.value.error_bound == alone.value.error_bound
+
+
+class TestSegmentSums:
+    """Each level's panels sum as numpy sums them alone, whatever the batch."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_sum_of_each_segment(self, order):
+        rng = np.random.default_rng(3)
+        # numpy adds up to 7 values in turn, more in eight lanes, past 128 by halves.
+        count = np.array([7, 8, 129, 1, 2, 9, 15, 16, 17, 127, 128, 300])
+        starts = np.cumsum(count) - count
+        # Rows 2 and 3 of a four-row array, as the adaptive loop hands them over:
+        # column-major after it reorders the panels, where a 2-D sum of a row's
+        # segment would run down the columns.
+        panels = rng.standard_normal((4, count.sum())) * np.exp(rng.uniform(-30, 30, count.sum()))
+        panels[:, : count[0]] = -0.0
+        panels = np.asarray(panels, order=order)
+        got = quadrature._segment_sums(panels[2:], starts, count)
+        want = [[row[s : s + c].copy().sum() for s, c in zip(starts, count)] for row in panels[2:]]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestIntegrate2d:
