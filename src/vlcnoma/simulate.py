@@ -1,33 +1,35 @@
 """Monte Carlo trial engine for all six feedback/scheduling modes.
 
-Trials run in vectorized chunks of fixed size.  Each chunk owns a generator
-derived from the root seed and the chunk index, and chunk results are
-combined in chunk order, so aggregates are bit-identical for a given
-(seed, configuration) regardless of the worker count.  A chunk draws its
-users row block by row block, each small enough for its temporaries to stay
-in cache, so its memory is bounded by the block, not by the user count.  One
-collection serves several runs, (config, noise) pairs that share the users:
-each block is drawn once and handed to every run in turn, and each run reads
-its own copy of the chunk's generator past the users, so it gets the bytes it
-would get alone.  A run with observation noise draws the noise arrays its mode
-reads whole for the chunk and scales them block by block; an array the mode
-never reads is drawn through a block-sized scratch array only to keep the
-stream where the run alone would have it.  The users and the float arrays a
-chunk computes over a block's rows live in buffers made for its first block
-and reused by each later one (:func:`_block_buffers`), as block-sized
-temporaries made afresh block after block fault their pages back in; only the
-smaller ones (boolean tests, the lit users' flat indices) and the stable
-``argsort`` of a ranking metric are made anew.  So a block, and all computed
-from it in a buffer, is valid only until the next block is drawn, and a chunk
-copies what it keeps.  A run's chunk has one of two shapes, named for what its
-mode reads first.  Pick, then gain: ``OneBitDistance``,
-``TwoBitInstantaneous``, ``TwoBitMean`` and ``DistanceOnly`` pick from
-observed values alone, so only the two picked users of a row get a gain, and
-the threshold modes pick only on their scheduled rows, those with a user in
-both feedback sets.  Gain, then rank: ``FullCSI``, ``MeanAngle`` and the
-``ordered`` sampler run the lit test on every user, evaluate gains only on the
-rows with at least ``strong_rank`` lit users, and rank those gains.  Every
-step is row-wise, so the block size never changes the output.
+Trials run in vectorized chunks of fixed size through one driver,
+:func:`_map_chunks`.  Each chunk owns a generator derived from the root seed
+and the chunk index, and results are combined in chunk order, so aggregates
+are bit-identical for a given (seed, configuration) regardless of the worker
+count.  The driver draws a chunk's users row block by row block, each small
+enough for its temporaries to stay in cache, so memory is bounded by the
+block, not by the user count; an entry point's ``start(rng, n)`` makes each
+chunk's ``step(rows, true, buffer)`` and joins or sums what the steps return.
+One collection serves several runs, (config, noise) pairs that share the
+users: each block is drawn once and handed to every run's step in turn, and
+each run reads its own copy of the chunk's generator past the users, so it
+gets the bytes it would get alone.  A run with observation noise draws the
+noise arrays its mode reads whole for the chunk and scales them block by
+block; an array the mode never reads is drawn through a block-sized scratch
+array only to keep the stream where the run alone would have it.  The users
+and the float arrays a step computes over a block's rows live in the chunk's
+buffers, made for its first block and reused by each later one
+(:func:`_block_buffers`), as block-sized temporaries made afresh block after
+block fault their pages back in; only the smaller ones (boolean tests, the lit
+users' flat indices) and the stable ``argsort`` of a ranking metric are made
+anew.  So a block, and all computed from it in a buffer, is valid only until
+the next block is drawn, and a step copies what it keeps.  A step has one of
+two shapes, named for what its mode reads first.  Pick, then gain:
+``OneBitDistance``, ``TwoBitInstantaneous``, ``TwoBitMean`` and
+``DistanceOnly`` pick from observed values alone, so only the two picked users
+of a row get a gain, and the threshold modes pick only on their scheduled
+rows, those with a user in both feedback sets.  Gain, then rank: ``FullCSI``,
+``MeanAngle`` and the ``ordered`` sampler run the lit test on every user,
+evaluate gains only on the rows with at least ``strong_rank`` lit users, and
+rank them.  Every step is row-wise, so the block size never changes the output.
 
 Observables can be perturbed by measurement noise; scheduling and ranking
 then use the noisy values while outage is always judged on the true gains.
@@ -289,25 +291,25 @@ def _chunk_rng(seed: int, index: int):
     )
 
 
-def _map_chunks(fn, trials: int, model: MobilityModel, seed: int, workers, per_trial=()):
-    """``fn(rng, n, blocks)`` of every chunk, in chunk order: the one chunk driver.
+def _map_chunks(start, trials: int, model: MobilityModel, seed: int, workers, users: int = 1):
+    """Every row block's ``step(rows, true, buffer)``, in chunk and block order: the chunk driver.
 
-    Chunk ``c`` of ``n`` trials owns the generator of (seed, c).  Its users
-    are those that ``sample_users(model, rng, (n, *per_trial))`` would draw,
-    handed to ``fn`` as ``blocks``: an iterator, read once and in order, of
-    ``(rows, (d, mean, inst))`` over row slices of about ``_BLOCK_ENTRIES``
-    user entries.  Each block is drawn into views of the same three arrays, over
-    the block before it, so ``fn`` must be done with a block, or copy it, before
-    it reads the next.  A uniform draw takes exactly one PCG64 output, so each
-    variable is read block by block from its own copy of the generator,
-    advanced to where that variable starts, and ``rng`` reaches ``fn`` past
-    all three; ``fn`` may draw more from it.
+    Chunk ``c`` of ``n`` trials owns the generator of (seed, c) and calls
+    ``step = start(rng, n)`` once.  Its users, those that
+    ``sample_users(model, rng, (n, users))`` would draw, come in row slices
+    ``rows`` of about ``_BLOCK_ENTRIES`` entries, each block drawn over the one
+    before it into views of the same three arrays ``true``.  Every block gets
+    the chunk's one :func:`_block_buffers` ``buffer``, so ``step`` copies what
+    it keeps.  A uniform draw takes exactly one PCG64 output, so each variable
+    is read block by block from its own copy of the generator, advanced to
+    where that variable starts; ``rng`` reaches ``start`` past all three.
     Chunks run on pool threads even at one worker (chunk arrays freed on the
     main thread can stay pinned in its heap, ~30 MB more peak memory), each in
     a copy of the caller's context, so that its ``np.errstate`` holds there.
     """
+    if users < 1:
+        raise InvalidParameterError("need at least one user")
     sizes = _chunk_sizes(trials)
-    users = math.prod(per_trial)
     caller = contextvars.copy_context()
 
     def chunk(c: int, n: int):
@@ -315,24 +317,22 @@ def _map_chunks(fn, trials: int, model: MobilityModel, seed: int, workers, per_t
         copies = [_chunk_rng(seed, c) for _ in range(4)]
         for k, g in enumerate(copies):
             g.bit_generator.advance(k * n * users)
-        streams, rng = tuple(copies[:3]), copies[3]
-        step = max(1, _BLOCK_ENTRIES // users)
+        streams, step = tuple(copies[:3]), start(copies[3], n)
+        block = max(1, _BLOCK_ENTRIES // users)
         # The first block is the largest; every block is drawn into its arrays.
-        drawn = [np.empty((min(step, n), *per_trial)) for _ in range(3)]
-
-        def blocks():
-            for lo in range(0, n, step):
-                rows = slice(lo, min(lo + step, n))
-                size = rows.stop - lo
-                out = [x[:size] for x in drawn]
-                yield rows, sample_users(model, streams, (size, *per_trial), out)
-
-        return fn(rng, n, blocks())
+        drawn = [np.empty((min(block, n), users)) for _ in range(3)]
+        buffer, parts = _block_buffers(), []
+        for lo in range(0, n, block):
+            size = min(block, n - lo)
+            true = sample_users(model, streams, (size, users), [x[:size] for x in drawn])
+            parts.append(step(slice(lo, lo + size), true, buffer))
+        return parts
 
     if workers is None:
         workers = min(8, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c, n: caller.copy().run(chunk, c, n), range(len(sizes)), sizes))
+        chunks = pool.map(lambda c, n: caller.copy().run(chunk, c, n), range(len(sizes)), sizes)
+        return [part for parts in chunks for part in parts]
 
 
 def _run_step(cfg: NomaConfig, noise: NoiseConfig | None, rng, shape, led):
@@ -408,18 +408,14 @@ def collect_scheduled_gains(
         if FEEDBACK_MODES[cfg.feedback_mode].group and cfg.thresholds is None:
             raise InvalidParameterError("group modes need feedback thresholds")
 
-    def chunk(rng, n, blocks):
+    def start(rng, n):
         shape = (n, total_users)
         steps = [_run_step(cfg, noise, copy.deepcopy(rng), shape, led) for cfg, noise in runs]
-        buffer, picks = _block_buffers(), [[] for _ in runs]
-        for rows, true in blocks:
-            for step, pairs in zip(steps, picks):
-                pairs.append(step(rows, true, buffer))
-        return [np.concatenate(pairs).T for pairs in picks]
+        return lambda rows, true, buffer: [step(rows, true, buffer) for step in steps]
 
-    parts = _map_chunks(chunk, trials, model, seed, workers, (total_users,))
+    parts = _map_chunks(start, trials, model, seed, workers, total_users)
     return [
-        (np.concatenate([p[r][0] for p in parts]), np.concatenate([p[r][1] for p in parts]), trials)
+        (*(np.concatenate([p[r][:, k] for p in parts]) for k in (0, 1)), trials)
         for r in range(len(runs))
     ]
 
@@ -481,19 +477,19 @@ def estimate(
         raise InvalidParameterError(f"family must be one of {tuple(CDF_FAMILIES)}, got {family!r}")
     mode, side = _FAMILY_PICKS.get(family, (None, None))
     if mode is not None and not FEEDBACK_MODES[mode].group:
-        rank = ordered_rank(total_users, k_min, rank)
+        users, reads = total_users, FEEDBACK_MODES[mode].reads
+        ranks = (ordered_rank(total_users, k_min, rank), k_min)
 
-        def chunk(_, n, blocks):
-            buffer, reads, ranks = _block_buffers(), FEEDBACK_MODES[mode].reads, (rank, k_min)
-            picks = (_gain_then_rank(true, true, reads, ranks, led, buffer) for _, true in blocks)
-            return np.concatenate([pick[:, 0] for pick in picks])
+        def step(rows, true, buffer):
+            # A copy, so that the blocks keep only the picks at ``rank``, not both columns.
+            return _gain_then_rank(true, true, reads, ranks, led, buffer)[:, 0].copy()
 
-        parts = _map_chunks(chunk, trials, model, seed, workers, (total_users,))
     else:
         if mode is not None and thresholds is None:
             raise InvalidParameterError("set-conditioned families need feedback thresholds")
+        users = 1
 
-        def kept(true, buffer):
+        def step(rows, true, buffer):
             gain_sq = np.square(dc_gain(true[0], true[2], led))
             if mode is None:
                 return gain_sq[gain_sq > 0.0]
@@ -501,12 +497,7 @@ def estimate(
             sets = _group_masks(reads, thresholds, led, true[0], true[reads], buffer)
             return gain_sq[sets[side]]
 
-        def chunk(_, n, blocks):
-            buffer = _block_buffers()
-            return np.concatenate([kept(true, buffer) for _, true in blocks])
-
-        parts = _map_chunks(chunk, trials, model, seed, workers)
-    samples = np.concatenate(parts)
+    samples = np.concatenate(_map_chunks(lambda *_: step, trials, model, seed, workers, users))
     if samples.size == 0:
         raise DegenerateConditionError("conditioning event never occurred")
     return EstimateResult(samples, 0.0, samples.size / trials, trials, samples.size)
@@ -523,15 +514,12 @@ def nonzero_count_histogram(
 ):
     """Histogram (length ``total_users + 1``) of how many users have nonzero gain per trial."""
 
-    def chunk(_, n, blocks):
-        buffer = _block_buffers()
-        return sum(
-            np.bincount(_row_count(_lit(d, inst, led, buffer)[1]), minlength=total_users + 1)
-            for _, (d, _, inst) in blocks
-        )
+    def step(rows, true, buffer):
+        return _row_count(_lit(true[0], true[2], led, buffer)[1])
 
-    counts = _map_chunks(chunk, trials, model, seed, workers, (total_users,))
-    return np.sum(counts, axis=0)
+    counts = _map_chunks(lambda *_: step, trials, model, seed, workers, total_users)
+    # Per-trial counts, not per-block histograms: a 65-trial block at 1000 users has 1001 bins.
+    return sum(np.bincount(c, minlength=total_users + 1) for c in counts)
 
 
 def sample_vertical_angles(
@@ -539,10 +527,7 @@ def sample_vertical_angles(
 ):
     """Instantaneous vertical angles of ``trials`` single users, drawn chunk by chunk."""
 
-    def chunk(_, n, blocks):
-        angles = np.empty(n)
-        for rows, (_, _, inst) in blocks:
-            angles[rows] = inst
-        return angles
+    def step(rows, true, buffer):
+        return true[2][:, 0].copy()
 
-    return np.concatenate(_map_chunks(chunk, trials, model, seed, workers))
+    return np.concatenate(_map_chunks(lambda *_: step, trials, model, seed, workers))

@@ -41,7 +41,7 @@ from tests.conftest import make_noma
 
 
 def test_one_chunk_driver():
-    """Only ``_map_chunks`` seeds a chunk's generator and draws its users."""
+    """Only ``_map_chunks`` seeds a chunk's generator, draws its users and makes its buffers."""
     tree = ast.parse(inspect.getsource(simulate))
     callers = {
         fn.name
@@ -49,7 +49,7 @@ def test_one_chunk_driver():
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", None) in ("_chunk_rng", "sample_users")
+        and getattr(node.func, "id", None) in ("_chunk_rng", "sample_users", "_block_buffers")
     }
     assert callers == {"_map_chunks"}
 
@@ -57,18 +57,31 @@ def test_one_chunk_driver():
 def test_chunks_run_on_pool_threads_in_the_callers_context(model_dev25):
     # Off the main thread even at one worker, whose heap can pin freed chunk
     # arrays, and under the caller's numpy error state at any worker count.
-    def probe(_, n, blocks):
+    def seen_here():
         return threading.current_thread() is threading.main_thread(), np.geterr()["over"]
+
+    def start(rng, n):
+        at_start = seen_here()
+        return lambda rows, true, buffer: (at_start, seen_here())
 
     for workers in (1, 2):
         with np.errstate(over="raise"):
-            seen = simulate._map_chunks(probe, 2 * simulate.CHUNK_TRIALS, model_dev25, 0, workers)
-        assert seen == [(False, "raise")] * 2
+            seen = simulate._map_chunks(start, 2 * simulate.CHUNK_TRIALS, model_dev25, 0, workers)
+        # one single-user block per chunk
+        assert seen == [((False, "raise"), (False, "raise"))] * 2
+
+
+@pytest.mark.parametrize("total_users", [0, -3])
+def test_chunk_driver_rejects_fewer_than_one_user(model_dev25, led_fov50, total_users):
+    with pytest.raises(InvalidParameterError, match="at least one user"):
+        nonzero_count_histogram(1000, total_users, model_dev25, led_fov50, workers=1)
 
 
 class TestUserBlocks:
     """A chunk's row blocks are its whole-chunk draw, read at PCG64 stream offsets."""
 
+    # ``per_trial`` is the shape of a trial's users in the whole-chunk draw:
+    # one user is drawn as (n,), the same stream as the driver's (n, 1).
     @pytest.mark.parametrize("entries", [1_000, None])
     @pytest.mark.parametrize("per_trial", [(), (7,), (1_000,)])
     def test_blocks_equal_the_whole_chunk_draw(self, per_trial, entries, monkeypatch):
@@ -77,29 +90,42 @@ class TestUserBlocks:
         monkeypatch.setattr(simulate, "CHUNK_TRIALS", 4096)
         if entries is not None:
             monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", entries)
-        seed = 41
+        seed, started, users = 41, [], math.prod(per_trial)
 
-        def probe(rng, n, blocks):
-            # A block is valid only until the next is drawn, so each is copied as it is read.
-            rows, users = zip(*((r, [v.copy() for v in u]) for r, u in blocks))
-            return n, rows, [np.concatenate(v) for v in zip(*users)], rng.standard_normal(3)
+        def start(rng, n):
+            chunk = {"n": n, "after": rng.standard_normal(3), "rows": [], "true": [], "buffers": []}
+            started.append(chunk)
+
+            def step(rows, true, buffer):
+                # A block is valid only until the next is drawn, so each is copied as it is read.
+                chunk["rows"].append(rows)
+                chunk["true"].append([v.copy() for v in true])
+                chunk["buffers"].append(buffer)
+                return chunk
+
+            return step
 
         # a full chunk, then a partial one
-        chunks = simulate._map_chunks(
-            probe, simulate.CHUNK_TRIALS + 999, model, seed, 2, per_trial
-        )
-        assert [c[0] for c in chunks] == [simulate.CHUNK_TRIALS, 999]
-        for c, (n, rows, got, after) in enumerate(chunks):
+        steps = simulate._map_chunks(start, simulate.CHUNK_TRIALS + 999, model, seed, 2, users)
+        # Results come in chunk and block order: each chunk's blocks in a run.
+        chunks = [s for i, s in enumerate(steps) if i == 0 or s is not steps[i - 1]]
+        assert len(started) == len(chunks) == 2  # start runs once per chunk
+        assert len(steps) == sum(len(c["rows"]) for c in chunks)
+        assert [c["n"] for c in chunks] == [simulate.CHUNK_TRIALS, 999]
+        for c, chunk in enumerate(chunks):
+            n, rows = chunk["n"], chunk["rows"]
             assert rows[0].start == 0 and rows[-1].stop == n
             assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+            # every block of a chunk gets the chunk's one buffer
+            assert all(b is chunk["buffers"][0] for b in chunk["buffers"])
             rng = simulate._chunk_rng(seed, c)
             want = sample_users(model, rng, (n, *per_trial))
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.tobytes()
+            for g, w in zip(zip(*chunk["true"]), want):
+                assert np.concatenate(g).tobytes() == w.tobytes()
             # the chunk's generator goes on where the whole-chunk draw left it
-            assert after.tobytes() == rng.standard_normal(3).tobytes()
+            assert chunk["after"].tobytes() == rng.standard_normal(3).tobytes()
         if entries is None and not per_trial:
-            assert len(chunks[0][1]) == 1  # a single-user chunk is one block
+            assert len(chunks[0]["rows"]) == 1  # a single-user chunk is one block
 
     @pytest.mark.parametrize("per_trial", [(), (7,)])
     def test_blocks_of_a_chunk_share_its_buffers(self, per_trial, monkeypatch):
@@ -107,16 +133,23 @@ class TestUserBlocks:
         monkeypatch.setattr(simulate, "CHUNK_TRIALS", 4096)
         monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 1_000)
 
-        def probe(_, n, blocks):
-            blocks = iter(blocks)
-            _, first = next(blocks)
-            return [
-                all(np.shares_memory(a, b) for a, b in zip(first, users)) for _, users in blocks
-            ]
+        def start(_, n):
+            first = []
 
-        chunks = simulate._map_chunks(probe, 2 * simulate.CHUNK_TRIALS, model, 0, 2, per_trial)
-        for shared in chunks:
-            assert len(shared) > 1 and all(shared)
+            def step(rows, true, buffer):
+                if not first:
+                    first.extend(true)
+                return rows.start, all(np.shares_memory(a, b) for a, b in zip(first, true))
+
+            return step
+
+        users = math.prod(per_trial)
+        blocks = simulate._map_chunks(start, 2 * simulate.CHUNK_TRIALS, model, 0, 2, users)
+        starts = [lo for lo, _ in blocks]
+        # two equal chunks, each of more than two blocks
+        assert [i for i, lo in enumerate(starts) if lo == 0] == [0, len(starts) // 2]
+        assert len(starts) > 4
+        assert all(shared for _, shared in blocks)
 
     def test_single_user_samplers_read_each_block_before_the_next(
         self, model_dev25, led_fov50, monkeypatch
