@@ -471,22 +471,25 @@ def _sweep_points(xc: ExperimentConfig):
             yield (snr_db,), dataclasses.replace(xc.noma, snr=_snr_linear(snr_db)), xc.model
 
 
-def _sweep_cells(xc: ExperimentConfig, cfg: NomaConfig, gains, closed: bool, values):
-    """Monte Carlo cells of one sweep point by column name.
+def _sweep_cells(xc: ExperimentConfig, cfgs, gains, closed: bool, values):
+    """Monte Carlo cells of each point of a collection group by column name.
 
-    The gains score the OMA cell too unless the mode has closed forms (``closed``),
-    which :func:`_analytic_cells` then evaluates with the analytic sum rate.
+    Each run's gains are scored for all the points at once.  They score the
+    OMA cells too unless the mode has closed forms (``closed``), which
+    :func:`_analytic_cells` then evaluates with the analytic sum rate.
     """
-    cells = {"analytic_sum_rate": None}
+    cells = [{"analytic_sum_rate": None} for _ in cfgs]
     for run, collected in gains.items():
-        mc = rate_stats(*collected, cfg)
-        cells[f"{run}_sum_rate"], cells[f"{run}_stderr"] = mc.value, mc.stderr
-        cells["sched_prob" if run == "mc" else f"{run}_sched_prob"] = mc.sched_prob
+        for cell, mc in zip(cells, rate_stats(*collected, cfgs)):
+            cell[f"{run}_sum_rate"], cell[f"{run}_stderr"] = mc.value, mc.stderr
+            cell["sched_prob" if run == "mc" else f"{run}_sched_prob"] = mc.sched_prob
     if "oma_sum_rate" in values and not closed:
-        oma = rate_stats(*gains["mc"], cfg, oma_gain_thresholds(cfg, xc.oma_mode))
-        cells["oma_sum_rate"] = oma.value
+        oma = [oma_gain_thresholds(cfg, xc.oma_mode) for cfg in cfgs]
+        for cell, mc in zip(cells, rate_stats(*gains["mc"], cfgs, oma)):
+            cell["oma_sum_rate"] = mc.value
     if "gap" in values:
-        cells["gap"] = cells["clean_sum_rate"] - cells["noisy_sum_rate"]
+        for cell in cells:
+            cell["gap"] = cell["clean_sum_rate"] - cell["noisy_sum_rate"]
     return cells
 
 
@@ -528,7 +531,7 @@ def cmd_sweep(xc: ExperimentConfig, out: str | None, manifest: str):
         )
         gains = dict(zip(runs, collected))
         # Monte Carlo cells first: an empty collection reports so before any family call.
-        cells = [_sweep_cells(xc, cfg, gains, closed, values) for cfg in cfgs]
+        cells = _sweep_cells(xc, cfgs, gains, closed, values)
         if closed:
             for cell, found in zip(cells, _analytic_cells(xc, cfgs, model, values)):
                 cell.update(found)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConditionError, InvalidParameterError, require_finite
-from .geometry import LedGeometry, channel_constant
+from .geometry import LedGeometry, channel_constant, incidence_angle
 from .mobility import (
     MobilityModel,
     band_mixture,
@@ -200,7 +200,8 @@ def _band_integral(model, led, r_lo, r_hi, floor: float, cap: float, *, clears=T
         return integrate_1d(lambda r, i: band(r, x[i]), a, b, static + window + edges)
 
     def band(r, level=None):
-        center = np.pi - np.arctan2(led.ell, r)
+        # pi - arctan(ell / r), the incidence angle at vertical angle 0.
+        center = incidence_angle(r, 0.0, led.ell)
         lower, upper = floor_w, top
         if level is not None:
             psi = np.minimum(np.maximum(gain_halfangle(level, r, led), floor_w), cap_w)

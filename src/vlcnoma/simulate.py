@@ -33,6 +33,7 @@ rank them.  Every step is row-wise, so the block size never changes the output.
 
 Observables can be perturbed by measurement noise; scheduling and ranking
 then use the noisy values while outage is always judged on the true gains.
+:func:`rate_stats` scores all the points of a collection in one pass, by counts.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ __all__ = [
 CHUNK_TRIALS = 1 << 16
 # User entries per row block of a chunk: 0.5 MB per float temporary, L2-sized.
 _BLOCK_ENTRIES = 1 << 16
+# Trials per slice of the scoring counts: 64 KB index temporaries.  Slices of
+# a chunk, 0.5 MB each, raised a sweep's peak RSS by 1-2 MB.
+_SCORE_SLICE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -194,9 +198,13 @@ def _row_count(mask):
     """True entries per row of a 2-D boolean ``mask``: ``np.count_nonzero(mask, axis=1)``.
 
     A sum in uint16 is exact for rows of fewer than 65,536 entries, and faster
-    than ``count_nonzero`` at 5, 20 and 1000 entries a row.
+    than ``count_nonzero``: ``einsum``'s over the bytes below 128 entries a row
+    (twice as fast at 5 and 20), ``add.reduce``'s from there.
     """
-    return np.add.reduce(mask, axis=1, dtype=np.uint16 if mask.shape[1] < 1 << 16 else np.intp)
+    width = mask.shape[1]
+    if width < 128:
+        return np.einsum("ij->i", mask.view(np.uint8), dtype=np.uint16)
+    return np.add.reduce(mask, axis=1, dtype=np.uint16 if width < 1 << 16 else np.intp)
 
 
 def _gain_then_rank(true, observed, reads, ranks, led, buffer):
@@ -222,23 +230,26 @@ def _gain_then_rank(true, observed, reads, ranks, led, buffer):
     )
     nonzero = _row_count(gain_sq > 0.0)
     if by_value:
+        # A scheduled row has at least strong_rank nonzero gains, sorted to
+        # its end, so rank r among them is one flat index away from its last.
         gain_sq.sort(axis=1)
-        ranked, apparent = gain_sq, nonzero
-    else:
-        # Rank by the gain at the observed angle the mode reads.  The true
-        # angles are spent, so the kept rows' observed ones take their buffers.
-        d_obs, phi_obs = _take_rows(buffer, kept, d_obs=observed[0], phi_obs=observed[reads])
-        metric = _gain_sq(
-            d_obs, *_lit(d_obs, phi_obs, led, buffer), led,
-            buffer("metric", d, kept.size), work,
-        )
-        ranked = np.argsort(metric, axis=1, kind="stable")
-        apparent = _row_count(metric > 0.0)
+        rows = np.flatnonzero(nonzero >= ranks[1])
+        width = gain_sq.shape[1]
+        before = rows * width + (width - 1)
+        before -= nonzero[rows]
+        return np.stack([np.take(gain_sq, before + r) for r in ranks], axis=1)
+    # Rank by the gain at the observed angle the mode reads.  The true
+    # angles are spent, so the kept rows' observed ones take their buffers.
+    d_obs, phi_obs = _take_rows(buffer, kept, d_obs=observed[0], phi_obs=observed[reads])
+    metric = _gain_sq(
+        d_obs, *_lit(d_obs, phi_obs, led, buffer), led, buffer("metric", d, kept.size), work
+    )
+    ranked = np.argsort(metric, axis=1, kind="stable")
+    apparent = _row_count(metric > 0.0)
     # Rank among the apparent-nonzero pool; when it is shorter than the
     # requested rank, fall back to the strongest available pick.
     pick = np.stack([_take_ranked(ranked, apparent, r) for r in ranks], axis=1)
-    picked = pick if by_value else np.take_along_axis(gain_sq, pick, axis=1)
-    picked = np.where((apparent > 0)[:, None], picked, 0.0)
+    picked = np.where((apparent > 0)[:, None], np.take_along_axis(gain_sq, pick, axis=1), 0.0)
     return picked[nonzero >= ranks[1]]
 
 
@@ -420,26 +431,81 @@ def collect_scheduled_gains(
     ]
 
 
-def rate_stats(gain_sq_weak, gain_sq_strong, trials: int, cfg: NomaConfig, thresholds=None):
+def _clear_counts(gain_sq_weak, gain_sq_strong, t_weak, t_strong):
+    """Per point of the threshold arrays, ``[n_w, n_s, n_ws]``: weak, strong and both clear.
+
+    Where the points in weak-threshold order are in strong-threshold order too,
+    as along an SNR grid, a trial clears the first k of them on a side (a
+    ``searchsorted`` count) and both sides at the smaller k; elsewhere each
+    point counts its own comparisons.
+    """
+    order = np.lexsort((t_strong, t_weak))
+    t_weak, t_strong = t_weak[order], t_strong[order]
+    points = order.size
+    staircase = bool(np.all(t_strong[1:] >= t_strong[:-1]))
+    counts = np.zeros((3, points + 1), dtype=np.int64)
+    for lo in range(0, gain_sq_weak.size, _SCORE_SLICE):
+        g_w, g_s = (g[lo : lo + _SCORE_SLICE] for g in (gain_sq_weak, gain_sq_strong))
+        if staircase:
+            k_w, k_s = np.searchsorted(t_weak, g_w), np.searchsorted(t_strong, g_s)
+            for row, k in zip(counts, (k_w, k_s, np.minimum(k_w, k_s))):
+                row += np.bincount(k, minlength=points + 1)
+            continue
+        for j in range(points):
+            w, s = g_w > t_weak[j], g_s > t_strong[j]
+            counts[:, j] += np.count_nonzero(w), np.count_nonzero(s), np.count_nonzero(w & s)
+    if staircase:
+        # A trial that clears the first k points counts at each of them.
+        counts = np.cumsum(counts[:, ::-1], axis=1)[:, -2::-1]
+    # From threshold order back to the points' own.
+    return counts[:, np.argsort(order)].T.tolist()
+
+
+def rate_stats(gain_sq_weak, gain_sq_strong, trials: int, cfgs, thresholds=None):
     """Mean sum rate over scheduled trials, from collected pick gains, as an EstimateResult.
 
     A user meets its target rate when its squared gain clears its entry of
-    ``thresholds``, a (weak, strong) pair that defaults to the NOMA outage levels.
+    ``thresholds``, a (weak, strong) pair that defaults to the NOMA outage
+    levels.  One ``NomaConfig`` is scored on its trials' rates, in the steps of
+    ``ndarray.mean`` and ``var(ddof=1)``; a sequence of them, with a sequence
+    of pairs or none, gets a list from :func:`_clear_counts`' one pass, exact
+    in its counts.  Its means are the same bits where the rates sum exactly, as
+    whole numbers do, and its standard errors are within a few ulps.
     """
     n = gain_sq_weak.size
     if n == 0:
         raise DegenerateConditionError("no scheduled trials")
-    threshold_weak, threshold_strong = thresholds or outage_gain_thresholds(cfg)[:2]
-    # One buffer, reused in place: the steps of ndarray.mean and var(ddof=1).
-    rate = np.multiply(gain_sq_weak > threshold_weak, cfg.rate_weak)
-    np.add(rate, cfg.rate_strong, out=rate, where=gain_sq_strong > threshold_strong)
-    total = rate.sum()
-    stderr = 0.0
-    if n > 1:
-        rate -= total / n
-        rate *= rate
-        stderr = float(np.sqrt(rate.sum() / (n - 1) / n))
-    return EstimateResult(float(total / n), stderr, n / trials, trials, n)
+    if isinstance(cfgs, NomaConfig):
+        threshold_weak, threshold_strong = thresholds or outage_gain_thresholds(cfgs)[:2]
+        # One buffer, reused in place: the steps of ndarray.mean and var(ddof=1).
+        rate = np.multiply(gain_sq_weak > threshold_weak, cfgs.rate_weak)
+        np.add(rate, cfgs.rate_strong, out=rate, where=gain_sq_strong > threshold_strong)
+        total = rate.sum()
+        stderr = 0.0
+        if n > 1:
+            rate -= total / n
+            rate *= rate
+            stderr = float(np.sqrt(rate.sum() / (n - 1) / n))
+        return EstimateResult(float(total / n), stderr, n / trials, trials, n)
+    cfgs = list(cfgs)
+    if thresholds is None:
+        thresholds = [outage_gain_thresholds(cfg)[:2] for cfg in cfgs]
+    t_weak, t_strong = np.array(thresholds, dtype=float).reshape(-1, 2).T
+    results = []
+    for cfg, (n_w, n_s, n_ws) in zip(
+        cfgs, _clear_counts(gain_sq_weak, gain_sq_strong, t_weak, t_strong)
+    ):
+        r_w, r_s = cfg.rate_weak, cfg.rate_strong
+        # n^2 times the rate's variance, its integer parts exact in Python ints;
+        # the float sum of a zero spread can round a hair below zero.
+        spread = (
+            r_w * r_w * (n_w * (n - n_w))
+            + r_s * r_s * (n_s * (n - n_s))
+            + 2.0 * r_w * r_s * (n * n_ws - n_w * n_s)
+        )
+        stderr = math.sqrt(max(spread, 0.0) / n / (n - 1) / n) if n > 1 else 0.0
+        results.append(EstimateResult((n_w * r_w + n_s * r_s) / n, stderr, n / trials, trials, n))
+    return results
 
 
 # (mode, side) of the pick whose gain CDF each family is, but "unordered".

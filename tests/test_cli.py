@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import os
 import re
 import subprocess
 import sys
@@ -744,17 +745,43 @@ class TestGoldenBytes:
         ("TwoBitInstantaneous", "true"): "df4f9aaf3daab0829b2ecc68f6b4036563d4ad62cb0a2207a1b1d15768ecf279",
     }
 
-    @pytest.mark.skipif(np.__version__ != NUMPY, reason=f"hashes made with numpy {NUMPY}")
-    @pytest.mark.parametrize("mode, noise", sorted(SHA256))
-    def test_sweep_snr_stdout_hash(self, mode, noise):
-        argv = [
+    @staticmethod
+    def sweep_argv(mode, noise):
+        return [
             "sweep-snr", "--mode", mode, "--trials", "70000",
             "--set", "workers=1", "--set", f"noise_enabled={noise}",
         ]
+
+    @pytest.mark.skipif(np.__version__ != NUMPY, reason=f"hashes made with numpy {NUMPY}")
+    @pytest.mark.parametrize("mode, noise", sorted(SHA256))
+    def test_sweep_snr_stdout_hash(self, mode, noise):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert main(argv) == 0
+            assert main(self.sweep_argv(mode, noise)) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.SHA256[mode, noise]
+
+    @pytest.mark.skipif(np.__version__ != NUMPY, reason=f"hashes made with numpy {NUMPY}")
+    def test_sweep_snr_hashes_without_avx512_kernels(self):
+        """numpy picks its float kernels by CPU at import; its AVX2 ones give the same bytes.
+
+        The environment variable acts on the child process only, and on a CPU
+        without AVX-512 it changes nothing.
+        """
+        script = f"""
+import contextlib, hashlib, io
+from vlcnoma.cli import main
+for argv in {[self.sweep_argv(*case) for case in sorted(self.SHA256)]!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == [self.SHA256[case] for case in sorted(self.SHA256)]
 
     FAMILY_SHA256 = {
         "unordered": "14d503f58910d7e66a4a69d751fc418572b21e73f549911571c065cd8be99f91",

@@ -66,6 +66,21 @@ class TestAngles:
         assert incidence_angle(3.0, facing + delta, 2.0) == pytest.approx(-delta, rel=1e-12)
         assert incidence_angle(3.0, facing - delta, 2.0) == pytest.approx(delta, rel=1e-12)
 
+    @pytest.mark.parametrize("ell", [2.0, 0.5, 3.7, 1e-300, 1e300])
+    def test_bits_of_the_scalar_ell_formula(self, ell):
+        """arctan2 of ell filled into an array gives the bits of arctan2 of the scalar ell."""
+        rng = np.random.default_rng(3)
+        d = rng.uniform(0.0, 10.0, 4099)
+        # zero, subnormal, smallest normal, tiny, huge and infinite distances,
+        # in the vector loop's body and in its tail
+        edges = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300, np.inf]
+        d[rng.choice(4096, 600, replace=False)] = np.resize(edges, 600)
+        d[-3:] = edges[-3:]
+        phi = np.array([[-0.4], [0.0], [1.1], [np.pi + 0.4]])
+        want = np.pi - np.arctan2(ell, d) - phi
+        assert_bit_equal(incidence_angle(d, phi, ell, out=np.empty(want.shape)), want)
+        assert_bit_equal(incidence_angle(d, phi, ell), want)
+
 
 def full_array_gain(d, phi, led):
     """Reference: the gain formula on every entry, then masked to the field of view."""

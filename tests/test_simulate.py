@@ -4,6 +4,7 @@ import ast
 import inspect
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from vlcnoma import (
     ks_distance_bound,
     nonzero_count_histogram,
     nonzero_gain_probability,
+    oma_gain_thresholds,
     outage_gain_thresholds,
     outage_pair_analytic,
     rate_stats,
@@ -395,7 +397,8 @@ class TestUniformPick:
             np.testing.assert_array_equal(ok, want_ok)
             assert np.all(mask[ok, idx[ok]])
 
-    @pytest.mark.parametrize("width", [1, 5, 20, 1000, 1 << 16])
+    # Each side of the einsum / add.reduce switch, and the uint16 bound.
+    @pytest.mark.parametrize("width", [1, 5, 20, 127, 128, 255, 256, 1000, 1 << 16])
     def test_row_count_is_count_nonzero(self, width):
         rng = np.random.default_rng(width)
         mask = rng.random((7, width)) < 0.4
@@ -403,6 +406,84 @@ class TestUniformPick:
         count = _row_count(mask)
         assert count.tolist() == np.count_nonzero(mask, axis=1).tolist()
         assert count[0] == 0 and count[1] == width
+
+
+class TestRateStatsByCounts:
+    """Counts score a sequence of points in one pass as each point's own rate array does."""
+
+    @staticmethod
+    def check(gain_w, gain_s, cfgs, thresholds=None, trials=10**6, mean_rel=0.0):
+        per_point = thresholds or [None] * len(cfgs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rate_stats(gain_w, gain_s, trials, cfgs, thresholds)
+            alone = [rate_stats(gain_w, gain_s, trials, c, t) for c, t in zip(cfgs, per_point)]
+        assert len(got) == len(cfgs)
+        for res, want in zip(got, alone):
+            # Whole rates sum exactly either way; the standard error may move an ulp.
+            assert res.value == pytest.approx(want.value, rel=mean_rel, abs=0.0)
+            assert res.stderr == pytest.approx(want.stderr, rel=1e-14, abs=0.0)
+            assert (res.sched_prob, res.trials, res.scheduled_trials) == (
+                want.sched_prob, trials, gain_w.size,
+            )
+
+    @staticmethod
+    def gains(n, seed=0):
+        rng = np.random.default_rng(seed)
+        return 10.0 ** rng.uniform(-22, -16, n), 10.0 ** rng.uniform(-22, -16, n)
+
+    def test_snr_grid_across_slices(self):
+        """Co-monotone thresholds over more gains than one slice: the staircase counts."""
+        gain_w, gain_s = self.gains(5 * simulate._SCORE_SLICE + 123)
+        self.check(gain_w, gain_s, [make_noma(snr_db=s) for s in np.arange(140.0, 251.0, 5.0)])
+
+    def test_gains_exactly_at_a_threshold_do_not_clear(self):
+        cfgs = [make_noma(snr_db=s) for s in (150.0, 200.0, 200.0, 220.0)]
+        levels = np.array([outage_gain_thresholds(c)[:2] for c in cfgs])
+        gain_w, gain_s = self.gains(5000, seed=1)
+        gain_w[::3], gain_s[1::3] = np.resize(levels[:, 0], 1667), np.resize(levels[:, 1], 1667)
+        self.check(gain_w, gain_s, cfgs)
+        self.check(gain_w, gain_s, cfgs[1:2])
+
+    def test_unsorted_and_crossing_thresholds(self):
+        """Points whose two thresholds order them differently count one by one."""
+        gain_w, gain_s = self.gains(3 * simulate._SCORE_SLICE + 7, seed=2)
+        thresholds = [(1e-18, 1e-20), (1e-20, 1e-17), (1e-19, 1e-19), (1e-17, 1e-21)]
+        t_w, t_s = np.transpose(thresholds)
+        gain_w[::5] = np.resize(t_w, gain_w[::5].size)
+        gain_s[::7] = np.resize(t_s, gain_s[::7].size)
+        cfgs = [make_noma(rate_weak=r, rate_strong=9.0 - r) for r in (1.0, 2.0, 3.0, 4.0)]
+        self.check(gain_w, gain_s, cfgs, thresholds)
+        cfgs = [make_noma(rate_weak=r, rate_strong=7.123456789 - r) for r in (1e-3, 0.3, 1.7, 2.5)]
+        self.check(gain_w, gain_s, cfgs, thresholds, mean_rel=1e-15)
+
+    def test_constant_paper_literal_oma_thresholds(self):
+        cfgs = [make_noma(snr_db=s) for s in (140.0, 190.0, 250.0)]
+        thresholds = [oma_gain_thresholds(c, "paper_literal") for c in cfgs]
+        assert len(set(thresholds)) == 1
+        # levels near the gains' own scale, so that both sides clear on some trials
+        gain_w, gain_s = (g * thresholds[0][k] * 1e19 for k, g in enumerate(self.gains(3000, 3)))
+        self.check(gain_w, gain_s, cfgs, thresholds)
+
+    def test_infeasible_split_is_certain_outage_without_warnings(self):
+        """An infeasible split's infinite thresholds, among finite ones, clear no trial."""
+        infeasible = make_noma(beta_weak=0.6, beta_strong=0.55)
+        assert outage_gain_thresholds(infeasible)[2] is False
+        cfgs = [make_noma(snr_db=160.0), infeasible, infeasible, make_noma(snr_db=240.0)]
+        gain_w, gain_s = self.gains(4000, seed=4)
+        self.check(gain_w, gain_s, cfgs)
+        assert rate_stats(gain_w, gain_s, 10**6, infeasible).value == 0.0
+
+    def test_one_scheduled_trial_has_no_spread(self):
+        gain_w, gain_s = self.gains(1, seed=5)
+        self.check(gain_w, gain_s, [make_noma(snr_db=s) for s in (140.0, 250.0)])
+        assert rate_stats(gain_w, gain_s, 1000, make_noma()).stderr == 0.0
+
+    def test_empty_collection_is_degenerate(self):
+        empty = np.empty(0)
+        for cfgs in (make_noma(), [make_noma(), make_noma(snr_db=150.0)]):
+            with pytest.raises(DegenerateConditionError, match="no scheduled trials"):
+                rate_stats(empty, empty, 1000, cfgs)
 
 
 def sum_rate(trials, cfg, model, led, *, total_users=20, noise=None, **kw):
