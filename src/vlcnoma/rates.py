@@ -159,30 +159,6 @@ def oma_gain_thresholds(cfg: NomaConfig, mode: str = "time_shared"):
     raise InvalidParameterError(f"unknown OMA mode {mode!r}; expected one of {OMA_MODES}")
 
 
-def _cdf_pair(
-    cfg: NomaConfig,
-    model: MobilityModel,
-    led: LedGeometry,
-    x_weak,
-    x_strong,
-    total_users: int | None,
-):
-    """The scheduling mode's per-user gain CDFs at levels ``x_weak`` and ``x_strong``.
-
-    One call of each of the mode's two families, for a level or an array of them.
-    """
-    weak, strong = FEEDBACK_MODES[cfg.feedback_mode].families or (None, None)
-    if weak is None:
-        raise InvalidParameterError(
-            f"no analytic outage path for mode {cfg.feedback_mode!r}; use the Monte Carlo engine"
-        )
-    cond = dict(thresholds=cfg.thresholds, total_users=total_users, k_min=cfg.strong_rank)
-    return (
-        CDF_FAMILIES[weak](x_weak, model, led, rank=cfg.weak_rank, **cond),
-        CDF_FAMILIES[strong](x_strong, model, led, rank=cfg.strong_rank, **cond),
-    )
-
-
 def outage_pair_analytic(
     cfgs,
     model: MobilityModel,
@@ -191,32 +167,37 @@ def outage_pair_analytic(
     total_users: int | None = None,
     oma_mode: str | None = None,
 ):
-    """Closed-form outage probabilities (weak, strong) for the scheduled pair.
+    """Closed-form outage probabilities (weak, strong) of the scheduled pair, a list per config.
 
-    ``cfgs`` is one ``NomaConfig``, for one pair, or a sequence of configs that
-    differ only in power split, target rates and SNR, for a list of pairs: the
-    levels of all of them go to one call of each of the mode's two families.
-    An infeasible split is in certain outage.  With ``oma_mode`` the same two
-    calls also evaluate the orthogonal baseline's levels
-    (:func:`oma_gain_thresholds`), and each config gets ``(noma, oma)`` pairs.
+    ``cfgs`` are the points of a collection group, configs that differ only in
+    power split, target rates and SNR: one call of each of the mode's two
+    families takes all their levels.  An infeasible split is in certain outage.
+    With ``oma_mode`` the same two calls also evaluate the orthogonal baseline's
+    levels (:func:`oma_gain_thresholds`), and each config gets ``(noma, oma)`` pairs.
     """
-    one = isinstance(cfgs, NomaConfig)
-    group = [cfgs] if one else list(cfgs)
-    if len({(c.feedback_mode, c.thresholds, c.weak_rank, c.strong_rank) for c in group}) > 1:
+    cfgs = list(cfgs)
+    if len({(c.feedback_mode, c.thresholds, c.weak_rank, c.strong_rank) for c in cfgs}) > 1:
         raise InvalidParameterError("a config sequence must share mode, thresholds and ranks")
-    noma = [outage_gain_thresholds(c) for c in group]
+    noma = [outage_gain_thresholds(c) for c in cfgs]
     levels = [(w, s) for w, s, feasible in noma if feasible]
     if oma_mode is not None:
-        levels += [oma_gain_thresholds(c, oma_mode) for c in group]
+        levels += [oma_gain_thresholds(c, oma_mode) for c in cfgs]
     p_weak = p_strong = np.empty(0)
     if levels:
+        cfg = cfgs[0]
+        weak, strong = FEEDBACK_MODES[cfg.feedback_mode].families or (None, None)
+        if weak is None:
+            raise InvalidParameterError(
+                f"no analytic outage path for mode {cfg.feedback_mode!r}; "
+                "use the Monte Carlo engine"
+            )
         x_weak, x_strong = np.array(levels).T
-        p_weak, p_strong = _cdf_pair(group[0], model, led, x_weak, x_strong, total_users)
+        cond = dict(thresholds=cfg.thresholds, total_users=total_users, k_min=cfg.strong_rank)
+        p_weak = CDF_FAMILIES[weak](x_weak, model, led, rank=cfg.weak_rank, **cond)
+        p_strong = CDF_FAMILIES[strong](x_strong, model, led, rank=cfg.strong_rank, **cond)
     pairs = zip(p_weak.tolist(), p_strong.tolist())
     out = [next(pairs) if feasible else (1.0, 1.0) for *_, feasible in noma]
-    if oma_mode is not None:
-        out = list(zip(out, pairs))
-    return out[0] if one else out
+    return out if oma_mode is None else list(zip(out, pairs))
 
 
 def sum_rate_noma(p_out_weak: float, p_out_strong: float, cfg: NomaConfig) -> float:
@@ -235,5 +216,5 @@ def sum_rate_oma(
     total_users: int | None = None,
 ) -> float:
     """Sum rate of the orthogonal baseline serving the same selected pair."""
-    _, oma = outage_pair_analytic(cfg, model, led, total_users=total_users, oma_mode=mode)
+    [(_, oma)] = outage_pair_analytic([cfg], model, led, total_users=total_users, oma_mode=mode)
     return sum_rate_noma(*oma, cfg)

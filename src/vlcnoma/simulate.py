@@ -33,7 +33,7 @@ rank them.  Every step is row-wise, so the block size never changes the output.
 
 Observables can be perturbed by measurement noise; scheduling and ranking
 then use the noisy values while outage is always judged on the true gains.
-:func:`rate_stats` scores all the points of a collection in one pass, by counts.
+:func:`rate_stats` scores the points of a collection group in one pass, by counts.
 """
 
 from __future__ import annotations
@@ -184,16 +184,6 @@ def _gain_sq(d, theta, lit, led, out, work):
     return np.square(gain, out=gain)
 
 
-def _take_ranked(ranked, count, rank):
-    """Per ascending row, the ``rank``-th smallest of its ``count`` largest entries.
-
-    A row with fewer than ``rank`` such entries gives its largest entry.
-    """
-    total = ranked.shape[1]
-    pos = total - count + np.minimum(rank, np.maximum(count, 1)) - 1
-    return np.take_along_axis(ranked, np.clip(pos, 0, total - 1)[:, None], 1)[:, 0]
-
-
 def _row_count(mask):
     """True entries per row of a 2-D boolean ``mask``: ``np.count_nonzero(mask, axis=1)``.
 
@@ -211,12 +201,11 @@ def _gain_then_rank(true, observed, reads, ranks, led, buffer):
     """Squared true gains at ``ranks`` (weak, strong) of a gain ranking's scheduled rows.
 
     One row block: ``true`` users, ``observed`` as :func:`_observe` gives them,
-    and the chunk's :func:`_block_buffers` ``buffer``.
+    and the chunk's :func:`_block_buffers` ``buffer``.  A row with at least
+    ``strong_rank`` nonzero true gains is scheduled, and rank r is one flat index
+    of its ranking: its strongest if fewer than r users look lit, 0.0 if none does.
     """
     d, _, inst = true
-    # Ranking on the true instantaneous angle ranks by the true gain itself, so
-    # its sorted values are the picks; every other ranking picks users by index.
-    by_value = observed[reads] is inst
     # One incidence angle per user serves the lit test and the gains.  A row
     # with fewer lit users than the strong rank has fewer nonzero gains, so
     # it stays unscheduled and only the others get gains.
@@ -229,28 +218,29 @@ def _gain_then_rank(true, observed, reads, ranks, led, buffer):
         buffer("gain_sq", d, kept.size), work,
     )
     nonzero = _row_count(gain_sq > 0.0)
+    rows = np.flatnonzero(nonzero >= ranks[1])
+    # Ranking on the true instantaneous angle ranks by the true gain itself, so
+    # its sorted values are the picks; every other ranking picks users.
+    by_value = observed[reads] is inst
     if by_value:
-        # A scheduled row has at least strong_rank nonzero gains, sorted to
-        # its end, so rank r among them is one flat index away from its last.
         gain_sq.sort(axis=1)
-        rows = np.flatnonzero(nonzero >= ranks[1])
-        width = gain_sq.shape[1]
-        before = rows * width + (width - 1)
-        before -= nonzero[rows]
-        return np.stack([np.take(gain_sq, before + r) for r in ranks], axis=1)
-    # Rank by the gain at the observed angle the mode reads.  The true
-    # angles are spent, so the kept rows' observed ones take their buffers.
-    d_obs, phi_obs = _take_rows(buffer, kept, d_obs=observed[0], phi_obs=observed[reads])
-    metric = _gain_sq(
-        d_obs, *_lit(d_obs, phi_obs, led, buffer), led, buffer("metric", d, kept.size), work
-    )
-    ranked = np.argsort(metric, axis=1, kind="stable")
-    apparent = _row_count(metric > 0.0)
-    # Rank among the apparent-nonzero pool; when it is shorter than the
-    # requested rank, fall back to the strongest available pick.
-    pick = np.stack([_take_ranked(ranked, apparent, r) for r in ranks], axis=1)
-    picked = np.where((apparent > 0)[:, None], np.take_along_axis(gain_sq, pick, axis=1), 0.0)
-    return picked[nonzero >= ranks[1]]
+        ranked, count = gain_sq, nonzero
+    else:
+        # Rank by the gain at the observed angle the mode reads.  The true
+        # angles are spent, so the kept rows' observed ones take their buffers.
+        d_obs, phi_obs = _take_rows(buffer, kept, d_obs=observed[0], phi_obs=observed[reads])
+        metric = _gain_sq(
+            d_obs, *_lit(d_obs, phi_obs, led, buffer), led, buffer("metric", d, kept.size), work
+        )
+        ranked, count = np.argsort(metric, axis=1, kind="stable"), _row_count(metric > 0.0)
+    # The ``count`` entries that look nonzero end a sorted row, so rank r is one
+    # flat index from its last; a row with none reads past its end, clipped.
+    width, count = ranked.shape[1], count[rows]
+    at = [rows * width + (width - 1) - count + np.minimum(r, np.maximum(count, 1)) for r in ranks]
+    picks = np.take(ranked, np.stack(at, axis=1), mode="clip")
+    if not by_value:
+        picks = np.where(count[:, None] > 0, np.take(gain_sq, (rows * width)[:, None] + picks), 0.0)
+    return picks
 
 
 def _pair_gain_sq(true, rows, users, led):
@@ -462,39 +452,27 @@ def _clear_counts(gain_sq_weak, gain_sq_strong, t_weak, t_strong):
 
 
 def rate_stats(gain_sq_weak, gain_sq_strong, trials: int, cfgs, thresholds=None):
-    """Mean sum rate over scheduled trials, from collected pick gains, as an EstimateResult.
+    """Mean sum rate over scheduled trials at each point of ``cfgs``, a list of EstimateResult.
 
-    A user meets its target rate when its squared gain clears its entry of
-    ``thresholds``, a (weak, strong) pair that defaults to the NOMA outage
-    levels.  One ``NomaConfig`` is scored on its trials' rates, in the steps of
-    ``ndarray.mean`` and ``var(ddof=1)``; a sequence of them, with a sequence
-    of pairs or none, gets a list from :func:`_clear_counts`' one pass, exact
-    in its counts.  Its means are the same bits where the rates sum exactly, as
-    whole numbers do, and its standard errors are within a few ulps.
+    ``cfgs`` are the points of a collection group.  A user meets its target
+    when its squared gain clears its side of the point's ``thresholds`` pair,
+    by default the NOMA outage levels.  One :func:`_clear_counts` pass scores
+    every point by exact counts: a mean is the rate array's ``ndarray.mean``
+    where the rates sum exactly, as whole numbers do, and within an ulp
+    otherwise; a standard error is within a few ulps of ``var(ddof=1)``'s.
     """
     n = gain_sq_weak.size
     if n == 0:
         raise DegenerateConditionError("no scheduled trials")
-    if isinstance(cfgs, NomaConfig):
-        threshold_weak, threshold_strong = thresholds or outage_gain_thresholds(cfgs)[:2]
-        # One buffer, reused in place: the steps of ndarray.mean and var(ddof=1).
-        rate = np.multiply(gain_sq_weak > threshold_weak, cfgs.rate_weak)
-        np.add(rate, cfgs.rate_strong, out=rate, where=gain_sq_strong > threshold_strong)
-        total = rate.sum()
-        stderr = 0.0
-        if n > 1:
-            rate -= total / n
-            rate *= rate
-            stderr = float(np.sqrt(rate.sum() / (n - 1) / n))
-        return EstimateResult(float(total / n), stderr, n / trials, trials, n)
     cfgs = list(cfgs)
     if thresholds is None:
         thresholds = [outage_gain_thresholds(cfg)[:2] for cfg in cfgs]
+    elif len(thresholds) != len(cfgs):
+        raise InvalidParameterError(f"{len(thresholds)} threshold pairs for {len(cfgs)} configs")
     t_weak, t_strong = np.array(thresholds, dtype=float).reshape(-1, 2).T
+    counts = _clear_counts(gain_sq_weak, gain_sq_strong, t_weak, t_strong)
     results = []
-    for cfg, (n_w, n_s, n_ws) in zip(
-        cfgs, _clear_counts(gain_sq_weak, gain_sq_strong, t_weak, t_strong)
-    ):
+    for cfg, (n_w, n_s, n_ws) in zip(cfgs, counts):
         r_w, r_s = cfg.rate_weak, cfg.rate_strong
         # n^2 times the rate's variance, its integer parts exact in Python ints;
         # the float sum of a zero spread can round a hair below zero.

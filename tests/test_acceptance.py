@@ -32,7 +32,6 @@ from vlcnoma import (
     ks_distance_bound,
     nonzero_count_histogram,
     nonzero_gain_probability,
-    oma_gain_thresholds,
     outage_pair_analytic,
     pmf_nonzero_count_truncated,
     ramp_cdf_integral,
@@ -40,7 +39,6 @@ from vlcnoma import (
     sample_users,
     sum_rate_noma,
 )
-from vlcnoma.rates import _cdf_pair
 from tests.conftest import make_noma, record_acceptance
 
 SEED = 77
@@ -121,13 +119,13 @@ def mc():
 
 
 def mc_steady_rate(mc, mode: str, fov: int, noisy: bool = False) -> float:
-    return rate_stats(*mc(mode, fov, noisy), make_cfg(mode, fov)).value
+    return rate_stats(*mc(mode, fov, noisy), [make_cfg(mode, fov)])[0].value
 
 
 def analytic_steady_rate(mode: str, model, led, thresholds) -> float:
     cfg = make_noma(snr_db=STEADY_DB, mode=mode, thresholds=thresholds)
     total = TOTAL_USERS if mode == "FullCSI" else None
-    return sum_rate_noma(*outage_pair_analytic(cfg, model, led, total_users=total), cfg)
+    return sum_rate_noma(*outage_pair_analytic([cfg], model, led, total_users=total)[0], cfg)
 
 
 def test_criterion_01_vertical_angle_cdf():
@@ -268,10 +266,10 @@ def test_criterion_05_full_csi_steady_state(mc):
         for db in GRID_DB:
             cfg = make_cfg("FullCSI", fov, db)
             ana = sum_rate_noma(
-                *outage_pair_analytic(cfg, MODEL_V, LED_V[fov], total_users=TOTAL_USERS),
+                *outage_pair_analytic([cfg], MODEL_V, LED_V[fov], total_users=TOTAL_USERS)[0],
                 cfg,
             )
-            gap = max(gap, abs(ana - rate_stats(*gains, cfg).value))
+            gap = max(gap, abs(ana - rate_stats(*gains, [cfg])[0].value))
         ok = (
             ok
             and abs(ana_steady - 12.0) <= 0.1
@@ -342,11 +340,12 @@ def test_criterion_09_noma_dominates_oma_past_knee():
         margins = {"time_shared": [], "paper_literal": []}
         for db in grid:
             cfg = make_cfg(mode, fov, db)
-            p_noma = outage_pair_analytic(cfg, MODEL_V, LED_V[fov], total_users=total)
+            [p_noma] = outage_pair_analytic([cfg], MODEL_V, LED_V[fov], total_users=total)
             rates.append(sum_rate_noma(*p_noma, cfg))
             for oma_mode in margins:
-                t_weak, t_strong = oma_gain_thresholds(cfg, oma_mode)
-                p_oma = _cdf_pair(cfg, MODEL_V, LED_V[fov], t_weak, t_strong, total)
+                [(_, p_oma)] = outage_pair_analytic(
+                    [cfg], MODEL_V, LED_V[fov], total_users=total, oma_mode=oma_mode
+                )
                 # compare at the outage level: forming the two sum rates first
                 # would round away the gap once both saturate
                 margins[oma_mode].append(
@@ -371,7 +370,8 @@ def test_criterion_10_noisy_feedback_sensitivity(mc):
         gap = 0.0
         for db in GRID_DB:
             cfg = make_cfg(mode, 50, db)
-            gap = max(gap, abs(rate_stats(*clean, cfg).value - rate_stats(*noisy, cfg).value))
+            [a], [b] = (rate_stats(*gains, [cfg]) for gains in (clean, noisy))
+            gap = max(gap, abs(a.value - b.value))
         ok = ok and gap < tol
         parts.append(f"{mode}: max|gap|={gap:.4f} (<{tol})")
     check(10, "noisy feedback stays marginal", ok, "; ".join(parts))
@@ -408,13 +408,13 @@ def test_criterion_11_property_invariants():
     )
 
     cfg = make_cfg("FullCSI", 50, 200.0)
-    one, many = (
+    [one], [many] = (
         rate_stats(
             *collect_scheduled_gains(
                 200_000, [(cfg, None)], MODEL_V, LED_V[50],
                 total_users=TOTAL_USERS, seed=5, workers=workers,
             )[0],
-            cfg,
+            [cfg],
         )
         for workers in (1, 3)
     )

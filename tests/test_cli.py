@@ -764,13 +764,17 @@ class TestGoldenBytes:
     def test_sweep_snr_hashes_without_avx512_kernels(self):
         """numpy picks its float kernels by CPU at import; its AVX2 ones give the same bytes.
 
-        The environment variable acts on the child process only, and on a CPU
-        without AVX-512 it changes nothing.
+        Every pinned case runs in the child: the sweeps, the gain-CDF families
+        and the other subcommands.  The environment variable acts on the child
+        process only, and on a CPU without AVX-512 it changes nothing.
         """
+        cases = [(self.sweep_argv(*case), self.SHA256[case]) for case in sorted(self.SHA256)]
+        cases += [(self.family_argv(f), self.FAMILY_SHA256[f]) for f in sorted(self.FAMILY_SHA256)]
+        cases += [self.command_case(case) for case in sorted(self.COMMAND_SHA256)]
         script = f"""
 import contextlib, hashlib, io
 from vlcnoma.cli import main
-for argv in {[self.sweep_argv(*case) for case in sorted(self.SHA256)]!r}:
+for argv in {[argv for argv, _ in cases]!r}:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0, argv
@@ -781,7 +785,7 @@ for argv in {[self.sweep_argv(*case) for case in sorted(self.SHA256)]!r}:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.split() == [self.SHA256[case] for case in sorted(self.SHA256)]
+        assert proc.stdout.split() == [expected for _, expected in cases]
 
     FAMILY_SHA256 = {
         "unordered": "14d503f58910d7e66a4a69d751fc418572b21e73f549911571c065cd8be99f91",
@@ -792,16 +796,19 @@ for argv in {[self.sweep_argv(*case) for case in sorted(self.SHA256)]!r}:
         "twobit_mean_strong": "3a9c10a1f2fdbe07d156a365e18563ef31fe9a28d796a8288933402272de65cd",
     }
 
-    @pytest.mark.skipif(np.__version__ != NUMPY, reason=f"hashes made with numpy {NUMPY}")
-    @pytest.mark.parametrize("family", sorted(FAMILY_SHA256))
-    def test_channel_cdf_stdout_hash(self, family):
-        argv = [
+    @staticmethod
+    def family_argv(family):
+        return [
             "validate-channel-cdf", "--family", family, "--trials", "20000", "--seed", "3",
             "--set", "workers=1", "--set", "grid_points=6", "--set", "ks_grid_points=8",
         ]
+
+    @pytest.mark.skipif(np.__version__ != NUMPY, reason=f"hashes made with numpy {NUMPY}")
+    @pytest.mark.parametrize("family", sorted(FAMILY_SHA256))
+    def test_channel_cdf_stdout_hash(self, family):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert main(argv) == 0
+            assert main(self.family_argv(family)) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.FAMILY_SHA256[family]
 
     # The other subcommands and the ordered family's weak-rank path, one case each.
@@ -853,11 +860,16 @@ for argv in {[self.sweep_argv(*case) for case in sorted(self.SHA256)]!r}:
         ),
     }
 
+    @classmethod
+    def command_case(cls, case):
+        """(argv, expected hash) of a ``COMMAND_SHA256`` case."""
+        command, expected = cls.COMMAND_SHA256[case]
+        return [*command, "--trials", "20000", "--seed", "3", "--set", "workers=1"], expected
+
     @pytest.mark.skipif(np.__version__ != NUMPY, reason=f"hashes made with numpy {NUMPY}")
     @pytest.mark.parametrize("case", sorted(COMMAND_SHA256))
     def test_command_stdout_hash(self, case):
-        command, expected = self.COMMAND_SHA256[case]
-        argv = [*command, "--trials", "20000", "--seed", "3", "--set", "workers=1"]
+        argv, expected = self.command_case(case)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0

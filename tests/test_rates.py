@@ -237,7 +237,7 @@ class TestOutageThresholds:
 
     def test_infeasible_split_gives_certain_outage(self, model_dev25, led_fov50):
         cfg = make_noma(beta_weak=0.71, beta_strong=0.70)
-        assert outage_pair_analytic(cfg, model_dev25, led_fov50, total_users=20) == (1.0, 1.0)
+        assert outage_pair_analytic([cfg], model_dev25, led_fov50, total_users=20) == [(1.0, 1.0)]
 
 
 class TestOmaThresholds:
@@ -261,7 +261,7 @@ class TestOmaThresholds:
 class TestAnalyticOutage:
     def test_full_csi_saturates(self, model_dev25, led_fov50):
         cfg = make_noma(snr_db=250.0)
-        p_weak, p_strong = outage_pair_analytic(cfg, model_dev25, led_fov50, total_users=20)
+        [(p_weak, p_strong)] = outage_pair_analytic([cfg], model_dev25, led_fov50, total_users=20)
         assert p_weak == pytest.approx(0.0, abs=1e-12)
         assert p_strong == pytest.approx(0.0, abs=1e-12)
         assert sum_rate_noma(p_weak, p_strong, cfg) == pytest.approx(12.0, abs=1e-10)
@@ -270,7 +270,7 @@ class TestAnalyticOutage:
         rates = []
         for snr_db in np.arange(150.0, 255.0, 10.0):
             cfg = make_noma(snr_db=snr_db)
-            p = outage_pair_analytic(cfg, model_dev25, led_fov50, total_users=20)
+            [p] = outage_pair_analytic([cfg], model_dev25, led_fov50, total_users=20)
             rates.append(sum_rate_noma(*p, cfg))
         assert np.all(np.diff(rates) >= -1e-12)
 
@@ -280,7 +280,7 @@ class TestAnalyticOutage:
             cfg = make_noma(
                 snr_db=snr_db, mode="TwoBitInstantaneous", thresholds=thresholds_validation
             )
-            p = outage_pair_analytic(cfg, model_dev30, led_fov60)
+            [p] = outage_pair_analytic([cfg], model_dev30, led_fov60)
             rates.append(sum_rate_noma(*p, cfg))
         assert np.all(np.diff(rates) >= -1e-12)
 
@@ -288,17 +288,19 @@ class TestAnalyticOutage:
         for mode in ("MeanAngle", "DistanceOnly", "OneBitDistance"):
             cfg = make_noma(mode=mode, thresholds=None)
             with pytest.raises(InvalidParameterError):
-                outage_pair_analytic(cfg, model_dev25, led_fov50, total_users=20)
+                outage_pair_analytic([cfg], model_dev25, led_fov50, total_users=20)
 
     def test_full_csi_needs_population_size(self, model_dev25, led_fov50):
         cfg = make_noma()
         with pytest.raises(InvalidParameterError):
-            outage_pair_analytic(cfg, model_dev25, led_fov50)
+            outage_pair_analytic([cfg], model_dev25, led_fov50)
 
     def test_probability_bounds(self, model_dev25, led_fov50):
         for snr_db in (140.0, 170.0, 200.0, 230.0):
             cfg = make_noma(snr_db=snr_db)
-            p_weak, p_strong = outage_pair_analytic(cfg, model_dev25, led_fov50, total_users=20)
+            [(p_weak, p_strong)] = outage_pair_analytic(
+                [cfg], model_dev25, led_fov50, total_users=20
+            )
             assert 0.0 <= p_weak <= 1.0
             assert 0.0 <= p_strong <= 1.0
 
@@ -327,7 +329,7 @@ class TestOmaSumRate:
         for snr_db in (225.0, 240.0, 250.0):
             cfg = make_noma(snr_db=snr_db)
             noma = sum_rate_noma(
-                *outage_pair_analytic(cfg, model_dev25, led_fov50, total_users=20), cfg
+                *outage_pair_analytic([cfg], model_dev25, led_fov50, total_users=20)[0], cfg
             )
             oma = sum_rate_oma(cfg, model_dev25, led_fov50, "time_shared", total_users=20)
             assert noma > oma

@@ -344,8 +344,10 @@ class TestGroupTrial:
         assert zero.sum() > 0
         # the strong user earns nothing on those trials: only the weak rate is left
         threshold_weak, _, _ = outage_gain_thresholds(cfg)
-        served = rate_stats(gain_w[zero], gain_s[zero], trials, cfg).value
-        assert served == pytest.approx(cfg.rate_weak * np.mean(gain_w[zero] > threshold_weak))
+        [served] = rate_stats(gain_w[zero], gain_s[zero], trials, [cfg])
+        assert served.value == pytest.approx(
+            cfg.rate_weak * np.mean(gain_w[zero] > threshold_weak)
+        )
 
     def test_one_bit_distance_membership(self, model_dev25, led_fov50):
         th = FeedbackThresholds(dist_threshold=5.0, angle_threshold=np.radians(5.0))
@@ -408,20 +410,31 @@ class TestUniformPick:
         assert count[0] == 0 and count[1] == width
 
 
+def rate_oracle(gain_w, gain_s, trials, cfg, thresholds=None):
+    """One point scored on its trials' rate array: ``ndarray.mean`` and ``var(ddof=1)``."""
+    t_weak, t_strong = thresholds or outage_gain_thresholds(cfg)[:2]
+    rate = cfg.rate_weak * (gain_w > t_weak) + cfg.rate_strong * (gain_s > t_strong)
+    n = rate.size
+    stderr = float(np.sqrt(rate.var(ddof=1) / n)) if n > 1 else 0.0
+    return simulate.EstimateResult(float(rate.mean()), stderr, n / trials, trials, n)
+
+
 class TestRateStatsByCounts:
     """Counts score a sequence of points in one pass as each point's own rate array does."""
 
     @staticmethod
-    def check(gain_w, gain_s, cfgs, thresholds=None, trials=10**6, mean_rel=0.0):
+    def check(gain_w, gain_s, cfgs, thresholds=None, trials=10**6):
         per_point = thresholds or [None] * len(cfgs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = rate_stats(gain_w, gain_s, trials, cfgs, thresholds)
-            alone = [rate_stats(gain_w, gain_s, trials, c, t) for c, t in zip(cfgs, per_point)]
         assert len(got) == len(cfgs)
-        for res, want in zip(got, alone):
-            # Whole rates sum exactly either way; the standard error may move an ulp.
-            assert res.value == pytest.approx(want.value, rel=mean_rel, abs=0.0)
+        for res, cfg, t in zip(got, cfgs, per_point):
+            want = rate_oracle(gain_w, gain_s, trials, cfg, t)
+            # Whole rates sum exactly either way, others to an ulp; the standard
+            # error may move a few ulps.
+            whole = float(cfg.rate_weak).is_integer() and float(cfg.rate_strong).is_integer()
+            assert res.value == pytest.approx(want.value, rel=0.0 if whole else 1e-15, abs=0.0)
             assert res.stderr == pytest.approx(want.stderr, rel=1e-14, abs=0.0)
             assert (res.sched_prob, res.trials, res.scheduled_trials) == (
                 want.sched_prob, trials, gain_w.size,
@@ -455,7 +468,7 @@ class TestRateStatsByCounts:
         cfgs = [make_noma(rate_weak=r, rate_strong=9.0 - r) for r in (1.0, 2.0, 3.0, 4.0)]
         self.check(gain_w, gain_s, cfgs, thresholds)
         cfgs = [make_noma(rate_weak=r, rate_strong=7.123456789 - r) for r in (1e-3, 0.3, 1.7, 2.5)]
-        self.check(gain_w, gain_s, cfgs, thresholds, mean_rel=1e-15)
+        self.check(gain_w, gain_s, cfgs, thresholds)
 
     def test_constant_paper_literal_oma_thresholds(self):
         cfgs = [make_noma(snr_db=s) for s in (140.0, 190.0, 250.0)]
@@ -472,18 +485,27 @@ class TestRateStatsByCounts:
         cfgs = [make_noma(snr_db=160.0), infeasible, infeasible, make_noma(snr_db=240.0)]
         gain_w, gain_s = self.gains(4000, seed=4)
         self.check(gain_w, gain_s, cfgs)
-        assert rate_stats(gain_w, gain_s, 10**6, infeasible).value == 0.0
+        assert rate_stats(gain_w, gain_s, 10**6, [infeasible])[0].value == 0.0
 
     def test_one_scheduled_trial_has_no_spread(self):
         gain_w, gain_s = self.gains(1, seed=5)
         self.check(gain_w, gain_s, [make_noma(snr_db=s) for s in (140.0, 250.0)])
-        assert rate_stats(gain_w, gain_s, 1000, make_noma()).stderr == 0.0
+        assert rate_stats(gain_w, gain_s, 1000, [make_noma()])[0].stderr == 0.0
 
     def test_empty_collection_is_degenerate(self):
         empty = np.empty(0)
-        for cfgs in (make_noma(), [make_noma(), make_noma(snr_db=150.0)]):
+        for cfgs in ([make_noma()], [make_noma(), make_noma(snr_db=150.0)]):
             with pytest.raises(DegenerateConditionError, match="no scheduled trials"):
                 rate_stats(empty, empty, 1000, cfgs)
+
+    def test_one_threshold_pair_per_config(self):
+        """A threshold list of another length than the configs is refused, not cut short."""
+        gain_w, gain_s = self.gains(10, seed=6)
+        pair = (1e-19, 1e-19)
+        for cfgs, thresholds in (([make_noma()] * 2, [pair]), ([make_noma()], [pair] * 2)):
+            match = f"{len(thresholds)} threshold pairs for {len(cfgs)} configs"
+            with pytest.raises(InvalidParameterError, match=match):
+                rate_stats(gain_w, gain_s, 1000, cfgs, thresholds)
 
 
 def sum_rate(trials, cfg, model, led, *, total_users=20, noise=None, **kw):
@@ -491,14 +513,15 @@ def sum_rate(trials, cfg, model, led, *, total_users=20, noise=None, **kw):
     [gains] = collect_scheduled_gains(
         trials, [(cfg, noise)], model, led, total_users=total_users, **kw
     )
-    return rate_stats(*gains, cfg)
+    [res] = rate_stats(*gains, [cfg])
+    return res
 
 
 class TestEstimate:
     def test_sum_rate_matches_analytic(self, model_dev25, led_fov50):
         cfg = make_noma(snr_db=200.0)
         res = sum_rate(200_000, cfg, model_dev25, led_fov50, seed=7)
-        p = outage_pair_analytic(cfg, model_dev25, led_fov50, total_users=20)
+        [p] = outage_pair_analytic([cfg], model_dev25, led_fov50, total_users=20)
         assert res.value == pytest.approx(sum_rate_noma(*p, cfg), abs=0.05)
 
     def test_scheduling_probability_matches_binomial_tail(self, model_dev25, led_fov50):
@@ -515,7 +538,7 @@ class TestEstimate:
             100_000, [(cfg, None)], model_dev25, led_fov50, total_users=20, seed=3
         )
         threshold_weak, threshold_strong, _ = outage_gain_thresholds(cfg)
-        p_weak, p_strong = outage_pair_analytic(cfg, model_dev25, led_fov50, total_users=20)
+        [(p_weak, p_strong)] = outage_pair_analytic([cfg], model_dev25, led_fov50, total_users=20)
         assert np.mean(gain_w <= threshold_weak) == pytest.approx(p_weak, abs=0.01)
         assert np.mean(gain_s <= threshold_strong) == pytest.approx(p_strong, abs=0.01)
 
@@ -829,6 +852,28 @@ class TestSchedulableRows:
                 assert got[0].size == 0
 
     @pytest.mark.parametrize("noisy", [False, True])
+    def test_rows_where_no_user_looks_lit_pick_zero(self, noisy):
+        # Mean angles of 40-80 degrees meet a 20-degree field of view only near
+        # the LED, while a 40-degree deviation brings instantaneous ones inside
+        # it: most scheduled rows see no user lit at its mean angle.
+        led = LedGeometry(2.0, np.radians(60.0), 1e-4, np.radians(20.0))
+        model = MobilityModel(0.0, 10.0, np.radians(40.0), np.radians(80.0), np.radians(40.0))
+        noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=noisy)
+        cfg = make_noma(mode="MeanAngle", strong_rank=2)
+        trials, kw = 8_000, dict(total_users=20, seed=41)
+        rng = simulate._chunk_rng(kw["seed"], 0)
+        d, mean, inst = sample_users(model, rng, (trials, kw["total_users"]))
+        d_obs, mean_obs, _ = observe(d, mean, inst, noise, rng)
+        scheduled = np.count_nonzero(dc_gain(d, inst, led) > 0.0, axis=1) >= cfg.strong_rank
+        dark = np.count_nonzero(dc_gain(d_obs, mean_obs, led) > 0.0, axis=1) == 0
+        assert np.count_nonzero(scheduled & dark) > 300
+        assert np.count_nonzero(scheduled & ~dark) > 50
+        [got] = collect_scheduled_gains(trials, [(cfg, noise)], model, led, workers=1, **kw)
+        want = _individual_reference(trials, cfg, model, led, noise=noise, **kw)
+        for g, w in zip(got[:2], want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("noisy", [False, True])
     @pytest.mark.parametrize("mode", ["TwoBitInstantaneous", "TwoBitMean", "OneBitDistance"])
     def test_group_picks_match_every_row_reference(self, mode, noisy, model_dev25, led_fov50):
         # Picks and gains only on the rows with a user in both sets, three row blocks.
@@ -1032,19 +1077,12 @@ class TestNoisyScheduling:
     @pytest.mark.parametrize("rates", [(2.0, 10.0), (0.3, 1.7), (1e-3, 7.123456789)])
     @pytest.mark.parametrize("n", [1, 2, 3, 1_000, 300_001])
     def test_rate_stats_matches_mean_and_var(self, n, rates):
+        # More inputs of the one scoring check, against the rate-array oracle.
         rng = np.random.default_rng(n)
         gain_w, gain_s = rng.random(n), rng.random(n)
         cfg = make_noma(rate_weak=rates[0], rate_strong=rates[1])
-        thresholds = (0.4, 0.7)
-        got = rate_stats(gain_w, gain_s, 3 * n, cfg, thresholds)
-        # the oracle: the rate array, then ndarray.mean and var(ddof=1)
-        rate = cfg.rate_weak * (gain_w > thresholds[0]) + cfg.rate_strong * (
-            gain_s > thresholds[1]
-        )
-        assert got.value == float(rate.mean())
-        assert got.stderr == (float(np.sqrt(rate.var(ddof=1) / n)) if n > 1 else 0.0)
-        assert (got.sched_prob, got.trials, got.scheduled_trials) == (1 / 3, 3 * n, n)
+        TestRateStatsByCounts.check(gain_w, gain_s, [cfg], [(0.4, 0.7)], trials=3 * n)
 
     def test_rate_stats_empty_rejected(self):
         with pytest.raises(DegenerateConditionError):
-            rate_stats(np.array([]), np.array([]), 100, make_noma())
+            rate_stats(np.array([]), np.array([]), 100, [make_noma()])
