@@ -59,7 +59,6 @@ from .rates import (
     sum_rate_oma,
 )
 from .simulate import (
-    EstimateResult,
     NoiseConfig,
     collect_scheduled_gains,
     estimate,

@@ -424,10 +424,10 @@ def cmd_validate_channel_cdf(xc: ExperimentConfig, out: str | None, manifest: st
         k_min=xc.noma.strong_rank,
         rank=xc.rank,
     )
-    res = estimate(
+    samples = estimate(
         xc.family, xc.trials, xc.model, xc.led, seed=xc.seed, workers=xc.workers, **condition
     )
-    emp = EmpiricalDistribution(res.value)
+    emp = EmpiricalDistribution(samples)
     cdf = functools.partial(CDF_FAMILIES[xc.family], model=xc.model, led=xc.led, **condition)
     xs = np.unique(emp.quantile(xc.grid))
     # The quantile grid and the KS grid share their end points: integrate each level once.
@@ -440,8 +440,8 @@ def cmd_validate_channel_cdf(xc: ExperimentConfig, out: str | None, manifest: st
     ks_bound = ks_distance_bound(emp, known, grid_size=xc.ks_grid_points)
     rows = list(zip(xs, known(xs), emp.cdf(xs)))
     summary = [
-        "# summary"
-        f" ks_bound={fmt(ks_bound)} samples={emp.n} conditioning_prob={fmt(res.sched_prob)}"
+        f"# summary ks_bound={fmt(ks_bound)} samples={emp.n}"
+        f" conditioning_prob={fmt(samples.size / xc.trials)}"
     ]
     emit_csv(out, manifest, ["gain_sq", "analytic_cdf", "empirical_cdf"], rows, summary)
 
@@ -479,14 +479,15 @@ def _sweep_cells(xc: ExperimentConfig, cfgs, gains, closed: bool, values):
     :func:`_analytic_cells` then evaluates with the analytic sum rate.
     """
     cells = [{"analytic_sum_rate": None} for _ in cfgs]
-    for run, collected in gains.items():
-        for cell, mc in zip(cells, rate_stats(*collected, cfgs)):
-            cell[f"{run}_sum_rate"], cell[f"{run}_stderr"] = mc.value, mc.stderr
-            cell["sched_prob" if run == "mc" else f"{run}_sched_prob"] = mc.sched_prob
+    for run, (weak, strong) in gains.items():
+        sched_prob = weak.size / xc.trials
+        for cell, mc in zip(cells, rate_stats(weak, strong, cfgs)):
+            cell[f"{run}_sum_rate"], cell[f"{run}_stderr"] = mc
+            cell["sched_prob" if run == "mc" else f"{run}_sched_prob"] = sched_prob
     if "oma_sum_rate" in values and not closed:
         oma = [oma_gain_thresholds(cfg, xc.oma_mode) for cfg in cfgs]
-        for cell, mc in zip(cells, rate_stats(*gains["mc"], cfgs, oma)):
-            cell["oma_sum_rate"] = mc.value
+        for cell, (mean, _) in zip(cells, rate_stats(*gains["mc"], cfgs, oma)):
+            cell["oma_sum_rate"] = mean
     if "gap" in values:
         for cell in cells:
             cell["gap"] = cell["clean_sum_rate"] - cell["noisy_sum_rate"]

@@ -56,7 +56,6 @@ from .rates import FEEDBACK_MODES, NomaConfig, outage_gain_thresholds
 __all__ = [
     "CHUNK_TRIALS",
     "NoiseConfig",
-    "EstimateResult",
     "collect_scheduled_gains",
     "rate_stats",
     "estimate",
@@ -84,17 +83,6 @@ class NoiseConfig:
         require_finite(self, "sigma_d", "sigma_phi")
         if self.sigma_d < 0 or self.sigma_phi < 0:
             raise InvalidParameterError("noise standard deviations must be nonnegative")
-
-
-@dataclass(frozen=True)
-class EstimateResult:
-    """Aggregate of a Monte Carlo run plus the observed scheduling probability."""
-
-    value: object
-    stderr: float
-    sched_prob: float
-    trials: int
-    scheduled_trials: int
 
 
 def _noise(noise: NoiseConfig | None, rng, shape, reads):
@@ -399,7 +387,7 @@ def collect_scheduled_gains(
     the users, so its noise, its picks and its gains are those it would have
     alone.  The picks do not depend on the transmit SNR, so one collection
     supports rate evaluation on a whole SNR grid via :func:`rate_stats`.
-    Returns a list with one ``(gain_sq_weak, gain_sq_strong, trials)`` per run.
+    Returns a list with one ``(gain_sq_weak, gain_sq_strong)`` pair per run.
     """
     runs = list(runs)
     for cfg, _ in runs:
@@ -416,8 +404,7 @@ def collect_scheduled_gains(
 
     parts = _map_chunks(start, trials, model, seed, workers, total_users)
     return [
-        (*(np.concatenate([p[r][:, k] for p in parts]) for k in (0, 1)), trials)
-        for r in range(len(runs))
+        tuple(np.concatenate([p[r][:, k] for p in parts]) for k in (0, 1)) for r in range(len(runs))
     ]
 
 
@@ -451,8 +438,8 @@ def _clear_counts(gain_sq_weak, gain_sq_strong, t_weak, t_strong):
     return counts[:, np.argsort(order)].T.tolist()
 
 
-def rate_stats(gain_sq_weak, gain_sq_strong, trials: int, cfgs, thresholds=None):
-    """Mean sum rate over scheduled trials at each point of ``cfgs``, a list of EstimateResult.
+def rate_stats(gain_sq_weak, gain_sq_strong, cfgs, thresholds=None):
+    """``(mean, stderr)`` of the sum rate over scheduled trials at each point of ``cfgs``.
 
     ``cfgs`` are the points of a collection group.  A user meets its target
     when its squared gain clears its side of the point's ``thresholds`` pair,
@@ -482,7 +469,7 @@ def rate_stats(gain_sq_weak, gain_sq_strong, trials: int, cfgs, thresholds=None)
             + 2.0 * r_w * r_s * (n * n_ws - n_w * n_s)
         )
         stderr = math.sqrt(max(spread, 0.0) / n / (n - 1) / n) if n > 1 else 0.0
-        results.append(EstimateResult((n_w * r_w + n_s * r_s) / n, stderr, n / trials, trials, n))
+        results.append(((n_w * r_w + n_s * r_s) / n, stderr))
     return results
 
 
@@ -506,7 +493,7 @@ def estimate(
     rank: int | None = None,
     seed: int = 0,
     workers: int | None = None,
-) -> EstimateResult:
+) -> np.ndarray:
     """Squared true gains drawn under the conditioning of a CDF family.
 
     ``family`` is one of ``CDF_FAMILIES`` and takes the conditioning keywords
@@ -514,8 +501,8 @@ def estimate(
     ``rank`` (default ``k_min``) among the nonzero users of each trial of
     ``total_users`` with at least ``k_min`` of them: the noise-free
     ``FullCSI`` pick at ranks ``(rank, k_min)``.  Every other family keeps the
-    single users inside its set.  The samples come back as ``value`` and the
-    fraction of draws that met the condition as ``sched_prob``.
+    single users inside its set.  Returns one sample per draw that met the
+    condition, so ``samples.size / trials`` is the conditioning probability.
     """
     if family not in CDF_FAMILIES:
         raise InvalidParameterError(f"family must be one of {tuple(CDF_FAMILIES)}, got {family!r}")
@@ -544,7 +531,7 @@ def estimate(
     samples = np.concatenate(_map_chunks(lambda *_: step, trials, model, seed, workers, users))
     if samples.size == 0:
         raise DegenerateConditionError("conditioning event never occurred")
-    return EstimateResult(samples, 0.0, samples.size / trials, trials, samples.size)
+    return samples
 
 
 def nonzero_count_histogram(

@@ -119,7 +119,8 @@ def mc():
 
 
 def mc_steady_rate(mc, mode: str, fov: int, noisy: bool = False) -> float:
-    return rate_stats(*mc(mode, fov, noisy), [make_cfg(mode, fov)])[0].value
+    [(mean, _)] = rate_stats(*mc(mode, fov, noisy), [make_cfg(mode, fov)])
+    return mean
 
 
 def analytic_steady_rate(mode: str, model, led, thresholds) -> float:
@@ -179,10 +180,10 @@ def test_criterion_03_channel_gain_cdf_families():
     ok = True
     parts = []
     for family, trials, grid, tol in plan:
-        res = estimate(family, trials, seed=SEED, workers=WORKERS, **FIG_CONDITION)
+        samples = estimate(family, trials, seed=SEED, workers=WORKERS, **FIG_CONDITION)
         cdf = functools.partial(CDF_FAMILIES[family], **FIG_CONDITION)
-        bound = ks_distance_bound(res.value, cdf, grid_size=grid)
-        n = res.value.size
+        bound = ks_distance_bound(samples, cdf, grid_size=grid)
+        n = samples.size
         ok = ok and bound < tol and 1_000_000 <= n <= 10_000_000
         parts.append(f"{family}={bound:.1e}/{tol:g} (n={n})")
     elapsed = time.perf_counter() - start
@@ -269,7 +270,8 @@ def test_criterion_05_full_csi_steady_state(mc):
                 *outage_pair_analytic([cfg], MODEL_V, LED_V[fov], total_users=TOTAL_USERS)[0],
                 cfg,
             )
-            gap = max(gap, abs(ana - rate_stats(*gains, [cfg])[0].value))
+            [(mean, _)] = rate_stats(*gains, [cfg])
+            gap = max(gap, abs(ana - mean))
         ok = (
             ok
             and abs(ana_steady - 12.0) <= 0.1
@@ -370,8 +372,8 @@ def test_criterion_10_noisy_feedback_sensitivity(mc):
         gap = 0.0
         for db in GRID_DB:
             cfg = make_cfg(mode, 50, db)
-            [a], [b] = (rate_stats(*gains, [cfg]) for gains in (clean, noisy))
-            gap = max(gap, abs(a.value - b.value))
+            [(a, _)], [(b, _)] = (rate_stats(*gains, [cfg]) for gains in (clean, noisy))
+            gap = max(gap, abs(a - b))
         ok = ok and gap < tol
         parts.append(f"{mode}: max|gap|={gap:.4f} (<{tol})")
     check(10, "noisy feedback stays marginal", ok, "; ".join(parts))
@@ -409,20 +411,14 @@ def test_criterion_11_property_invariants():
 
     cfg = make_cfg("FullCSI", 50, 200.0)
     [one], [many] = (
-        rate_stats(
-            *collect_scheduled_gains(
-                200_000, [(cfg, None)], MODEL_V, LED_V[50],
-                total_users=TOTAL_USERS, seed=5, workers=workers,
-            )[0],
-            [cfg],
+        collect_scheduled_gains(
+            200_000, [(cfg, None)], MODEL_V, LED_V[50],
+            total_users=TOTAL_USERS, seed=5, workers=workers,
         )
         for workers in (1, 3)
     )
-    det_ok = (
-        one.value == many.value
-        and one.stderr == many.stderr
-        and one.sched_prob == many.sched_prob
-    )
+    # The same scheduled count, so the same scheduling probability, and the same cells.
+    det_ok = one[0].size == many[0].size and rate_stats(*one, [cfg]) == rate_stats(*many, [cfg])
 
     ok = mono_ok and cont_ok and red_ok and det_ok
     check(

@@ -46,9 +46,9 @@ def test_outage_agrees_per_user(mode, fov_deg, dev_deg):
     model = MobilityModel(0.0, 10.0, dev, np.pi - dev, dev)
     th = FeedbackThresholds.from_fractions(model, led, 0.1, 0.1)
     cfg = make_noma(snr_db=250.0, mode=mode, thresholds=th)
-    gains = collect_scheduled_gains(
+    [gains] = collect_scheduled_gains(
         TRIALS, [(cfg, None)], model, led, total_users=TOTAL_USERS, seed=7
-    )[0][:2]
+    )
     n = gains[0].size
     cond = dict(thresholds=th, total_users=TOTAL_USERS, k_min=cfg.strong_rank)
     z = {}

@@ -303,14 +303,14 @@ class TestStrongSetPastTheView:
         # Dvoretzky-Kiefer-Wolfowitz with Massart's constant at alpha = 1e-4,
         # plus the grid slack of ks_distance_bound.
         model, led = model_dev25, led_fov50
-        res = estimate(
+        samples = estimate(
             "twobit_inst_strong", 400_000, model, led, thresholds=self.TH, seed=3, workers=1
         )
         grid = 512
         d = ks_distance_bound(
-            res.value, lambda x: cdf_strong_twobit_inst(x, model, led, self.TH), grid_size=grid
+            samples, lambda x: cdf_strong_twobit_inst(x, model, led, self.TH), grid_size=grid
         )
-        assert d <= np.sqrt(np.log(2.0 / 1e-4) / (2.0 * res.value.size)) + 2.0 / grid
+        assert d <= np.sqrt(np.log(2.0 / 1e-4) / (2.0 * samples.size)) + 2.0 / grid
 
     def test_weak_set_is_empty_in_both_twins(self, model_dev25, led_fov50):
         model, led = model_dev25, led_fov50
