@@ -37,6 +37,7 @@ from .rates import (
     OMA_MODES,
     NomaConfig,
     oma_gain_thresholds,
+    outage_gain_thresholds,
     outage_pair_analytic,
     sum_rate_noma,
 )
@@ -471,23 +472,21 @@ def _sweep_points(xc: ExperimentConfig):
             yield (snr_db,), dataclasses.replace(xc.noma, snr=_snr_linear(snr_db)), xc.model
 
 
-def _sweep_cells(xc: ExperimentConfig, cfgs, gains, closed: bool, values):
+def _sweep_cells(xc: ExperimentConfig, cfgs, collected, values):
     """Monte Carlo cells of each point of a collection group by column name.
 
-    Each run's gains are scored for all the points at once.  They score the
-    OMA cells too unless the mode has closed forms (``closed``), which
-    :func:`_analytic_cells` then evaluates with the analytic sum rate.
+    ``collected`` maps each run to its ``(scheduled, counts)``: the counts of
+    the NOMA levels, then of the OMA ones if the run scored them.
     """
     cells = [{"analytic_sum_rate": None} for _ in cfgs]
-    for run, (weak, strong) in gains.items():
-        sched_prob = weak.size / xc.trials
-        for cell, mc in zip(cells, rate_stats(weak, strong, cfgs)):
+    for run, (scheduled, counts) in collected.items():
+        sched_prob = scheduled / xc.trials
+        for cell, mc in zip(cells, rate_stats(scheduled, counts[0], cfgs)):
             cell[f"{run}_sum_rate"], cell[f"{run}_stderr"] = mc
             cell["sched_prob" if run == "mc" else f"{run}_sched_prob"] = sched_prob
-    if "oma_sum_rate" in values and not closed:
-        oma = [oma_gain_thresholds(cfg, xc.oma_mode) for cfg in cfgs]
-        for cell, (mean, _) in zip(cells, rate_stats(*gains["mc"], cfgs, oma)):
-            cell["oma_sum_rate"] = mean
+        if len(counts) > 1:
+            for cell, (mean, _) in zip(cells, rate_stats(scheduled, counts[1], cfgs)):
+                cell["oma_sum_rate"] = mean
     if "gap" in values:
         for cell in cells:
             cell["gap"] = cell["clean_sum_rate"] - cell["noisy_sum_rate"]
@@ -520,23 +519,38 @@ def cmd_sweep(xc: ExperimentConfig, out: str | None, manifest: str):
     closed = (
         "analytic_sum_rate" in values and FEEDBACK_MODES[xc.noma.feedback_mode].families is not None
     )
+    # A mode without closed forms scores its OMA cells as a second set on the same picks.
+    oma = "oma_sum_rate" in values and not closed
+
+    def levels(cfgs):
+        sets = [[outage_gain_thresholds(cfg)[:2] for cfg in cfgs]]
+        if oma:
+            sets.append([oma_gain_thresholds(cfg, xc.oma_mode) for cfg in cfgs])
+        return sets
+
+    # A noisy run holds its noise arrays for the whole chunk: at most one per call.
+    noisy = any(n.enabled for n in runs.values())
     rows = []
     # Picks depend on the thresholds and the model, not on SNR, powers or rates:
-    # a run of points that share those is one collection group.
-    groups = itertools.groupby(_sweep_points(xc), lambda point: (point[1].thresholds, point[2]))
-    for (_, model), points in groups:
-        leads, cfgs, _ = zip(*points)
-        # One call for all the runs: they share one draw of the users.
-        collected = collect_scheduled_gains(
-            xc.trials, [(cfgs[0], n) for n in runs.values()], model, xc.led, **shared
-        )
-        gains = dict(zip(runs, collected))
-        # Monte Carlo cells first: an empty collection reports so before any family call.
-        cells = _sweep_cells(xc, cfgs, gains, closed, values)
-        if closed:
-            for cell, found in zip(cells, _analytic_cells(xc, cfgs, model, values)):
-                cell.update(found)
-        rows += [(*lead, *(cell[name] for name in values)) for lead, cell in zip(leads, cells)]
+    # a run of points that share those is one collection group.  The groups of
+    # a model share its users, so one call serves them all.
+    for model, points in itertools.groupby(_sweep_points(xc), lambda point: point[2]):
+        groups = [
+            list(zip(*group))
+            for _, group in itertools.groupby(points, lambda point: point[1].thresholds)
+        ]
+        for call in [[group] for group in groups] if noisy else [groups]:
+            batch = [(cfgs[0], n, levels(cfgs)) for _, cfgs, _ in call for n in runs.values()]
+            collected = iter(collect_scheduled_gains(xc.trials, batch, model, xc.led, **shared))
+            for leads, cfgs, _ in call:
+                # Monte Carlo cells first: an empty collection reports so before any family call.
+                cells = _sweep_cells(xc, cfgs, dict(zip(runs, collected)), values)
+                if closed:
+                    for cell, found in zip(cells, _analytic_cells(xc, cfgs, model, values)):
+                        cell.update(found)
+                rows += [
+                    (*lead, *(cell[name] for name in values)) for lead, cell in zip(leads, cells)
+                ]
     emit_csv(out, manifest, [*leading, *values], rows, [])
 
 

@@ -14,9 +14,11 @@ each run reads its own copy of the chunk's generator past the users, so it
 gets the bytes it would get alone.  A run with observation noise draws the
 noise arrays its mode reads whole for the chunk and scales them block by
 block; an array the mode never reads is drawn through a block-sized scratch
-array only to keep the stream where the run alone would have it.  The users
-and the float arrays a step computes over a block's rows live in the chunk's
-buffers, made for its first block and reused by each later one
+array only to keep the stream where the run alone would have it.  A group
+mode draws its pick uniforms block by block, so a noise-free run holds no
+array for the whole chunk.  The users and the float arrays a step computes
+over a block's rows live in the chunk's buffers, made for its first block and
+reused by each later one and by the worker's later chunks
 (:func:`_block_buffers`), as block-sized temporaries made afresh block after
 block fault their pages back in; only the smaller ones (boolean tests, the lit
 users' flat indices) and the stable ``argsort`` of a ranking metric are made
@@ -33,7 +35,10 @@ rank them.  Every step is row-wise, so the block size never changes the output.
 
 Observables can be perturbed by measurement noise; scheduling and ranking
 then use the noisy values while outage is always judged on the true gains.
-:func:`rate_stats` scores the points of a collection group in one pass, by counts.
+:func:`collect_scheduled_gains` scores each block's picks as soon as they are
+made: per point of a run's threshold sets, the trials that clear each side,
+summed as integers, so no gain array outlives its block; :func:`rate_stats`
+turns a set's counts into means and standard errors.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import contextvars
 import copy
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -51,7 +57,7 @@ from .errors import DegenerateConditionError, InvalidParameterError, require_fin
 from .gain_cdf import CDF_FAMILIES, FeedbackThresholds, ordered_rank
 from .geometry import LedGeometry, dc_gain, incidence_angle, lit_gain, lit_mask
 from .mobility import MobilityModel, sample_users
-from .rates import FEEDBACK_MODES, NomaConfig, outage_gain_thresholds
+from .rates import FEEDBACK_MODES, NomaConfig
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -66,9 +72,6 @@ __all__ = [
 CHUNK_TRIALS = 1 << 16
 # User entries per row block of a chunk: 0.5 MB per float temporary, L2-sized.
 _BLOCK_ENTRIES = 1 << 16
-# Trials per slice of the scoring counts: 64 KB index temporaries.  Slices of
-# a chunk, 0.5 MB each, raised a sweep's peak RSS by 1-2 MB.
-_SCORE_SLICE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -289,7 +292,10 @@ def _map_chunks(start, trials: int, model: MobilityModel, seed: int, workers, us
     ``rows`` of about ``_BLOCK_ENTRIES`` entries, each block drawn over the one
     before it into views of the same three arrays ``true``.  Every block gets
     the chunk's one :func:`_block_buffers` ``buffer``, so ``step`` copies what
-    it keeps.  A uniform draw takes exactly one PCG64 output, so each variable
+    it keeps.  A worker thread keeps those arrays for its next chunk: freed
+    between chunks, they are trimmed from the heap and fault back in (about
+    2 MB a chunk at 20 users), unless something the chunk keeps sits above
+    them.  A uniform draw takes exactly one PCG64 output, so each variable
     is read block by block from its own copy of the generator, advanced to
     where that variable starts; ``rng`` reaches ``start`` past all three.
     Chunks run on pool threads even at one worker (chunk arrays freed on the
@@ -300,6 +306,7 @@ def _map_chunks(start, trials: int, model: MobilityModel, seed: int, workers, us
         raise InvalidParameterError("need at least one user")
     sizes = _chunk_sizes(trials)
     caller = contextvars.copy_context()
+    kept = threading.local()
 
     def chunk(c: int, n: int):
         # Copy k starts k * n * users outputs in: distance, mean, inst, then the rest.
@@ -308,9 +315,12 @@ def _map_chunks(start, trials: int, model: MobilityModel, seed: int, workers, us
             g.bit_generator.advance(k * n * users)
         streams, step = tuple(copies[:3]), start(copies[3], n)
         block = max(1, _BLOCK_ENTRIES // users)
+        rows = min(block, n)
         # The first block is the largest; every block is drawn into its arrays.
-        drawn = [np.empty((min(block, n), users)) for _ in range(3)]
-        buffer, parts = _block_buffers(), []
+        if getattr(kept, "rows", 0) < rows:
+            kept.rows, kept.buffer = rows, _block_buffers()
+            kept.drawn = [np.empty((rows, users)) for _ in range(3)]
+        drawn, buffer, parts = kept.drawn, kept.buffer, []
         for lo in range(0, n, block):
             size = min(block, n - lo)
             true = sample_users(model, streams, (size, users), [x[:size] for x in drawn])
@@ -328,8 +338,10 @@ def _run_step(cfg: NomaConfig, noise: NoiseConfig | None, rng, shape, led):
     """``step(rows, true, buffer)``: a run's scheduled pairs of squared true gains in one block.
 
     ``rng`` is the run's own copy of its chunk's generator, past the users, and
-    ``shape`` the chunk's (trials, users).  The run draws its noise and the
-    group modes' uniforms from it here, for the whole chunk.
+    ``shape`` the chunk's (trials, users).  The run draws its noise from it
+    here, for the whole chunk; a group mode then draws its pick uniforms from
+    it block by block, two per row.  A uniform takes one PCG64 output, so the
+    blocks' draws, made in row order, are the whole chunk's ``rng.random((n, 2))``.
     """
     mode = FEEDBACK_MODES[cfg.feedback_mode]
     ranks = (cfg.weak_rank, cfg.strong_rank)
@@ -338,9 +350,10 @@ def _run_step(cfg: NomaConfig, noise: NoiseConfig | None, rng, shape, led):
     reads = [k in (0, mode.reads) for k in range(3 if mode.group else mode.reads + 1)]
     drawn = _noise(noise, rng, shape, reads)
     if mode.group:
-        u = rng.random((shape[0], 2))
 
         def step(rows, true, buffer):
+            # Every block draws its rows' uniforms, scheduled or not, to keep the stream in place.
+            u = rng.random((len(true[0]), 2))
             observed = _observe(true, drawn, rows, buffer)
             sets = _group_masks(
                 mode.reads, cfg.thresholds, led, observed[0], observed[mode.reads], buffer
@@ -348,7 +361,7 @@ def _run_step(cfg: NomaConfig, noise: NoiseConfig | None, rng, shape, led):
             # Only a row with a user in both sets is scheduled, and only its picks count.
             counts = [_row_count(s) for s in sets]
             kept = np.flatnonzero((counts[0] > 0) & (counts[1] > 0))
-            u_kept = u[rows][kept]
+            u_kept = u[kept]
             users = [
                 _uniform_pick(s[kept], c[kept], u_kept[:, k])
                 for k, (s, c) in enumerate(zip(sets, counts))
@@ -369,6 +382,62 @@ def _run_step(cfg: NomaConfig, noise: NoiseConfig | None, rng, shape, led):
     return step
 
 
+def _levels(pairs):
+    """A threshold set sorted for :func:`_clear_counts`: ``(order, t_weak, t_strong, staircase)``.
+
+    ``pairs`` holds one (weak, strong) pair of squared-gain levels per point.
+    ``order`` sorts the points by weak, then strong threshold; where that
+    order sorts the strong thresholds too, as along an SNR grid, the set is a
+    staircase.
+    """
+    try:
+        t = np.array(pairs, dtype=float)
+    except (TypeError, ValueError):
+        t = None
+    if t is None or t.ndim != 2 or t.shape[0] == 0 or t.shape[1] != 2:
+        raise InvalidParameterError(
+            "a threshold set must be a non-empty sequence of (weak, strong) pairs"
+        )
+    order = np.lexsort((t[:, 1], t[:, 0]))
+    t_weak, t_strong = t[order, 0], t[order, 1]
+    return order, t_weak, t_strong, bool(np.all(t_strong[1:] >= t_strong[:-1]))
+
+
+def _clear_counts(picks, levels):
+    """Counts of one block's ``picks`` (a weak, strong row per trial) against a set's levels.
+
+    ``levels`` is the set's :func:`_levels`.  Returns a (3, points + 1)
+    integer array: n_w, n_s and n_ws, the trials whose weak, strong and both
+    picks clear a point.  On a staircase, column k counts the trials that
+    clear the first k points in threshold order and no more (a
+    ``searchsorted`` per side, both sides at the smaller k), and
+    :func:`_point_counts` sums the columns; elsewhere column j counts point
+    j's own comparisons.
+    """
+    _, t_weak, t_strong, staircase = levels
+    g_w, g_s = picks[:, 0], picks[:, 1]
+    points = t_weak.size
+    if staircase:
+        k_w, k_s = np.searchsorted(t_weak, g_w), np.searchsorted(t_strong, g_s)
+        return np.stack(
+            [np.bincount(k, minlength=points + 1) for k in (k_w, k_s, np.minimum(k_w, k_s))]
+        )
+    counts = np.zeros((3, points + 1), dtype=np.int64)
+    for j in range(points):
+        w, s = g_w > t_weak[j], g_s > t_strong[j]
+        counts[:, j] = np.count_nonzero(w), np.count_nonzero(s), np.count_nonzero(w & s)
+    return counts
+
+
+def _point_counts(counts, levels):
+    """Per point of a set, in its own order, ``[n_w, n_s, n_ws]``: summed :func:`_clear_counts`."""
+    order, *_, staircase = levels
+    if staircase:
+        # A trial that clears the first k points counts at each of them.
+        counts = np.cumsum(counts[:, ::-1], axis=1)[:, -2::-1]
+    return counts[:, np.argsort(order)].T.tolist()
+
+
 def collect_scheduled_gains(
     trials: int,
     runs,
@@ -379,87 +448,76 @@ def collect_scheduled_gains(
     seed: int = 0,
     workers: int | None = None,
 ):
-    """True squared gains of the picked pair over every scheduled trial, for each run.
+    """Scheduled trials of each run, and per point of its threshold sets the trials that clear.
 
-    ``runs`` is a sequence of ``(NomaConfig, NoiseConfig | None)``.  The runs
-    share the users: each chunk draws every row block once and hands it to
-    each run in turn.  Each run reads its own copy of the chunk's generator past
-    the users, so its noise, its picks and its gains are those it would have
-    alone.  The picks do not depend on the transmit SNR, so one collection
-    supports rate evaluation on a whole SNR grid via :func:`rate_stats`.
-    Returns a list with one ``(gain_sq_weak, gain_sq_strong)`` pair per run.
+    ``runs`` is a sequence of ``(NomaConfig, NoiseConfig | None, threshold
+    sets)``.  A threshold set is a non-empty sequence of (weak, strong)
+    squared-gain levels, a pair per point, such as a sweep's NOMA outage
+    levels or its OMA ones; a user meets its target where its true squared
+    gain clears its side.  The runs share the users: each chunk draws every
+    row block once and hands it to each run in turn.  Each run reads its own
+    copy of the chunk's generator past the users, so its noise, its picks and
+    its gains are those it would have alone.  A run's step scores its picks
+    against each of its sets in the block (:func:`_clear_counts`), and the
+    counts are summed as integers, so no gain array outlives its block.
+    Returns a list with one ``(scheduled, counts)`` per run: its number of
+    scheduled trials, and per set a list of ``[n_w, n_s, n_ws]`` per point,
+    the trials whose weak pick, strong pick and both clear, for :func:`rate_stats`.
     """
-    runs = list(runs)
-    for cfg, _ in runs:
+    checked = []
+    for cfg, noise, sets in runs:
         # strong_rank >= 2, so this also rejects an empty population
         if cfg.strong_rank > total_users:
             raise InvalidParameterError("strong_rank exceeds total_users")
         if FEEDBACK_MODES[cfg.feedback_mode].group and cfg.thresholds is None:
             raise InvalidParameterError("group modes need feedback thresholds")
+        levels = [_levels(pairs) for pairs in sets]
+        if not levels:
+            raise InvalidParameterError("a run needs at least one threshold set")
+        checked.append((cfg, noise, levels))
 
     def start(rng, n):
         shape = (n, total_users)
-        steps = [_run_step(cfg, noise, copy.deepcopy(rng), shape, led) for cfg, noise in runs]
-        return lambda rows, true, buffer: [step(rows, true, buffer) for step in steps]
+        steps = [_run_step(cfg, noise, copy.deepcopy(rng), shape, led) for cfg, noise, _ in checked]
+        # Per run: its scheduled trials, then each set's counts, summed over the chunk.
+        sums = [[0] * (1 + len(levels)) for *_, levels in checked]
+
+        def step(rows, true, buffer):
+            for run_step, (*_, levels), acc in zip(steps, checked, sums):
+                picks = run_step(rows, true, buffer)
+                acc[0] += len(picks)
+                for k, level in enumerate(levels, 1):
+                    acc[k] += _clear_counts(picks, level)
+            # The chunk's sums are complete with its last block.
+            return sums if rows.stop == n else None
+
+        return step
 
     parts = _map_chunks(start, trials, model, seed, workers, total_users)
+    # Per run, each of its sums over the chunks.
+    totals = [[sum(f) for f in zip(*run)] for run in zip(*(p for p in parts if p is not None))]
     return [
-        tuple(np.concatenate([p[r][:, k] for p in parts]) for k in (0, 1)) for r in range(len(runs))
+        (scheduled, [_point_counts(c, level) for c, level in zip(counts, levels)])
+        for (scheduled, *counts), (*_, levels) in zip(totals, checked)
     ]
 
 
-def _clear_counts(gain_sq_weak, gain_sq_strong, t_weak, t_strong):
-    """Per point of the threshold arrays, ``[n_w, n_s, n_ws]``: weak, strong and both clear.
-
-    Where the points in weak-threshold order are in strong-threshold order too,
-    as along an SNR grid, a trial clears the first k of them on a side (a
-    ``searchsorted`` count) and both sides at the smaller k; elsewhere each
-    point counts its own comparisons.
-    """
-    order = np.lexsort((t_strong, t_weak))
-    t_weak, t_strong = t_weak[order], t_strong[order]
-    points = order.size
-    staircase = bool(np.all(t_strong[1:] >= t_strong[:-1]))
-    counts = np.zeros((3, points + 1), dtype=np.int64)
-    for lo in range(0, gain_sq_weak.size, _SCORE_SLICE):
-        g_w, g_s = (g[lo : lo + _SCORE_SLICE] for g in (gain_sq_weak, gain_sq_strong))
-        if staircase:
-            k_w, k_s = np.searchsorted(t_weak, g_w), np.searchsorted(t_strong, g_s)
-            for row, k in zip(counts, (k_w, k_s, np.minimum(k_w, k_s))):
-                row += np.bincount(k, minlength=points + 1)
-            continue
-        for j in range(points):
-            w, s = g_w > t_weak[j], g_s > t_strong[j]
-            counts[:, j] += np.count_nonzero(w), np.count_nonzero(s), np.count_nonzero(w & s)
-    if staircase:
-        # A trial that clears the first k points counts at each of them.
-        counts = np.cumsum(counts[:, ::-1], axis=1)[:, -2::-1]
-    # From threshold order back to the points' own.
-    return counts[:, np.argsort(order)].T.tolist()
-
-
-def rate_stats(gain_sq_weak, gain_sq_strong, cfgs, thresholds=None):
+def rate_stats(scheduled, counts, cfgs):
     """``(mean, stderr)`` of the sum rate over scheduled trials at each point of ``cfgs``.
 
-    ``cfgs`` are the points of a collection group.  A user meets its target
-    when its squared gain clears its side of the point's ``thresholds`` pair,
-    by default the NOMA outage levels.  One :func:`_clear_counts` pass scores
-    every point by exact counts: a mean is the rate array's ``ndarray.mean``
-    where the rates sum exactly, as whole numbers do, and within an ulp
-    otherwise; a standard error is within a few ulps of ``var(ddof=1)``'s.
+    ``scheduled`` and ``counts`` are a run's scheduled trials and one of its
+    threshold sets' ``[n_w, n_s, n_ws]`` per point, as
+    :func:`collect_scheduled_gains` returns them, and ``cfgs`` the points'
+    configs, whose target rates the counts weigh.  A mean is the rate array's
+    ``ndarray.mean`` where the rates sum exactly, as whole numbers do, and
+    within an ulp otherwise; a standard error is within a few ulps of
+    ``var(ddof=1)``'s.
     """
-    n = gain_sq_weak.size
+    n = scheduled
     if n == 0:
         raise DegenerateConditionError("no scheduled trials")
-    cfgs = list(cfgs)
-    if thresholds is None:
-        thresholds = [outage_gain_thresholds(cfg)[:2] for cfg in cfgs]
-    elif len(thresholds) != len(cfgs):
-        raise InvalidParameterError(f"{len(thresholds)} threshold pairs for {len(cfgs)} configs")
-    t_weak, t_strong = np.array(thresholds, dtype=float).reshape(-1, 2).T
-    counts = _clear_counts(gain_sq_weak, gain_sq_strong, t_weak, t_strong)
     results = []
-    for cfg, (n_w, n_s, n_ws) in zip(cfgs, counts):
+    for cfg, (n_w, n_s, n_ws) in zip(cfgs, counts, strict=True):
         r_w, r_s = cfg.rate_weak, cfg.rate_strong
         # n^2 times the rate's variance, its integer parts exact in Python ints;
         # the float sum of a zero spread can round a hair below zero.

@@ -1,9 +1,11 @@
 """Shared fixtures: reference geometries and mobility models used across suites."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from vlcnoma import FeedbackThresholds, LedGeometry, MobilityModel, NomaConfig
+from vlcnoma import FeedbackThresholds, LedGeometry, MobilityModel, NomaConfig, simulate
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +73,31 @@ def make_noma(snr_db=200.0, mode="FullCSI", thresholds=None, **kw):
     )
     defaults.update(kw)
     return NomaConfig(**defaults)
+
+
+def collect_gain_pairs(trials, runs, model, led, *, total_users, seed=0, workers=None):
+    """The scheduled pairs of squared true gains of each run, held whole: the scoring's oracle.
+
+    ``runs`` is a sequence of ``(NomaConfig, NoiseConfig | None)``.  The pairs
+    come from the engine's own chunk driver and per-run steps
+    (``simulate._map_chunks`` and ``simulate._run_step``), each run from its
+    own copy of the chunk's generator, as ``collect_scheduled_gains`` makes
+    them before it scores them.  Returns a list with one
+    ``(gain_sq_weak, gain_sq_strong)`` pair per run, in chunk and block order.
+    """
+    runs = list(runs)
+
+    def start(rng, n):
+        shape = (n, total_users)
+        steps = [
+            simulate._run_step(cfg, noise, copy.deepcopy(rng), shape, led) for cfg, noise in runs
+        ]
+        return lambda rows, true, buffer: [step(rows, true, buffer) for step in steps]
+
+    parts = simulate._map_chunks(start, trials, model, seed, workers, total_users)
+    return [
+        tuple(np.concatenate([p[r][:, k] for p in parts]) for k in (0, 1)) for r in range(len(runs))
+    ]
 
 
 # Acceptance verdicts collected by tests/test_acceptance.py; the terminal

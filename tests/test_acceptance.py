@@ -2,9 +2,10 @@
 
 Every test checks its criterion at the stated tolerance and appends one
 line to the terminal summary via ``record_acceptance``, so a full run ends
-with eleven explicit verdicts.  Monte Carlo collections are cached per
-(mode, field of view, noise) and reused across criteria; all draws are
-seeded, so verdicts are reproducible bit for bit.
+with eleven explicit verdicts.  Monte Carlo collections score every level of
+the SNR grid in the chunk; their sum rates are cached per (mode, field of
+view, noise) and reused across criteria.  All draws are seeded, so verdicts
+are reproducible bit for bit.
 """
 
 import functools
@@ -32,6 +33,7 @@ from vlcnoma import (
     ks_distance_bound,
     nonzero_count_histogram,
     nonzero_gain_probability,
+    outage_gain_thresholds,
     outage_pair_analytic,
     pmf_nonzero_count_truncated,
     ramp_cdf_integral,
@@ -95,32 +97,41 @@ def make_cfg(mode: str, fov: int, snr_db: float = STEADY_DB):
     return make_noma(snr_db=snr_db, mode=mode, thresholds=TH_V[fov])
 
 
+def grid_cfgs(mode: str, fov: int):
+    return [make_cfg(mode, fov, db) for db in GRID_DB]
+
+
+def grid_levels(mode: str, fov: int):
+    """The NOMA outage levels of every ``GRID_DB`` point: one threshold set."""
+    return [outage_gain_thresholds(cfg)[:2] for cfg in grid_cfgs(mode, fov)]
+
+
 @pytest.fixture(scope="module")
 def mc():
-    """Cached scheduled-gain collections keyed by (mode, fov, noisy)."""
+    """Cached Monte Carlo sum rates over ``GRID_DB``, keyed by (mode, fov, noisy)."""
     cache = {}
 
     def collect(mode: str, fov: int, noisy: bool = False, trials: int = 1_500_000):
         key = (mode, fov, noisy, trials)
         if key not in cache:
             noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=True) if noisy else None
-            (cache[key],) = collect_scheduled_gains(
+            [(scheduled, [counts])] = collect_scheduled_gains(
                 trials,
-                [(make_cfg(mode, fov), noise)],
+                [(make_cfg(mode, fov), noise, [grid_levels(mode, fov)])],
                 MODEL_V,
                 LED_V[fov],
                 total_users=TOTAL_USERS,
                 seed=SEED,
                 workers=WORKERS,
             )
+            cache[key] = [mean for mean, _ in rate_stats(scheduled, counts, grid_cfgs(mode, fov))]
         return cache[key]
 
     return collect
 
 
 def mc_steady_rate(mc, mode: str, fov: int, noisy: bool = False) -> float:
-    [(mean, _)] = rate_stats(*mc(mode, fov, noisy), [make_cfg(mode, fov)])
-    return mean
+    return mc(mode, fov, noisy)[list(GRID_DB).index(STEADY_DB)]
 
 
 def analytic_steady_rate(mode: str, model, led, thresholds) -> float:
@@ -262,15 +273,13 @@ def test_criterion_05_full_csi_steady_state(mc):
     for fov in (50, 90):
         ana_steady = analytic_steady_rate("FullCSI", MODEL_V, LED_V[fov], TH_V[fov])
         mc_steady = mc_steady_rate(mc, "FullCSI", fov)
-        gains = mc("FullCSI", fov)
         gap = 0.0
-        for db in GRID_DB:
+        for db, mean in zip(GRID_DB, mc("FullCSI", fov)):
             cfg = make_cfg("FullCSI", fov, db)
             ana = sum_rate_noma(
                 *outage_pair_analytic([cfg], MODEL_V, LED_V[fov], total_users=TOTAL_USERS)[0],
                 cfg,
             )
-            [(mean, _)] = rate_stats(*gains, [cfg])
             gap = max(gap, abs(ana - mean))
         ok = (
             ok
@@ -367,13 +376,7 @@ def test_criterion_10_noisy_feedback_sensitivity(mc):
     ok = True
     parts = []
     for mode, tol in (("MeanAngle", 0.1), ("FullCSI", 0.5)):
-        clean = mc(mode, 50)
-        noisy = mc(mode, 50, noisy=True)
-        gap = 0.0
-        for db in GRID_DB:
-            cfg = make_cfg(mode, 50, db)
-            [(a, _)], [(b, _)] = (rate_stats(*gains, [cfg]) for gains in (clean, noisy))
-            gap = max(gap, abs(a - b))
+        gap = max(abs(a - b) for a, b in zip(mc(mode, 50), mc(mode, 50, noisy=True)))
         ok = ok and gap < tol
         parts.append(f"{mode}: max|gap|={gap:.4f} (<{tol})")
     check(10, "noisy feedback stays marginal", ok, "; ".join(parts))
@@ -412,13 +415,16 @@ def test_criterion_11_property_invariants():
     cfg = make_cfg("FullCSI", 50, 200.0)
     [one], [many] = (
         collect_scheduled_gains(
-            200_000, [(cfg, None)], MODEL_V, LED_V[50],
+            200_000, [(cfg, None, [grid_levels("FullCSI", 50)])], MODEL_V, LED_V[50],
             total_users=TOTAL_USERS, seed=5, workers=workers,
         )
         for workers in (1, 3)
     )
     # The same scheduled count, so the same scheduling probability, and the same cells.
-    det_ok = one[0].size == many[0].size and rate_stats(*one, [cfg]) == rate_stats(*many, [cfg])
+    cfgs = grid_cfgs("FullCSI", 50)
+    det_ok = one == many and rate_stats(one[0], one[1][0], cfgs) == rate_stats(
+        many[0], many[1][0], cfgs
+    )
 
     ok = mono_ok and cont_ok and red_ok and det_ok
     check(

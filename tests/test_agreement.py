@@ -10,14 +10,13 @@ gain, where outage is informative, plus the outage thresholds at 250 dB.
 import numpy as np
 import pytest
 
-from tests.conftest import make_noma
+from tests.conftest import collect_gain_pairs, make_noma
 from vlcnoma import (
     CDF_FAMILIES,
     FEEDBACK_MODES,
     FeedbackThresholds,
     LedGeometry,
     MobilityModel,
-    collect_scheduled_gains,
     outage_gain_thresholds,
     outage_pair_analytic,
 )
@@ -46,7 +45,7 @@ def test_outage_agrees_per_user(mode, fov_deg, dev_deg):
     model = MobilityModel(0.0, 10.0, dev, np.pi - dev, dev)
     th = FeedbackThresholds.from_fractions(model, led, 0.1, 0.1)
     cfg = make_noma(snr_db=250.0, mode=mode, thresholds=th)
-    [gains] = collect_scheduled_gains(
+    [gains] = collect_gain_pairs(
         TRIALS, [(cfg, None)], model, led, total_users=TOTAL_USERS, seed=7
     )
     n = gains[0].size

@@ -39,7 +39,12 @@ from vlcnoma.rates import FEEDBACK_MODES
 from vlcnoma.simulate import _group_masks, _noise, _observe, _row_count, _uniform_pick
 from vlcnoma.gain_cdf import CDF_FAMILIES, cdf_gain_ranked
 from vlcnoma.cli import main
-from tests.conftest import make_noma
+from tests.conftest import collect_gain_pairs, make_noma
+
+
+def levels(*cfgs):
+    """A threshold set: the NOMA outage levels of each config."""
+    return [outage_gain_thresholds(cfg)[:2] for cfg in cfgs]
 
 
 def test_one_chunk_driver():
@@ -272,7 +277,7 @@ class TestApplyNoise:
 class TestIndividualTrial:
     def test_outcome_structure(self, model_dev25, led_fov50):
         trials = 2_000
-        [(gain_w, gain_s)] = collect_scheduled_gains(
+        [(gain_w, gain_s)] = collect_gain_pairs(
             trials, [(make_noma(), None)], model_dev25, led_fov50, total_users=20, seed=3
         )
         assert 0 < gain_w.size == gain_s.size < trials
@@ -284,7 +289,7 @@ class TestIndividualTrial:
         led = LedGeometry(2.0, np.radians(60), 1e-4, np.radians(90))
         model = MobilityModel(0.0, 10.0, np.radians(25), np.radians(155), np.radians(25))
         cfg = make_noma(snr_db=320.0, weak_rank=1, strong_rank=2)
-        [(gain_w, gain_s)] = collect_scheduled_gains(
+        [(gain_w, gain_s)] = collect_gain_pairs(
             300, [(cfg, None)], model, led, total_users=2, seed=4
         )
         threshold_weak, threshold_strong, _ = outage_gain_thresholds(cfg)
@@ -295,10 +300,10 @@ class TestIndividualTrial:
 
     def test_mean_angle_equals_full_csi_at_zero_deviation(self, led_fov50):
         model = MobilityModel(0.0, 10.0, np.radians(25), np.radians(155), 0.0)
-        [a] = collect_scheduled_gains(
+        [a] = collect_gain_pairs(
             5_000, [(make_noma(mode="FullCSI"), None)], model, led_fov50, total_users=20, seed=6
         )
-        [b] = collect_scheduled_gains(
+        [b] = collect_gain_pairs(
             5_000, [(make_noma(mode="MeanAngle"), None)], model, led_fov50, total_users=20, seed=6
         )
         assert a[0].size > 0
@@ -308,7 +313,8 @@ class TestIndividualTrial:
     def test_population_must_cover_rank(self, model_dev25, led_fov50):
         with pytest.raises(InvalidParameterError):
             collect_scheduled_gains(
-                1_000, [(make_noma(), None)], model_dev25, led_fov50, total_users=5, seed=0
+                1_000, [(make_noma(), None, [levels(make_noma())])], model_dev25, led_fov50,
+                total_users=5, seed=0,
             )
 
 
@@ -316,7 +322,7 @@ class TestGroupTrial:
     def test_outcome_structure(self, model_dev30, led_fov60, thresholds_validation):
         cfg = make_noma(mode="TwoBitInstantaneous", thresholds=thresholds_validation)
         trials = 2_000
-        [(gain_w, gain_s)] = collect_scheduled_gains(
+        [(gain_w, gain_s)] = collect_gain_pairs(
             trials, [(cfg, None)], model_dev30, led_fov60, total_users=20, seed=5
         )
         assert 0 < gain_w.size == gain_s.size <= trials
@@ -327,7 +333,7 @@ class TestGroupTrial:
         # the angle threshold sits inside the field of view
         th = FeedbackThresholds(1.0, np.radians(6.0))
         cfg = make_noma(mode="TwoBitInstantaneous", thresholds=th)
-        [(_, gain_s)] = collect_scheduled_gains(
+        [(_, gain_s)] = collect_gain_pairs(
             400, [(cfg, None)], model_dev30, led_fov60, total_users=20, seed=6
         )
         assert np.all(gain_s > 0.0)
@@ -338,14 +344,14 @@ class TestGroupTrial:
         # FOV, so zero-gain picks must appear and count as outage
         th = FeedbackThresholds(dist_threshold=9.5, angle_threshold=np.radians(55.0))
         cfg = make_noma(mode="TwoBitMean", thresholds=th)
-        [(gain_w, gain_s)] = collect_scheduled_gains(
+        [(gain_w, gain_s)] = collect_gain_pairs(
             600, [(cfg, None)], model_dev30, led_fov60, total_users=20, seed=7
         )
         zero = gain_s == 0.0
         assert zero.sum() > 0
         # the strong user earns nothing on those trials: only the weak rate is left
         threshold_weak, _, _ = outage_gain_thresholds(cfg)
-        [(served, _)] = rate_stats(gain_w[zero], gain_s[zero], [cfg])
+        [(served, _)] = score(gain_w[zero], gain_s[zero], [cfg])
         assert served == pytest.approx(
             cfg.rate_weak * np.mean(gain_w[zero] > threshold_weak)
         )
@@ -372,10 +378,10 @@ class TestGroupTrial:
     def test_weak_set_empty_when_threshold_at_dmax(self, model_dev25, led_fov50):
         th = FeedbackThresholds(dist_threshold=10.0, angle_threshold=np.radians(5.0))
         cfg = make_noma(mode="OneBitDistance", thresholds=th)
-        [(gain_w, _)] = collect_scheduled_gains(
-            200, [(cfg, None)], model_dev25, led_fov50, total_users=20, seed=9
+        [(scheduled, _)] = collect_scheduled_gains(
+            200, [(cfg, None, [levels(cfg)])], model_dev25, led_fov50, total_users=20, seed=9
         )
-        assert gain_w.size == 0
+        assert scheduled == 0
 
 
 def _uniform_pick_reference(mask, u):
@@ -420,17 +426,44 @@ def rate_oracle(gain_w, gain_s, cfg, thresholds=None):
     return float(rate.mean()), stderr
 
 
+def comparisons(gain_w, gain_s, thresholds):
+    """Per point ``[n_w, n_s, n_ws]`` of a threshold set, each point's own comparisons."""
+    counts = []
+    for t_weak, t_strong in thresholds:
+        w, s = gain_w > t_weak, gain_s > t_strong
+        counts.append([int(np.count_nonzero(c)) for c in (w, s, w & s)])
+    return counts
+
+
+def score(gain_w, gain_s, cfgs, thresholds=None):
+    """``rate_stats`` of gain pairs held whole, on their per-point comparisons."""
+    counts = comparisons(gain_w, gain_s, thresholds or levels(*cfgs))
+    return rate_stats(gain_w.size, counts, cfgs)
+
+
 class TestRateStatsByCounts:
     """Counts score a sequence of points in one pass as each point's own rate array does."""
 
-    @staticmethod
-    def check(gain_w, gain_s, cfgs, thresholds=None):
-        per_point = thresholds or [None] * len(cfgs)
+    # Gains per block in these checks: the engine's rule runs on uneven slices.
+    SLICE = 1 << 12
+
+    @classmethod
+    def check(cls, gain_w, gain_s, cfgs, thresholds=None):
+        thresholds = thresholds or levels(*cfgs)
+        want_counts = comparisons(gain_w, gain_s, thresholds)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = rate_stats(gain_w, gain_s, cfgs, thresholds)
+            # The block rule on each slice, summed, gives each point's own comparisons.
+            set_levels = simulate._levels(thresholds)
+            picks = np.stack([gain_w, gain_s], axis=1)
+            blocks = sum(
+                simulate._clear_counts(picks[lo : lo + cls.SLICE], set_levels)
+                for lo in range(0, len(picks), cls.SLICE)
+            )
+            assert simulate._point_counts(blocks, set_levels) == want_counts
+            got = rate_stats(gain_w.size, want_counts, cfgs)
         assert len(got) == len(cfgs)
-        for (mean, stderr), cfg, t in zip(got, cfgs, per_point):
+        for (mean, stderr), cfg, t in zip(got, cfgs, thresholds):
             want_mean, want_stderr = rate_oracle(gain_w, gain_s, cfg, t)
             # Whole rates sum exactly either way, others to an ulp; the standard
             # error may move a few ulps.
@@ -445,20 +478,20 @@ class TestRateStatsByCounts:
 
     def test_snr_grid_across_slices(self):
         """Co-monotone thresholds over more gains than one slice: the staircase counts."""
-        gain_w, gain_s = self.gains(5 * simulate._SCORE_SLICE + 123)
+        gain_w, gain_s = self.gains(5 * self.SLICE + 123)
         self.check(gain_w, gain_s, [make_noma(snr_db=s) for s in np.arange(140.0, 251.0, 5.0)])
 
     def test_gains_exactly_at_a_threshold_do_not_clear(self):
         cfgs = [make_noma(snr_db=s) for s in (150.0, 200.0, 200.0, 220.0)]
-        levels = np.array([outage_gain_thresholds(c)[:2] for c in cfgs])
+        pairs = np.array(levels(*cfgs))
         gain_w, gain_s = self.gains(5000, seed=1)
-        gain_w[::3], gain_s[1::3] = np.resize(levels[:, 0], 1667), np.resize(levels[:, 1], 1667)
+        gain_w[::3], gain_s[1::3] = np.resize(pairs[:, 0], 1667), np.resize(pairs[:, 1], 1667)
         self.check(gain_w, gain_s, cfgs)
         self.check(gain_w, gain_s, cfgs[1:2])
 
     def test_unsorted_and_crossing_thresholds(self):
         """Points whose two thresholds order them differently count one by one."""
-        gain_w, gain_s = self.gains(3 * simulate._SCORE_SLICE + 7, seed=2)
+        gain_w, gain_s = self.gains(3 * self.SLICE + 7, seed=2)
         thresholds = [(1e-18, 1e-20), (1e-20, 1e-17), (1e-19, 1e-19), (1e-17, 1e-21)]
         t_w, t_s = np.transpose(thresholds)
         gain_w[::5] = np.resize(t_w, gain_w[::5].size)
@@ -483,36 +516,49 @@ class TestRateStatsByCounts:
         cfgs = [make_noma(snr_db=160.0), infeasible, infeasible, make_noma(snr_db=240.0)]
         gain_w, gain_s = self.gains(4000, seed=4)
         self.check(gain_w, gain_s, cfgs)
-        assert rate_stats(gain_w, gain_s, [infeasible]) == [(0.0, 0.0)]
+        assert score(gain_w, gain_s, [infeasible]) == [(0.0, 0.0)]
 
     def test_one_scheduled_trial_has_no_spread(self):
         gain_w, gain_s = self.gains(1, seed=5)
         self.check(gain_w, gain_s, [make_noma(snr_db=s) for s in (140.0, 250.0)])
-        assert rate_stats(gain_w, gain_s, [make_noma()])[0][1] == 0.0
+        assert score(gain_w, gain_s, [make_noma()])[0][1] == 0.0
 
     def test_empty_collection_is_degenerate(self):
-        empty = np.empty(0)
         for cfgs in ([make_noma()], [make_noma(), make_noma(snr_db=150.0)]):
             with pytest.raises(DegenerateConditionError, match="no scheduled trials"):
-                rate_stats(empty, empty, cfgs)
+                rate_stats(0, [[0, 0, 0]] * len(cfgs), cfgs)
 
-    def test_one_threshold_pair_per_config(self):
-        """A threshold list of another length than the configs is refused, not cut short."""
-        gain_w, gain_s = self.gains(10, seed=6)
-        pair = (1e-19, 1e-19)
-        for cfgs, thresholds in (([make_noma()] * 2, [pair]), ([make_noma()], [pair] * 2)):
-            match = f"{len(thresholds)} threshold pairs for {len(cfgs)} configs"
-            with pytest.raises(InvalidParameterError, match=match):
-                rate_stats(gain_w, gain_s, cfgs, thresholds)
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            [[]],  # an empty set
+            [[(1e-19, 1e-19, 1e-19)]],  # not pairs
+            [[1e-19, 1e-19]],  # a flat pair, not a set of pairs
+            [[(1e-19,), (1e-19, 1e-19)]],  # ragged
+            [[("weak", "strong")]],  # not numbers
+            [],  # no set at all
+        ],
+        ids=["empty", "triples", "flat", "ragged", "text", "no_set"],
+    )
+    def test_bad_threshold_sets_fail_at_the_call(self, sets, model_dev25, led_fov50, monkeypatch):
+        def no_chunk(*args, **kwargs):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(simulate, "_map_chunks", no_chunk)
+        good = (make_noma(), None, [levels(make_noma())])
+        with pytest.raises(InvalidParameterError, match="threshold set"):
+            collect_scheduled_gains(
+                1_000, [good, (make_noma(), None, sets)], model_dev25, led_fov50, total_users=20
+            )
 
 
 def sum_rate(trials, cfg, model, led, *, total_users=20, noise=None, **kw):
     """Monte Carlo (sum rate, stderr, scheduling probability), as the sweeps compute them."""
-    [gains] = collect_scheduled_gains(
-        trials, [(cfg, noise)], model, led, total_users=total_users, **kw
+    [(scheduled, [counts])] = collect_scheduled_gains(
+        trials, [(cfg, noise, [levels(cfg)])], model, led, total_users=total_users, **kw
     )
-    [(mean, stderr)] = rate_stats(*gains, [cfg])
-    return mean, stderr, gains[0].size / trials
+    [(mean, stderr)] = rate_stats(scheduled, counts, [cfg])
+    return mean, stderr, scheduled / trials
 
 
 class TestEstimate:
@@ -532,13 +578,13 @@ class TestEstimate:
 
     def test_outage_pair_metric(self, model_dev25, led_fov50):
         cfg = make_noma(snr_db=200.0)
-        [(gain_w, gain_s)] = collect_scheduled_gains(
-            100_000, [(cfg, None)], model_dev25, led_fov50, total_users=20, seed=3
+        [(n, [[(n_w, n_s, _)]])] = collect_scheduled_gains(
+            100_000, [(cfg, None, [levels(cfg)])], model_dev25, led_fov50, total_users=20, seed=3
         )
-        threshold_weak, threshold_strong, _ = outage_gain_thresholds(cfg)
         [(p_weak, p_strong)] = outage_pair_analytic([cfg], model_dev25, led_fov50, total_users=20)
-        assert np.mean(gain_w <= threshold_weak) == pytest.approx(p_weak, abs=0.01)
-        assert np.mean(gain_s <= threshold_strong) == pytest.approx(p_strong, abs=0.01)
+        # A pick in outage stays at or below its threshold: it does not clear it.
+        assert (n - n_w) / n == pytest.approx(p_weak, abs=0.01)
+        assert (n - n_s) / n == pytest.approx(p_strong, abs=0.01)
 
     def test_all_outage_configuration(self, model_dev25, led_fov50):
         cfg = make_noma(snr_db=60.0)
@@ -560,7 +606,7 @@ class TestEstimate:
         cfg = make_noma()
         for run in (
             lambda: collect_scheduled_gains(
-                0, [(cfg, None)], model_dev25, led_fov50, total_users=20
+                0, [(cfg, None, [levels(cfg)])], model_dev25, led_fov50, total_users=20
             ),
             lambda: estimate("unordered", 0, model_dev25, led_fov50),
             lambda: estimate("ordered", 0, model_dev25, led_fov50, total_users=20, k_min=10),
@@ -581,10 +627,10 @@ class TestDeterminism:
 
     def test_same_seed_same_gains(self, model_dev30, led_fov60, thresholds_validation):
         cfg = make_noma(mode="TwoBitMean", thresholds=thresholds_validation)
-        [a] = collect_scheduled_gains(
+        [a] = collect_gain_pairs(
             100_000, [(cfg, None)], model_dev30, led_fov60, total_users=20, seed=17, workers=2
         )
-        [b] = collect_scheduled_gains(
+        [b] = collect_gain_pairs(
             100_000, [(cfg, None)], model_dev30, led_fov60, total_users=20, seed=17, workers=5
         )
         np.testing.assert_array_equal(a[0], b[0])
@@ -604,7 +650,7 @@ class TestDeterminism:
         trials = simulate.CHUNK_TRIALS + 17
 
         def collect():
-            [gains] = collect_scheduled_gains(
+            [gains] = collect_gain_pairs(
                 trials, [(cfg, noise)], model_dev25, led_fov50,
                 total_users=total_users, seed=23, workers=1,
             )
@@ -619,6 +665,33 @@ class TestDeterminism:
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes(), entries
 
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("mode", tuple(FEEDBACK_MODES))
+    def test_counts_do_not_depend_on_block_size_or_workers(
+        self, mode, noisy, model_dev25, led_fov50, monkeypatch
+    ):
+        # Every block scores its picks, so the summed counts must not see the blocks.
+        cfg = make_noma(mode=mode, thresholds=FeedbackThresholds(1.0, np.radians(5.0)))
+        cfgs = [make_noma(snr_db=db) for db in np.arange(140.0, 251.0, 5.0)]
+        sets = [levels(*cfgs), [oma_gain_thresholds(c) for c in cfgs]]
+        noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=noisy)
+        # Two full chunks and a partial one, each of two default blocks.
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS", 4096)
+        trials = 2 * simulate.CHUNK_TRIALS + 17
+
+        def collect(workers):
+            return collect_scheduled_gains(
+                trials, [(cfg, noise, sets)], model_dev25, led_fov50,
+                total_users=20, seed=31, workers=workers,
+            )
+
+        want = collect(1)
+        assert want[0][0] > 0
+        assert collect(3) == want
+        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 1 << 9)
+        assert collect(1) == want
+        assert collect(3) == want
+
     def test_different_seeds_differ(self, model_dev25, led_fov50):
         cfg = make_noma(snr_db=205.0)
         a, _, _ = sum_rate(50_000, cfg, model_dev25, led_fov50, seed=1)
@@ -627,7 +700,7 @@ class TestDeterminism:
 
 
 class TestSharedDraw:
-    """Runs of one call share a draw of the users, and each gets its own run's bytes."""
+    """Runs of one call share a draw of the users, and each gets its own run's counts."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("total_users", [5, 20, 1000])
@@ -641,9 +714,13 @@ class TestSharedDraw:
         rank = min(10, total_users)
         noisy = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=True)
         cfgs = [make_noma(mode=m, thresholds=th, strong_rank=rank) for m in FEEDBACK_MODES]
+        # The NOMA and OMA levels of an SNR grid, so that the counts see the gains' spread.
+        grid = [make_noma(snr_db=db) for db in np.arange(140.0, 251.0, 5.0)]
+        sets = [levels(*grid), [oma_gain_thresholds(c) for c in grid]]
         kw = dict(total_users=total_users, seed=29, workers=workers)
 
         def collect(runs):
+            runs = [(cfg, n, sets) for cfg, n in runs]
             return collect_scheduled_gains(trials, runs, model_dev25, led_fov50, **kw)
 
         alone = {(cfg, n): collect([(cfg, n)])[0] for cfg in cfgs for n in (None, noisy)}
@@ -653,11 +730,53 @@ class TestSharedDraw:
         ):
             got = collect(runs)
             assert len(got) == len(runs)
-            for run, (weak, strong) in zip(runs, got):
-                want = alone[run]
-                assert weak.tobytes() == want[0].tobytes(), run
-                assert strong.tobytes() == want[1].tobytes(), run
-        assert all(want[0].size > 0 for want in alone.values())
+            for run, counts in zip(runs, got):
+                assert counts == alone[run], run
+        assert all(scheduled > 0 for scheduled, _ in alone.values())
+        # Clean and noisy runs of a mode that ranks on noisy reports count differently.
+        assert alone[cfgs[0], None] != alone[cfgs[0], noisy]
+
+
+class TestScoringInTheChunk:
+    """The counts scored block by block are each point's comparisons on the gains held whole."""
+
+    GRID = [make_noma(snr_db=db) for db in np.arange(140.0, 251.0, 5.0)]
+    SETS = {
+        # An SNR grid: co-monotone levels, a staircase.
+        "staircase": [levels(*GRID)],
+        # The same levels with the strong side reversed: every point counts its own.
+        "crossing": [[(w, s) for (w, _), (_, s) in zip(levels(*GRID), levels(*GRID[::-1]))]],
+        # The NOMA levels and the OMA ones, scored on the same picks.
+        "noma_and_oma": [levels(*GRID), [oma_gain_thresholds(c) for c in GRID]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(SETS))
+    @pytest.mark.parametrize("mode", tuple(FEEDBACK_MODES))
+    def test_counts_are_comparisons_on_the_oracle_gains(
+        self, mode, case, model_dev25, led_fov50, monkeypatch
+    ):
+        sets = self.SETS[case]
+        if case == "crossing":
+            assert not simulate._levels(sets[0])[3]
+        else:
+            assert all(simulate._levels(pairs)[3] for pairs in sets)
+        # Two full chunks and a partial one, several blocks each.
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS", 4096)
+        monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 1 << 14)
+        trials = 2 * simulate.CHUNK_TRIALS + 999
+        cfg = make_noma(mode=mode, thresholds=FeedbackThresholds(1.0, np.radians(5.0)))
+        noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=True)
+        kw = dict(total_users=20, seed=37, workers=2)
+        [(gain_w, gain_s)] = collect_gain_pairs(
+            trials, [(cfg, noise)], model_dev25, led_fov50, **kw
+        )
+        [(scheduled, counts)] = collect_scheduled_gains(
+            trials, [(cfg, noise, sets)], model_dev25, led_fov50, **kw
+        )
+        assert scheduled == gain_w.size > 0
+        assert counts == [comparisons(gain_w, gain_s, pairs) for pairs in sets]
+        # Some points clear on some trials and not on others, so the counts pin the gains.
+        assert any(0 < n_w < scheduled for n_w, _, _ in counts[0])
 
 
 class TestNoiseMemory:
@@ -680,7 +799,7 @@ class TestNoiseMemory:
             tracemalloc.start()
             try:
                 collect_scheduled_gains(
-                    simulate.CHUNK_TRIALS, [(cfg, noise)], model_dev25, led_fov50,
+                    simulate.CHUNK_TRIALS, [(cfg, noise, [levels(cfg)])], model_dev25, led_fov50,
                     total_users=total_users, seed=2, workers=1,
                 )
                 return tracemalloc.get_traced_memory()[1]
@@ -746,7 +865,7 @@ class TestGainEvaluations:
         noise = NoiseConfig(sigma_d=0.05, sigma_phi=2.5, enabled=noisy)
         trials, total_users, seed = 5_000, 20, 3
         collect_scheduled_gains(
-            trials, [(cfg, noise)], model_dev25, led_fov50,
+            trials, [(cfg, noise, [levels(cfg)])], model_dev25, led_fov50,
             total_users=total_users, seed=seed, workers=1,
         )
         monkeypatch.undo()  # the reference below goes uncounted
@@ -787,7 +906,7 @@ class TestGainEvaluations:
 
 
 def _individual_reference(trials, cfg, model, led, *, total_users, noise, seed):
-    """``collect_scheduled_gains`` of one chunk, with gains and picks on every row."""
+    """The scheduled gain pairs of one chunk, with gains and picks on every row."""
     rng = simulate._chunk_rng(seed, 0)
     d, mean, inst = sample_users(model, rng, (trials, total_users))
     d_obs, mean_obs, inst_obs = observe(d, mean, inst, noise, rng)
@@ -808,7 +927,10 @@ def _individual_reference(trials, cfg, model, led, *, total_users, noise, seed):
 
 
 def _group_reference(trials, cfg, model, led, *, total_users, noise, seed):
-    """``collect_scheduled_gains`` of one chunk of a threshold mode, picks and gains on every row."""
+    """The scheduled gain pairs of one chunk of a threshold mode, picks and gains on every row.
+
+    The mode's uniforms are one whole-chunk draw here, the engine's block by block.
+    """
     rng = simulate._chunk_rng(seed, 0)
     d, mean, inst = sample_users(model, rng, (trials, total_users))
     observed = observe(d, mean, inst, noise, rng)
@@ -839,7 +961,7 @@ class TestSchedulableRows:
         for strong_rank in (2, 10, 20):
             cfg = make_noma(mode=mode, strong_rank=strong_rank)
             kw = dict(total_users=total_users, seed=seed)
-            [got] = collect_scheduled_gains(trials, [(cfg, noise)], model, led, workers=1, **kw)
+            [got] = collect_gain_pairs(trials, [(cfg, noise)], model, led, workers=1, **kw)
             want = _individual_reference(trials, cfg, model, led, noise=noise, **kw)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes(), strong_rank
@@ -863,7 +985,7 @@ class TestSchedulableRows:
         dark = np.count_nonzero(dc_gain(d_obs, mean_obs, led) > 0.0, axis=1) == 0
         assert np.count_nonzero(scheduled & dark) > 300
         assert np.count_nonzero(scheduled & ~dark) > 50
-        [got] = collect_scheduled_gains(trials, [(cfg, noise)], model, led, workers=1, **kw)
+        [got] = collect_gain_pairs(trials, [(cfg, noise)], model, led, workers=1, **kw)
         want = _individual_reference(trials, cfg, model, led, noise=noise, **kw)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
@@ -876,7 +998,7 @@ class TestSchedulableRows:
         th = FeedbackThresholds.from_fractions(model_dev25, led_fov50, 0.1, 0.1)
         cfg = make_noma(mode=mode, thresholds=th)
         kw = dict(total_users=20, seed=43)
-        [got] = collect_scheduled_gains(
+        [got] = collect_gain_pairs(
             8_000, [(cfg, noise)], model_dev25, led_fov50, workers=1, **kw
         )
         want = _group_reference(8_000, cfg, model_dev25, led_fov50, noise=noise, **kw)
@@ -907,7 +1029,7 @@ class TestDistancePick:
         noise = NoiseConfig(sigma_d=5.0, enabled=True)
         cfg = make_noma(mode="DistanceOnly", strong_rank=total_users)
         kw = dict(total_users=total_users, seed=seed, workers=1)
-        [got] = collect_scheduled_gains(trials, [(cfg, noise)], model_dev25, led_fov50, **kw)
+        [got] = collect_gain_pairs(trials, [(cfg, noise)], model_dev25, led_fov50, **kw)
         rng = simulate._chunk_rng(seed, 0)
         d, mean, inst = sample_users(model_dev25, rng, (trials, total_users))
         d_obs = observe(d, mean, inst, noise, rng, reads=(True,))[0]
@@ -1007,7 +1129,7 @@ class TestConditionalSamples:
         kw = dict(total_users=20, seed=7, workers=workers)
         for rank, cfg, side in ((3, make_noma(weak_rank=3), 0), (10, make_noma(), 1)):
             samples = estimate("ordered", n, model_dev25, led_fov50, k_min=10, rank=rank, **kw)
-            [picks] = collect_scheduled_gains(n, [(cfg, None)], model_dev25, led_fov50, **kw)
+            [picks] = collect_gain_pairs(n, [(cfg, None)], model_dev25, led_fov50, **kw)
             assert samples.tobytes() == picks[side].tobytes(), rank
             assert samples.size > 0
 
@@ -1081,4 +1203,4 @@ class TestNoisyScheduling:
 
     def test_rate_stats_empty_rejected(self):
         with pytest.raises(DegenerateConditionError):
-            rate_stats(np.array([]), np.array([]), [make_noma()])
+            rate_stats(0, [[0, 0, 0]], [make_noma()])
