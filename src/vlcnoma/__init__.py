@@ -57,6 +57,7 @@ from .rates import (
     required_sinr,
     sum_rate_noma,
     sum_rate_oma,
+    threshold_sets,
 )
 from .simulate import (
     NoiseConfig,

@@ -493,20 +493,6 @@ def _sweep_cells(xc: ExperimentConfig, cfgs, collected, values):
     return cells
 
 
-def _analytic_cells(xc: ExperimentConfig, cfgs, model: MobilityModel, values):
-    """Closed-form cells of each point of a collection group, from one call of each family."""
-    oma = "oma_sum_rate" in values
-    found = outage_pair_analytic(
-        cfgs, model, xc.led, total_users=xc.total_users, oma_mode=xc.oma_mode if oma else None
-    )
-    # Per point its NOMA and OMA outage pairs, or its NOMA pair alone.
-    names = ("analytic_sum_rate", "oma_sum_rate")[: 1 + oma]
-    return [
-        {name: sum_rate_noma(*pair, cfg) for name, pair in zip(names, pairs if oma else [pairs])}
-        for pairs, cfg in zip(found, cfgs)
-    ]
-
-
 def cmd_sweep(xc: ExperimentConfig, out: str | None, manifest: str):
     _, leading, values = SWEEPS[xc.command]
     noise = {
@@ -519,12 +505,11 @@ def cmd_sweep(xc: ExperimentConfig, out: str | None, manifest: str):
     closed = (
         "analytic_sum_rate" in values and FEEDBACK_MODES[xc.noma.feedback_mode].families is not None
     )
-    # A mode without closed forms scores its OMA cells as a second set on the same picks.
-    oma = "oma_sum_rate" in values and not closed
 
+    # A collection group's threshold sets: its NOMA levels, then its OMA ones if printed.
     def levels(cfgs):
-        sets = [[outage_gain_thresholds(cfg)[:2] for cfg in cfgs]]
-        if oma:
+        sets = [[outage_gain_thresholds(cfg) for cfg in cfgs]]
+        if "oma_sum_rate" in values:
             sets.append([oma_gain_thresholds(cfg, xc.oma_mode) for cfg in cfgs])
         return sets
 
@@ -535,19 +520,28 @@ def cmd_sweep(xc: ExperimentConfig, out: str | None, manifest: str):
     # a run of points that share those is one collection group.  The groups of
     # a model share its users, so one call serves them all.
     for model, points in itertools.groupby(_sweep_points(xc), lambda point: point[2]):
-        groups = [
-            list(zip(*group))
-            for _, group in itertools.groupby(points, lambda point: point[1].thresholds)
-        ]
+        groups = []
+        for _, group in itertools.groupby(points, lambda point: point[1].thresholds):
+            leads, cfgs, _ = zip(*group)
+            groups.append((leads, cfgs, levels(cfgs)))
         for call in [[group] for group in groups] if noisy else [groups]:
-            batch = [(cfgs[0], n, levels(cfgs)) for _, cfgs, _ in call for n in runs.values()]
+            # A mode with closed forms gets its OMA cells from them, not from the picks.
+            batch = [
+                (cfgs[0], n, sets[:1] if closed else sets)
+                for _, cfgs, sets in call
+                for n in runs.values()
+            ]
             collected = iter(collect_scheduled_gains(xc.trials, batch, model, xc.led, **shared))
-            for leads, cfgs, _ in call:
+            for leads, cfgs, sets in call:
                 # Monte Carlo cells first: an empty collection reports so before any family call.
                 cells = _sweep_cells(xc, cfgs, dict(zip(runs, collected)), values)
                 if closed:
-                    for cell, found in zip(cells, _analytic_cells(xc, cfgs, model, values)):
-                        cell.update(found)
+                    found = outage_pair_analytic(
+                        cfgs[0], sets, model, xc.led, total_users=xc.total_users
+                    )
+                    for name, pairs in zip(("analytic_sum_rate", "oma_sum_rate"), found):
+                        for cell, pair, cfg in zip(cells, pairs, cfgs):
+                            cell[name] = sum_rate_noma(*pair, cfg)
                 rows += [
                     (*lead, *(cell[name] for name in values)) for lead, cell in zip(leads, cells)
                 ]

@@ -29,6 +29,7 @@ __all__ = [
     "required_sinr",
     "outage_gain_thresholds",
     "oma_gain_thresholds",
+    "threshold_sets",
     "outage_pair_analytic",
     "sum_rate_noma",
     "sum_rate_oma",
@@ -124,21 +125,19 @@ def required_sinr(target_rate):
 
 
 def outage_gain_thresholds(cfg: NomaConfig):
-    """Squared-gain levels below which each user of the pair is in outage.
+    """Squared-gain levels ``(weak, strong)`` below which each user of the pair is in outage.
 
-    Returns ``(threshold_weak, threshold_strong, feasible)``.  The split is
-    infeasible when the weak user's target cannot be met at any gain because
-    interference scales with the same gain; both thresholds are then
-    infinite and callers should report certain outage.
+    The split is infeasible when the weak user's target cannot be met at any
+    gain because interference scales with the same gain; both levels are then
+    +inf, which both twins read as certain outage.
     """
     eps_weak = float(required_sinr(cfg.rate_weak))
     eps_strong = float(required_sinr(cfg.rate_strong))
     margin = cfg.beta_weak**2 - cfg.beta_strong**2 * eps_weak
     if margin <= 0.0:
-        return np.inf, np.inf, False
+        return np.inf, np.inf
     threshold_weak = eps_weak / cfg.snr / margin
-    threshold_strong = max(threshold_weak, eps_strong / (cfg.snr * cfg.beta_strong**2))
-    return threshold_weak, threshold_strong, True
+    return threshold_weak, max(threshold_weak, eps_strong / (cfg.snr * cfg.beta_strong**2))
 
 
 def oma_gain_thresholds(cfg: NomaConfig, mode: str = "time_shared"):
@@ -159,45 +158,59 @@ def oma_gain_thresholds(cfg: NomaConfig, mode: str = "time_shared"):
     raise InvalidParameterError(f"unknown OMA mode {mode!r}; expected one of {OMA_MODES}")
 
 
-def outage_pair_analytic(
-    cfgs,
-    model: MobilityModel,
-    led: LedGeometry,
-    *,
-    total_users: int | None = None,
-    oma_mode: str | None = None,
-):
-    """Closed-form outage probabilities (weak, strong) of the scheduled pair, a list per config.
+def threshold_sets(sets):
+    """Each threshold set of ``sets`` as a (points, 2) float array: the check both twins share.
 
-    ``cfgs`` are the points of a collection group, configs that differ only in
-    power split, target rates and SNR: one call of each of the mode's two
-    families takes all their levels.  An infeasible split is in certain outage.
-    With ``oma_mode`` the same two calls also evaluate the orthogonal baseline's
-    levels (:func:`oma_gain_thresholds`), and each config gets ``(noma, oma)`` pairs.
+    A threshold set is a non-empty sequence of (weak, strong) squared-gain
+    levels, a pair per point, such as a collection group's NOMA outage levels
+    or its OMA ones; a user meets its target where its squared gain clears its
+    side, so a +inf level is certain outage on its side.  No set, or a set that
+    is not made of such pairs or holds a NaN level, is an invalid parameter.
     """
-    cfgs = list(cfgs)
-    if len({(c.feedback_mode, c.thresholds, c.weak_rank, c.strong_rank) for c in cfgs}) > 1:
-        raise InvalidParameterError("a config sequence must share mode, thresholds and ranks")
-    noma = [outage_gain_thresholds(c) for c in cfgs]
-    levels = [(w, s) for w, s, feasible in noma if feasible]
-    if oma_mode is not None:
-        levels += [oma_gain_thresholds(c, oma_mode) for c in cfgs]
-    p_weak = p_strong = np.empty(0)
-    if levels:
-        cfg = cfgs[0]
-        weak, strong = FEEDBACK_MODES[cfg.feedback_mode].families or (None, None)
-        if weak is None:
+    checked = []
+    for pairs in sets:
+        try:
+            t = np.array(pairs, dtype=float)
+        except (TypeError, ValueError):
+            t = None
+        if t is None or t.ndim != 2 or t.shape[0] == 0 or t.shape[1] != 2 or np.isnan(t).any():
             raise InvalidParameterError(
-                f"no analytic outage path for mode {cfg.feedback_mode!r}; "
-                "use the Monte Carlo engine"
+                "a threshold set must be a non-empty sequence of (weak, strong) pairs, none NaN"
             )
-        x_weak, x_strong = np.array(levels).T
-        cond = dict(thresholds=cfg.thresholds, total_users=total_users, k_min=cfg.strong_rank)
-        p_weak = CDF_FAMILIES[weak](x_weak, model, led, rank=cfg.weak_rank, **cond)
-        p_strong = CDF_FAMILIES[strong](x_strong, model, led, rank=cfg.strong_rank, **cond)
-    pairs = zip(p_weak.tolist(), p_strong.tolist())
-    out = [next(pairs) if feasible else (1.0, 1.0) for *_, feasible in noma]
-    return out if oma_mode is None else list(zip(out, pairs))
+        checked.append(t)
+    if not checked:
+        raise InvalidParameterError("need at least one threshold set")
+    return checked
+
+
+def outage_pair_analytic(
+    cfg: NomaConfig, sets, model: MobilityModel, led: LedGeometry, *, total_users: int | None = None
+):
+    """Closed-form outage probabilities (weak, strong) of the scheduled pair at each set's points.
+
+    ``cfg`` gives the pick: its mode, feedback thresholds and ranks are the
+    only fields read.  ``sets`` are :func:`threshold_sets`, as a
+    :func:`~vlcnoma.simulate.collect_scheduled_gains` run takes them.  The
+    finite levels of all sets, in set order, go to one call of each of the
+    mode's two families; a +inf level is certain outage, exactly 1.0 with no
+    family call.  Returns one list of ``(p_weak, p_strong)`` per set.
+    """
+    sets = threshold_sets(sets)
+    families = FEEDBACK_MODES[cfg.feedback_mode].families
+    if families is None:
+        raise InvalidParameterError(
+            f"no analytic outage path for mode {cfg.feedback_mode!r}; use the Monte Carlo engine"
+        )
+    levels = np.concatenate(sets)
+    p = np.ones_like(levels)
+    cond = dict(thresholds=cfg.thresholds, total_users=total_users, k_min=cfg.strong_rank)
+    for side, (family, rank) in enumerate(zip(families, (cfg.weak_rank, cfg.strong_rank))):
+        x = levels[:, side]
+        finite = x < np.inf
+        if finite.any():
+            p[finite, side] = CDF_FAMILIES[family](x[finite], model, led, rank=rank, **cond)
+    pairs = iter(p.tolist())
+    return [[tuple(next(pairs)) for _ in t] for t in sets]
 
 
 def sum_rate_noma(p_out_weak: float, p_out_strong: float, cfg: NomaConfig) -> float:
@@ -216,5 +229,7 @@ def sum_rate_oma(
     total_users: int | None = None,
 ) -> float:
     """Sum rate of the orthogonal baseline serving the same selected pair."""
-    [(_, oma)] = outage_pair_analytic([cfg], model, led, total_users=total_users, oma_mode=mode)
+    [[oma]] = outage_pair_analytic(
+        cfg, [[oma_gain_thresholds(cfg, mode)]], model, led, total_users=total_users
+    )
     return sum_rate_noma(*oma, cfg)

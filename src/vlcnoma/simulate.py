@@ -57,7 +57,7 @@ from .errors import DegenerateConditionError, InvalidParameterError, require_fin
 from .gain_cdf import CDF_FAMILIES, FeedbackThresholds, ordered_rank
 from .geometry import LedGeometry, dc_gain, incidence_angle, lit_gain, lit_mask
 from .mobility import MobilityModel, sample_users
-from .rates import FEEDBACK_MODES, NomaConfig
+from .rates import FEEDBACK_MODES, NomaConfig, threshold_sets
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -382,22 +382,15 @@ def _run_step(cfg: NomaConfig, noise: NoiseConfig | None, rng, shape, led):
     return step
 
 
-def _levels(pairs):
+def _levels(t):
     """A threshold set sorted for :func:`_clear_counts`: ``(order, t_weak, t_strong, staircase)``.
 
-    ``pairs`` holds one (weak, strong) pair of squared-gain levels per point.
-    ``order`` sorts the points by weak, then strong threshold; where that
-    order sorts the strong thresholds too, as along an SNR grid, the set is a
-    staircase.
+    ``t`` is one set of :func:`~vlcnoma.rates.threshold_sets`, a (weak,
+    strong) row of squared-gain levels per point.  ``order`` sorts the points
+    by weak, then strong threshold; where that order sorts the strong
+    thresholds too, as along an SNR grid, the set is a staircase.  A +inf
+    level sorts last and no gain clears it.
     """
-    try:
-        t = np.array(pairs, dtype=float)
-    except (TypeError, ValueError):
-        t = None
-    if t is None or t.ndim != 2 or t.shape[0] == 0 or t.shape[1] != 2:
-        raise InvalidParameterError(
-            "a threshold set must be a non-empty sequence of (weak, strong) pairs"
-        )
     order = np.lexsort((t[:, 1], t[:, 0]))
     t_weak, t_strong = t[order, 0], t[order, 1]
     return order, t_weak, t_strong, bool(np.all(t_strong[1:] >= t_strong[:-1]))
@@ -451,10 +444,10 @@ def collect_scheduled_gains(
     """Scheduled trials of each run, and per point of its threshold sets the trials that clear.
 
     ``runs`` is a sequence of ``(NomaConfig, NoiseConfig | None, threshold
-    sets)``.  A threshold set is a non-empty sequence of (weak, strong)
-    squared-gain levels, a pair per point, such as a sweep's NOMA outage
-    levels or its OMA ones; a user meets its target where its true squared
-    gain clears its side.  The runs share the users: each chunk draws every
+    sets)``, the sets that :func:`~vlcnoma.rates.outage_pair_analytic` takes
+    too, checked by the same :func:`~vlcnoma.rates.threshold_sets` before any
+    chunk runs; a user meets its target where its true squared gain clears
+    its side.  The runs share the users: each chunk draws every
     row block once and hands it to each run in turn.  Each run reads its own
     copy of the chunk's generator past the users, so its noise, its picks and
     its gains are those it would have alone.  A run's step scores its picks
@@ -471,10 +464,7 @@ def collect_scheduled_gains(
             raise InvalidParameterError("strong_rank exceeds total_users")
         if FEEDBACK_MODES[cfg.feedback_mode].group and cfg.thresholds is None:
             raise InvalidParameterError("group modes need feedback thresholds")
-        levels = [_levels(pairs) for pairs in sets]
-        if not levels:
-            raise InvalidParameterError("a run needs at least one threshold set")
-        checked.append((cfg, noise, levels))
+        checked.append((cfg, noise, [_levels(t) for t in threshold_sets(sets)]))
 
     def start(rng, n):
         shape = (n, total_users)

@@ -5,7 +5,15 @@ import copy
 import numpy as np
 import pytest
 
-from vlcnoma import FeedbackThresholds, LedGeometry, MobilityModel, NomaConfig, simulate
+from vlcnoma import (
+    FeedbackThresholds,
+    LedGeometry,
+    MobilityModel,
+    NomaConfig,
+    outage_gain_thresholds,
+    outage_pair_analytic,
+    simulate,
+)
 
 
 @pytest.fixture(scope="session")
@@ -73,6 +81,14 @@ def make_noma(snr_db=200.0, mode="FullCSI", thresholds=None, **kw):
     )
     defaults.update(kw)
     return NomaConfig(**defaults)
+
+
+def noma_outage(cfg, model, led, *, total_users=None):
+    """The closed-form outage pair (weak, strong) of one config at its own NOMA levels."""
+    [[pair]] = outage_pair_analytic(
+        cfg, [[outage_gain_thresholds(cfg)]], model, led, total_users=total_users
+    )
+    return pair
 
 
 def collect_gain_pairs(trials, runs, model, led, *, total_users, seed=0, workers=None):

@@ -33,6 +33,7 @@ from vlcnoma import (
     ks_distance_bound,
     nonzero_count_histogram,
     nonzero_gain_probability,
+    oma_gain_thresholds,
     outage_gain_thresholds,
     outage_pair_analytic,
     pmf_nonzero_count_truncated,
@@ -41,7 +42,7 @@ from vlcnoma import (
     sample_users,
     sum_rate_noma,
 )
-from tests.conftest import make_noma, record_acceptance
+from tests.conftest import make_noma, noma_outage, record_acceptance
 
 SEED = 77
 WORKERS = os.cpu_count() or 1
@@ -103,7 +104,7 @@ def grid_cfgs(mode: str, fov: int):
 
 def grid_levels(mode: str, fov: int):
     """The NOMA outage levels of every ``GRID_DB`` point: one threshold set."""
-    return [outage_gain_thresholds(cfg)[:2] for cfg in grid_cfgs(mode, fov)]
+    return [outage_gain_thresholds(cfg) for cfg in grid_cfgs(mode, fov)]
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +138,7 @@ def mc_steady_rate(mc, mode: str, fov: int, noisy: bool = False) -> float:
 def analytic_steady_rate(mode: str, model, led, thresholds) -> float:
     cfg = make_noma(snr_db=STEADY_DB, mode=mode, thresholds=thresholds)
     total = TOTAL_USERS if mode == "FullCSI" else None
-    return sum_rate_noma(*outage_pair_analytic([cfg], model, led, total_users=total)[0], cfg)
+    return sum_rate_noma(*noma_outage(cfg, model, led, total_users=total), cfg)
 
 
 def test_criterion_01_vertical_angle_cdf():
@@ -273,14 +274,15 @@ def test_criterion_05_full_csi_steady_state(mc):
     for fov in (50, 90):
         ana_steady = analytic_steady_rate("FullCSI", MODEL_V, LED_V[fov], TH_V[fov])
         mc_steady = mc_steady_rate(mc, "FullCSI", fov)
+        # One analytic call scores the curve's levels, the set its Monte Carlo run scored.
+        [pairs] = outage_pair_analytic(
+            make_cfg("FullCSI", fov), [grid_levels("FullCSI", fov)], MODEL_V, LED_V[fov],
+            total_users=TOTAL_USERS,
+        )
         gap = 0.0
-        for db, mean in zip(GRID_DB, mc("FullCSI", fov)):
-            cfg = make_cfg("FullCSI", fov, db)
-            ana = sum_rate_noma(
-                *outage_pair_analytic([cfg], MODEL_V, LED_V[fov], total_users=TOTAL_USERS)[0],
-                cfg,
-            )
-            gap = max(gap, abs(ana - mean))
+        curve = zip(grid_cfgs("FullCSI", fov), pairs, mc("FullCSI", fov), strict=True)
+        for cfg, pair, mean in curve:
+            gap = max(gap, abs(sum_rate_noma(*pair, cfg) - mean))
         ok = (
             ok
             and abs(ana_steady - 12.0) <= 0.1
@@ -347,23 +349,22 @@ def test_criterion_09_noma_dominates_oma_past_knee():
     parts = []
     for mode, fov, grid in curves:
         total = TOTAL_USERS if mode == "FullCSI" else None
-        rates = []
-        margins = {"time_shared": [], "paper_literal": []}
-        for db in grid:
-            cfg = make_cfg(mode, fov, db)
-            [p_noma] = outage_pair_analytic([cfg], MODEL_V, LED_V[fov], total_users=total)
-            rates.append(sum_rate_noma(*p_noma, cfg))
-            for oma_mode in margins:
-                [(_, p_oma)] = outage_pair_analytic(
-                    [cfg], MODEL_V, LED_V[fov], total_users=total, oma_mode=oma_mode
-                )
-                # compare at the outage level: forming the two sum rates first
-                # would round away the gap once both saturate
-                margins[oma_mode].append(
-                    cfg.rate_weak * (p_oma[0] - p_noma[0])
-                    + cfg.rate_strong * (p_oma[1] - p_noma[1])
-                )
-        rates = np.asarray(rates)
+        cfgs = [make_cfg(mode, fov, db) for db in grid]
+        oma_modes = ("time_shared", "paper_literal")
+        # One call scores the curve's NOMA levels and both OMA modes' levels.
+        sets = [[outage_gain_thresholds(cfg) for cfg in cfgs]]
+        sets += [[oma_gain_thresholds(cfg, oma_mode) for cfg in cfgs] for oma_mode in oma_modes]
+        noma, *omas = outage_pair_analytic(cfgs[0], sets, MODEL_V, LED_V[fov], total_users=total)
+        rates = np.asarray([sum_rate_noma(*p_noma, cfg) for p_noma, cfg in zip(noma, cfgs)])
+        # compare at the outage level: forming the two sum rates first
+        # would round away the gap once both saturate
+        margins = {
+            oma_mode: [
+                cfg.rate_weak * (p_oma[0] - p_noma[0]) + cfg.rate_strong * (p_oma[1] - p_noma[1])
+                for cfg, p_noma, p_oma in zip(cfgs, noma, oma, strict=True)
+            ]
+            for oma_mode, oma in zip(oma_modes, omas, strict=True)
+        }
         knee = int(np.argmax(rates >= 6.0))
         ok = ok and rates[knee] >= 6.0
         worst = min(min(margins[m][knee:]) for m in margins)

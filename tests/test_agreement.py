@@ -58,8 +58,8 @@ def test_outage_agrees_per_user(mode, fov_deg, dev_deg):
         analytic = CDF_FAMILIES[family](levels, model, led, rank=rank, **cond)
         for q, x, p in zip((10, 50, 90), levels, analytic):
             z[f"{side} q{q}"] = _z(np.mean(gain_sq <= x), p, n)
-    thresholds = outage_gain_thresholds(cfg)[:2]
-    [pair] = outage_pair_analytic([cfg], model, led, total_users=TOTAL_USERS)
+    thresholds = outage_gain_thresholds(cfg)
+    [[pair]] = outage_pair_analytic(cfg, [[thresholds]], model, led, total_users=TOTAL_USERS)
     for side, x, p, gain_sq in zip(("weak", "strong"), thresholds, pair, gains):
         z[f"{side} 250 dB"] = _z(np.mean(gain_sq <= x), p, n)
     worst = max(z, key=lambda k: abs(z[k]))

@@ -25,7 +25,7 @@ from vlcnoma import (
     sum_rate_oma,
 )
 from vlcnoma import cli, simulate
-from tests.conftest import make_noma
+from tests.conftest import make_noma, noma_outage
 
 
 def achievable_rate(sinr):
@@ -71,7 +71,7 @@ class TestSinr:
     def test_own_without_interferers_scales_with_snr(self):
         for snr_db in (140.0, 200.0, 250.0):
             cfg = make_noma(snr_db=snr_db)
-            _, threshold_strong, _ = outage_gain_thresholds(cfg)
+            _, threshold_strong = outage_gain_thresholds(cfg)
             assert self.sinr_strong_message(threshold_strong, cfg) == pytest.approx(
                 float(required_sinr(cfg.rate_strong)), rel=1e-12
             )
@@ -79,8 +79,8 @@ class TestSinr:
     def test_cross_interference_saturates(self):
         for snr_db in (140.0, 200.0, 250.0):
             cfg = make_noma(snr_db=snr_db)
-            threshold_weak, _, feasible = outage_gain_thresholds(cfg)
-            assert feasible
+            threshold_weak, _ = outage_gain_thresholds(cfg)
+            assert np.isfinite(threshold_weak)
             assert self.sinr_weak_message(threshold_weak, cfg) == pytest.approx(
                 float(required_sinr(cfg.rate_weak)), rel=1e-12
             )
@@ -88,13 +88,13 @@ class TestSinr:
         # beyond it is infeasible at any gain
         cfg = make_noma()
         ratio_rate = float(achievable_rate(cfg.beta_weak**2 / cfg.beta_strong**2))
-        assert not outage_gain_thresholds(make_noma(rate_weak=ratio_rate * 1.01))[2]
+        assert outage_gain_thresholds(make_noma(rate_weak=ratio_rate * 1.01)) == (np.inf, np.inf)
 
     def test_cross_below_own_power_ratio(self):
         # at the strong threshold the strong user also clears the weak
         # message, whose SINR stays below the power ratio
         cfg = make_noma()
-        _, threshold_strong, _ = outage_gain_thresholds(cfg)
+        _, threshold_strong = outage_gain_thresholds(cfg)
         sinr = self.sinr_weak_message(threshold_strong, cfg)
         assert float(required_sinr(cfg.rate_weak)) <= sinr
         assert sinr < cfg.beta_weak**2 / cfg.beta_strong**2
@@ -218,8 +218,8 @@ class TestOutageThresholds:
     def test_weak_below_strong_when_feasible(self):
         for snr_db in (150.0, 200.0, 250.0):
             cfg = make_noma(snr_db=snr_db)
-            t_weak, t_strong, feasible = outage_gain_thresholds(cfg)
-            assert feasible
+            t_weak, t_strong = outage_gain_thresholds(cfg)
+            assert np.isfinite(t_weak) and np.isfinite(t_strong)
             assert t_weak <= t_strong
 
     def test_thresholds_shrink_with_snr(self):
@@ -231,13 +231,14 @@ class TestOutageThresholds:
         # nearly even power split cannot carry a 2 bit/s/Hz weak target
         # through the strong user's interference
         cfg = make_noma(beta_weak=0.71, beta_strong=0.70, rate_weak=2.0)
-        t_weak, t_strong, feasible = outage_gain_thresholds(cfg)
-        assert not feasible
-        assert np.isinf(t_weak) and np.isinf(t_strong)
+        assert outage_gain_thresholds(cfg) == (np.inf, np.inf)
 
     def test_infeasible_split_gives_certain_outage(self, model_dev25, led_fov50):
         cfg = make_noma(beta_weak=0.71, beta_strong=0.70)
-        assert outage_pair_analytic([cfg], model_dev25, led_fov50, total_users=20) == [(1.0, 1.0)]
+        sets = [[outage_gain_thresholds(cfg)]]
+        assert outage_pair_analytic(cfg, sets, model_dev25, led_fov50, total_users=20) == [
+            [(1.0, 1.0)]
+        ]
 
 
 class TestOmaThresholds:
@@ -261,17 +262,16 @@ class TestOmaThresholds:
 class TestAnalyticOutage:
     def test_full_csi_saturates(self, model_dev25, led_fov50):
         cfg = make_noma(snr_db=250.0)
-        [(p_weak, p_strong)] = outage_pair_analytic([cfg], model_dev25, led_fov50, total_users=20)
+        p_weak, p_strong = noma_outage(cfg, model_dev25, led_fov50, total_users=20)
         assert p_weak == pytest.approx(0.0, abs=1e-12)
         assert p_strong == pytest.approx(0.0, abs=1e-12)
         assert sum_rate_noma(p_weak, p_strong, cfg) == pytest.approx(12.0, abs=1e-10)
 
     def test_sum_rate_nondecreasing_in_snr(self, model_dev25, led_fov50):
-        rates = []
-        for snr_db in np.arange(150.0, 255.0, 10.0):
-            cfg = make_noma(snr_db=snr_db)
-            [p] = outage_pair_analytic([cfg], model_dev25, led_fov50, total_users=20)
-            rates.append(sum_rate_noma(*p, cfg))
+        cfgs = [make_noma(snr_db=snr_db) for snr_db in np.arange(150.0, 255.0, 10.0)]
+        sets = [[outage_gain_thresholds(cfg) for cfg in cfgs]]
+        [pairs] = outage_pair_analytic(cfgs[0], sets, model_dev25, led_fov50, total_users=20)
+        rates = [sum_rate_noma(*p, cfg) for p, cfg in zip(pairs, cfgs, strict=True)]
         assert np.all(np.diff(rates) >= -1e-12)
 
     def test_group_mode_sum_rate_nondecreasing(self, model_dev30, led_fov60, thresholds_validation):
@@ -280,27 +280,24 @@ class TestAnalyticOutage:
             cfg = make_noma(
                 snr_db=snr_db, mode="TwoBitInstantaneous", thresholds=thresholds_validation
             )
-            [p] = outage_pair_analytic([cfg], model_dev30, led_fov60)
-            rates.append(sum_rate_noma(*p, cfg))
+            rates.append(sum_rate_noma(*noma_outage(cfg, model_dev30, led_fov60), cfg))
         assert np.all(np.diff(rates) >= -1e-12)
 
     def test_mc_only_modes_have_no_analytic_path(self, model_dev25, led_fov50):
         for mode in ("MeanAngle", "DistanceOnly", "OneBitDistance"):
             cfg = make_noma(mode=mode, thresholds=None)
             with pytest.raises(InvalidParameterError):
-                outage_pair_analytic([cfg], model_dev25, led_fov50, total_users=20)
+                noma_outage(cfg, model_dev25, led_fov50, total_users=20)
 
     def test_full_csi_needs_population_size(self, model_dev25, led_fov50):
         cfg = make_noma()
         with pytest.raises(InvalidParameterError):
-            outage_pair_analytic([cfg], model_dev25, led_fov50)
+            noma_outage(cfg, model_dev25, led_fov50)
 
     def test_probability_bounds(self, model_dev25, led_fov50):
         for snr_db in (140.0, 170.0, 200.0, 230.0):
             cfg = make_noma(snr_db=snr_db)
-            [(p_weak, p_strong)] = outage_pair_analytic(
-                [cfg], model_dev25, led_fov50, total_users=20
-            )
+            p_weak, p_strong = noma_outage(cfg, model_dev25, led_fov50, total_users=20)
             assert 0.0 <= p_weak <= 1.0
             assert 0.0 <= p_strong <= 1.0
 
@@ -328,9 +325,7 @@ class TestOmaSumRate:
     def test_noma_beats_time_shared_oma_past_knee(self, model_dev25, led_fov50):
         for snr_db in (225.0, 240.0, 250.0):
             cfg = make_noma(snr_db=snr_db)
-            noma = sum_rate_noma(
-                *outage_pair_analytic([cfg], model_dev25, led_fov50, total_users=20)[0], cfg
-            )
+            noma = sum_rate_noma(*noma_outage(cfg, model_dev25, led_fov50, total_users=20), cfg)
             oma = sum_rate_oma(cfg, model_dev25, led_fov50, "time_shared", total_users=20)
             assert noma > oma
 

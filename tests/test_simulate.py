@@ -39,12 +39,12 @@ from vlcnoma.rates import FEEDBACK_MODES
 from vlcnoma.simulate import _group_masks, _noise, _observe, _row_count, _uniform_pick
 from vlcnoma.gain_cdf import CDF_FAMILIES, cdf_gain_ranked
 from vlcnoma.cli import main
-from tests.conftest import collect_gain_pairs, make_noma
+from tests.conftest import collect_gain_pairs, make_noma, noma_outage
 
 
 def levels(*cfgs):
     """A threshold set: the NOMA outage levels of each config."""
-    return [outage_gain_thresholds(cfg)[:2] for cfg in cfgs]
+    return [outage_gain_thresholds(cfg) for cfg in cfgs]
 
 
 def test_one_chunk_driver():
@@ -292,7 +292,7 @@ class TestIndividualTrial:
         [(gain_w, gain_s)] = collect_gain_pairs(
             300, [(cfg, None)], model, led, total_users=2, seed=4
         )
-        threshold_weak, threshold_strong, _ = outage_gain_thresholds(cfg)
+        threshold_weak, threshold_strong = outage_gain_thresholds(cfg)
         lit = gain_w > 0.0
         assert np.all(gain_w[lit] > threshold_weak)
         assert np.all(gain_s[lit] > threshold_strong)
@@ -350,7 +350,7 @@ class TestGroupTrial:
         zero = gain_s == 0.0
         assert zero.sum() > 0
         # the strong user earns nothing on those trials: only the weak rate is left
-        threshold_weak, _, _ = outage_gain_thresholds(cfg)
+        threshold_weak, _ = outage_gain_thresholds(cfg)
         [(served, _)] = score(gain_w[zero], gain_s[zero], [cfg])
         assert served == pytest.approx(
             cfg.rate_weak * np.mean(gain_w[zero] > threshold_weak)
@@ -419,7 +419,7 @@ class TestUniformPick:
 
 def rate_oracle(gain_w, gain_s, cfg, thresholds=None):
     """One point scored on its trials' rate array: ``ndarray.mean`` and ``var(ddof=1)``."""
-    t_weak, t_strong = thresholds or outage_gain_thresholds(cfg)[:2]
+    t_weak, t_strong = thresholds or outage_gain_thresholds(cfg)
     rate = cfg.rate_weak * (gain_w > t_weak) + cfg.rate_strong * (gain_s > t_strong)
     n = rate.size
     stderr = float(np.sqrt(rate.var(ddof=1) / n)) if n > 1 else 0.0
@@ -454,7 +454,7 @@ class TestRateStatsByCounts:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # The block rule on each slice, summed, gives each point's own comparisons.
-            set_levels = simulate._levels(thresholds)
+            set_levels = simulate._levels(np.array(thresholds))
             picks = np.stack([gain_w, gain_s], axis=1)
             blocks = sum(
                 simulate._clear_counts(picks[lo : lo + cls.SLICE], set_levels)
@@ -512,7 +512,7 @@ class TestRateStatsByCounts:
     def test_infeasible_split_is_certain_outage_without_warnings(self):
         """An infeasible split's infinite thresholds, among finite ones, clear no trial."""
         infeasible = make_noma(beta_weak=0.6, beta_strong=0.55)
-        assert outage_gain_thresholds(infeasible)[2] is False
+        assert outage_gain_thresholds(infeasible) == (np.inf, np.inf)
         cfgs = [make_noma(snr_db=160.0), infeasible, infeasible, make_noma(snr_db=240.0)]
         gain_w, gain_s = self.gains(4000, seed=4)
         self.check(gain_w, gain_s, cfgs)
@@ -536,20 +536,78 @@ class TestRateStatsByCounts:
             [[1e-19, 1e-19]],  # a flat pair, not a set of pairs
             [[(1e-19,), (1e-19, 1e-19)]],  # ragged
             [[("weak", "strong")]],  # not numbers
+            [[(1e-19, 1e-19), (np.nan, 1e-19)]],  # a NaN level
             [],  # no set at all
         ],
-        ids=["empty", "triples", "flat", "ragged", "text", "no_set"],
+        ids=["empty", "triples", "flat", "ragged", "text", "nan", "no_set"],
     )
     def test_bad_threshold_sets_fail_at_the_call(self, sets, model_dev25, led_fov50, monkeypatch):
-        def no_chunk(*args, **kwargs):
-            raise AssertionError("a chunk ran")
+        """Both twins refuse a bad set by one check, before any chunk runs or family is called."""
 
-        monkeypatch.setattr(simulate, "_map_chunks", no_chunk)
-        good = (make_noma(), None, [levels(make_noma())])
+        def never(*args, **kwargs):
+            raise AssertionError("a chunk ran or a family was called")
+
+        monkeypatch.setattr(simulate, "_map_chunks", never)
+        for family in CDF_FAMILIES:
+            monkeypatch.setitem(CDF_FAMILIES, family, never)
+        cfg = make_noma()
         with pytest.raises(InvalidParameterError, match="threshold set"):
             collect_scheduled_gains(
-                1_000, [good, (make_noma(), None, sets)], model_dev25, led_fov50, total_users=20
+                1_000, [(cfg, None, [levels(cfg)]), (cfg, None, sets)], model_dev25, led_fov50,
+                total_users=20,
             )
+        # A good set ahead of a bad one does not let the bad one through.
+        for analytic_sets in (sets, [levels(cfg), *sets]) if sets else [sets]:
+            with pytest.raises(InvalidParameterError, match="threshold set"):
+                outage_pair_analytic(cfg, analytic_sets, model_dev25, led_fov50, total_users=20)
+
+
+class TestInfiniteLevels:
+    """A +inf level is certain outage on its side in both twins, whatever its neighbours."""
+
+    @pytest.mark.parametrize(
+        "mode", sorted(name for name, mode in FEEDBACK_MODES.items() if mode.families)
+    )
+    def test_infinite_side_is_certain_outage(
+        self, mode, model_dev30, led_fov60, thresholds_validation, monkeypatch
+    ):
+        cfgs = [
+            make_noma(snr_db=db, mode=mode, thresholds=thresholds_validation) for db in (200.0, 250.0)
+        ]
+        finite = levels(*cfgs)
+        # An infeasible split's point, and one whose strong target no gain meets.
+        points = [finite[0], (np.inf, np.inf), (finite[0][0], np.inf), finite[1]]
+        # The same points and a crossing one, which is no staircase.
+        sets = [points, [*points, (finite[0][0], finite[1][1] / 10.0)]]
+        assert [simulate._levels(np.array(pairs))[3] for pairs in sets] == [True, False]
+        shared = dict(total_users=20)
+
+        seen = []
+        for name in set(FEEDBACK_MODES[mode].families):
+
+            def spy(x, *args, _family=CDF_FAMILIES[name], **kwargs):
+                seen.append(np.array(x))
+                return _family(x, *args, **kwargs)
+
+            monkeypatch.setitem(CDF_FAMILIES, name, spy)
+        got, crossing = outage_pair_analytic(cfgs[0], sets, model_dev30, led_fov60, **shared)
+        assert seen and all(np.all(np.isfinite(x)) for x in seen)
+        alone = [
+            outage_pair_analytic(cfgs[0], [[pair]], model_dev30, led_fov60, **shared)[0][0]
+            for pair in finite
+        ]
+        # Exactly 1.0 on each infinite side, and a finite side's bits as its point alone.
+        assert got == [alone[0], (1.0, 1.0), (alone[0][0], 1.0), alone[1]] == crossing[:4]
+
+        [(scheduled, counts)] = collect_scheduled_gains(
+            20_000, [(cfgs[0], None, sets)], model_dev30, led_fov60, seed=2, **shared
+        )
+        [(_, [want])] = collect_scheduled_gains(
+            20_000, [(cfgs[0], None, [finite])], model_dev30, led_fov60, seed=2, **shared
+        )
+        # No trial clears an infinite side; a finite side clears as its point alone does.
+        assert scheduled > 0 and want[0][0] > 0
+        assert counts[0] == [want[0], [0, 0, 0], [want[0][0], 0, 0], want[1]] == counts[1][:4]
 
 
 def sum_rate(trials, cfg, model, led, *, total_users=20, noise=None, **kw):
@@ -565,7 +623,7 @@ class TestEstimate:
     def test_sum_rate_matches_analytic(self, model_dev25, led_fov50):
         cfg = make_noma(snr_db=200.0)
         mean, _, _ = sum_rate(200_000, cfg, model_dev25, led_fov50, seed=7)
-        [p] = outage_pair_analytic([cfg], model_dev25, led_fov50, total_users=20)
+        p = noma_outage(cfg, model_dev25, led_fov50, total_users=20)
         assert mean == pytest.approx(sum_rate_noma(*p, cfg), abs=0.05)
 
     def test_scheduling_probability_matches_binomial_tail(self, model_dev25, led_fov50):
@@ -578,10 +636,14 @@ class TestEstimate:
 
     def test_outage_pair_metric(self, model_dev25, led_fov50):
         cfg = make_noma(snr_db=200.0)
+        # Both twins take the same threshold set.
+        sets = [levels(cfg)]
         [(n, [[(n_w, n_s, _)]])] = collect_scheduled_gains(
-            100_000, [(cfg, None, [levels(cfg)])], model_dev25, led_fov50, total_users=20, seed=3
+            100_000, [(cfg, None, sets)], model_dev25, led_fov50, total_users=20, seed=3
         )
-        [(p_weak, p_strong)] = outage_pair_analytic([cfg], model_dev25, led_fov50, total_users=20)
+        [[(p_weak, p_strong)]] = outage_pair_analytic(
+            cfg, sets, model_dev25, led_fov50, total_users=20
+        )
         # A pick in outage stays at or below its threshold: it does not clear it.
         assert (n - n_w) / n == pytest.approx(p_weak, abs=0.01)
         assert (n - n_s) / n == pytest.approx(p_strong, abs=0.01)
@@ -757,9 +819,9 @@ class TestScoringInTheChunk:
     ):
         sets = self.SETS[case]
         if case == "crossing":
-            assert not simulate._levels(sets[0])[3]
+            assert not simulate._levels(np.array(sets[0]))[3]
         else:
-            assert all(simulate._levels(pairs)[3] for pairs in sets)
+            assert all(simulate._levels(np.array(pairs))[3] for pairs in sets)
         # Two full chunks and a partial one, several blocks each.
         monkeypatch.setattr(simulate, "CHUNK_TRIALS", 4096)
         monkeypatch.setattr(simulate, "_BLOCK_ENTRIES", 1 << 14)
